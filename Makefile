@@ -1,10 +1,12 @@
-.PHONY: install test lint lint-smoke verify-smoke obs-smoke trace-smoke faults-smoke bench-smoke compiled-smoke crash-smoke harden-smoke env-smoke bench experiments export examples all
+.PHONY: install test lint lint-smoke verify-smoke obs-smoke faults-smoke bench-smoke compiled-smoke crash-smoke harden-smoke env-smoke bench experiments export examples all
 
 install:
 	pip install -e . --no-build-isolation
 
+# Tier-1 and the benchmark's self-tests in one pytest run, so a change
+# that breaks a pinned benchmark digest fails here first.
 test: obs-smoke faults-smoke bench-smoke compiled-smoke crash-smoke harden-smoke env-smoke lint verify-smoke
-	pytest tests/
+	pytest tests/ perfbench/tests
 
 # Static checks: the CRAM program linter over every registered target,
 # then ruff/mypy over the Python sources when they are installed (the
@@ -34,12 +36,9 @@ verify-smoke:
 
 # Observability gate: the traced SVM-kernel run plus profiler
 # attribution (bit-exact vs the Breakdown), flamegraph lint, checkpoint
-# counters, and one live /metrics scrape.  `trace-smoke` is the
-# pre-profiler alias.
+# counters, and one live /metrics scrape.
 obs-smoke:
 	PYTHONPATH=src python -m repro.obs.smoke
-
-trace-smoke: obs-smoke
 
 faults-smoke:
 	PYTHONPATH=src python -m repro.faults.smoke

@@ -11,6 +11,8 @@ The bank also exposes the sensor's non-volatile input buffer, which is
 
 from __future__ import annotations
 
+import operator
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -143,21 +145,48 @@ class Bank:
 
     def load_program(self, words: Sequence[int]) -> None:
         """Write encoded 64-bit instruction words into the instruction
-        tiles (done once, before deployment)."""
+        tiles (done once, before deployment).
+
+        Bit ``b`` of word ``i`` lands at ``state[row, slot * 64 + b]`` of
+        the tile, row and slot :meth:`_locate` gives ``i``; cells past
+        the last word keep their previous contents.  Every word must be
+        an integer in ``0 .. 2**64 - 1``: others raise ``TypeError`` or
+        ``ValueError`` naming the first offending index.
+        """
         if len(words) > self.instruction_capacity:
             raise ValueError(
                 f"program of {len(words)} instructions exceeds capacity "
                 f"{self.instruction_capacity}"
             )
-        for index, word in enumerate(words):
-            if not 0 <= word < 2**INSTRUCTION_BITS:
-                raise ValueError(f"instruction {index} is not a 64-bit word")
-            tile, row, slot = self._locate(index)
-            bits = np.array(
-                [(word >> b) & 1 for b in range(INSTRUCTION_BITS)], dtype=bool
-            )
-            lo = slot * INSTRUCTION_BITS
-            self.instruction_tiles[tile].state[row, lo : lo + INSTRUCTION_BITS] = bits
+        try:
+            # array("Q") converts through __index__ only, so floats and
+            # strings are rejected rather than coerced.
+            vector = np.frombuffer(array("Q", words), dtype=np.uint64)
+        except (TypeError, OverflowError):
+            for index, word in enumerate(words):
+                try:
+                    value = operator.index(word)
+                except TypeError:
+                    raise TypeError(
+                        f"instruction {index} is not an integer word: {word!r}"
+                    ) from None
+                if not 0 <= value < 2**INSTRUCTION_BITS:
+                    raise ValueError(
+                        f"instruction {index} is not a 64-bit word"
+                    ) from None
+            raise
+        bits = np.unpackbits(
+            vector.astype("<u8", copy=False).view(np.uint8), bitorder="little"
+        ).view(bool)
+        # Word i's bits follow word i-1's in row-major tile order, so each
+        # tile takes one contiguous run of the bit vector.
+        tile_bits = self.rows * self._icols
+        for tile, start in zip(self.instruction_tiles, range(0, bits.size, tile_bits)):
+            chunk = bits[start : start + tile_bits]
+            full, tail = divmod(chunk.size, self._icols)
+            tile.state[:full] = chunk[: full * self._icols].reshape(full, self._icols)
+            if tail:
+                tile.state[full, :tail] = chunk[full * self._icols :]
         self._program_length = len(words)
 
     def fetch_word(self, index: int) -> int:
@@ -169,11 +198,7 @@ class Bank:
         tile, row, slot = self._locate(index)
         lo = slot * INSTRUCTION_BITS
         bits = self.instruction_tiles[tile].state[row, lo : lo + INSTRUCTION_BITS]
-        word = 0
-        for b in range(INSTRUCTION_BITS):
-            if bits[b]:
-                word |= 1 << b
-        return word
+        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
     def _locate(self, index: int) -> tuple[int, int, int]:
         per_tile = self.rows * self._instr_per_row

@@ -108,6 +108,16 @@ class Program:
     excluded from equality — protection changes *which instructions
     exist*, not how a given instruction behaves, and the metadata is
     advisory for the fault layer and the SDC lint rules.
+
+    A program is encoded and validated once: :meth:`words` memoises the
+    encoded words and :meth:`validate` the bank geometries it has
+    accepted, so loading one program into many machines pays for
+    neither again.  The memo rests on one rule: instructions are added
+    only through :meth:`append` / :meth:`extend` (which drop it, and
+    any compiled plans cached on the program), never by editing
+    ``instructions`` in place.  To rewrite a program, build the
+    instruction and scope-id lists first and construct a new
+    ``Program`` from them.
     """
 
     instructions: list[Instruction] = field(default_factory=list)
@@ -128,6 +138,14 @@ class Program:
             self.scope_ids.extend(
                 [0] * (len(self.instructions) - len(self.scope_ids))
             )
+        self._forget()
+
+    def _forget(self) -> None:
+        """Drop everything memoised from the instructions: the encoded
+        words, the accepted geometries and any compiled plans."""
+        self._words: Optional[list[int]] = None
+        self._valid_shapes: set[tuple[int, int, int]] = set()
+        self.__dict__.pop("_cjit_plans", None)
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -141,6 +159,7 @@ class Program:
     def append(self, instr: Instruction) -> None:
         self.instructions.append(instr)
         self.scope_ids.append(self._scope)
+        self._forget()
 
     def extend(self, instrs: Sequence[Instruction]) -> None:
         for instr in instrs:
@@ -183,8 +202,14 @@ class Program:
         )
 
     def words(self) -> list[int]:
-        """Encoded 64-bit words, ready for the instruction tiles."""
-        return [encode(i) for i in self.instructions]
+        """Encoded 64-bit words, ready for the instruction tiles.
+
+        Encoded on the first call and memoised; every call returns a
+        fresh list, so callers may modify it.
+        """
+        if self._words is None:
+            self._words = [encode(i) for i in self.instructions]
+        return list(self._words)
 
     @property
     def halts(self) -> bool:
@@ -205,7 +230,11 @@ class Program:
         """Check addresses and parity constraints against a bank shape.
 
         Raises ``ValueError`` naming the offending instruction index.
+        A shape that passed once is remembered and not checked again.
         """
+        shape = (n_data_tiles, rows, cols)
+        if shape in self._valid_shapes:
+            return
         for index, instr in enumerate(self.instructions):
             try:
                 self._validate_one(instr, n_data_tiles, rows, cols)
@@ -213,6 +242,7 @@ class Program:
                 raise ValueError(f"instruction {index} ({instr}): {exc}") from exc
         if not self.halts:
             raise ValueError("program does not end in HALT")
+        self._valid_shapes.add(shape)
 
     @staticmethod
     def _validate_one(

@@ -42,7 +42,8 @@ from repro.isa.instruction import decode_cached
 
 
 class StateCaptureError(RuntimeError):
-    """The object is not in a capturable state (e.g. mid-instruction)."""
+    """The object is not in a capturable state (e.g. mid-instruction),
+    or a captured payload holds something capture cannot produce."""
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +224,7 @@ def capture_machine(mouse: Mouse) -> dict[str, Any]:
             "rows": bank.rows,
             "cols": bank.cols,
         },
-        "program": list(mouse.program.words()),
+        "program": mouse.program.words(),
         "data_tiles": [
             {
                 "state": encode_bool_array(tile.state),
@@ -263,9 +264,7 @@ def restore_machine(payload: dict[str, Any]) -> Mouse:
         rows=geometry["rows"],
         cols=geometry["cols"],
     )
-    words = [int(w) for w in payload["program"]]
-    mouse.bank.load_program(words)
-    mouse._program = Program([decode_cached(w) for w in words])
+    _restore_program(mouse, payload["program"])
 
     for tile, saved in zip(mouse.bank.data_tiles, payload["data_tiles"]):
         tile.state[:] = decode_bool_array(saved["state"])
@@ -291,3 +290,35 @@ def restore_machine(payload: dict[str, Any]) -> Mouse:
 
     mouse.ledger.breakdown = decode_breakdown(payload["ledger"])
     return mouse
+
+
+def _restore_program(mouse: Mouse, words: Any) -> None:
+    """Load a captured program back into a freshly built machine.
+
+    Rejects what capture never writes: words that are not JSON integers
+    (floats, strings, booleans), words that do not decode, and programs
+    that fail :meth:`Program.validate` against the machine's geometry
+    (a missing HALT included) or overflow its instruction tiles.
+    """
+    if not isinstance(words, list):
+        raise StateCaptureError("captured program is not a list of words")
+    instructions = []
+    for index, word in enumerate(words):
+        if type(word) is not int:
+            raise StateCaptureError(
+                f"program word {index} is a {type(word).__name__}, not an int"
+            )
+        try:
+            instructions.append(decode_cached(word))
+        except ValueError as exc:
+            raise StateCaptureError(
+                f"program word {index} does not decode: {exc}"
+            ) from exc
+    program = Program(instructions)
+    bank = mouse.bank
+    try:
+        program.validate(len(bank.data_tiles), rows=bank.rows, cols=bank.cols)
+        bank.load_program(words)
+    except ValueError as exc:
+        raise StateCaptureError(f"captured program is invalid: {exc}") from exc
+    mouse._program = program

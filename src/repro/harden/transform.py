@@ -41,7 +41,7 @@ as SDC despite the correct readout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Any, Mapping, Optional
 
 from repro.array.bank import BROADCAST_TILE
 from repro.array.lines import row_parity
@@ -196,15 +196,16 @@ def harden_program(
 
     pool = _ScratchPool(config.rows, _used_rows(program, config))
 
-    out = Program(name=f"{program.name}+hardened")
-    out.scope_table = ScopeTable.from_json_obj(
-        program.scope_table.to_json_obj()
-    )
+    # The rewrite is assembled in plain lists (the TMR rewrite patches
+    # an earlier preset) and only then frozen into a Program.
+    instructions: list[Instruction] = []
+    scope_ids: list[int] = []
+    scope_table = ScopeTable.from_json_obj(program.scope_table.to_json_obj())
 
     def emit(instr: Instruction, sid: int) -> int:
-        out.instructions.append(instr)
-        out.scope_ids.append(sid)
-        return len(out.instructions) - 1
+        instructions.append(instr)
+        scope_ids.append(sid)
+        return len(instructions) - 1
 
     pc_map: dict[int, int] = {}
     last_preset: dict[tuple[int, int], int] = {}
@@ -218,7 +219,7 @@ def harden_program(
         if isinstance(instr, HaltInstruction):
             # Scrub scratch before parking: outvoted-but-flipped copies
             # must not survive into the final memory image.
-            scrub_sid = out.scope_table.child(0, "scrub")
+            scrub_sid = scope_table.child(0, "scrub")
             for tiles, row in pool.all_rows():
                 tile = tiles[0] if len(tiles) == 1 else BROADCAST_TILE
                 scrub_pcs.append(
@@ -240,7 +241,15 @@ def harden_program(
 
         if isinstance(instr, LogicInstruction) and old_pc in tmr_old:
             new_pcs = _emit_tmr(
-                out, instr, sid, pool, last_preset, config, emit, policy
+                instructions,
+                scope_table,
+                instr,
+                sid,
+                pool,
+                last_preset,
+                config,
+                emit,
+                policy,
             )
             if new_pcs is None:
                 # No scratch room (or no patchable preset): fall back to
@@ -268,12 +277,11 @@ def harden_program(
     for old_pc in program.verify_pcs:
         mapped = pc_map.get(old_pc)
         if mapped is not None and isinstance(
-            out.instructions[mapped], LogicInstruction
+            instructions[mapped], LogicInstruction
         ):
             verify_new.add(mapped)
 
-    _finalise_meta(
-        out,
+    meta = _harden_meta(
         program,
         policy,
         flip_rates,
@@ -285,6 +293,13 @@ def harden_program(
         verify_old,
         masked_old,
         downgraded,
+    )
+    out = Program(
+        instructions,
+        name=f"{program.name}+hardened",
+        scope_table=scope_table,
+        scope_ids=scope_ids,
+        harden_meta=meta,
     )
 
     try:
@@ -323,7 +338,8 @@ def _observe(
 
 
 def _emit_tmr(
-    out: Program,
+    instructions: list[Instruction],
+    scope_table: ScopeTable,
     instr: LogicInstruction,
     sid: int,
     pool: _ScratchPool,
@@ -356,12 +372,12 @@ def _emit_tmr(
     # The NOT that finally writes the original row is a preset-0 gate:
     # patch the original preset's polarity in place (its def-use slot —
     # after the last write, before the vote — is unchanged).
-    old = out.instructions[preset_idx]
-    out.instructions[preset_idx] = MemoryInstruction(
+    old = instructions[preset_idx]
+    instructions[preset_idx] = MemoryInstruction(
         op="PRESET0", tile=old.tile, row=old.row
     )
 
-    tmr_sid = out.scope_table.child(sid, "tmr")
+    tmr_sid = scope_table.child(sid, "tmr")
     copy_pcs = []
     for row in copies:
         emit(
@@ -411,8 +427,7 @@ def _emit_tmr(
     return group, [min_pc, not_pc]
 
 
-def _finalise_meta(
-    out: Program,
+def _harden_meta(
     original: Program,
     policy: HardenPolicy,
     flip_rates: Mapping[str, float],
@@ -424,7 +439,7 @@ def _finalise_meta(
     verify_old: set[int],
     masked_old: list[int],
     downgraded: list[int],
-) -> None:
+) -> dict[str, Any]:
     protected_tmr = sorted(tmr_old - set(downgraded))
     protected_verify = sorted(verify_old | set(downgraded))
     unprotected = sorted(
@@ -435,7 +450,7 @@ def _finalise_meta(
         and pc not in verify_old
         and pc not in set(masked_old)
     )
-    out.harden_meta = {
+    return {
         "schema": SCHEMA,
         "source": original.name,
         "policy": policy.to_json_obj(),

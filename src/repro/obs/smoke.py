@@ -22,8 +22,7 @@ the emitted artifacts:
   ``/metrics`` endpoint carries the counters and per-scope gauges.
 
 Exit status 0 means the whole telemetry pipeline is healthy; it is
-wired into ``make obs-smoke`` (part of ``make test``; ``trace-smoke``
-is kept as an alias).
+wired into ``make obs-smoke`` (part of ``make test``).
 """
 
 from __future__ import annotations

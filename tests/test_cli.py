@@ -242,7 +242,12 @@ class TestHardenCommand:
         assert len(payload["points"]) == 2
         assert all(p["bound_dominates"] for p in payload["points"])
 
-    def test_byte_identical_across_jobs(self, tmp_path):
+    def test_byte_identical_across_jobs(self, tmp_path, monkeypatch):
+        from repro.perf import parallel
+
+        # main() makes --jobs the process-wide default; restore it so
+        # later tests in this process do not inherit jobs=2.
+        monkeypatch.setattr(parallel, "_default_jobs", parallel.get_default_jobs())
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(HARDEN_FAST + ["--out", str(a), "--jobs", "1"]) == 0
         assert main(HARDEN_FAST + ["--out", str(b), "--jobs", "2"]) == 0

@@ -122,3 +122,53 @@ class TestMachineCapture:
         clone.run()
         assert workload.readout(clone) == workload.readout(original)
         assert clone.ledger.breakdown == original.ledger.breakdown
+
+
+class TestRestoreRejectsMalformedProgram:
+    """A captured program is restored only if capture could have
+    written it: JSON integers that decode into a program passing
+    ``Program.validate`` on the captured geometry."""
+
+    @staticmethod
+    def adder_payload() -> dict:
+        return capture_machine(adder_workload(MODERN_STT).build())
+
+    def test_unmodified_payload_restores(self):
+        payload = self.adder_payload()
+        assert capture_machine(restore_machine(payload)) == payload
+
+    def test_float_word_rejected(self):
+        payload = self.adder_payload()
+        payload["program"][1] = payload["program"][1] + 0.5
+        with pytest.raises(StateCaptureError, match="word 1 is a float"):
+            restore_machine(payload)
+
+    def test_numeric_string_word_rejected(self):
+        payload = self.adder_payload()
+        payload["program"][2] = str(payload["program"][2])
+        with pytest.raises(StateCaptureError, match="word 2 is a str"):
+            restore_machine(payload)
+
+    def test_bool_word_rejected(self):
+        # True would otherwise decode as word 1, WRITE t0 row 0.
+        payload = self.adder_payload()
+        payload["program"][0] = True
+        with pytest.raises(StateCaptureError, match="word 0 is a bool"):
+            restore_machine(payload)
+
+    def test_missing_halt_rejected(self):
+        payload = self.adder_payload()
+        payload["program"] = payload["program"][:-1]
+        with pytest.raises(StateCaptureError, match="does not end in HALT"):
+            restore_machine(payload)
+
+    def test_out_of_range_tile_rejected(self):
+        from repro.isa.instruction import LogicInstruction, encode
+
+        payload = self.adder_payload()
+        assert payload["geometry"]["n_data_tiles"] == 1
+        payload["program"].insert(
+            -1, encode(LogicInstruction("NOT", 5, (0,), 1))
+        )
+        with pytest.raises(StateCaptureError, match="tile 5 out of range"):
+            restore_machine(payload)

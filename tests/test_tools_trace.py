@@ -4,7 +4,7 @@ import pytest
 
 from repro.devices.parameters import MODERN_STT
 from repro.isa.assembler import assemble
-from repro.tools import TraceRecorder
+from repro.obs import TraceRecorder
 from tests.conftest import make_mouse
 
 SOURCE = """
@@ -102,24 +102,3 @@ class TestTraceBudgetExceeded:
             recorder.run(max_instructions=3)
         assert len(exc.value.records) == 1
 
-
-class TestDeprecationShim:
-    def test_old_import_path_warns_but_works(self):
-        import importlib
-        import sys
-        import warnings
-
-        sys.modules.pop("repro.tools.trace", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            module = importlib.import_module("repro.tools.trace")
-        assert any(w.category is DeprecationWarning for w in caught)
-        from repro.obs.trace import TraceRecorder as canonical
-
-        assert module.TraceRecorder is canonical
-
-    def test_same_class_everywhere(self):
-        from repro.obs import TraceRecorder as from_obs
-        from repro.tools import TraceRecorder as from_tools
-
-        assert from_obs is from_tools
