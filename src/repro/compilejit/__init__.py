@@ -17,9 +17,14 @@ interpreter.
 Execution tiers (see docs/PERFORMANCE.md):
 
 1. scalar microstep interpreter (referee, always correct),
-2. cached kernels + batched lock-step (PR 4),
-3. compiled plans (this package): continuous runs, intermittent window
-   replay, profile replay, and batch x instruction fusion.
+2. cached kernels + the scalar lock-step batch loop,
+3. compiled plans (this package).  One :class:`CompiledPlan` per
+   (program, technology, bank geometry), cached on the Program, drives
+   continuous ``Mouse`` runs, the fused intermittent window loop and
+   lock-step ``BatchedMouse`` batches; every executor applies its ops
+   through :func:`repro.compilejit.exec.apply_op` on ``(rows, cols)``
+   or ``(batch, rows, cols)`` tile states.  ``compilejit.profile``
+   replays harvest profiles.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from repro.compilejit.plan import (
     CompiledPlan,
     PlanUnsupported,
     compile_program,
-    plan_for_mouse,
+    plan_for,
 )
 
 #: Module-wide switch: set False to force every engine back onto the
@@ -57,7 +62,7 @@ __all__ = [
     "CompiledPlan",
     "PlanUnsupported",
     "compile_program",
-    "plan_for_mouse",
+    "plan_for",
     "ENABLED",
     "STATS",
     "set_enabled",

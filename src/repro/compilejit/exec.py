@@ -1,7 +1,9 @@
-"""Compiled-plan executors: continuous power and intermittent windows.
+"""Compiled-plan executors: continuous power, intermittent windows and
+lock-step batches.
 
-Both executors reproduce the scalar microstep interpreter's ledger
-arithmetic bit for bit.  The key identity: for IEEE-754 doubles,
+All three apply the plan's ops through one function, :func:`apply_op`,
+and reproduce the scalar interpreters' ledger arithmetic bit for bit.
+The key identity: for IEEE-754 doubles,
 
     np.add.accumulate(np.concatenate(([c0], vals)))[-1]
 
@@ -24,9 +26,6 @@ import numpy as np
 from repro.compilejit.plan import (
     K_ACT,
     K_HALT,
-    K_L0,
-    K_L1A,
-    K_L1C,
     K_L1P,
     K_L1S,
     K_LN,
@@ -34,7 +33,7 @@ from repro.compilejit.plan import (
     K_READ,
     K_WRITE,
     CompiledPlan,
-    plan_for_mouse,
+    plan_for,
 )
 from repro.core.controller import InstructionBudgetExceeded, Phase, _NONE
 from repro.isa.instruction import decode_cached
@@ -58,6 +57,97 @@ def _cycle_chain(plan: CompiledPlan, n: int) -> np.ndarray:
     if arr is None:
         arr = cache[n] = np.full(n, plan.cycle, dtype=np.float64)
     return arr
+
+
+# ----------------------------------------------------------------------
+# The op switch
+# ----------------------------------------------------------------------
+
+
+def _slice_gate(op, states, views):
+    """A K_L1S gate over a contiguous active range; returns its array
+    energy.
+
+    Row-slice views need no index mesh.  ``out[mask] = tgt`` without the
+    interpreter's ``!= tgt`` pre-filter writes the same final state (the
+    store is idempotent on cells already at the target), and the energy
+    gather never depends on which cells switched.
+    """
+    _, _, _, ti, rows_t, orow, sl, ws, en, tgt = op
+    vu = views[ti]
+    if len(rows_t) == 1:
+        n1 = vu[..., rows_t[0], sl]
+    else:
+        n1 = vu[..., rows_t[0], sl] + vu[..., rows_t[1], sl]
+        for r in rows_t[2:]:
+            n1 += vu[..., r, sl]
+    states[ti][..., orow, sl][ws.take(n1)] = tgt
+    return en.take(n1).sum(axis=-1)
+
+
+def _index_gate(op, states):
+    """A K_L1P gate over a non-contiguous active set; returns its array
+    energy."""
+    _, _, _, ti, mesh, aidx, orow, ws, en, tgt = op
+    st = states[ti]
+    n1 = st[mesh].sum(axis=-2)
+    out = st[..., orow, :]
+    cells = out[..., aidx]
+    cells[ws.take(n1)] = tgt
+    out[..., aidx] = cells
+    return en.take(n1).sum(axis=-1)
+
+
+def apply_op(op, states, views, tiles, cbuf, actreg, share, oms):
+    """Apply one plan op to a machine and return its EXECUTE energy.
+
+    ``states`` / ``views`` are the data tiles' bool arrays and their
+    uint8 views, shaped ``(rows, cols)`` for one machine or
+    ``(batch, rows, cols)`` for a lock-step batch (every index carries
+    a leading ``...`` and every reduction runs along ``axis=-1``, so
+    each sample sees the serial machine's gathers and pairwise sums);
+    ``cbuf`` is the transfer buffer, ``(cols,)`` or ``(batch, cols)``.
+    ``actreg`` is the activate register, or None for a batch.  A logic
+    op's energy comes back per sample; every other op returns the
+    plan's constant.  ``share`` / ``oms`` are the plan's inlined
+    peripheral-share terms.
+    """
+    k = op[0]
+    if k == K_L1S:
+        arr = _slice_gate(op, states, views)
+    elif k == K_PRESET:
+        for ti, row, sel in op[2]:
+            states[ti][..., row, sel] = op[3]
+        return op[1]
+    elif k == K_L1P:
+        arr = _index_gate(op, states)
+    elif k == K_READ:
+        cbuf[...] = states[op[2]][..., op[3], :]
+        return op[1]
+    elif k == K_WRITE:
+        for ti in op[2]:
+            states[ti][..., op[3], :] = cbuf
+        return op[1]
+    elif k == K_ACT:
+        for ti, bulk, cols_t in op[3]:
+            if bulk:
+                tiles[ti].activate_column_range(*cols_t)
+            else:
+                tiles[ti].activate_columns(cols_t)
+        if actreg is not None:
+            actreg.stage(op[2])
+            actreg.commit()
+        return op[1]
+    elif k == K_LN:
+        arr = 0.0
+        for gate in op[3]:
+            if gate[0] == K_L1S:
+                arr = arr + _slice_gate(gate, states, views)
+            else:
+                arr = arr + _index_gate(gate, states)
+    else:  # K_HALT / K_L0: no array work
+        return op[1]
+    return arr + (arr * share / oms + op[2])
 
 
 # ----------------------------------------------------------------------
@@ -94,7 +184,7 @@ def try_run_continuous(mouse, max_instructions: int) -> bool:
         return False
     if prof is None and ledger.prof is not None:
         return False
-    plan = plan_for_mouse(mouse)
+    plan = _mouse_plan(mouse)
     if plan is None or plan.n_instructions > max_instructions:
         return False
     if plan.use_before_activate and any(
@@ -108,10 +198,16 @@ def try_run_continuous(mouse, max_instructions: int) -> bool:
     return True
 
 
+def _mouse_plan(mouse) -> Optional[CompiledPlan]:
+    bank = mouse.bank
+    return plan_for(
+        mouse._program, mouse.cost, len(bank.data_tiles), bank.rows, bank.cols
+    )
+
+
 def _run_continuous(mouse, plan: CompiledPlan, prof) -> None:
     controller = mouse.controller
-    bank = mouse.bank
-    tiles = bank.data_tiles
+    tiles = mouse.bank.data_tiles
     states = [t.state for t in tiles]
     views = [st.view(np.uint8) for st in states]
     cbuf = controller.buffer
@@ -122,111 +218,9 @@ def _run_continuous(mouse, plan: CompiledPlan, prof) -> None:
 
     # --- semantic pass: array effects + dynamic logic energies --------
     for op in plan.ops:
-        k = op[0]
-        if k == K_L1S:
-            # Contiguous active range: row-slice views (no index mesh).
-            # `out[mask] = tgt` without the `!= tgt` pre-filter writes
-            # the same final state (the store is idempotent on cells
-            # already at the target) and the energy gather below never
-            # depends on which cells switched.
-            _, slot, ti, rows_t, orow, sl, ws, en, tgt, aterm = op
-            vu = views[ti]
-            if len(rows_t) == 2:
-                n1 = vu[rows_t[0], sl] + vu[rows_t[1], sl]
-            elif len(rows_t) == 1:
-                n1 = vu[rows_t[0], sl]
-            else:
-                n1 = vu[rows_t[0], sl] + vu[rows_t[1], sl]
-                for r in rows_t[2:]:
-                    n1 += vu[r, sl]
-            states[ti][orow, sl][ws.take(n1)] = tgt
-            arr = float(en.take(n1).sum())
-            vals[slot] = arr + (arr * share / oms + aterm)
-        elif k == K_PRESET:
-            _, _e, sets, value = op
-            for ti, row, idx in sets:
-                states[ti][row, idx] = value
-        elif k == K_L1C:
-            # Single active column: pure scalar arithmetic.
-            _, slot, ti, rows_t, orow, col, ws, en, tgt, aterm = op
-            vu = views[ti]
-            n1 = int(vu[rows_t[0], col])
-            for r in rows_t[1:]:
-                n1 += int(vu[r, col])
-            if ws[n1]:
-                states[ti][orow, col] = tgt
-            arr = float(en[n1])
-            vals[slot] = arr + (arr * share / oms + aterm)
-        elif k == K_L1P:
-            _, slot, ti, mesh, aidx, orow, ws, en, tgt, aterm = op
-            st = states[ti]
-            n1 = st[mesh].sum(axis=0)
-            out = st[orow]
-            changed = ws.take(n1) & (out[aidx] != tgt)
-            if changed.any():
-                out[aidx[changed]] = tgt
-            arr = float(en.take(n1).sum())
-            vals[slot] = arr + (arr * share / oms + aterm)
-        elif k == K_L1A:
-            _, slot, ti, rows_t, orow, ws, en, tgt, aterm = op
-            st = states[ti]
-            v = st.view(np.uint8)
-            if len(rows_t) == 1:
-                acc = v[rows_t[0]].copy()
-            else:
-                acc = v[rows_t[0]] + v[rows_t[1]]
-                for r in rows_t[2:]:
-                    acc += v[r]
-            n1 = acc.astype(np.intp)
-            out = st[orow]
-            changed = ws.take(n1) & (out != tgt)
-            if changed.any():
-                out[changed] = tgt
-            arr = float(en.take(n1).sum())
-            vals[slot] = arr + (arr * share / oms + aterm)
-        elif k == K_READ:
-            cbuf[:] = states[op[2]][op[3]]
-        elif k == K_WRITE:
-            _, _e, tis, row = op
-            for ti in tis:
-                states[ti][row] = cbuf
-        elif k == K_ACT:
-            for ti, bulk, cols_t in op[3]:
-                if bulk:
-                    tiles[ti].activate_column_range(*cols_t)
-                else:
-                    tiles[ti].activate_columns(cols_t)
-            actreg.stage(op[2])
-            actreg.commit()
-        elif k == K_LN:
-            _, slot, subs, aterm = op
-            arr = 0.0
-            for s in subs:
-                st = states[s[1]]
-                if s[0]:
-                    _p, _ti, mesh, aidx, orow, ws, en, tgt = s
-                    n1 = st[mesh].sum(axis=0)
-                    out = st[orow]
-                    changed = ws.take(n1) & (out[aidx] != tgt)
-                    if changed.any():
-                        out[aidx[changed]] = tgt
-                else:
-                    _p, _ti, rows_t, orow, ws, en, tgt = s
-                    v = st.view(np.uint8)
-                    if len(rows_t) == 1:
-                        n1a = v[rows_t[0]].copy()
-                    else:
-                        n1a = v[rows_t[0]] + v[rows_t[1]]
-                        for r in rows_t[2:]:
-                            n1a += v[r]
-                    n1 = n1a.astype(np.intp)
-                    out = st[orow]
-                    changed = ws.take(n1) & (out != tgt)
-                    if changed.any():
-                        out[changed] = tgt
-                arr += float(en.take(n1).sum())
-            vals[slot] = arr + (arr * share / oms + aterm)
-        # K_HALT / K_L0: no array work
+        e = apply_op(op, states, views, tiles, cbuf, actreg, share, oms)
+        if op[0] >= K_L1S:
+            vals[op[1]] = e
 
     # --- accounting: reduce the charge table -------------------------
     n = plan.n_instructions
@@ -320,7 +314,7 @@ def intermittent_eligible(run, obs, checkpointer) -> Optional[CompiledPlan]:
     # buffer must run the scalar engine, which prices the losses.
     if not run.config.buffer.is_ideal:
         return None
-    plan = plan_for_mouse(run.mouse)
+    plan = _mouse_plan(run.mouse)
     if plan is None or not plan.replay_stable or plan.use_before_activate:
         return None
     pc = controller.pc.read()
@@ -334,15 +328,16 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
 
     Replays the interpreter's exact per-microstep buffer arithmetic —
     including the ``draw_energy(0.0)`` square-root round-trips at
-    DECODE and PC_STAGE — and hands outages to the *real*
-    ``power_off`` / ``_charge_until_ready`` / ``power_on`` methods, so
-    restore/charging accounting, activation re-issue, and the dual-PC
-    protocol are the referee's own code.  One instruction is applied at
+    DECODE and PC_STAGE — and hands outages to the referee's own
+    stall check, ``power_off``, ``charge_until_ready`` and ``power_on``,
+    so restore/charging accounting, activation re-issue, and the dual-PC
+    protocol are the scalar engine's code.  One instruction is applied at
     a time: speculating across an outage boundary is unsound (the PR 8
     re-execution analysis refuted window-level replay for programs with
     WAR hazards, and energy arrival decides where the window ends).
     """
     from repro import compilejit
+    from repro.harvest.intermittent import charge_until_ready
 
     mouse = run.mouse
     controller = mouse.controller
@@ -415,27 +410,9 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
         nonlocal ce, cl, be, de, dl, re_, ninstr, v, t
         nonlocal executed, commits_w, drawn_w, dead, word, instr
         flush(phase, eu)
-        if commits_w == 0:
-            pc_now = pcreg.read()
-            if pc_now == run._stalled_pc:
-                position = trace_position_of(source, t)
-                where = f" ({position})" if position is not None else ""
-                raise NonTerminationError(
-                    f"no forward progress: the instruction at pc "
-                    f"{pc_now} drew {drawn_w:.3e} J without "
-                    f"committing in two consecutive capacitor "
-                    f"windows ({buffer.window_energy:.3e} J usable) "
-                    "— reduce the active-column parallelism or "
-                    f"enlarge the buffer{where}",
-                    breakdown=b,
-                    instruction_energy=drawn_w,
-                    trace_position=position,
-                )
-            run._stalled_pc = pc_now
-        else:
-            run._stalled_pc = None
+        run._check_progress()
         controller.power_off()
-        run._charge_until_ready()
+        charge_until_ready(run, ledger, None)
         controller.power_on()
         run._commits_in_window = 0
         run._drawn_in_window = 0.0
@@ -455,11 +432,6 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
         dead = controller._dead_replay
         word = None  # power_off cleared them
         instr = None
-
-    from repro.harvest.intermittent import (
-        NonTerminationError,
-        trace_position_of,
-    )
 
     while True:
         if executed >= max_instructions:
@@ -513,115 +485,15 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
             v = (2.0 * (hc * v * v) / cap) ** 0.5
             break
 
-        is_act = k == K_ACT
-        if k == K_L1S:
-            _, slot, ti, rows_t, orow, sl, ws, en, tgt, aterm = op
-            vu = views[ti]
-            if len(rows_t) == 2:
-                n1 = vu[rows_t[0], sl] + vu[rows_t[1], sl]
-            elif len(rows_t) == 1:
-                n1 = vu[rows_t[0], sl]
-            else:
-                n1 = vu[rows_t[0], sl] + vu[rows_t[1], sl]
-                for r in rows_t[2:]:
-                    n1 += vu[r, sl]
-            states[ti][orow, sl][ws.take(n1)] = tgt
-            arr = float(en.take(n1).sum())
-            e_exec = arr + (arr * share / oms + aterm)
-        elif k == K_L1C:
-            _, slot, ti, rows_t, orow, col, ws, en, tgt, aterm = op
-            vu = views[ti]
-            n1 = int(vu[rows_t[0], col])
-            for r in rows_t[1:]:
-                n1 += int(vu[r, col])
-            if ws[n1]:
-                states[ti][orow, col] = tgt
-            arr = float(en[n1])
-            e_exec = arr + (arr * share / oms + aterm)
-        elif k == K_L1P:
-            _, slot, ti, mesh, aidx, orow, ws, en, tgt, aterm = op
-            st = states[ti]
-            n1 = st[mesh].sum(axis=0)
-            out = st[orow]
-            changed = ws.take(n1) & (out[aidx] != tgt)
-            if changed.any():
-                out[aidx[changed]] = tgt
-            arr = float(en.take(n1).sum())
-            e_exec = arr + (arr * share / oms + aterm)
-        elif k == K_L1A:
-            _, slot, ti, rows_t, orow, ws, en, tgt, aterm = op
-            st = states[ti]
-            vu = st.view(np.uint8)
-            if len(rows_t) == 1:
-                acc = vu[rows_t[0]].copy()
-            else:
-                acc = vu[rows_t[0]] + vu[rows_t[1]]
-                for r in rows_t[2:]:
-                    acc += vu[r]
-            n1 = acc.astype(np.intp)
-            out = st[orow]
-            changed = ws.take(n1) & (out != tgt)
-            if changed.any():
-                out[changed] = tgt
-            arr = float(en.take(n1).sum())
-            e_exec = arr + (arr * share / oms + aterm)
-        elif k == K_PRESET:
-            _, e_exec, sets, value = op
-            for ti, row, idx in sets:
-                states[ti][row, idx] = value
-        elif k == K_READ:
-            e_exec = op[1]
-            cbuf[:] = states[op[2]][op[3]]
-        elif k == K_WRITE:
-            _, e_exec, tis, row = op
-            for ti in tis:
-                states[ti][row] = cbuf
-        elif k == K_ACT:
-            e_exec = op[1]
-            for ti, bulk, cols_t in op[3]:
-                if bulk:
-                    tiles[ti].activate_column_range(*cols_t)
-                else:
-                    tiles[ti].activate_columns(cols_t)
-            actreg.stage(op[2])
-            actreg.commit()
-        elif k == K_LN:
-            _, slot, subs, aterm = op
-            arr = 0.0
-            for s in subs:
-                st = states[s[1]]
-                if s[0]:
-                    _p, _ti, mesh, aidx, orow, ws, en, tgt = s
-                    n1 = st[mesh].sum(axis=0)
-                    out = st[orow]
-                    changed = ws.take(n1) & (out[aidx] != tgt)
-                    if changed.any():
-                        out[aidx[changed]] = tgt
-                else:
-                    _p, _ti, rows_t, orow, ws, en, tgt = s
-                    vu = st.view(np.uint8)
-                    if len(rows_t) == 1:
-                        n1a = vu[rows_t[0]].copy()
-                    else:
-                        n1a = vu[rows_t[0]] + vu[rows_t[1]]
-                        for r in rows_t[2:]:
-                            n1a += vu[r]
-                    n1 = n1a.astype(np.intp)
-                    out = st[orow]
-                    changed = ws.take(n1) & (out != tgt)
-                    if changed.any():
-                        out[changed] = tgt
-                arr += float(en.take(n1).sum())
-            e_exec = arr + (arr * share / oms + aterm)
-        else:  # K_L0
-            e_exec = op[1]
-
+        e_exec = float(
+            apply_op(op, states, views, tiles, cbuf, actreg, share, oms)
+        )
         te = ce + be + de + re_
         if dead:
             de += e_exec
         else:
             ce += e_exec
-        if is_act:
+        if k == K_ACT:
             be += act_backup_e
         consumed = ce + be + de + re_ - te
         tot = max(0.0, hc * v * v - consumed)
@@ -669,3 +541,69 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
     flush(Phase.FETCH, False)
     compilejit.STATS["compiled_runs"] += 1
     return b
+
+
+# ----------------------------------------------------------------------
+# Lock-step batches
+# ----------------------------------------------------------------------
+
+
+def try_run_batched(machine) -> bool:
+    """Run a :class:`~repro.perf.batched.BatchedMouse`'s loaded program
+    via the compiled plan :class:`~repro.core.accelerator.Mouse` uses,
+    if it compiles; False (without touching any state) otherwise."""
+    plan = plan_for(
+        machine._program, machine.cost, len(machine.tiles), machine.rows,
+        machine.cols,
+    )
+    if plan is None or (
+        plan.use_before_activate and any(t.n_active for t in machine.tiles)
+    ):
+        return False
+    _run_batched(machine, plan)
+    from repro import compilejit
+
+    compilejit.STATS["compiled_runs"] += 1
+    return True
+
+
+def _acc_each(starts: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """:func:`_acc` per sample of a chain every sample shares: one fold
+    per distinct starting value."""
+    uniq, inverse = np.unique(starts, return_inverse=True)
+    return np.array([_acc(float(s), vals) for s in uniq])[inverse]
+
+
+def _run_batched(machine, plan: CompiledPlan) -> None:
+    """Ledgers bit-identical to the scalar batched loop.  Only the
+    compute-energy chain differs between samples (each logic op's slot
+    holds that sample's energy), so it alone is built per sample; the
+    backup and latency chains are the plan's constants."""
+    ledger = machine.ledger
+    tiles = machine.tiles
+    states = [t.state for t in tiles]
+    views = [st.view(np.uint8) for st in states]
+    cbuf = np.zeros((machine.batch, machine.cols), dtype=bool)
+    vals = plan.chg_vals
+    # Row of each compute charge in ``ce``; row 0 holds the start value.
+    ce_row = np.zeros(vals.size, dtype=np.intp)
+    ce_row[plan.ce_idx] = np.arange(1, plan.ce_idx.size + 1)
+    share = plan.share
+    oms = plan.oms
+
+    ce = np.empty((plan.ce_idx.size + 1, machine.batch), dtype=np.float64)
+    ce[0] = ledger.compute_energy
+    ce[1:] = vals[plan.ce_idx, None]
+    for op in plan.ops:
+        e = apply_op(op, states, views, tiles, cbuf, None, share, oms)
+        if op[0] >= K_L1S:
+            ce[ce_row[op[1]]] = e
+    np.add.accumulate(ce, axis=0, out=ce)
+
+    n = plan.n_instructions
+    ledger.compute_energy = ce[-1].copy()
+    ledger.compute_latency = _acc_each(
+        ledger.compute_latency, _cycle_chain(plan, n)
+    )
+    ledger.backup_energy = _acc_each(ledger.backup_energy, vals[plan.be_idx])
+    ledger.instructions += n

@@ -36,18 +36,17 @@ from repro.isa.instruction import (
 )
 from repro.perf.kernels import electrical_kernel
 
-# Fast-op codes (first element of every op tuple).
+# Fast-op codes (first element of every op tuple).  Logic kinds that
+# carry a run-time energy slot come last (``k >= K_L1S``).
 K_HALT = 0
 K_ACT = 1
 K_PRESET = 2
 K_READ = 3
 K_WRITE = 4
 K_L0 = 5  # logic with zero active columns: static energy, no array work
-K_L1P = 6  # logic, single tile, partial activation (column gather)
-K_L1A = 7  # logic, single tile, all columns active (uint8 row adds)
+K_L1S = 6  # logic, single tile, contiguous active range (slice views)
+K_L1P = 7  # logic, single tile, non-contiguous active set (index mesh)
 K_LN = 8  # logic, broadcast across several tiles
-K_L1C = 9  # logic, single tile, exactly one active column (scalar path)
-K_L1S = 10  # logic, single tile, contiguous active range (slice views)
 
 # Charge-table categories (matching EnergyLedger routing).
 _CAT_CE = 0  # Category.COMPUTE energy (fetch + execute)
@@ -106,7 +105,8 @@ def _spec_slice(spec) -> Optional[slice]:
 
 
 def _spec_sel(spec):
-    """Preferred selector for preset stores: a slice when contiguous."""
+    """Column selector for an active set: a slice when contiguous, else
+    the sorted index array."""
     sl = _spec_slice(spec)
     return sl if sl is not None else _spec_index(spec)
 
@@ -116,8 +116,8 @@ class CompiledPlan:
 
     The plan is tied to a (cost model, bank geometry) pair; bind-free by
     design — executors resolve the live tile ``state`` arrays at run
-    start, so one plan serves any number of Mouse instances with the
-    same technology and shape.
+    start, so one plan serves any number of Mouse and BatchedMouse
+    instances with the same technology and shape.
     """
 
     def __init__(
@@ -196,7 +196,16 @@ class CompiledPlan:
         # `replay_stable` goes False (continuous runs stay fine).
         full: list = [None] * self.n_data_tiles
         last_only: list = [None] * self.n_data_tiles
+        # One selector / index mesh object per distinct active set (and
+        # input rows), shared by every op that uses it.
+        sel_cache: dict = {}
         mesh_cache: dict = {}
+
+        def selector(spec):
+            sel = sel_cache.get(spec)
+            if sel is None:
+                sel = sel_cache[spec] = _spec_sel(spec)
+            return sel
 
         def resolve_tiles(tile: int) -> tuple[int, ...]:
             if tile == BROADCAST_TILE:
@@ -217,7 +226,7 @@ class CompiledPlan:
             if isinstance(instr, HaltInstruction):
                 if pc != n - 1:
                     raise PlanUnsupported("HALT before the final pc")
-                self.ops.append((K_HALT,))
+                self.ops.append((K_HALT, 0.0))
                 continue
 
             if isinstance(instr, ActivateColumnsInstruction):
@@ -259,7 +268,7 @@ class CompiledPlan:
                     n_columns = sum(_spec_count(full[t]) for t in tiles)
                     e = cost.preset_energy(max(n_columns, 1))
                     sets = tuple(
-                        (t, instr.row, _spec_sel(full[t])) for t in tiles
+                        (t, instr.row, selector(full[t])) for t in tiles
                     )
                     self.ops.append((K_PRESET, e, sets, op == "PRESET1"))
                 charge(_CAT_CE, e, pc)
@@ -273,66 +282,48 @@ class CompiledPlan:
                 rows_t = tuple(instr.input_rows)
                 orow = instr.output_row
                 kern = electrical_kernel(cost.params, spec)
+                kern_t = (kern.will_switch, kern.energy, kern.target)
                 aterm = (
                     (spec.n_inputs + 1)
                     * cost.peripheral.address_energy
                     * _write_energy(cost.params)
                 )
-                subs = []
+                # One gate per target tile with latched columns, laid out
+                # as a single-tile op whose slot and address term stay
+                # None until the op is known to be single-tile.  A
+                # contiguous set (one column and all columns included)
+                # gathers through row-slice views, any other set through
+                # an ``np.ix_`` mesh with a leading Ellipsis so it also
+                # indexes (batch, rows, cols) states.
+                gates = []
                 for t in tiles:
-                    n_active = _spec_count(full[t])
-                    if n_active == 0:
+                    if _spec_count(full[t]) == 0:
                         continue
-                    if n_active == cols:
-                        subs.append(
-                            (False, t, rows_t, orow, kern.will_switch,
-                             kern.energy, kern.target)
+                    sel = selector(full[t])
+                    if isinstance(sel, slice):
+                        gates.append(
+                            (K_L1S, None, None, t, rows_t, orow, sel, *kern_t)
                         )
-                    else:
-                        aidx = _spec_index(full[t])
-                        key = (rows_t, full[t])
-                        mesh = mesh_cache.get(key)
-                        if mesh is None:
-                            mesh = np.ix_(rows_t, aidx)
-                            mesh_cache[key] = mesh
-                        subs.append(
-                            (True, t, mesh, aidx, orow, kern.will_switch,
-                             kern.energy, kern.target)
-                        )
-                if not subs:
+                        continue
+                    key = (rows_t, full[t])
+                    mesh = mesh_cache.get(key)
+                    if mesh is None:
+                        mesh = mesh_cache[key] = (Ellipsis, *np.ix_(rows_t, sel))
+                    gates.append(
+                        (K_L1P, None, None, t, mesh, sel, orow, *kern_t)
+                    )
+                if not gates:
                     e = cost.logic_energy_measured(0.0, spec.n_inputs + 1)
                     self.ops.append((K_L0, e))
                     charge(_CAT_CE, e, pc)
                 else:
                     self.n_logic_dynamic += 1
                     slot = charge(_CAT_CE, 0.0, pc)
-                    if len(subs) == 1:
-                        s = subs[0]
-                        if s[0]:
-                            aidx = s[3]
-                            sl = _spec_slice(full[s[1]])
-                            if aidx.size == 1:
-                                self.ops.append(
-                                    (K_L1C, slot, s[1], rows_t, s[4],
-                                     int(aidx[0]), s[5], s[6], s[7], aterm)
-                                )
-                            elif sl is not None:
-                                self.ops.append(
-                                    (K_L1S, slot, s[1], rows_t, s[4],
-                                     sl, s[5], s[6], s[7], aterm)
-                                )
-                            else:
-                                self.ops.append(
-                                    (K_L1P, slot, s[1], s[2], s[3], s[4],
-                                     s[5], s[6], s[7], aterm)
-                                )
-                        else:
-                            self.ops.append(
-                                (K_L1A, slot, s[1], s[2], s[3], s[4],
-                                 s[5], s[6], aterm)
-                            )
+                    if len(gates) == 1:
+                        gate = gates[0]
+                        self.ops.append((gate[0], slot, aterm) + gate[3:])
                     else:
-                        self.ops.append((K_LN, slot, tuple(subs), aterm))
+                        self.ops.append((K_LN, slot, aterm, tuple(gates)))
                 charge(_CAT_BE, self.backup_e, pc)
                 continue
 
@@ -427,7 +418,7 @@ class CompiledPlan:
                 instrs.append(MemoryInstruction("READ", op[2], op[3]))
             elif k == K_WRITE:
                 assert isinstance(src, MemoryInstruction)
-                instrs.append(MemoryInstruction("WRITE", src.tile, op[2][1]))
+                instrs.append(MemoryInstruction("WRITE", src.tile, op[3]))
             elif k == K_PRESET:
                 assert isinstance(src, MemoryInstruction)
                 instrs.append(
@@ -489,26 +480,25 @@ def compile_program(
 _UNSUPPORTED = "unsupported"
 
 
-def plan_for_mouse(mouse) -> Optional[CompiledPlan]:
-    """The cached plan for the program loaded into ``mouse`` (or None).
+def plan_for(
+    program: Optional[Program],
+    cost: InstructionCostModel,
+    n_data_tiles: int,
+    rows: int,
+    cols: int,
+) -> Optional[CompiledPlan]:
+    """The cached plan of ``program`` for one bank geometry (or None).
 
     Plans are cached on the Program object keyed by (cost model, bank
-    geometry), so reloading the same Program into many Mouse instances
-    compiles once per technology.  An uncompilable program is cached as
-    unsupported so the interpreter fallback costs one dict hit.
+    geometry), so one Program loaded into any number of Mouse and
+    BatchedMouse machines of that technology and shape compiles once.
+    An uncompilable program is cached as unsupported so the interpreter
+    fallback costs one dict hit.
     """
-    program = mouse._program
     if program is None:
         return None
-    bank = mouse.bank
-    key = (mouse.cost, len(bank.data_tiles), bank.rows, bank.cols)
-    cache = getattr(program, "_cjit_plans", None)
-    if cache is None:
-        cache = {}
-        try:
-            program._cjit_plans = cache
-        except AttributeError:  # pragma: no cover - Program allows attrs
-            return None
+    key = (cost, n_data_tiles, rows, cols)
+    cache = program.__dict__.setdefault("_cjit_plans", {})
     try:
         entry = cache.get(key)
     except TypeError:  # unhashable cost model; skip caching
@@ -517,13 +507,9 @@ def plan_for_mouse(mouse) -> Optional[CompiledPlan]:
         from repro import compilejit
 
         try:
-            entry = compile_program(
-                program, mouse.cost, len(bank.data_tiles), bank.rows, bank.cols
-            )
+            entry = compile_program(program, cost, n_data_tiles, rows, cols)
             compilejit.STATS["plans_compiled"] += 1
         except PlanUnsupported:
             entry = _UNSUPPORTED
         cache[key] = entry
-    if entry is _UNSUPPORTED or isinstance(entry, str):
-        return None
-    return entry
+    return None if entry is _UNSUPPORTED else entry

@@ -169,6 +169,60 @@ def charge_with_retry(
     return time, total, attempts
 
 
+def charge_until_ready(run, ledger: EnergyLedger, obs, initial: bool = False) -> None:
+    """Charge ``run``'s buffer to the restart threshold.
+
+    ``run`` is an :class:`IntermittentRun` or a :class:`ProfileRun`: the
+    wait advances its ``time`` and lands on ``ledger`` as CHARGING
+    latency.  A non-ideal buffer charges with bounded retry-with-backoff
+    (:func:`charge_with_retry`); an ideal one in one closed-form step.
+    Either fail-stops with :class:`ChargeWindowFailure` — tallied in
+    ``run.degraded`` — when the threshold is unreachable.
+    """
+    buffer = run.config.buffer
+    source = run.config.source
+    start = run.time
+    try:
+        if not buffer.is_ideal:
+            run.time, wait, _ = charge_with_retry(
+                buffer,
+                source,
+                run.time,
+                lambda w: ledger.charge(Category.CHARGING, 0.0, w),
+                retries=run.charge_retries,
+                backoff=run.charge_backoff,
+            )
+        else:
+            needed = buffer.energy_to_reach(buffer.v_on)
+            wait = source.time_to_harvest(needed, start=run.time)
+            if not math.isfinite(wait):
+                # Trace exhausted: an ideal buffer cannot retry its way
+                # out of a dead harvester either.
+                raise ChargeWindowFailure(
+                    f"harvest source can never supply the {needed:.3e} J "
+                    f"needed to restart (buffer at {buffer.voltage:.4f} V, "
+                    f"restart at {buffer.v_on:.4f} V)",
+                    voltage=buffer.voltage,
+                    needed=needed,
+                    retries=0,
+                    trace_position=trace_position_of(source, run.time),
+                )
+            buffer.add_energy(source.energy(run.time, wait))
+            run.time += wait
+            ledger.charge(Category.CHARGING, 0.0, wait)
+    except ChargeWindowFailure:
+        run.degraded["fail_stop"] += 1
+        if obs is not None:
+            obs.counter("env.degraded.fail_stop").inc()
+            obs.emit(
+                "env.degraded", run.time, mode="fail_stop", voltage=buffer.voltage
+            )
+        raise
+    if obs is not None:
+        obs.histogram("harvest.off_time").observe(wait)
+        obs.emit("harvest.charge", start, dur=wait, initial=initial)
+
+
 @dataclass
 class HarvestingConfig:
     """Source + buffer for one experiment point."""
@@ -293,14 +347,14 @@ class IntermittentRun:
 
         checkpointer = self.checkpointer
         if self._resume_phase is None:
-            self._charge_until_ready(first=True)
+            charge_until_ready(self, ledger, obs, initial=True)
             if not controller.powered:
                 controller.power_on()
         elif self._resume_phase == "outage":
             # Resumed at an outage boundary: the checkpoint was taken
             # right after power_off(), so re-enter the loop exactly
             # where the uninterrupted run stood — charge, restart.
-            self._charge_until_ready()
+            charge_until_ready(self, ledger, obs)
             controller.power_on()
             self._commits_in_window = 0
             self._drawn_in_window = 0.0
@@ -336,13 +390,6 @@ class IntermittentRun:
         # Figure 7 (worst case: executed but uncommitted work).
         from repro.core.controller import Phase
 
-        # Non-termination guard: if a full capacitor window comes and
-        # goes without a single commit, remember where the machine was
-        # stuck; a second consecutive zero-progress window at the same
-        # PC means the in-flight instruction outdraws the window and
-        # the run would retry it forever (paper Section I).  Two
-        # windows (not one) so a window merely truncated by earlier
-        # work is never misdiagnosed.
         nonideal = not buffer.is_ideal
         while not controller.halted:
             if self.executed >= max_instructions:
@@ -373,25 +420,7 @@ class IntermittentRun:
                 buffer.draw_energy(consumed)
             self._drawn_in_window += consumed
             if buffer.must_shut_down and not controller.halted:
-                if self._commits_in_window == 0:
-                    pc = controller.pc.read()
-                    if pc == self._stalled_pc:
-                        position = trace_position_of(source, self.time)
-                        where = f" ({position})" if position is not None else ""
-                        raise NonTerminationError(
-                            f"no forward progress: the instruction at pc "
-                            f"{pc} drew {self._drawn_in_window:.3e} J without "
-                            f"committing in two consecutive capacitor "
-                            f"windows ({buffer.window_energy:.3e} J usable) "
-                            "— reduce the active-column parallelism or "
-                            f"enlarge the buffer{where}",
-                            breakdown=ledger.breakdown,
-                            instruction_energy=self._drawn_in_window,
-                            trace_position=position,
-                        )
-                    self._stalled_pc = pc
-                else:
-                    self._stalled_pc = None
+                self._check_progress()
                 if obs is not None:
                     obs.counter("harvest.outages").inc()
                     obs.emit(
@@ -403,7 +432,7 @@ class IntermittentRun:
                 controller.power_off()
                 if checkpointer is not None:
                     checkpointer.on_outage(self)
-                self._charge_until_ready()
+                charge_until_ready(self, ledger, obs)
                 controller.power_on()
                 self._commits_in_window = 0
                 self._drawn_in_window = 0.0
@@ -419,69 +448,36 @@ class IntermittentRun:
             vcap.set(buffer.voltage, ts=self.time)
         return ledger.breakdown
 
-    def _charge_until_ready(self, first: bool = False) -> None:
-        buffer = self.config.buffer
-        source = self.config.source
-        obs = self._obs
-        if not buffer.is_ideal:
-            # Leaky/ESR buffer: the closed form underestimates, so
-            # charge with bounded retry-with-backoff and fail-stop when
-            # the restart threshold is unreachable.
-            start = self.time
-            try:
-                self.time, wait, _ = charge_with_retry(
-                    buffer,
-                    source,
-                    self.time,
-                    lambda w: self.mouse.ledger.charge(Category.CHARGING, 0.0, w),
-                    retries=self.charge_retries,
-                    backoff=self.charge_backoff,
-                )
-            except ChargeWindowFailure:
-                self.degraded["fail_stop"] += 1
-                if obs is not None:
-                    obs.counter("env.degraded.fail_stop").inc()
-                    obs.emit(
-                        "env.degraded",
-                        self.time,
-                        mode="fail_stop",
-                        voltage=buffer.voltage,
-                    )
-                raise
-            if obs is not None:
-                obs.histogram("harvest.off_time").observe(wait)
-                obs.emit("harvest.charge", start, dur=wait, initial=first)
+    def _check_progress(self) -> None:
+        """Non-termination guard, run at every outage.
+
+        If a full capacitor window comes and goes without a single
+        commit, remember where the machine was stuck; a second
+        consecutive zero-progress window at the same PC means the
+        in-flight instruction outdraws the window and the run would
+        retry it forever (paper Section I).  Two windows (not one) so a
+        window merely truncated by earlier work is never misdiagnosed.
+        """
+        if self._commits_in_window:
+            self._stalled_pc = None
             return
-        needed = buffer.energy_to_reach(buffer.v_on)
-        wait = source.time_to_harvest(needed, start=self.time)
-        if not math.isfinite(wait):
-            # Trace exhausted: an ideal buffer cannot retry its way out
-            # of a dead harvester either — explicit fail-stop.
-            self.degraded["fail_stop"] += 1
-            if obs is not None:
-                obs.counter("env.degraded.fail_stop").inc()
-                obs.emit(
-                    "env.degraded",
-                    self.time,
-                    mode="fail_stop",
-                    voltage=buffer.voltage,
-                )
-            raise ChargeWindowFailure(
-                f"harvest source can never supply the {needed:.3e} J "
-                f"needed to restart (buffer at {buffer.voltage:.4f} V, "
-                f"restart at {buffer.v_on:.4f} V)",
-                voltage=buffer.voltage,
-                needed=needed,
-                retries=0,
-                trace_position=trace_position_of(source, self.time),
+        pc = self.mouse.controller.pc.read()
+        if pc == self._stalled_pc:
+            buffer = self.config.buffer
+            position = trace_position_of(self.config.source, self.time)
+            where = f" ({position})" if position is not None else ""
+            raise NonTerminationError(
+                f"no forward progress: the instruction at pc "
+                f"{pc} drew {self._drawn_in_window:.3e} J without "
+                f"committing in two consecutive capacitor "
+                f"windows ({buffer.window_energy:.3e} J usable) "
+                "— reduce the active-column parallelism or "
+                f"enlarge the buffer{where}",
+                breakdown=self.mouse.ledger.breakdown,
+                instruction_energy=self._drawn_in_window,
+                trace_position=position,
             )
-        start = self.time
-        buffer.add_energy(source.energy(self.time, wait))
-        self.time += wait
-        self.mouse.ledger.charge(Category.CHARGING, 0.0, wait)
-        if obs is not None:
-            obs.histogram("harvest.off_time").observe(wait)
-            obs.emit("harvest.charge", start, dur=wait, initial=first)
+        self._stalled_pc = pc
 
 
 # ----------------------------------------------------------------------
@@ -695,61 +691,6 @@ class ProfileRun:
         checkpointer = self.checkpointer
         nonideal = not buffer.is_ideal
 
-        def fail_stop() -> None:
-            self.degraded["fail_stop"] += 1
-            if obs is not None:
-                obs.counter("env.degraded.fail_stop").inc()
-                obs.emit(
-                    "env.degraded",
-                    self.time,
-                    mode="fail_stop",
-                    voltage=buffer.voltage,
-                )
-
-        def charge_until_ready(initial: bool = False) -> None:
-            start = self.time
-            if nonideal:
-                # Closed-form wait underestimates under leakage:
-                # bounded retry-with-backoff, fail-stop when v_on is
-                # unreachable.
-                try:
-                    self.time, wait, _ = charge_with_retry(
-                        buffer,
-                        source,
-                        self.time,
-                        lambda w: ledger.charge(Category.CHARGING, 0.0, w),
-                        retries=self.charge_retries,
-                        backoff=self.charge_backoff,
-                    )
-                except ChargeWindowFailure:
-                    fail_stop()
-                    raise
-                if obs is not None:
-                    obs.histogram("harvest.off_time").observe(wait)
-                    obs.emit("harvest.charge", start, dur=wait, initial=initial)
-                return
-            needed = buffer.energy_to_reach(buffer.v_on)
-            wait = source.time_to_harvest(needed, start=self.time)
-            if not math.isfinite(wait):
-                # Trace exhausted — explicit fail-stop instead of a NaN
-                # voltage and a silent hang.
-                fail_stop()
-                raise ChargeWindowFailure(
-                    f"harvest source can never supply the {needed:.3e} J "
-                    f"needed to restart (buffer at {buffer.voltage:.4f} V, "
-                    f"restart at {buffer.v_on:.4f} V)",
-                    voltage=buffer.voltage,
-                    needed=needed,
-                    retries=0,
-                    trace_position=trace_position_of(source, self.time),
-                )
-            buffer.add_energy(source.energy(self.time, wait))
-            self.time += wait
-            ledger.charge(Category.CHARGING, 0.0, wait)
-            if obs is not None:
-                obs.histogram("harvest.off_time").observe(wait)
-                obs.emit("harvest.charge", start, dur=wait, initial=initial)
-
         def restart() -> None:
             if obs is not None:
                 obs.counter("harvest.outages").inc()
@@ -759,7 +700,7 @@ class ProfileRun:
                     voltage=buffer.voltage,
                     instructions=ledger.breakdown.instructions,
                 )
-            charge_until_ready()
+            charge_until_ready(self, ledger, obs)
             ledger.count_restart()
             restore = self.cost.restore_energy(self.profile.active_columns)
             ledger.charge(Category.RESTORE, restore, self.cost.restore_latency())
@@ -776,7 +717,7 @@ class ProfileRun:
 
         if not self._resumed:
             # Initial charge (capacitor starts discharged).
-            charge_until_ready(initial=True)
+            charge_until_ready(self, ledger, obs, initial=True)
             self.seg_index = 0
             self.remaining = None
         self._resumed = False

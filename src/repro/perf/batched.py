@@ -31,6 +31,13 @@ same frozen kernels (:mod:`repro.perf.kernels`) and the *same*
 arithmetic, so an array input yields each sample's scalar result
 exactly).
 
+That scalar loop is the referee.  By default :meth:`BatchedMouse.run`
+executes the compiled plan :class:`~repro.core.accelerator.Mouse`
+runs — the same ``CompiledPlan``, from the same per-Program cache —
+applying each op to the ``(batch, rows, cols)`` states
+(:mod:`repro.compilejit.exec`); the loop runs when compiled execution
+is switched off or the program does not compile.
+
 Scope: continuous power only.  Intermittent execution, fault injection,
 and sensor reads are inherently per-sample/per-outage serial semantics
 — use the serial machine for those (see ``docs/PERFORMANCE.md``).
@@ -38,7 +45,7 @@ and sensor reads are inherently per-sample/per-outage serial semantics
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,7 +60,6 @@ from repro.energy.model import InstructionCostModel
 from repro.isa.instruction import (
     ActivateColumnsInstruction,
     HaltInstruction,
-    Instruction,
     LogicInstruction,
     MemoryInstruction,
 )
@@ -259,7 +265,7 @@ class BatchedMouse:
         ]
         self.cost = InstructionCostModel(params)
         self.ledger = BatchedLedger(batch)
-        self._instructions: Optional[list[Instruction]] = None
+        self._program = None
 
     def tile(self, index: int) -> BatchedTile:
         return self.tiles[index]
@@ -283,10 +289,7 @@ class BatchedMouse:
         program.validate(
             n_data_tiles=len(self.tiles), rows=self.rows, cols=self.cols
         )
-        self._instructions = list(program.instructions)
-        # Anchor for the compiled-plan cache (repro.compilejit.batched);
-        # reassigning it on every load invalidates any stale machine plan.
-        self._loaded_program = program
+        self._program = program
 
     def reset_ledger(self) -> None:
         """Fresh per-sample ledgers (array contents are kept)."""
@@ -295,20 +298,17 @@ class BatchedMouse:
     # ------------------------------------------------------------------
 
     def run(self) -> BatchedLedger:
-        """Execute the loaded program once for the whole batch."""
-        if self._instructions is None:
+        """Execute the loaded program once for the whole batch: on the
+        compiled plan when it compiles, else on the referee loop."""
+        if self._program is None:
             raise RuntimeError("no program loaded")
         from repro import compilejit
 
         if compilejit.enabled():
-            from repro.compilejit.batched import (
-                plan_for_batched,
-                run_batched_fused,
-            )
+            from repro.compilejit.exec import try_run_batched
 
-            plan = plan_for_batched(self)
-            if plan is not None:
-                return run_batched_fused(self, plan)
+            if try_run_batched(self):
+                return self.ledger
             compilejit.STATS["fallback_runs"] += 1
         cost = self.cost
         ledger = self.ledger
@@ -317,7 +317,7 @@ class BatchedMouse:
         cycle = cost.cycle_time
         buffer = np.zeros((self.batch, self.cols), dtype=bool)
 
-        for instr in self._instructions:
+        for instr in self._program.instructions:
             # FETCH (the word itself is known; the energy is not).
             ledger.charge_compute(fetch)
             # EXECUTE
@@ -394,13 +394,9 @@ class BatchedMouse:
         return out
 
 
-#: The ISSUE's name for the engine; the run loop lives on the machine.
-BatchedRun = BatchedMouse
-
 __all__ = [
     "BatchedLedger",
     "BatchedMouse",
-    "BatchedRun",
     "BatchedTile",
     "BatchedUnsupported",
 ]

@@ -11,6 +11,8 @@ ProfileRun engine.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -278,39 +280,97 @@ def test_profile_run_nontermination_identical():
     assert r1.seg_index == r2.seg_index and r1.remaining == r2.remaining
 
 
-def _svm_batch(rng_seed=1):
-    from repro.compile.classifier import compile_svm_decision
-    from repro.perf.inference import svm_classify_batch
+@lru_cache(maxsize=None)
+def _compiled_classifier(name):
+    from repro.compile import classifier
 
-    compiled = compile_svm_decision(
-        n_support=1,
-        dimensions=2,
-        input_bits=3,
-        sv_bits=3,
-        coef_bits=3,
-        offset_bits=3,
-        rows=1024,
-        n_columns=1,
+    if name == "svm":
+        return classifier.compile_svm_decision(
+            n_support=1, dimensions=2, input_bits=3, sv_bits=3, coef_bits=3,
+            offset_bits=3, rows=1024, n_columns=1,
+        )
+    if name == "multiclass_svm":
+        return classifier.compile_multiclass_svm(
+            n_classes=3, n_support_per_class=1, dimensions=2, input_bits=2,
+            sv_bits=2, coef_bits=2, offset_bits=2, rows=1024,
+        )
+    return classifier.compile_bnn_output(
+        fan_in=8, n_classes=3, bias_bits=4, rows=256
     )
-    rng = np.random.default_rng(rng_seed)
-    X = rng.integers(0, 8, size=(16, 2))
-    sv_int = np.array([[1, 2]])
-    coef_int = np.array([2])
-    return svm_classify_batch(compiled, sv_int, coef_int, 1, X)
+
+
+def _run_batch(name, tech):
+    """One call of a ``repro.perf.inference`` ``*_batch`` function on
+    a fixed 16-sample batch."""
+    from repro.perf import inference
+
+    compiled = _compiled_classifier(name)
+    rng = np.random.default_rng(1)
+    if name == "svm":
+        X = rng.integers(0, 8, size=(16, 2))
+        return inference.svm_classify_batch(
+            compiled, np.array([[1, 2]]), np.array([2]), 1, X, tech
+        )
+    if name == "multiclass_svm":
+        X = rng.integers(0, 4, size=(16, 2))
+        return inference.multiclass_svm_predict_batch(
+            compiled,
+            [np.array([[1, 2]]), np.array([[3, 0]]), np.array([[2, 2]])],
+            [np.array([2]), np.array([1]), np.array([1])],
+            [1, 0, 2],
+            X,
+            tech,
+        )
+    X = rng.integers(0, 2, size=(16, 8))
+    weights01 = rng.integers(0, 2, size=(8, 3))
+    return inference.bnn_output_predict_batch(
+        compiled, weights01, np.array([3, 1, 2]), X, tech
+    )
+
+
+BATCH_CLASSIFIERS = ("svm", "multiclass_svm", "bnn_output")
 
 
 def test_batched_fused_byte_identity():
-    """The charge-template executor matches the scalar batched loop."""
+    """The compiled plan executed on (batch, rows, cols) states matches
+    the scalar batched loop for every ``*_batch`` function on every
+    technology."""
+    for name in BATCH_CLASSIFIERS:
+        for tech in ALL_TECHNOLOGIES:
+            key = (name, tech.name)
+            compilejit.set_enabled(True)
+            before = compilejit.stats_snapshot()["compiled_runs"]
+            fused = _run_batch(name, tech)
+            assert compilejit.stats_snapshot()["compiled_runs"] == before + 1, key
+            compilejit.set_enabled(False)
+            scalar = _run_batch(name, tech)
+            assert np.array_equal(fused.predictions, scalar.predictions), key
+            assert fused.breakdowns == scalar.breakdowns, key
+            for b1, b2 in zip(fused.breakdowns, scalar.breakdowns):
+                assert_breakdowns_equal(b1, b2, key)
+
+
+def test_mouse_and_batched_mouse_share_one_plan():
+    """One Program loaded into a Mouse and a BatchedMouse of the same
+    technology and geometry compiles exactly one plan."""
+    from repro.core.accelerator import Mouse
+    from repro.core.program import Program
+    from repro.perf.batched import BatchedMouse
+
     compilejit.set_enabled(True)
-    before = compilejit.stats_snapshot()["compiled_runs"]
-    fused = _svm_batch()
-    assert compilejit.stats_snapshot()["compiled_runs"] == before + 1
-    compilejit.set_enabled(False)
-    scalar = _svm_batch()
-    assert np.array_equal(fused.predictions, scalar.predictions)
-    assert fused.breakdowns == scalar.breakdowns
-    for b1, b2 in zip(fused.breakdowns, scalar.breakdowns):
-        assert_breakdowns_equal(b1, b2)
+    compiled = _compiled_classifier("bnn_output")
+    program = Program(list(compiled.program.instructions))
+    before = compilejit.stats_snapshot()
+    mouse = Mouse(MODERN_STT, rows=compiled.rows, cols=1)
+    mouse.load(program)
+    mouse.run()
+    machine = BatchedMouse(MODERN_STT, batch=4, rows=compiled.rows, cols=1)
+    machine.load(program)
+    machine.run()
+    after = compilejit.stats_snapshot()
+    assert after["plans_compiled"] == before["plans_compiled"] + 1
+    assert after["compiled_runs"] == before["compiled_runs"] + 2
+    assert len(vars(program)["_cjit_plans"]) == 1
 
 
 def test_disasm_cache_is_exercised():
@@ -348,3 +408,30 @@ def test_compiled_paths_actually_ran():
     ).run()
     after = compilejit.stats_snapshot()["compiled_runs"]
     assert after - before == 2
+
+
+def test_plan_to_program_reproduces_row_moves():
+    """``CompiledPlan.to_program`` rebuilds every READ / WRITE / PRESET
+    with its own tile and row, single-tile and broadcast alike."""
+    from repro.compilejit.plan import compile_program
+    from repro.core.program import Program
+    from repro.isa.instruction import (
+        ActivateColumnsInstruction,
+        HaltInstruction,
+        LogicInstruction,
+        MemoryInstruction,
+    )
+
+    program = Program(
+        [
+            ActivateColumnsInstruction(511, (0, 3), bulk=True),
+            MemoryInstruction("READ", 0, 2),
+            MemoryInstruction("WRITE", 1, 6),
+            MemoryInstruction("WRITE", 511, 4),
+            MemoryInstruction("PRESET0", 0, 1),
+            LogicInstruction("NOT", 0, (2,), 1),
+            HaltInstruction(),
+        ]
+    )
+    plan = compile_program(program, InstructionCostModel(MODERN_STT), 2, 16, 8)
+    assert plan.to_program().instructions == program.instructions
