@@ -1276,7 +1276,7 @@ def main(argv: list[str] | None = None) -> int:
     bench_p.add_argument(
         "--quick",
         action="store_true",
-        help="smaller repetition counts (the bench-smoke configuration)",
+        help="smaller repetition counts (what make test gates on)",
     )
     bench_p.add_argument(
         "--events", metavar="PATH", help="write a JSONL telemetry event log"

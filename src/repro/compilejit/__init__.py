@@ -9,7 +9,7 @@ The scalar :class:`~repro.core.controller.MemoryController` microstep
 machine is kept verbatim as the referee: every compiled path reproduces
 its :class:`~repro.energy.metrics.Breakdown` (and, where supported, its
 :class:`~repro.obs.prof.EnergyProfiler` attribution) **bit for bit**,
-enforced by ``make compiled-smoke`` and the equivalence property tests.
+enforced by the translation-validation and byte-identity tests.
 Anything a plan cannot model exactly — sensors, fault hooks, telemetry
 sinks, checkpoints, lint-rejected programs — silently falls back to the
 interpreter.

@@ -145,7 +145,7 @@ def apply_op(op, states, views, tiles, cbuf, actreg, share, oms):
                 arr = arr + _slice_gate(gate, states, views)
             else:
                 arr = arr + _index_gate(gate, states)
-    else:  # K_HALT / K_L0: no array work
+    else:  # K_HALT: no array work
         return op[1]
     return arr + (arr * share / oms + op[2])
 
@@ -186,10 +186,6 @@ def try_run_continuous(mouse, max_instructions: int) -> bool:
         return False
     plan = _mouse_plan(mouse)
     if plan is None or plan.n_instructions > max_instructions:
-        return False
-    if plan.use_before_activate and any(
-        t._n_active for t in mouse.bank.data_tiles
-    ):
         return False
     _run_continuous(mouse, plan, prof)
     from repro import compilejit
@@ -315,7 +311,7 @@ def intermittent_eligible(run, obs, checkpointer) -> Optional[CompiledPlan]:
     if not run.config.buffer.is_ideal:
         return None
     plan = _mouse_plan(run.mouse)
-    if plan is None or not plan.replay_stable or plan.use_before_activate:
+    if plan is None or not plan.replay_stable:
         return None
     pc = controller.pc.read()
     if pc is None or not 0 <= pc < plan.n_instructions:
@@ -556,9 +552,7 @@ def try_run_batched(machine) -> bool:
         machine._program, machine.cost, len(machine.tiles), machine.rows,
         machine.cols,
     )
-    if plan is None or (
-        plan.use_before_activate and any(t.n_active for t in machine.tiles)
-    ):
+    if plan is None:
         return False
     _run_batched(machine, plan)
     from repro import compilejit

@@ -43,10 +43,9 @@ K_ACT = 1
 K_PRESET = 2
 K_READ = 3
 K_WRITE = 4
-K_L0 = 5  # logic with zero active columns: static energy, no array work
-K_L1S = 6  # logic, single tile, contiguous active range (slice views)
-K_L1P = 7  # logic, single tile, non-contiguous active set (index mesh)
-K_LN = 8  # logic, broadcast across several tiles
+K_L1S = 5  # logic, single tile, contiguous active range (slice views)
+K_L1P = 6  # logic, single tile, non-contiguous active set (index mesh)
+K_LN = 7  # logic, broadcast across several tiles
 
 # Charge-table categories (matching EnergyLedger routing).
 _CAT_CE = 0  # Category.COMPUTE energy (fetch + execute)
@@ -72,16 +71,12 @@ def _spec_index(spec) -> np.ndarray:
     `Tile.activate_column_range` yield a sorted, deduplicated intp
     array; we rebuild the same thing from the canonical spec.
     """
-    if spec is None:
-        return np.empty(0, dtype=np.intp)
     if spec[0] == "range":
         return np.arange(spec[1], spec[2] + 1, dtype=np.intp)
     return np.asarray(spec[1], dtype=np.intp)
 
 
 def _spec_count(spec) -> int:
-    if spec is None:
-        return 0
     if spec[0] == "range":
         return spec[2] - spec[1] + 1
     return len(spec[1])
@@ -94,8 +89,6 @@ def _spec_slice(spec) -> Optional[slice]:
     fancy index but returns *views*, so the executors can gather input
     rows and mask-store the output row without allocating index meshes.
     """
-    if spec is None:
-        return None
     if spec[0] == "range":
         return slice(spec[1], spec[2] + 1)
     cols = spec[1]
@@ -152,10 +145,6 @@ class CompiledPlan:
         self.n_activates = 0
         self.n_logic_dynamic = 0
         self.replay_stable = True
-        #: True if any logic/preset executes before an ACTIVATE has
-        #: covered its tile: such a plan bakes "zero active columns"
-        #: and is only valid when the machine starts with clean latches.
-        self.use_before_activate = False
 
         self._build()
         self._prof_tables: Optional[dict] = None
@@ -212,12 +201,20 @@ class CompiledPlan:
                 return tuple(range(self.n_data_tiles))
             return (tile,)
 
-        def check_use(tiles: tuple[int, ...]) -> None:
+        # A logic op or preset on a tile no ACTIVATE has latched would
+        # bake "zero active columns" into the plan, which holds only if
+        # the machine starts with clean latches.  The lint gate (ACT001)
+        # rejects such programs before they get here.  Every ACTIVATE
+        # latches at least one column, so a checked use always has a
+        # gate to run.
+        def check_use(tiles: tuple[int, ...], pc: int) -> None:
             for t in tiles:
+                if full[t] is None:
+                    raise PlanUnsupported(
+                        f"pc {pc} uses tile {t} before any ACTIVATE"
+                    )
                 if full[t] != last_only[t]:
                     self.replay_stable = False
-                if full[t] is None:
-                    self.use_before_activate = True
 
         self.activates: list[tuple[int, int]] = []
         for pc, instr in enumerate(program.instructions):
@@ -264,7 +261,7 @@ class CompiledPlan:
                     self.ops.append((K_WRITE, e, tiles, instr.row))
                 else:  # PRESET0 / PRESET1
                     tiles = resolve_tiles(instr.tile)
-                    check_use(tiles)
+                    check_use(tiles, pc)
                     n_columns = sum(_spec_count(full[t]) for t in tiles)
                     e = cost.preset_energy(max(n_columns, 1))
                     sets = tuple(
@@ -277,7 +274,7 @@ class CompiledPlan:
 
             if isinstance(instr, LogicInstruction):
                 tiles = resolve_tiles(instr.tile)
-                check_use(tiles)
+                check_use(tiles, pc)
                 spec = instr.spec
                 rows_t = tuple(instr.input_rows)
                 orow = instr.output_row
@@ -288,17 +285,15 @@ class CompiledPlan:
                     * cost.peripheral.address_energy
                     * _write_energy(cost.params)
                 )
-                # One gate per target tile with latched columns, laid out
-                # as a single-tile op whose slot and address term stay
-                # None until the op is known to be single-tile.  A
-                # contiguous set (one column and all columns included)
-                # gathers through row-slice views, any other set through
-                # an ``np.ix_`` mesh with a leading Ellipsis so it also
-                # indexes (batch, rows, cols) states.
+                # One gate per target tile, laid out as a single-tile op
+                # whose slot and address term stay None until the op is
+                # known to be single-tile.  A contiguous set (one column
+                # and all columns included) gathers through row-slice
+                # views, any other set through an ``np.ix_`` mesh with a
+                # leading Ellipsis so it also indexes (batch, rows, cols)
+                # states.
                 gates = []
                 for t in tiles:
-                    if _spec_count(full[t]) == 0:
-                        continue
                     sel = selector(full[t])
                     if isinstance(sel, slice):
                         gates.append(
@@ -312,18 +307,13 @@ class CompiledPlan:
                     gates.append(
                         (K_L1P, None, None, t, mesh, sel, orow, *kern_t)
                     )
-                if not gates:
-                    e = cost.logic_energy_measured(0.0, spec.n_inputs + 1)
-                    self.ops.append((K_L0, e))
-                    charge(_CAT_CE, e, pc)
+                self.n_logic_dynamic += 1
+                slot = charge(_CAT_CE, 0.0, pc)
+                if len(gates) == 1:
+                    gate = gates[0]
+                    self.ops.append((gate[0], slot, aterm) + gate[3:])
                 else:
-                    self.n_logic_dynamic += 1
-                    slot = charge(_CAT_CE, 0.0, pc)
-                    if len(gates) == 1:
-                        gate = gates[0]
-                        self.ops.append((gate[0], slot, aterm) + gate[3:])
-                    else:
-                        self.ops.append((K_LN, slot, aterm, tuple(gates)))
+                    self.ops.append((K_LN, slot, aterm, tuple(gates)))
                 charge(_CAT_BE, self.backup_e, pc)
                 continue
 
@@ -336,7 +326,6 @@ class CompiledPlan:
         self.chg_cat = np.asarray(chg_cat, dtype=np.int8)
         self.ce_idx = np.flatnonzero(self.chg_cat == _CAT_CE)
         self.be_idx = np.flatnonzero(self.chg_cat == _CAT_BE)
-        self.final_activation = list(full)
         self.words = program.words()
         self.halt_word = self.words[-1]
 
@@ -451,7 +440,6 @@ def compile_program(
     n_data_tiles: int,
     rows: int,
     cols: int,
-    lint: bool = True,
 ) -> CompiledPlan:
     """Compile ``program`` for a bank geometry, gated by the linter.
 
@@ -459,19 +447,15 @@ def compile_program(
     contains constructs a plan cannot model (sensor reads, HALT before
     the end).
     """
-    lint_warnings = 0
-    if lint:
-        from repro.lint import LintConfig, lint_program
+    from repro.lint import LintConfig, lint_program
 
-        report = lint_program(
-            program,
-            config=LintConfig(n_data_tiles=n_data_tiles, rows=rows, cols=cols),
-        )
-        if report.n_errors:
-            raise PlanUnsupported(
-                f"program lints with {report.n_errors} error(s)"
-            )
-        lint_warnings = len(report.diagnostics) - report.n_errors
+    report = lint_program(
+        program,
+        config=LintConfig(n_data_tiles=n_data_tiles, rows=rows, cols=cols),
+    )
+    if report.n_errors:
+        raise PlanUnsupported(f"program lints with {report.n_errors} error(s)")
+    lint_warnings = len(report.diagnostics) - report.n_errors
     return CompiledPlan(
         program, cost, n_data_tiles, rows, cols, lint_warnings=lint_warnings
     )

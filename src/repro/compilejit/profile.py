@@ -95,7 +95,10 @@ def _segment_table(profile, period, replayed, h_cycle, key):
 
 def run_profile_fused(run):
     from repro import compilejit
-    from repro.harvest.intermittent import NonTerminationError
+    from repro.harvest.intermittent import (
+        NonTerminationError,
+        trace_position_of,
+    )
 
     if run.ledger is None:
         run.ledger = EnergyLedger()
@@ -208,15 +211,18 @@ def run_profile_fused(run):
         # the first burst of the segment, before any state changes.
         if net > window and remaining > 0:
             flush(seg_index, remaining)
+            position = trace_position_of(run.config.source, t)
+            where = f" ({position})" if position is not None else ""
             raise NonTerminationError(
                 f"{profile.name}: instruction needs "
                 f"{net:.3e} J net but the capacitor window "
                 f"holds {window:.3e} J — no "
                 "forward progress is possible; reduce the "
                 "active-column parallelism or enlarge the "
-                "buffer",
+                f"buffer{where}",
                 breakdown=b,
                 instruction_energy=net,
+                trace_position=position,
             )
         while remaining > 0:
             headroom = hc * v * v - e_off

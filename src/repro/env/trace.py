@@ -19,7 +19,7 @@ harness, the experiment sweeps.  A single-sample trace takes a
 ``ConstantPowerSource`` evaluates (``watts * duration`` and
 ``energy / watts``), so a ``constant(w)`` trace reproduces the
 constant-source :class:`~repro.energy.metrics.Breakdown` byte for
-byte; ``make env-smoke`` and the property tests assert it.
+byte; ``tests/test_env_replay.py`` and the property tests assert it.
 
 Tail semantics make outages *emergent*: with ``extend="hold"`` the
 last sample's level persists forever (a zero tail means the harvester

@@ -13,8 +13,8 @@ workload:
 
 Determinism is load-bearing: the trial RNG stream depends only on
 ``(seed, trial)``, the report contains no timestamps, and two runs of
-the same campaign serialise byte-identically (``make faults-smoke``
-asserts this).
+the same campaign serialise byte-identically
+(``tests/test_faults_campaign.py`` asserts this).
 """
 
 from __future__ import annotations

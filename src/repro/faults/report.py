@@ -4,8 +4,8 @@ A report is pure data — the plan it ran under, per-class outcome
 counts, per-site injection totals, and a per-trial detail table — with
 no wall-clock timestamps, so two runs of the same (plan, workload,
 seed) serialise to *byte-identical* JSON.  That property is asserted by
-``make faults-smoke`` and is what makes a campaign a citable artifact
-rather than an anecdote.
+``tests/test_faults_campaign.py`` and is what makes a campaign a
+citable artifact rather than an anecdote.
 """
 
 from __future__ import annotations

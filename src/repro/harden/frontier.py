@@ -8,7 +8,7 @@ seeded :class:`~repro.faults.FaultCampaign` per point, reporting:
   silently wrong memory or readout),
 * the **statically proven** bound from :func:`repro.harden.bound.
   sdc_bound` — which must dominate the measurement at every point, the
-  soundness check the ``harden`` CLI and smoke test assert, and
+  soundness check the ``harden`` CLI and its tests assert, and
 * the worst-case **energy overhead** of the hardened program from the
   lint cost pass, the currency protection is bought with.
 

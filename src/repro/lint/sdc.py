@@ -18,7 +18,8 @@ The pass is the lint-side contract check for :mod:`repro.harden`:
   the :class:`~repro.lint.config.LintConfig`, the proven bound from
   :func:`repro.harden.bound.sdc_bound` must not exceed the target.
   The bound is a *sound upper bound* on the measured campaign SDC rate
-  (``make harden-smoke`` asserts the dominance empirically), so an
+  (``tests/test_harden_frontier.py`` asserts the dominance
+  empirically), so an
   SDC001-clean program is statically certified, not just tested.
 
 Programs without hardening metadata and configs without flip rates are

@@ -29,7 +29,7 @@ Output
   picoseconds).  The format is read natively by speedscope, Brendan
   Gregg's ``flamegraph.pl``, and ``inferno``.
 * :func:`validate_collapsed` — a lint pass over such a file (used by
-  ``make obs-smoke``).
+  ``tests/test_obs_trace_schema.py``).
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ are the referees).
   fault-campaign trials) with deterministic per-task seeding and
   ordered merges.
 * :mod:`repro.perf.bench` — the microbenchmark + trajectory harness
-  behind ``python -m repro bench`` and ``make bench-smoke``, writing
-  ``BENCH_PR9.json`` (schema ``repro.bench/v1``).
+  behind ``python -m repro bench`` and the hot-path speedup gates of
+  ``make test``, writing ``BENCH_PR9.json`` (schema ``repro.bench/v1``).
 
 See ``docs/PERFORMANCE.md`` for what is cached, the invalidation rules,
 and the batched engine's semantics.

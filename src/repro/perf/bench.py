@@ -6,8 +6,10 @@ fast path it praises: ``logic_op`` is timed against
 implementation, kept verbatim as the referee), and the batch-64
 classification drivers are timed against the serial per-sample Python
 loop from :mod:`repro.perf.inference`.  Absolute ns/op numbers are
-machine-dependent; the speedup ratios are not, which is why the smoke
-gate (``make bench-smoke``) regresses on ratios.
+machine-dependent; the speedup ratios are not, which is why the hot-path
+tests (``benchmarks/test_bench_hotpath.py``, part of ``make test``)
+gate on ratios: the :data:`FLOORS` and half of each speedup recorded in
+``BENCH_PR9.json``.
 
 The report is written as ``BENCH_PR9.json`` (schema ``repro.bench/v1``)
 so the trajectory of the hot paths is checked into the repo next to the
@@ -30,6 +32,16 @@ from typing import Optional
 import numpy as np
 
 SCHEMA = "repro.bench/v1"
+
+#: In-run speedup floors, the acceptance thresholds of the PRs that
+#: added each fast path.
+FLOORS = {
+    "logic_op": 5.0,
+    "classify_svm_batch64": 10.0,
+    "classify_bnn_batch64": 10.0,
+    "compiled_step_instruction": 10.0,
+    "compiled_intermittent_replay": 5.0,
+}
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ two halves of the tentpole's evidence claim:
   ``SEM002``/``SEM003``), proving the truth-table provers see strictly
   more than the structural pass pipeline.
 
-The corpus is what ``make verify-smoke`` asserts on: >= 10 distinct
-refuted-but-structurally-green miscompilations.
+The corpus is what ``tests/test_verify_targets.py`` asserts on: >= 10
+distinct refuted-but-structurally-green miscompilations.
 """
 
 from __future__ import annotations

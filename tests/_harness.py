@@ -1,16 +1,25 @@
 """Shared harness: run compiler emissions bit-exactly on the machine.
 
 Each active column is one test vector (the SIMD dimension), so a single
-program execution checks many operand combinations at once.
+program execution checks many operand combinations at once.  Also
+builds the small polynomial-SVM kernel machine and the tiny-window
+harvester the telemetry and profiler tests run under outages.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
+import numpy as np
+
+from repro.compile import arith
 from repro.compile.builder import Bit, ProgramBuilder, Word
+from repro.compile.dot import emit_dot_product
 from repro.core.accelerator import Mouse
 from repro.devices.parameters import DeviceParameters, MODERN_STT
+from repro.harvest.capacitor import EnergyBuffer
+from repro.harvest.intermittent import HarvestingConfig
+from repro.harvest.source import ConstantPowerSource
 
 
 class ColumnHarness:
@@ -75,3 +84,43 @@ class ColumnHarness:
     @staticmethod
     def read_bit(mouse: Mouse, bit: Bit, column: int) -> int:
         return mouse.tile(0).get_bit(bit.row, column)
+
+
+def build_kernel_machine(bits: int = 3):
+    """Compile ``(x . sv + offset)^2`` for small fixed inputs.
+
+    Returns the loaded machine, the result word and the Python
+    reference value.
+    """
+    rng = np.random.default_rng(0)
+    x = rng.integers(1, 1 << bits, size=2)
+    sv = rng.integers(1, 1 << bits, size=2)
+    offset = 2
+
+    builder = ProgramBuilder(tile=0, rows=2048, cols=1, reserved_rows=64)
+    builder.activate((0,))
+    rows = iter(range(0, 64, 2))
+    xs = [builder.word_at([next(rows) for _ in range(bits)]) for _ in x]
+    ws = [builder.word_at([next(rows) for _ in range(bits)]) for _ in sv]
+    off = builder.word_at([next(rows) for _ in range(2)])
+    dot = emit_dot_product(builder, xs, ws)
+    shifted = arith.ripple_add(builder, dot, off)
+    kernel = arith.square(builder, shifted)
+    program = builder.finish()
+
+    machine = Mouse(MODERN_STT, rows=2048, cols=1)
+    for word, value in zip(xs + ws + [off], list(x) + list(sv) + [offset]):
+        for i, bit in enumerate(word):
+            machine.tile(0).set_bit(bit.row, 0, (int(value) >> i) & 1)
+    machine.load(program)
+    expected = (int(np.dot(x, sv)) + offset) ** 2
+    return machine, kernel, expected
+
+
+def harvesting_config() -> HarvestingConfig:
+    """A window barely bigger than the costliest instruction: plenty of
+    outages in a short program, exercising every power-event path."""
+    return HarvestingConfig(
+        source=ConstantPowerSource(2e-9),
+        buffer=EnergyBuffer(capacitance=100e-6, v_off=0.00030, v_on=0.00034),
+    )

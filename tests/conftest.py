@@ -43,3 +43,23 @@ def make_mouse(tech=MODERN_STT, rows=64, cols=8, n_data_tiles=1):
 @pytest.fixture
 def small_mouse():
     return make_mouse()
+
+
+#: The tiny hardening frontier several modules check: one workload, one
+#: technology, the two frontier ends.
+TINY_FRONTIER = dict(
+    workloads=("bnn",),
+    technologies=(MODERN_STT,),
+    levels=(0.0, 1.0),
+    trials=8,
+    seed=11,
+)
+
+
+@pytest.fixture(scope="session")
+def tiny_frontier():
+    """One serial run of :data:`TINY_FRONTIER`, shared by every test
+    that only reads it."""
+    from repro.harden.frontier import run_frontier
+
+    return run_frontier(**TINY_FRONTIER, jobs=1)

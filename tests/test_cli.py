@@ -232,7 +232,12 @@ HARDEN_FAST = [
 
 
 class TestHardenCommand:
-    def test_writes_valid_frontier_report(self, tmp_path, capsys):
+    """``HARDEN_FAST`` is the ``tiny_frontier`` sweep, so the CLI's
+    report must match the shared serial library run byte for byte."""
+
+    def test_writes_valid_frontier_report(self, tmp_path, capsys, tiny_frontier):
+        from repro.harden.frontier import report_json
+
         out = tmp_path / "frontier.json"
         assert main(HARDEN_FAST + ["--out", str(out)]) == 0
         text = capsys.readouterr().out
@@ -241,17 +246,18 @@ class TestHardenCommand:
         assert payload["schema"] == "repro.harden.frontier/v1"
         assert len(payload["points"]) == 2
         assert all(p["bound_dominates"] for p in payload["points"])
+        assert out.read_text() == report_json(tiny_frontier)
 
-    def test_byte_identical_across_jobs(self, tmp_path, monkeypatch):
+    def test_byte_identical_across_jobs(self, tmp_path, monkeypatch, tiny_frontier):
+        from repro.harden.frontier import report_json
         from repro.perf import parallel
 
         # main() makes --jobs the process-wide default; restore it so
         # later tests in this process do not inherit jobs=2.
         monkeypatch.setattr(parallel, "_default_jobs", parallel.get_default_jobs())
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(HARDEN_FAST + ["--out", str(a), "--jobs", "1"]) == 0
-        assert main(HARDEN_FAST + ["--out", str(b), "--jobs", "2"]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        out = tmp_path / "parallel.json"
+        assert main(HARDEN_FAST + ["--out", str(out), "--jobs", "2"]) == 0
+        assert out.read_text() == report_json(tiny_frontier)
 
     def test_unknown_tech(self, capsys):
         assert main(["harden", "--tech", "vacuum-tube"]) == 2

@@ -31,6 +31,7 @@ from repro.harvest.intermittent import (
 from repro.harvest.source import ConstantPowerSource
 from repro.ml.benchmarks import ALL_WORKLOADS
 from repro.obs.prof import EnergyProfiler
+from repro.verify.targets import VERIFY_TARGETS
 
 BREAKDOWN_FIELDS = (
     "compute_energy",
@@ -93,7 +94,10 @@ def _run_pair(workload, profiler=False):
 def test_continuous_byte_identity(wname, tech):
     compilejit.set_enabled(True)
     workload = WORKLOADS[wname](tech)
+    before = compilejit.stats_snapshot()["compiled_runs"]
     (fast, ref), _ = _run_pair(workload)
+    # The fast run took the plan executor, not a silent fallback.
+    assert compilejit.stats_snapshot()["compiled_runs"] == before + 1
     assert_breakdowns_equal(fast.ledger.breakdown, ref.ledger.breakdown)
     for t1, t2 in zip(fast.bank.data_tiles, ref.bank.data_tiles):
         assert np.array_equal(t1.state, t2.state)
@@ -216,13 +220,15 @@ def test_hardened_program_byte_identity(level):
     assert workload.readout(fast) == workload.readout(ref)
 
 
-def _profile_pair(workload, tech, watts, use_prof, cap_scale=1.0):
+def _profile_pair(workload, tech, watts, use_prof, cap_scale=1.0, trace=None):
     results = []
     for compiled in (True, False):
         cost = InstructionCostModel(tech)
         profile = workload.profile(cost)
         prof = EnergyProfiler() if use_prof else None
-        if cap_scale == 1.0:
+        if trace is not None:
+            config = HarvestingConfig.from_trace(tech, trace)
+        elif cap_scale == 1.0:
             config = HarvestingConfig.paper(tech, watts)
         else:
             base = buffer_for(tech)
@@ -244,7 +250,7 @@ def _profile_pair(workload, tech, watts, use_prof, cap_scale=1.0):
             err = None
         except NonTerminationError as exc:
             breakdown = exc.breakdown
-            err = (str(exc), exc.instruction_energy)
+            err = (str(exc), exc.instruction_energy, exc.trace_position)
         results.append((run, breakdown, err, prof))
     return results
 
@@ -278,6 +284,26 @@ def test_profile_run_nontermination_identical():
     assert e1 == e2
     assert_breakdowns_equal(b1, b2)
     assert r1.seg_index == r2.seg_index and r1.remaining == r2.remaining
+
+    # A constant trace takes the fused loop too, and its diagnosis
+    # carries the trace position in the message and the attribute.
+    from repro.env import constant
+    from repro.harvest.intermittent import InstructionProfile
+
+    class OneJoule:
+        @staticmethod
+        def profile(cost):
+            profile = InstructionProfile(name="one-joule")
+            profile.add(10, 1.0, 0.0)
+            return profile
+
+    (r1, b1, e1, _), (r2, b2, e2, _) = _profile_pair(
+        OneJoule, MODERN_STT, 100e-6, use_prof=False, trace=constant(100e-6)
+    )
+    assert e1 is not None and e1[2] is not None
+    assert e1 == e2
+    assert e1[0].endswith(f"({e1[2]})")
+    assert_breakdowns_equal(b1, b2)
 
 
 @lru_cache(maxsize=None)
@@ -410,6 +436,40 @@ def test_compiled_paths_actually_ran():
     assert after - before == 2
 
 
+@pytest.mark.parametrize("name", sorted(VERIFY_TARGETS))
+def test_plan_program_proves_equivalent_to_source(name):
+    """Translation validation: the program rebuilt from each verify
+    target's plan is symbolically proven equivalent to its source by
+    the ``EquivalencePass``, over every input assignment."""
+    from repro.compilejit.plan import compile_program
+    from repro.verify.passes import EquivalencePass
+    from repro.verify.targets import build_verify_target
+    from repro.verify.verifier import verify_program
+
+    job = build_verify_target(name)
+    cfg = job.config
+    plan = compile_program(
+        job.program,
+        InstructionCostModel(MODERN_STT),
+        cfg.n_data_tiles,
+        cfg.rows,
+        cfg.cols,
+    )
+    report = verify_program(
+        plan.to_program(),
+        cfg,
+        [
+            EquivalencePass(
+                job.program,
+                constants=job.constants(),
+                focus_column=job.spec.focus_column,
+            )
+        ],
+        name=f"{name}.plan",
+    )
+    assert report.n_errors == 0, report.rules_fired()
+
+
 def test_plan_to_program_reproduces_row_moves():
     """``CompiledPlan.to_program`` rebuilds every READ / WRITE / PRESET
     with its own tile and row, single-tile and broadcast alike."""
@@ -435,3 +495,35 @@ def test_plan_to_program_reproduces_row_moves():
     )
     plan = compile_program(program, InstructionCostModel(MODERN_STT), 2, 16, 8)
     assert plan.to_program().instructions == program.instructions
+
+
+@pytest.mark.parametrize("case", ("gate", "preset", "broadcast-gate"))
+def test_plan_rejects_use_before_activate(case):
+    """A direct ``CompiledPlan`` (no lint gate) refuses a gate or preset
+    on a tile no ACTIVATE has latched instead of baking in zero active
+    columns."""
+    from repro.array.bank import BROADCAST_TILE
+    from repro.compilejit.plan import CompiledPlan, PlanUnsupported
+    from repro.core.program import Program
+    from repro.isa.instruction import (
+        ActivateColumnsInstruction,
+        HaltInstruction,
+        LogicInstruction,
+        MemoryInstruction,
+    )
+
+    used = {
+        "gate": [LogicInstruction("NOT", 0, (2,), 1)],
+        "preset": [MemoryInstruction("PRESET0", 0, 1)],
+        # Tile 0 is latched, tile 1 is not.
+        "broadcast-gate": [
+            ActivateColumnsInstruction(0, (0, 3), bulk=True),
+            LogicInstruction("NOT", BROADCAST_TILE, (2,), 1),
+        ],
+    }[case]
+    program = Program(
+        used
+        + [ActivateColumnsInstruction(1, (0, 3), bulk=True), HaltInstruction()]
+    )
+    with pytest.raises(PlanUnsupported, match="before any ACTIVATE"):
+        CompiledPlan(program, InstructionCostModel(MODERN_STT), 2, 16, 8)

@@ -1,10 +1,10 @@
-"""The fork/SIGKILL crash-injection harness (small seeded campaigns).
+"""The fork/SIGKILL crash-injection harness.
 
-The heavyweight acceptance matrix (200+ kills) lives in
-``make crash-smoke``; these tests keep a representative slice in the
-tier-1 suite: a real campaign with mid-write kills and generation
-fuzzing must come back byte-identical, and the report must be
-internally consistent.
+A small adder campaign with mid-write kills and generation fuzzing must
+come back byte-identical with an internally consistent report; the
+acceptance matrix (210 kills over the SVM and BNN intermittent
+workloads) and a campaign powered by a fluctuating solar trace must
+resume byte-identically too.
 """
 
 import os
@@ -71,6 +71,52 @@ class TestCampaign:
         )
         again = run_crash_campaign(plan, tmp_path / "again")
         assert again.to_json_obj() == report.to_json_obj()
+
+
+class TestKillMatrix:
+    """200+ seeded SIGKILLs at instruction boundaries, a seeded share
+    of them mid-image-write and a seeded share followed by torn/corrupt
+    generation fuzzing."""
+
+    #: (workload, kills, seed): 210 kill points.
+    MATRIX = (("svm", 120, 11), ("bnn", 90, 12))
+
+    @pytest.fixture(scope="class")
+    def reports(self, tmp_path_factory) -> list:
+        base = tmp_path_factory.mktemp("matrix")
+        return [
+            run_crash_campaign(
+                CrashPlan(workload=workload, kills=kills, seed=seed),
+                base / f"images-{workload}-{seed}",
+            )
+            for workload, kills, seed in self.MATRIX
+        ]
+
+    def test_at_least_200_kills(self, reports):
+        assert sum(r.kills for r in reports) >= 200
+
+    def test_every_resume_byte_identical(self, reports):
+        for report in reports:
+            assert report.identical, report.workload
+
+    def test_mid_write_kills_and_fuzzing_exercised(self, reports):
+        assert sum(r.mid_write_kills for r in reports) >= 1
+        assert sum(r.fuzzed for r in reports) >= 1
+
+    def test_every_fuzzed_generation_fell_back(self, reports):
+        """CRC rejected each fuzzed generation and the surviving one
+        took over: one fallback per fuzz."""
+        for report in reports:
+            assert report.fallbacks == report.fuzzed, report.workload
+
+
+def test_resume_under_solar_trace_byte_identical(tmp_path):
+    plan = CrashPlan(
+        workload="svm", kills=6, seed=3, trace_family="solar", trace_seed=1
+    )
+    report = run_crash_campaign(plan, tmp_path / "crash-solar")
+    assert report.identical
+    assert report.kills == 6
 
 
 class TestGuards:

@@ -185,6 +185,21 @@ class TestReplayAndCompare:
         assert adaptive.degraded["skipped_checkpoint"] > 0
         assert adaptive.harvested_j == outcome["fixed"].harvested_j
 
+    def test_env_sweep_rows_hold_adaptive_at_least_fixed(self):
+        """The environment-sweep experiment, one row per non-constant
+        family: adaptive >= fixed, the cadence stretched on every trace,
+        and the kinetic dead tail recorded as a fail-stop."""
+        from repro.experiments import env_sweep
+
+        rows = env_sweep.run()
+        assert {r["family"] for r in rows} == {"solar", "rf_burst", "kinetic"}
+        for row in rows:
+            degraded = row["adaptive"]["degraded"]
+            assert row["adaptive_at_least_fixed"], row["family"]
+            assert degraded["skipped_checkpoint"] > 0, row["family"]
+        (kinetic,) = [r for r in rows if r["family"] == "kinetic"]
+        assert kinetic["adaptive"]["degraded"]["fail_stop"] > 0
+
     def test_kinetic_dead_tail_fail_stops_gracefully(self):
         trace = kinetic(seed=3, mean_watts=4e-4, n_steps=8)
         result = replay(

@@ -83,13 +83,30 @@ class TestGenerators:
 class TestJsonlRoundTrip:
     @pytest.mark.parametrize("family", ["constant", "rf_burst", "solar", "kinetic"])
     def test_save_load_exact(self, tmp_path, family):
+        """The file round trip is exact, and the loaded trace replays to
+        the same result as the generated one."""
+        import dataclasses
+
+        from repro.devices.parameters import MODERN_STT
+        from repro.env import replay
+        from repro.ml.benchmarks import SVM_ADULT
+
         if family == "constant":
             trace = constant(2e-4)
         else:
             trace = FAMILIES[family](seed=7)
         path = tmp_path / f"{family}.jsonl"
         trace.save(path)
-        assert HarvestTrace.load(path) == trace
+        loaded = HarvestTrace.load(path)
+        assert loaded == trace
+        kwargs = {
+            "time_budget": 0.8,
+            "max_inferences": 100_000,
+            "checkpoint_period": 2,
+        }
+        direct = replay(SVM_ADULT, MODERN_STT, trace, **kwargs)
+        via_file = replay(SVM_ADULT, MODERN_STT, loaded, **kwargs)
+        assert dataclasses.asdict(direct) == dataclasses.asdict(via_file)
 
     def test_header_carries_schema(self, tmp_path):
         path = tmp_path / "t.jsonl"

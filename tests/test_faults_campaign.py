@@ -91,6 +91,41 @@ class TestOutcomeClassification:
             FaultCampaign(broken, FaultPlan(), trials=1).run()
 
 
+class TestSvmCampaigns:
+    """Campaigns on the SVM decision program."""
+
+    def test_variation_rates_with_retry_recover_without_sdc(self):
+        """Gate flips at Table-II-derived rates (Modern STT, 5 % device
+        variation) with verify-and-retry: the resilience layer's
+        acceptance criterion."""
+        plan = FaultPlan.from_variation(
+            MODERN_STT, sigma=0.05, trials=5_000, verify_retry=True
+        )
+        report = FaultCampaign(
+            svm_workload(MODERN_STT), plan, trials=5, seed=7
+        ).run()
+        validate_report(report.to_json_obj())
+        assert report.sdc == 0
+        assert report.detected_recovered >= 1
+
+    def test_resumed_from_one_trial_store_matches_straight_run(self, tmp_path):
+        """A campaign killed after its first trial resumes from the
+        per-trial store to the straight run's exact JSON; outages with
+        retry never corrupt."""
+        workload = svm_workload(MODERN_STT)
+        plan = FaultPlan(outage_rate=0.01, verify_retry=True)
+        straight = FaultCampaign(workload, plan, trials=3, seed=5).run()
+        validate_report(straight.to_json_obj())
+        assert straight.sdc == 0
+        assert straight.totals["injected"].get("outage", 0) > 0
+        store = str(tmp_path / "campaign-store")
+        FaultCampaign(workload, plan, trials=1, seed=5).run(checkpoint_dir=store)
+        resumed = FaultCampaign(workload, plan, trials=3, seed=5).run(
+            checkpoint_dir=store
+        )
+        assert resumed.to_json() == straight.to_json()
+
+
 class TestReport:
     def test_validates_and_serialises(self):
         report = run_campaign(GATE_PLAN, trials=3)

@@ -1,6 +1,8 @@
-"""The frontier sweep: checks, determinism, resume, and the smoke gate."""
+"""The frontier sweep: checks, determinism, resume, the lint round trip
+of the hardened program, and the energy-overhead gate against the
+committed ``BENCH_PR7.json``."""
 
-import json
+from pathlib import Path
 
 import pytest
 
@@ -14,14 +16,13 @@ from repro.harden.frontier import (
     run_frontier,
     tech_slug,
 )
+from repro.perf.bench import compare_reports, load_report
+from tests.conftest import TINY_FRONTIER
 
-SWEEP = dict(
-    workloads=("bnn",),
-    technologies=(MODERN_STT,),
-    levels=(0.0, 1.0),
-    trials=8,
-    seed=11,
-)
+#: The committed energy-overhead baseline of ``TINY_FRONTIER``.
+BENCH_PR7 = Path(__file__).resolve().parents[1] / "BENCH_PR7.json"
+#: A hardened energy bound more than 30 % above the baseline's fails.
+BENCH_THRESHOLD = 0.30
 
 
 def point(workload="w", tech="T", level=0.0, sdc=0.0, bound=1.0):
@@ -124,69 +125,128 @@ class TestBinomialGuard:
 
 
 class TestSweep:
-    def test_tiny_sweep_passes_its_own_checks(self):
-        report = run_frontier(**SWEEP)
-        assert report["schema"] == SCHEMA
-        assert len(report["points"]) == 2
-        assert report["checks"]["ok"], report["checks"]["failures"]
-        for pt in report["points"]:
+    def test_tiny_sweep_passes_its_own_checks(self, tiny_frontier):
+        assert tiny_frontier["schema"] == SCHEMA
+        assert len(tiny_frontier["points"]) == 2
+        assert tiny_frontier["checks"]["ok"], tiny_frontier["checks"]["failures"]
+        for pt in tiny_frontier["points"]:
             assert pt["bound_dominates"]
             assert 0.0 <= pt["sdc_rate"] <= 1.0
             assert pt["yield"] == 1.0 - pt["sdc_rate"]
-        hardened = next(p for p in report["points"] if p["level"] == 1.0)
+        hardened = next(p for p in tiny_frontier["points"] if p["level"] == 1.0)
         assert hardened["protection"]["tmr_groups"] > 0
         assert hardened["protection"]["verify_pcs"] > 0
         assert hardened["energy_overhead"] > 0.0
-        table = format_table(report)
+        table = format_table(tiny_frontier)
         assert "checks: ok" in table
 
-    def test_byte_identical_across_jobs(self):
-        serial = report_json(run_frontier(**SWEEP, jobs=1))
-        parallel = report_json(run_frontier(**SWEEP, jobs=2))
-        assert serial == parallel
+    def test_byte_identical_across_jobs(self, tiny_frontier):
+        parallel = report_json(run_frontier(**TINY_FRONTIER, jobs=2))
+        assert report_json(tiny_frontier) == parallel
 
-    def test_resume_reuses_checkpointed_points(self, tmp_path):
+    def test_resume_reuses_checkpointed_points(self, tmp_path, tiny_frontier):
         ck = tmp_path / "ck"
-        first = report_json(run_frontier(**SWEEP, checkpoint_dir=str(ck)))
+        first = report_json(run_frontier(**TINY_FRONTIER, checkpoint_dir=str(ck)))
+        assert first == report_json(tiny_frontier)
         # All points persisted: a re-run recomputes nothing and merges
         # to the same bytes.
         done = list(ck.glob("*"))
         assert done
-        second = report_json(run_frontier(**SWEEP, checkpoint_dir=str(ck)))
+        second = report_json(run_frontier(**TINY_FRONTIER, checkpoint_dir=str(ck)))
         assert first == second
 
     def test_unknown_workload_rejected(self):
-        import pytest
-
         with pytest.raises(ValueError, match="unknown workload"):
             run_frontier(workloads=("nope",), technologies=(MODERN_STT,))
 
-    def test_plan_embeds_scaling_provenance(self):
-        report = run_frontier(**SWEEP)
-        meta = report["points"][0]["plan"]["meta"]
+    def test_plan_embeds_scaling_provenance(self, tiny_frontier):
+        meta = tiny_frontier["points"][0]["plan"]["meta"]
         assert meta["technology"] == MODERN_STT.name
         assert "scale" in meta and "floor" in meta
 
 
-class TestSmokeGate:
-    def test_smoke_passes_and_writes_bench_baseline(self, tmp_path):
-        from repro.harden import smoke
+def test_hardened_bnn_lints_clean_above_its_bound_only(tiny_frontier):
+    """The fully hardened BNN, re-hardened from the frontier point's
+    flip rates, re-derives the point's proven SDC bound, passes the full
+    lint pipeline (SDC pass included) just above that bound, and trips
+    SDC001 below it."""
+    from repro.faults.campaign import WORKLOADS
+    from repro.harden import analyse, harden_program, sdc_bound
+    from repro.lint import LintConfig, lint_program
 
-        bench = tmp_path / "bench.json"
-        assert smoke.run_smoke(str(tmp_path / "out"), str(bench)) == 0
-        report = json.loads(bench.read_text())
-        assert report["schema"] == "repro.bench/v1"
-        assert report["results"]
-        # Second run gates against the baseline it just wrote.
-        assert smoke.run_smoke(str(tmp_path / "out2"), str(bench)) == 0
+    point = next(p for p in tiny_frontier["points"] if p["level"] == 1.0)
+    machine = WORKLOADS["bnn"](MODERN_STT).build()
+    bank = machine.bank
+    shape = dict(n_data_tiles=len(bank.data_tiles), rows=bank.rows, cols=bank.cols)
+    rates = dict(point["plan"]["gate_flip_rates"])
+    hardened = harden_program(machine.program, rates, LintConfig(**shape))
 
-    def test_smoke_fails_on_energy_regression(self, tmp_path):
-        from repro.harden import smoke
+    bound = sdc_bound(hardened, rates, LintConfig(**shape), verify_marked=True)
+    assert abs(bound.total - point["sdc_bound"]["total"]) <= 1e-12
+    loose = lint_program(
+        hardened,
+        LintConfig(**shape, flip_rates=rates, sdc_target=bound.total + 1e-9),
+    )
+    assert loose.ok, [d.rule for d in loose.diagnostics]
+    tight = lint_program(
+        hardened,
+        LintConfig(**shape, flip_rates=rates, sdc_target=bound.total / 2),
+    )
+    assert "SDC001" in {d.rule for d in tight.diagnostics}
+    assert analyse(hardened, rates, LintConfig(**shape)).records
 
-        bench = tmp_path / "bench.json"
-        assert smoke.run_smoke(str(tmp_path / "out"), str(bench)) == 0
-        report = json.loads(bench.read_text())
-        for entry in report["results"]:
+
+def energy_report(frontier: dict) -> dict:
+    """The frontier's energy story as a ``repro.bench/v1`` report.
+
+    ``ns_per_op`` carries each hardened point's worst-case energy bound
+    in nanojoules and ``baseline_ns_per_op`` the unhardened bound, so
+    ``bench --compare`` flags protection that got more expensive.
+    """
+    results = []
+    for point in frontier["points"]:
+        if point["level"] <= 0:
+            continue
+        hardened_nj = point["energy_bound_j"]["hardened"] * 1e9
+        baseline_nj = point["energy_bound_j"]["original"] * 1e9
+        results.append(
+            {
+                "op": f"harden_{point['workload']}_L{point['level']:g}",
+                "config": {
+                    "technology": point["technology"],
+                    "level": point["level"],
+                    "tmr_groups": point["protection"]["tmr_groups"],
+                    "verify_pcs": point["protection"]["verify_pcs"],
+                },
+                "reps": point["trials"],
+                "ns_per_op": round(hardened_nj, 4),
+                "baseline": "unhardened",
+                "baseline_ns_per_op": round(baseline_nj, 4),
+                "speedup": round(baseline_nj / hardened_nj, 4),
+            }
+        )
+    return {"schema": "repro.bench/v1", "quick": True, "results": results}
+
+
+class TestEnergyGate:
+    def test_committed_baseline_passes(self, tiny_frontier):
+        """The sweep's energy bounds have not grown past the threshold
+        against ``BENCH_PR7.json``, which must exist, parse and carry
+        the bench schema, and which names no op the sweep dropped."""
+        comparison = compare_reports(
+            load_report(str(BENCH_PR7)),
+            energy_report(tiny_frontier),
+            threshold=BENCH_THRESHOLD,
+        )
+        assert comparison["ops"]
+        assert not comparison["regressions"], comparison["ops"]
+        assert not comparison["only_old"]
+
+    def test_fails_on_energy_regression(self, tiny_frontier):
+        cheap = energy_report(tiny_frontier)
+        for entry in cheap["results"]:
             entry["ns_per_op"] = entry["ns_per_op"] / 10.0  # old was cheap
-        bench.write_text(json.dumps(report))
-        assert smoke.run_smoke(str(tmp_path / "out2"), str(bench)) == 1
+        comparison = compare_reports(
+            cheap, energy_report(tiny_frontier), threshold=BENCH_THRESHOLD
+        )
+        assert comparison["regressions"]

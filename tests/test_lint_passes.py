@@ -347,11 +347,16 @@ class TestLinter:
         assert report.passes == tuple(p.name for p in default_passes())
 
     def test_diagnostics_sorted_by_index(self):
-        p = prog(preset0(9), nand((0, 1), 9))  # many rules, no HALT
+        """No ACTIVATE, mixed input parities, a self-overwriting gate
+        with no preset, and no HALT: each pass reports its own rule."""
+        p = prog(preset0(9), nand((0, 1), 9), nand((0, 2), 2))
         report = lint_program(p, CONFIG)
         indices = [d.index for d in report.diagnostics if d.index is not None]
         assert indices == sorted(indices)
         assert not report.ok
+        assert {
+            "ACT001", "PAR001", "IDEM001", "PAR002", "PRE001", "STRUCT003"
+        } <= set(report.rules_fired())
 
     def test_lint_error_carries_report(self):
         p = prog(activate(0), nand((0, 1), 9), HaltInstruction())

@@ -113,7 +113,7 @@ class TestIntermittentAttribution:
         """Restore and dead-replay charges land on scopes too, and the
         root still replays the ledger exactly."""
         from repro.harvest.intermittent import IntermittentRun
-        from repro.obs.smoke import build_kernel_machine, harvesting_config
+        from tests._harness import build_kernel_machine, harvesting_config
 
         machine, _, _ = build_kernel_machine()
         profiler = EnergyProfiler()
