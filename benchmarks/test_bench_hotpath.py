@@ -60,11 +60,6 @@ def test_compiled_step_instruction(regen, benchmark, recorded_speedups):
     assert_speedup_gates(result, recorded_speedups)
 
 
-def test_intermittent_replay(regen, benchmark):
-    result = regen(benchmark, hotpath.bench_intermittent_replay, True)
-    assert result.ns_per_op > 0
-
-
 def test_compiled_intermittent_replay(regen, benchmark, recorded_speedups):
     result = regen(benchmark, hotpath.bench_compiled_intermittent_replay, True)
     assert_speedup_gates(result, recorded_speedups)

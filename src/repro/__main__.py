@@ -923,7 +923,10 @@ def _build_trace(spec: str, seed: int, watts: float):
     from repro.env import FAMILIES, HarvestTrace, constant
 
     if os.path.exists(spec):
-        return HarvestTrace.load(spec)
+        try:
+            return HarvestTrace.load(spec)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"cannot read trace {spec!r}: {exc}") from None
     family = spec.lower().replace("-", "_")
     if family == "solar_diurnal":
         family = "solar"

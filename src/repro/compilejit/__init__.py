@@ -23,8 +23,11 @@ Execution tiers (see docs/PERFORMANCE.md):
    continuous ``Mouse`` runs, the fused intermittent window loop and
    lock-step ``BatchedMouse`` batches; every executor applies its ops
    through :func:`repro.compilejit.exec.apply_op` on ``(rows, cols)``
-   or ``(batch, rows, cols)`` tile states.  ``compilejit.profile``
-   replays harvest profiles.
+   or ``(batch, rows, cols)`` tile states.
+
+Harvest profiles (:class:`~repro.harvest.intermittent.ProfileRun`) are
+not CRAM programs and have one engine of their own: the switch and the
+:data:`STATS` counters cover plan runs only.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from repro.compilejit.plan import (
     plan_for,
 )
 
-#: Module-wide switch: set False to force every engine back onto the
-#: scalar interpreter (also reachable via ``repro ... --no-compiled``).
+#: Module-wide switch: set False to force every plan executor back onto
+#: the scalar interpreter (also reachable via ``repro ... --no-compiled``).
 ENABLED = True
 
 #: Counters for run manifests: how often the compiled path ran vs fell

@@ -30,11 +30,14 @@ from repro.durability.state import (
     capture_machine,
     decode_breakdown,
     decode_config,
+    decode_degraded,
     decode_params,
+    decode_policy,
     decode_profile,
     encode_breakdown,
     encode_config,
     encode_params,
+    encode_policy,
     encode_profile,
     restore_machine,
 )
@@ -174,7 +177,8 @@ def capture_intermittent(run: IntermittentRun, phase: str) -> dict[str, Any]:
 
 def capture_profile(run: ProfileRun) -> dict[str, Any]:
     """Full resumable state of a closed-form profile run: the progress
-    cursor plus everything needed to rebuild the engine."""
+    cursor, the checkpoint cadence policy and the degraded-mode tallies,
+    plus everything needed to rebuild the engine."""
     if run.ledger is None:
         raise ValueError("profile run has not started; nothing to capture")
     return {
@@ -184,6 +188,8 @@ def capture_profile(run: ProfileRun) -> dict[str, Any]:
         "config": encode_config(run.config),
         "dead_fraction": run.dead_fraction,
         "checkpoint_period": run.checkpoint_period,
+        "adaptive": encode_policy(run.adaptive),
+        "degraded": dict(run.degraded),
         "time": run.time,
         "seg_index": run.seg_index,
         "remaining": run.remaining,
@@ -256,7 +262,11 @@ def resume_profile(
     telemetry=None,
     checkpointer: Optional[Checkpointer] = None,
 ) -> ProfileRun:
-    """Rebuild a :class:`ProfileRun` from the newest valid image."""
+    """Rebuild a :class:`ProfileRun` from the newest valid image.
+
+    An image written before the cadence policy and the degraded-mode
+    tallies were stored resumes at the fixed cadence with zero tallies.
+    """
     payload, _seq, _store = _load(store, telemetry)
     if payload.get("kind") != "profile":
         raise ValueError(
@@ -271,7 +281,10 @@ def resume_profile(
         checkpoint_period=int(payload["checkpoint_period"]),
         telemetry=telemetry,
         checkpointer=checkpointer,
+        adaptive=decode_policy(payload.get("adaptive")),
     )
+    if "degraded" in payload:
+        run.degraded = decode_degraded(payload["degraded"])
     run.time = payload["time"]
     run.seg_index = int(payload["seg_index"])
     remaining = payload["remaining"]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import base64
 import dataclasses
-from typing import Any
+from typing import Any, get_type_hints
 
 import numpy as np
 
@@ -172,6 +172,59 @@ def decode_config(obj: dict) -> HarvestingConfig:
         source=decode_source(obj["source"]),
         buffer=decode_buffer(obj["buffer"]),
     )
+
+
+def encode_policy(policy) -> dict | None:
+    """An :class:`repro.env.AdaptivePolicy` as its fields (None for the
+    fixed cadence)."""
+    return None if policy is None else dataclasses.asdict(policy)
+
+
+def decode_policy(obj):
+    """Inverse of :func:`encode_policy`; ``ValueError`` names what is
+    wrong with a malformed policy."""
+    if obj is None:
+        return None
+    from repro.env.adaptive import AdaptivePolicy
+
+    hints = get_type_hints(AdaptivePolicy)
+    kinds = {f.name: hints[f.name] for f in dataclasses.fields(AdaptivePolicy)}
+    if not isinstance(obj, dict) or set(obj) != set(kinds):
+        raise ValueError(
+            f"adaptive policy must be null or an object with the fields "
+            f"{sorted(kinds)}, got {obj!r}"
+        )
+    for name, kind in kinds.items():
+        value = obj[name]
+        ok = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, ok):
+            raise ValueError(
+                f"adaptive policy field {name!r} must be a {kind.__name__}, "
+                f"got {value!r}"
+            )
+    return AdaptivePolicy(**obj)
+
+
+def decode_degraded(obj) -> dict[str, int]:
+    """Degraded-mode tallies from an image (see
+    :data:`repro.harvest.intermittent.DEGRADED_MODES`); ``ValueError``
+    for anything but non-negative integer counts of known modes."""
+    from repro.harvest.intermittent import DEGRADED_MODES
+
+    if not isinstance(obj, dict) or not set(obj) <= set(DEGRADED_MODES):
+        raise ValueError(
+            f"degraded tallies must be an object over {DEGRADED_MODES}, "
+            f"got {obj!r}"
+        )
+    tallies = {mode: 0 for mode in DEGRADED_MODES}
+    for mode, count in obj.items():
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise ValueError(
+                f"degraded tally {mode!r} must be a non-negative integer, "
+                f"got {count!r}"
+            )
+        tallies[mode] = count
+    return tallies
 
 
 def encode_profile(profile: InstructionProfile) -> dict:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
@@ -45,6 +45,32 @@ TRACE_SCHEMA = "repro.env.trace/v1"
 #: Tail policies: ``hold`` keeps the last sample's power forever,
 #: ``loop`` repeats the trace every ``period`` seconds.
 EXTENDS = ("hold", "loop")
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r:.60}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is out of float range") from None
+
+
+def _json_line(path, number: int, line: str):
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the JSON decoder allows.
+        raise ValueError(f"{path}: line {number}: {exc}") from None
+
+
+def _check_schema(obj: Mapping, where: str) -> None:
+    if obj.get("schema") != TRACE_SCHEMA:
+        raise ValueError(
+            f"{where}: schema is {obj.get('schema')!r:.60}, expected "
+            f"{TRACE_SCHEMA!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -146,18 +172,50 @@ class HarvestTrace:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "HarvestTrace":
-        if obj.get("schema") != TRACE_SCHEMA:
+        """Inverse of :meth:`to_json_obj`; ``ValueError`` names the
+        field that is missing or malformed."""
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"trace must be a JSON object, got {obj!r:.60}")
+        _check_schema(obj, "trace")
+        columns = []
+        for column in ("times", "watts"):
+            values = obj.get(column)
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(
+                    f"trace: field {column!r} must be a list, got {values!r:.60}"
+                )
+            columns.append(
+                [_number(v, f"trace: {column}[{i}]") for i, v in enumerate(values)]
+            )
+        return cls._from_fields(obj, columns[0], columns[1], "trace")
+
+    @classmethod
+    def _from_fields(cls, fields: Mapping, times, watts, where) -> "HarvestTrace":
+        """The trace a header (or JSON object) and its sample columns
+        describe; ``ValueError`` names a missing or mistyped field."""
+        if "name" not in fields:
+            raise ValueError(f"{where}: missing field 'name'")
+        strings = {
+            "name": fields["name"],
+            "family": fields.get("family", "custom"),
+            "extend": fields.get("extend", "hold"),
+        }
+        for key, value in strings.items():
+            if not isinstance(value, str):
+                raise ValueError(
+                    f"{where}: field {key!r} must be a string, got {value!r:.60}"
+                )
+        meta = fields.get("meta", {})
+        if not isinstance(meta, Mapping):
             raise ValueError(
-                f"schema is {obj.get('schema')!r}, expected {TRACE_SCHEMA!r}"
+                f"{where}: field 'meta' must be an object, got {meta!r:.60}"
             )
         return cls(
-            name=str(obj["name"]),
-            times=tuple(obj["times"]),
-            watts=tuple(obj["watts"]),
-            family=str(obj.get("family", "custom")),
-            extend=str(obj.get("extend", "hold")),
-            period=float(obj.get("period", 0.0)),
-            meta=dict(obj.get("meta", {})),
+            times=tuple(times),
+            watts=tuple(watts),
+            period=_number(fields.get("period", 0.0), f"{where}: field 'period'"),
+            meta=dict(meta),
+            **strings,
         )
 
     def save(self, path: Union[str, Path]) -> None:
@@ -183,33 +241,44 @@ class HarvestTrace:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "HarvestTrace":
-        """Read a JSONL trace written by :meth:`save`."""
+        """Read a JSONL trace written by :meth:`save`; ``ValueError``
+        names the line or header field that is malformed."""
         text = Path(path).read_text(encoding="utf-8")
-        lines = [line for line in text.splitlines() if line.strip()]
+        lines = [
+            (number, line)
+            for number, line in enumerate(text.splitlines(), start=1)
+            if line.strip()
+        ]
         if not lines:
             raise ValueError(f"{path}: empty trace file")
-        header = json.loads(lines[0])
-        if header.get("schema") != TRACE_SCHEMA:
+        number, line = lines[0]
+        header = _json_line(path, number, line)
+        if not isinstance(header, dict):
             raise ValueError(
-                f"{path}: schema is {header.get('schema')!r}, expected "
-                f"{TRACE_SCHEMA!r}"
+                f"{path}: line {number}: the header must be a JSON object"
             )
-        samples = [json.loads(line) for line in lines[1:]]
-        declared = int(header.get("samples", len(samples)))
-        if declared != len(samples):
+        _check_schema(header, str(path))
+        times, watts = [], []
+        for number, line in lines[1:]:
+            sample = _json_line(path, number, line)
+            if not isinstance(sample, list) or len(sample) != 2:
+                raise ValueError(
+                    f"{path}: line {number}: a sample is a [time, watts] "
+                    f"pair, got {sample!r:.60}"
+                )
+            times.append(_number(sample[0], f"{path}: line {number}: time"))
+            watts.append(_number(sample[1], f"{path}: line {number}: watts"))
+        declared = header.get("samples", len(times))
+        if isinstance(declared, bool) or not isinstance(declared, int):
+            raise ValueError(
+                f"{path}: field 'samples' must be an integer, got {declared!r:.60}"
+            )
+        if declared != len(times):
             raise ValueError(
                 f"{path}: header declares {declared} samples, file holds "
-                f"{len(samples)}"
+                f"{len(times)}"
             )
-        return cls(
-            name=str(header["name"]),
-            times=tuple(s[0] for s in samples),
-            watts=tuple(s[1] for s in samples),
-            family=str(header.get("family", "custom")),
-            extend=str(header.get("extend", "hold")),
-            period=float(header.get("period", 0.0)),
-            meta=dict(header.get("meta", {})),
-        )
+        return cls._from_fields(header, times, watts, str(path))
 
     def describe(self) -> dict:
         """Summary statistics for the CLI's ``env describe``."""
@@ -457,7 +526,7 @@ class TraceSource:
     query).  A single-sample trace short-circuits to the *identical*
     float expressions ``ConstantPowerSource`` uses, so constant traces
     are byte-exact stand-ins; ``constant_watts`` exposes that level
-    (``None`` otherwise) for the compiled executor's eligibility check.
+    (``None`` otherwise) for ``ProfileRun``'s constant-source path.
     """
 
     def __init__(self, trace: HarvestTrace) -> None:
@@ -492,9 +561,9 @@ class TraceSource:
 
     @property
     def watts(self) -> float:
-        """The constant level (compiled fast path); AttributeError for
-        a fluctuating trace, so duck-typed constant-only consumers fail
-        loudly instead of silently flattening the trace."""
+        """The constant level; AttributeError for a fluctuating trace,
+        so duck-typed constant-only consumers fail loudly instead of
+        silently flattening the trace."""
         if self.constant_watts is None:
             raise AttributeError(
                 f"trace {self.trace.name!r} is not constant"
@@ -540,17 +609,17 @@ class TraceSource:
                 else self._watts[-1]
             )
             return math.inf if tail > 0.0 else self._cum[-1]
+        times, watts, cum = self._times, self._watts, self._cum
         if self.trace.extend == "loop":
             period = self.trace.period
             wraps = int(time // period)
             local = time - wraps * period
-            return wraps * self._period_energy + self._partial(local)
-        return self._partial(time)
-
-    def _partial(self, time: float) -> float:
-        """Energy over [0, time] within the explicit samples + tail."""
-        i = self._index_at(time)
-        return self._cum[i] + self._watts[i] * (time - self._times[i])
+            i = bisect_right(times, local) - 1 if local > 0.0 else 0
+            return wraps * self._period_energy + (
+                cum[i] + watts[i] * (local - times[i])
+            )
+        i = bisect_right(times, time) - 1
+        return cum[i] + watts[i] * (time - times[i])
 
     def energy(self, start: float, duration: float) -> float:
         if self.constant_watts is not None:
@@ -583,14 +652,53 @@ class TraceSource:
         wait = reached - start
         return wait if wait > 0.0 else 0.0
 
+    def stepper(self, start: float):
+        """``(energy, energy_ahead, time_to_harvest)`` as closures for a
+        caller that walks simulated time forward from ``start``.
+
+        Each returns exactly what the method of the same name returns,
+        but ``energy(t, d)`` assumes the caller then advances ``t`` by
+        ``d``: it carries ``integral(t + d)`` over as the next call's
+        ``integral(t)``, so a step evaluates the integral once instead
+        of twice.  ``energy_ahead(t, d)`` is the same harvest without
+        the advance, and ``time_to_harvest(e, t)`` inverts from the
+        carried integral.  Every call must pass the walk's current
+        time, and ``start`` must be non-negative.
+        """
+        integral, invert = self._integral, self._invert
+        carried = integral(start)
+
+        def energy(start: float, duration: float) -> float:
+            nonlocal carried
+            end = integral(start + duration)
+            out = end - carried
+            carried = end
+            return out if out > 0.0 else 0.0
+
+        def energy_ahead(start: float, duration: float) -> float:
+            out = integral(start + duration) - carried
+            return out if out > 0.0 else 0.0
+
+        def time_to_harvest(energy: float, start: float) -> float:
+            if energy <= 0:
+                return 0.0
+            reached = invert(carried + energy)
+            if math.isinf(reached):
+                return math.inf
+            wait = reached - start
+            return wait if wait > 0.0 else 0.0
+
+        return energy, energy_ahead, time_to_harvest
+
     def _invert(self, target: float) -> float:
         """Smallest absolute time T with integral(T) >= target."""
         if target <= 0.0:
             return 0.0
         base = 0.0
-        if self.trace.extend == "loop":
+        looping = self.trace.extend == "loop"
+        if looping:
             pe = self._period_energy
-            if target > self._partial(self.trace.period):
+            if target > pe:
                 if pe <= 0.0:
                     return math.inf
                 wraps = int((target - 1e-300) // pe)
@@ -600,19 +708,20 @@ class TraceSource:
                     wraps -= 1
                 base = wraps * self.trace.period
                 target -= wraps * pe
-        # Scan the explicit samples for the segment covering `target`.
+        # The segment covering `target` ends at the first prefix sum at
+        # or above it; the sums never decrease, so one bisect finds it.
         times, watts, cum = self._times, self._watts, self._cum
-        for i in range(len(times) - 1):
-            if target <= cum[i + 1]:
-                rate = watts[i]
-                if rate <= 0.0:
-                    # target == cum[i+1] with a zero segment: the energy
-                    # completes exactly at the segment's end.
-                    return base + times[i + 1]
-                return base + times[i] + (target - cum[i]) / rate
+        j = bisect_left(cum, target, 1)
+        if j < len(times):
+            rate = watts[j - 1]
+            if rate <= 0.0:
+                # target == cum[j] with a zero segment: the energy
+                # completes exactly at the segment's end.
+                return base + times[j]
+            return base + times[j - 1] + (target - cum[j - 1]) / rate
         # Tail segment.
         rate = watts[-1]
-        if self.trace.extend == "loop":
+        if looping:
             if rate <= 0.0:
                 return base + self.trace.period
             return base + times[-1] + (target - cum[-1]) / rate

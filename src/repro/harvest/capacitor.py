@@ -132,9 +132,10 @@ class EnergyBuffer:
 
     @property
     def is_ideal(self) -> bool:
-        """No leakage, no ESR: the paper's buffer model.  The compiled
-        executors only fuse ideal buffers (a non-ideal buffer falls
-        back to the scalar engines, which price the losses)."""
+        """No leakage, no ESR: the paper's buffer model.  The fused
+        ``IntermittentRun`` loop only takes ideal buffers (a non-ideal
+        buffer runs the scalar loop, which prices the losses);
+        ``ProfileRun`` prices them in its one loop."""
         return self.leakage_amps == 0.0 and self.esr_ohms == 0.0
 
     @property

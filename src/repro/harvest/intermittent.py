@@ -30,7 +30,7 @@ from repro.core.controller import InstructionBudgetExceeded
 from repro.devices.parameters import DeviceParameters
 from repro.energy.metrics import Breakdown, Category, EnergyLedger
 from repro.energy.model import InstructionCostModel
-from repro.harvest.capacitor import EnergyBuffer, buffer_for
+from repro.harvest.capacitor import EnergyBuffer, _check_energy, buffer_for
 from repro.harvest.source import ConstantPowerSource, PowerSource
 
 #: Bounded retry-with-backoff for charge windows under a non-ideal
@@ -111,6 +111,33 @@ class ChargeWindowFailure(RuntimeError):
         self.retries = retries
         self.trace_position = trace_position
 
+    @classmethod
+    def unsupplied(cls, needed, voltage, v_on, retries, trace_position):
+        """The source can never deliver the ``needed`` joules."""
+        return cls(
+            f"harvest source can never supply the {needed:.3e} J "
+            f"needed to restart (buffer at {voltage:.4f} V, "
+            f"restart at {v_on:.4f} V)",
+            voltage=voltage,
+            needed=needed,
+            retries=retries,
+            trace_position=trace_position,
+        )
+
+    @classmethod
+    def exhausted(cls, needed, voltage, v_on, retries, trace_position):
+        """``retries`` attempts all fell short of the threshold."""
+        return cls(
+            f"charge window failed to reach the restart threshold "
+            f"after {retries} attempts (buffer at "
+            f"{voltage:.4f} V of {v_on:.4f} V; leakage "
+            "outruns the harvester)",
+            voltage=voltage,
+            needed=needed,
+            retries=retries,
+            trace_position=trace_position,
+        )
+
 
 def charge_with_retry(
     buffer: EnergyBuffer,
@@ -137,25 +164,14 @@ def charge_with_retry(
         needed = buffer.energy_to_reach(buffer.v_on)
         wait = source.time_to_harvest(needed, start=time)
         if not math.isfinite(wait):
-            raise ChargeWindowFailure(
-                f"harvest source can never supply the {needed:.3e} J "
-                f"needed to restart (buffer at {buffer.voltage:.4f} V, "
-                f"restart at {buffer.v_on:.4f} V)",
-                voltage=buffer.voltage,
-                needed=needed,
-                retries=attempts,
-                trace_position=trace_position_of(source, time),
+            raise ChargeWindowFailure.unsupplied(
+                needed, buffer.voltage, buffer.v_on, attempts,
+                trace_position_of(source, time),
             )
         if attempts >= retries:
-            raise ChargeWindowFailure(
-                f"charge window failed to reach the restart threshold "
-                f"after {attempts} attempts (buffer at "
-                f"{buffer.voltage:.4f} V of {buffer.v_on:.4f} V; leakage "
-                "outruns the harvester)",
-                voltage=buffer.voltage,
-                needed=needed,
-                retries=attempts,
-                trace_position=trace_position_of(source, time),
+            raise ChargeWindowFailure.exhausted(
+                needed, buffer.voltage, buffer.v_on, attempts,
+                trace_position_of(source, time),
             )
         if attempts:
             wait = wait * (backoff ** attempts)
@@ -198,14 +214,9 @@ def charge_until_ready(run, ledger: EnergyLedger, obs, initial: bool = False) ->
             if not math.isfinite(wait):
                 # Trace exhausted: an ideal buffer cannot retry its way
                 # out of a dead harvester either.
-                raise ChargeWindowFailure(
-                    f"harvest source can never supply the {needed:.3e} J "
-                    f"needed to restart (buffer at {buffer.voltage:.4f} V, "
-                    f"restart at {buffer.v_on:.4f} V)",
-                    voltage=buffer.voltage,
-                    needed=needed,
-                    retries=0,
-                    trace_position=trace_position_of(source, run.time),
+                raise ChargeWindowFailure.unsupplied(
+                    needed, buffer.voltage, buffer.v_on, 0,
+                    trace_position_of(source, run.time),
                 )
             buffer.add_energy(source.energy(run.time, wait))
             run.time += wait
@@ -657,205 +668,502 @@ class ProfileRun:
         return t if t.enabled else None
 
     def run(self) -> Breakdown:
-        # Fused fast path: with no telemetry sink, no host checkpointer,
-        # and the paper's constant source, the whole burst loop is a
-        # closed form over locals — repro.compilejit.profile replays it
-        # bit-identically (profiler included).
-        from repro import compilejit
+        """Execute the profile (or, after
+        :func:`repro.durability.resume_profile`, the rest of it) and
+        return the run's :class:`Breakdown`.
 
-        if compilejit.enabled():
-            from repro.compilejit.profile import (
-                profile_eligible,
-                run_profile_fused,
-            )
-
-            if profile_eligible(self):
-                return run_profile_fused(self)
-            compilejit.STATS["fallback_runs"] += 1
-
+        One loop serves every source, buffer, cadence and hook.  The
+        cursor, the buffer voltage and the breakdown live in locals,
+        and every step evaluates the float expressions the source's,
+        the buffer's and the ledger's own methods evaluate — the
+        method-call loop, kept as
+        :func:`repro.perf.baseline.profile_run_reference`, is its
+        referee.  The harvest over ``[t, t + d]`` is ``watts * d`` for
+        a constant source (:class:`ConstantPowerSource` or a constant
+        trace); a fluctuating :class:`repro.env.TraceSource` is walked
+        with its :meth:`~repro.env.TraceSource.stepper`; any other
+        source is called through its own methods.  Telemetry, the
+        profiler and a host checkpointer get the referee's hook calls
+        in the referee's order; the locals are flushed onto the run,
+        ledger and buffer before a checkpointer hook and before any
+        exception.
+        """
         obs = self._resolve_obs()
         if self.ledger is None:
             self.ledger = EnergyLedger()
         ledger = self.ledger
         ledger.obs = obs
+        profile = self.profile
         prof = self.profiler
         if prof is not None:
             ledger.prof = prof
             # Charging/restore before the first segment lands on the
             # profile's own frame.
-            prof.set_scope(prof.scope_id((self.profile.name,)))
-        buffer = self.config.buffer
-        source = self.config.source
-        cycle = self.cost.cycle_time
+            prof.set_scope(prof.scope_id((profile.name,)))
+        hooked = obs is not None or prof is not None
         vcap = obs.gauge("harvest.vcap") if obs is not None else None
         checkpointer = self.checkpointer
+        degraded = self.degraded
+        adaptive = self.adaptive
+        base_period = period = self.checkpoint_period
+        dead_fraction = self.dead_fraction
+        retries = self.charge_retries
+        backoff = self.charge_backoff
+
+        buffer = self.config.buffer
+        cap = buffer.capacitance
+        hc = 0.5 * cap  # stored energy is hc * v * v
+        e_off = hc * buffer.v_off * buffer.v_off
+        e_on = hc * buffer.v_on * buffer.v_on
+        window = e_on - e_off
+        off_at = buffer.v_off + 1e-15  # must_shut_down: v <= off_at
+        on_at = buffer.v_on - 1e-15  # ready_to_start: v >= on_at
+        leak_amps = buffer.leakage_amps
+        esr = buffer.esr_ohms
         nonideal = not buffer.is_ideal
 
-        def restart() -> None:
-            if obs is not None:
-                obs.counter("harvest.outages").inc()
-                obs.emit(
-                    "harvest.outage",
-                    self.time,
-                    voltage=buffer.voltage,
-                    instructions=ledger.breakdown.instructions,
-                )
-            charge_until_ready(self, ledger, obs)
-            ledger.count_restart()
-            restore = self.cost.restore_energy(self.profile.active_columns)
-            ledger.charge(Category.RESTORE, restore, self.cost.restore_latency())
-            harvested = source.energy(self.time, self.cost.restore_latency())
-            self.time += self.cost.restore_latency()
-            buffer.add_energy(harvested)
-            if nonideal:
-                buffer.draw_energy(restore, self.cost.restore_latency())
-                buffer.leak(self.cost.restore_latency())
-            else:
-                buffer.draw_energy(restore)
-            if obs is not None:
-                obs.emit("harvest.restore", self.time, voltage=buffer.voltage)
+        cost = self.cost
+        cycle = cost.cycle_time
+        restore_e = cost.restore_energy(profile.active_columns)
+        restore_l = cost.restore_latency()
+        dead_l = cycle * (dead_fraction * ((base_period - 1) / 2.0 + 1.0))
+        inf = math.inf
 
+        t = self.time
+        v = buffer.voltage
+        b = ledger.breakdown
+        ce, cl, be = b.compute_energy, b.compute_latency, b.backup_energy
+        de, dl = b.dead_energy, b.dead_latency
+        re_, rl = b.restore_energy, b.restore_latency
+        chl = b.charging_latency
+        ninstr, nrestart = b.instructions, b.restarts
+        skipped = degraded["skipped_checkpoint"]
+
+        source = self.config.source
+        watts = None  # a constant source's level: harvest = watts * d
+        energy = energy_ahead = source.energy
+        time_to_harvest = None  # None: call source.time_to_harvest
+        if type(source) is ConstantPowerSource:
+            watts = source.watts
+        else:
+            from repro.env.trace import TraceSource
+
+            if type(source) is TraceSource:
+                if source.constant_watts is not None:
+                    watts = source.constant_watts
+                elif t >= 0.0:
+                    energy, energy_ahead, time_to_harvest = source.stepper(t)
+        # With a constant source and a fixed cadence the net drain per
+        # instruction is fixed per segment.
+        fixed_net = watts is not None and adaptive is None
+        h_cycle = watts * cycle if watts is not None else 0.0
+        # A finite constant source into an ideal buffer at a fixed
+        # cadence, with no hook to feed, runs each segment in the
+        # closed-form burst loop below: every harvest and draw there is
+        # a finite non-negative product, so the buffer's domain checks
+        # cannot fire.  Anything else steps through step() and
+        # charge(), which keep every check.
+        simple = (
+            fixed_net
+            and 0.0 < watts < inf
+            and not nonideal
+            and not hooked
+            and restore_e >= 0.0
+        )
+
+        def flush(seg_index, remaining) -> None:
+            b.compute_energy, b.compute_latency = ce, cl
+            b.backup_energy = be
+            b.dead_energy, b.dead_latency = de, dl
+            b.restore_energy, b.restore_latency = re_, rl
+            b.charging_latency = chl
+            b.instructions, b.restarts = ninstr, nrestart
+            buffer.voltage = v
+            self.time = t
+            self.seg_index = seg_index
+            self.remaining = remaining
+            degraded["skipped_checkpoint"] = skipped
+
+        def note(category, energy, latency=0.0) -> None:
+            # What ledger.charge does beyond the accumulate.
+            if obs is not None:
+                obs.emit(
+                    "energy",
+                    cl + dl + rl + chl,
+                    category=category.value,
+                    energy=energy,
+                    latency=latency,
+                )
+            if prof is not None:
+                prof.record(category, energy, latency)
+
+        def step(v, t, duration, draw):
+            # Harvest over [t, t + duration] into the buffer, then
+            # draw_energy(draw, duration) and leak(duration); returns
+            # the new voltage.
+            harvested = watts * duration if watts is not None else energy(t, duration)
+            if not harvested >= 0.0:
+                _check_energy(harvested, "add")
+            v = (2.0 * (hc * v * v + harvested) / cap) ** 0.5
+            if not draw >= 0.0:
+                _check_energy(draw, "draw")
+            if esr and duration > 0.0 and v > 0.0 and draw > 0.0:
+                current = draw / (v * duration)
+                draw = draw + current * current * esr * duration
+            total = hc * v * v - draw
+            v = (2.0 * total / cap) ** 0.5 if total > 0.0 else 0.0
+            if leak_amps and duration > 0.0 and v > 0.0:
+                lost = v * leak_amps * duration
+                stored = hc * v * v
+                if lost > stored:
+                    lost = stored
+                v = (2.0 * (stored - lost) / cap) ** 0.5
+            return v
+
+        def charge(initial, seg_index, remaining) -> None:
+            # charge_until_ready: one closed-form wait for an ideal
+            # buffer, bounded retry-with-backoff (charge_with_retry)
+            # for a non-ideal one.
+            nonlocal t, v, chl
+            start = t
+            total = 0.0
+            attempts = 0
+            while (not v >= on_at) if nonideal else not attempts:
+                needed = e_on - hc * v * v
+                if not needed > 0.0:
+                    needed = 0.0
+                if watts is not None:
+                    wait = needed / watts if needed > 0 else 0.0
+                elif time_to_harvest is not None:
+                    wait = time_to_harvest(needed, t)
+                else:
+                    wait = source.time_to_harvest(needed, start=t)
+                if not math.isfinite(wait):
+                    failure = ChargeWindowFailure.unsupplied(
+                        needed, v, buffer.v_on, attempts,
+                        trace_position_of(source, t),
+                    )
+                elif nonideal and attempts >= retries:
+                    failure = ChargeWindowFailure.exhausted(
+                        needed, v, buffer.v_on, attempts,
+                        trace_position_of(source, t),
+                    )
+                else:
+                    failure = None
+                if failure is not None:
+                    # The failed attempts stay on the buffer and the
+                    # ledger; the clock stays where the charge began.
+                    t = start
+                    degraded["fail_stop"] += 1
+                    if obs is not None:
+                        obs.counter("env.degraded.fail_stop").inc()
+                        obs.emit(
+                            "env.degraded", t, mode="fail_stop", voltage=v
+                        )
+                    flush(seg_index, remaining)
+                    raise failure
+                if attempts:
+                    wait = wait * (backoff ** attempts)
+                harvested = watts * wait if watts is not None else energy(t, wait)
+                if not harvested >= 0.0:
+                    _check_energy(harvested, "add")
+                v = (2.0 * (hc * v * v + harvested) / cap) ** 0.5
+                if leak_amps and wait > 0.0 and v > 0.0:
+                    lost = v * leak_amps * wait
+                    stored = hc * v * v
+                    if lost > stored:
+                        lost = stored
+                    v = (2.0 * (stored - lost) / cap) ** 0.5
+                t += wait
+                total += wait
+                if wait < 0:
+                    raise ValueError("energy and latency must be non-negative")
+                chl += wait
+                if hooked:
+                    note(Category.CHARGING, 0.0, wait)
+                attempts += 1
+            if obs is not None:
+                obs.histogram("harvest.off_time").observe(total)
+                obs.emit("harvest.charge", start, dur=total, initial=initial)
+
+        seg_index = self.seg_index
+        remaining = self.remaining
         if not self._resumed:
             # Initial charge (capacitor starts discharged).
-            charge_until_ready(self, ledger, obs, initial=True)
-            self.seg_index = 0
-            self.remaining = None
+            charge(True, seg_index, remaining)
+            seg_index = 0
+            remaining = None
         self._resumed = False
 
-        adaptive = self.adaptive
-        base_period = self.checkpoint_period
-        period = base_period
-        window = buffer.window_energy
-        segments = self.profile.segments
-        while self.seg_index < len(segments):
-            segment = segments[self.seg_index]
+        segments = profile.segments
+        table = _segment_table(profile, base_period, dead_fraction)
+        n_segments = len(table)
+        while seg_index < n_segments:
+            (
+                count, seg_e, backup, backup_per, per_instr,
+                dead, dead_e, dead_be,
+            ) = table[seg_index]
             if prof is not None:
-                label = segment.label or segment.kind or f"segment{self.seg_index}"
-                prof.set_scope(prof.scope_id((self.profile.name, label)))
-            if self.remaining is None:
-                self.remaining = segment.count
-            # Backup is paid once per checkpoint, i.e. every `period`
-            # instructions (amortised here; exact within a segment).
-            backup_per_instr = segment.backup / period
-            per_instr = segment.energy + backup_per_instr
-            while self.remaining > 0:
-                if adaptive is not None:
-                    # Headroom-aware cadence: stretch the simulated
-                    # checkpoint period when the buffer is charged, snap
-                    # back to the fixed baseline as the voltage sags.
-                    frac = buffer.headroom / window if window > 0.0 else 0.0
-                    period = adaptive.period_for(frac, base_period)
-                    backup_per_instr = segment.backup / period
-                    per_instr = segment.energy + backup_per_instr
-                harvested_per_cycle = source.energy(self.time, cycle)
-                net = per_instr - harvested_per_cycle
-                if adaptive is not None and period > base_period and net > 0:
-                    # A stretched burst must never be the one that hits
-                    # the shutdown bound (its replay would then cost
-                    # more than the fixed baseline replays): require at
-                    # least one instruction of slack above the tighten
-                    # threshold, else run this burst at the baseline.
-                    slack = int(
-                        (buffer.headroom - adaptive.tighten_below * window)
-                        // net
+                segment = segments[seg_index]
+                label = segment.label or segment.kind or f"segment{seg_index}"
+                prof.set_scope(prof.scope_id((profile.name, label)))
+            if remaining is None:
+                remaining = count
+            if fixed_net:
+                net = per_instr - h_cycle
+                if simple and not net > window:
+                    # Closed forms: each burst decides only its length
+                    # and whether it ends in an outage.  (A segment no
+                    # burst can finish goes on to raise below.)
+                    while remaining > 0:
+                        if net <= 0.0:
+                            # Source outruns consumption: the rest of
+                            # the segment is one burst.
+                            burst = remaining
+                        else:
+                            headroom = hc * v * v - e_off
+                            if not headroom > 0.0:
+                                headroom = 0.0
+                            burst = int(headroom // net)
+                            if burst < 1:
+                                burst = 1
+                            if burst > remaining:
+                                burst = remaining
+                        consumed = burst * per_instr
+                        bc = burst * cycle
+                        ce += burst * seg_e
+                        cl += bc
+                        be += burst * backup_per
+                        ninstr += burst
+                        remaining -= burst
+                        v = (2.0 * (hc * v * v + watts * bc) / cap) ** 0.5
+                        total = hc * v * v - consumed
+                        v = (2.0 * total / cap) ** 0.5 if total > 0.0 else 0.0
+                        t += bc
+                        if v <= off_at and remaining > 0:
+                            # Outage: charge's one closed-form wait (an
+                            # unreachable threshold goes to charge() to
+                            # fail-stop), restore, then the dead replay.
+                            needed = e_on - hc * v * v
+                            wait = needed / watts if needed > 0.0 else 0.0
+                            if not wait < inf:
+                                charge(False, seg_index, remaining)
+                            v = (2.0 * (hc * v * v + watts * wait) / cap) ** 0.5
+                            t += wait
+                            chl += wait
+                            nrestart += 1
+                            re_ += restore_e
+                            rl += restore_l
+                            v = (2.0 * (hc * v * v + watts * restore_l) / cap) ** 0.5
+                            total = hc * v * v - restore_e
+                            v = (2.0 * total / cap) ** 0.5 if total > 0.0 else 0.0
+                            t += restore_l
+                            v = (2.0 * (hc * v * v + watts * dead_l) / cap) ** 0.5
+                            total = hc * v * v - dead
+                            v = (2.0 * total / cap) ** 0.5 if total > 0.0 else 0.0
+                            t += dead_l
+                            de += dead_e
+                            dl += dead_l
+                            be += dead_be
+                        if checkpointer is not None:
+                            flush(seg_index, remaining)
+                            checkpointer.on_profile_point(self)
+                    seg_index += 1
+                    remaining = None
+                    continue
+            while remaining > 0:
+                if not fixed_net:
+                    if adaptive is not None:
+                        # Headroom-aware cadence: stretch the simulated
+                        # checkpoint period when the buffer is charged,
+                        # snap back to the fixed baseline as it sags.
+                        headroom = hc * v * v - e_off
+                        if not headroom > 0.0:
+                            headroom = 0.0
+                        frac = headroom / window if window > 0.0 else 0.0
+                        period = adaptive.period_for(frac, base_period)
+                        backup_per = backup / period
+                        per_instr = seg_e + backup_per
+                    per_cycle = (
+                        h_cycle if watts is not None
+                        else energy_ahead(t, cycle)
                     )
-                    if slack < 1:
-                        period = base_period
-                        backup_per_instr = segment.backup / period
-                        per_instr = segment.energy + backup_per_instr
-                        net = per_instr - harvested_per_cycle
-                if net <= 0:
+                    net = per_instr - per_cycle
+                    if period > base_period and net > 0.0:
+                        # A stretched burst must never be the one that
+                        # hits the shutdown bound (its replay would cost
+                        # more than the baseline's): without one
+                        # instruction of slack above the tighten
+                        # threshold, run this burst at the baseline.
+                        slack = int(
+                            (headroom - adaptive.tighten_below * window) // net
+                        )
+                        if slack < 1:
+                            period = base_period
+                            backup_per = backup / period
+                            per_instr = seg_e + backup_per
+                            net = per_instr - per_cycle
+                if net <= 0.0:
                     # Source outruns consumption: the whole segment
                     # completes without an outage.
-                    burst = self.remaining
+                    burst = remaining
                 else:
-                    if net > buffer.window_energy:
-                        position = trace_position_of(source, self.time)
-                        where = (
-                            f" ({position})" if position is not None else ""
-                        )
+                    if net > window:
+                        flush(seg_index, remaining)
+                        position = trace_position_of(source, t)
+                        where = f" ({position})" if position is not None else ""
                         raise NonTerminationError(
-                            f"{self.profile.name}: instruction needs "
+                            f"{profile.name}: instruction needs "
                             f"{net:.3e} J net but the capacitor window "
-                            f"holds {buffer.window_energy:.3e} J — no "
+                            f"holds {window:.3e} J — no "
                             "forward progress is possible; reduce the "
                             "active-column parallelism or enlarge the "
                             f"buffer{where}",
-                            breakdown=ledger.breakdown,
+                            breakdown=b,
                             instruction_energy=net,
                             trace_position=position,
                         )
-                    burst = min(
-                        self.remaining, max(1, int(buffer.headroom // net))
-                    )
-                    if adaptive is not None and period > base_period:
+                    headroom = hc * v * v - e_off
+                    if not headroom > 0.0:
+                        headroom = 0.0
+                    burst = int(headroom // net)
+                    if burst < 1:
+                        burst = 1
+                    if burst > remaining:
+                        burst = remaining
+                if period > base_period:
+                    if net > 0.0:
                         # Cap the stretched burst at the tighten
                         # threshold so the final stretch before any
                         # outage runs at the baseline cadence.
                         slack = int(
-                            (buffer.headroom - adaptive.tighten_below * window)
-                            // net
+                            (headroom - adaptive.tighten_below * window) // net
                         )
-                        burst = min(burst, slack)
-                if adaptive is not None and period > base_period and burst > 0:
-                    skipped = burst // base_period - burst // period
-                    if skipped > 0:
-                        self.degraded["skipped_checkpoint"] += skipped
+                        if slack < burst:
+                            burst = slack
+                    stretched = burst // base_period - burst // period
+                    if burst > 0 and stretched > 0:
+                        skipped += stretched
                         if obs is not None:
                             obs.counter(
                                 "env.degraded.skipped_checkpoint"
-                            ).inc(skipped)
+                            ).inc(stretched)
                 consumed = burst * per_instr
-                burst_start = self.time
-                harvested = source.energy(self.time, burst * cycle)
-                self.time += burst * cycle
-                buffer.add_energy(harvested)
-                if nonideal:
-                    buffer.draw_energy(consumed, burst * cycle)
-                    buffer.leak(burst * cycle)
-                else:
-                    buffer.draw_energy(consumed)
-                ledger.charge(
-                    Category.COMPUTE, burst * segment.energy, burst * cycle
-                )
-                ledger.charge(Category.BACKUP, burst * backup_per_instr)
-                ledger.count_instructions(burst)
-                self.remaining -= burst
-                if obs is not None:
-                    obs.emit(
-                        "profile.burst",
-                        burst_start,
-                        label=segment.label or self.profile.name,
-                        count=burst,
-                        energy=burst * segment.energy,
-                    )
-                    vcap.set(buffer.voltage, ts=self.time)
-                if buffer.must_shut_down and self.remaining > 0:
-                    # Unexpected outage mid-stream: restart, re-perform
-                    # the work since the last checkpoint (Dead).  With
-                    # per-instruction checkpointing that is at most one
-                    # instruction; with period N, (N-1)/2 + 1 expected.
-                    restart()
-                    replayed = self.dead_fraction * ((period - 1) / 2.0 + 1.0)
-                    dead = per_instr * replayed
-                    dead_latency = cycle * replayed
-                    harvested = source.energy(self.time, dead_latency)
-                    self.time += dead_latency
-                    buffer.add_energy(harvested)
-                    if nonideal:
-                        buffer.draw_energy(dead, dead_latency)
-                        buffer.leak(dead_latency)
+                bc = burst * cycle
+                ce += burst * seg_e
+                cl += bc
+                be += burst * backup_per
+                ninstr += burst
+                remaining -= burst
+                burst_start = t
+                v = step(v, t, bc, consumed)
+                t += bc
+                if hooked:
+                    note(Category.COMPUTE, burst * seg_e, bc)
+                    note(Category.BACKUP, burst * backup_per)
+                    if prof is not None:
+                        prof.count_instructions(burst)
+                    if obs is not None:
+                        obs.emit(
+                            "profile.burst",
+                            burst_start,
+                            label=segments[seg_index].label or profile.name,
+                            count=burst,
+                            energy=burst * seg_e,
+                        )
+                        vcap.set(v, ts=t)
+                if v <= off_at and remaining > 0:
+                    # Outage: recharge, restore, then re-perform the
+                    # work since the last checkpoint (Dead): at most
+                    # one instruction at period 1, (N-1)/2 + 1
+                    # expected at period N.
+                    if obs is not None:
+                        obs.counter("harvest.outages").inc()
+                        obs.emit(
+                            "harvest.outage",
+                            t,
+                            voltage=v,
+                            instructions=ninstr,
+                        )
+                    charge(False, seg_index, remaining)
+                    nrestart += 1
+                    re_ += restore_e
+                    rl += restore_l
+                    if hooked:
+                        if prof is not None:
+                            prof.count_restart()
+                        note(Category.RESTORE, restore_e, restore_l)
+                    v = step(v, t, restore_l, restore_e)
+                    t += restore_l
+                    if obs is not None:
+                        obs.emit("harvest.restore", t, voltage=v)
+                    if period == base_period:
+                        r_draw, r_e, r_be, r_l = dead, dead_e, dead_be, dead_l
                     else:
-                        buffer.draw_energy(dead)
-                    ledger.charge(
-                        Category.DEAD, segment.energy * replayed, dead_latency
-                    )
-                    ledger.charge(Category.BACKUP, backup_per_instr * replayed)
+                        replayed = dead_fraction * ((period - 1) / 2.0 + 1.0)
+                        r_draw = per_instr * replayed
+                        r_e = seg_e * replayed
+                        r_be = backup_per * replayed
+                        r_l = cycle * replayed
+                    v = step(v, t, r_l, r_draw)
+                    t += r_l
+                    de += r_e
+                    dl += r_l
+                    be += r_be
+                    if hooked:
+                        note(Category.DEAD, r_e, r_l)
+                        note(Category.BACKUP, r_be)
                 if checkpointer is not None:
                     # Burst boundary: the cursor (seg_index, remaining,
                     # time, ledger, buffer voltage) fully determines the
                     # rest of the run.
+                    flush(seg_index, remaining)
                     checkpointer.on_profile_point(self)
-            self.seg_index += 1
-            self.remaining = None
-        return ledger.breakdown
+            seg_index += 1
+            remaining = None
+        flush(seg_index, None)
+        return b
+
+
+def _segment_table(
+    profile: InstructionProfile, period: int, dead_fraction: float
+) -> list:
+    """Per-segment constants at checkpoint ``period``, cached on the
+    profile object: the count, energy, backup, amortised backup and
+    per-instruction drain, and the dead replay's buffer draw, Dead
+    energy and Backup energy at that period.
+
+    Each entry holds the exact values the loop would otherwise derive
+    per visit, so caching changes no float.  The cache is keyed by the
+    period, the dead fraction and the segment count, so appending to a
+    profile after a run builds a fresh table.
+    """
+    tables = getattr(profile, "_segment_tables", None)
+    if tables is None:
+        tables = {}
+        try:
+            profile._segment_tables = tables
+        except AttributeError:
+            pass
+    key = (period, dead_fraction, len(profile.segments))
+    table = tables.get(key)
+    if table is None:
+        replayed = dead_fraction * ((period - 1) / 2.0 + 1.0)
+        table = []
+        for segment in profile.segments:
+            backup_per = segment.backup / period
+            per_instr = segment.energy + backup_per
+            table.append(
+                (
+                    segment.count,
+                    segment.energy,
+                    segment.backup,
+                    backup_per,
+                    per_instr,
+                    per_instr * replayed,
+                    segment.energy * replayed,
+                    backup_per * replayed,
+                )
+            )
+        tables[key] = table
+    return table

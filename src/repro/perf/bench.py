@@ -3,13 +3,14 @@
 Every speedup this module reports is measured *in the same run* as the
 fast path it praises: ``logic_op`` is timed against
 :func:`repro.perf.baseline.logic_op_reference` (the pre-cache scalar
-implementation, kept verbatim as the referee), and the batch-64
-classification drivers are timed against the serial per-sample Python
-loop from :mod:`repro.perf.inference`.  Absolute ns/op numbers are
-machine-dependent; the speedup ratios are not, which is why the hot-path
-tests (``benchmarks/test_bench_hotpath.py``, part of ``make test``)
-gate on ratios: the :data:`FLOORS` and half of each speedup recorded in
-``BENCH_PR9.json``.
+implementation, kept verbatim as the referee), ``ProfileRun`` against
+:func:`repro.perf.baseline.profile_run_reference` (its method-call
+loop), and the batch-64 classifiers against the serial per-sample
+Python loop from :mod:`repro.perf.inference`.  Absolute ns/op numbers
+are machine-dependent; the speedup ratios are not, which is why the
+hot-path tests (``benchmarks/test_bench_hotpath.py``, part of ``make
+test``) gate on ratios: the :data:`FLOORS` and half of each speedup
+recorded in ``BENCH_PR9.json``.
 
 The report is written as ``BENCH_PR9.json`` (schema ``repro.bench/v1``)
 so the trajectory of the hot paths is checked into the repo next to the
@@ -99,6 +100,23 @@ def _time_ns(fn, reps: int, warmup: bool = True) -> float:
     return best
 
 
+def _time_pair_ns(fast, ref, reps: int, ref_reps: int) -> tuple[float, float]:
+    """ns per call of ``fast`` and of ``ref``, each the best of 5 batch
+    means as in :func:`_time_ns`, but with the two sides' batches
+    alternating: a host that changes speed mid-measurement then slows
+    or speeds both sides, not only the one timed second."""
+    fast()
+    ref()
+    best = [float("inf"), float("inf")]
+    for _ in range(5):
+        for side, fn, n in ((0, fast, reps // 5), (1, ref, ref_reps // 5)):
+            start = time.perf_counter_ns()
+            for _ in range(n):
+                fn()
+            best[side] = min(best[side], (time.perf_counter_ns() - start) / n)
+    return best[0], best[1]
+
+
 # ----------------------------------------------------------------------
 # Micro-ops
 # ----------------------------------------------------------------------
@@ -170,36 +188,12 @@ def bench_step_instruction(quick: bool) -> BenchResult:
     )
 
 
-def bench_intermittent_replay(quick: bool) -> BenchResult:
-    """One harvested execution of the SVM ADULT profile at 100 uW —
-    the inner loop of the Figure 9 sweep."""
-    from repro.devices.parameters import MODERN_STT
-    from repro.energy.model import InstructionCostModel
-    from repro.harvest import HarvestingConfig, ProfileRun
-    from repro.ml.benchmarks import SVM_ADULT
-
-    cost = InstructionCostModel(MODERN_STT)
-    profile = SVM_ADULT.profile(cost)
-    config = HarvestingConfig.paper(MODERN_STT, 100e-6)
-    reps = 3 if quick else 10
-    ns = _time_ns(lambda: ProfileRun(profile, cost, config).run(), reps)
-    return BenchResult(
-        op="intermittent_replay",
-        config={
-            "workload": SVM_ADULT.name,
-            "power_uw": 100.0,
-            "technology": MODERN_STT.name,
-        },
-        reps=reps,
-        ns_per_op=ns,
-    )
-
-
 def bench_trace_replay(quick: bool) -> BenchResult:
     """One harvested SVM ADULT execution under a looping solar trace —
-    the inner loop of the environment sweep.  The trace source pays a
-    prefix-sum/bisect lookup per charge window where the constant
-    source is closed-form, so this row tracks that overhead in ``bench
+    the inner loop of the environment sweep.  ``ProfileRun`` walks the
+    trace with ``TraceSource.stepper``: one prefix-sum integral per
+    step and one bisect per charge window, where a constant source is
+    a closed form.  This row tracks that overhead in ``bench
     --compare`` diffs."""
     from repro.devices.parameters import MODERN_STT
     from repro.energy.model import InstructionCostModel
@@ -273,50 +267,43 @@ def bench_compiled_step_instruction(quick: bool) -> BenchResult:
 
 
 def bench_compiled_intermittent_replay(quick: bool) -> BenchResult:
-    """The Figure 9 inner loop under the fused ProfileRun engine vs the
-    scalar referee loop.  Each side keeps its own capacitor so the
-    charge trajectories stay independent; the byte-identity cross-check
-    runs on fresh buffers before timing."""
-    from repro import compilejit
+    """The Figure 9 inner loop (SVM ADULT at 100 uW): ``ProfileRun.run``
+    vs the method-call loop it replaced,
+    :func:`repro.perf.baseline.profile_run_reference`.  Each side keeps
+    its own capacitor so the charge trajectories stay independent; the
+    byte-identity cross-check runs on fresh buffers before timing.  A
+    fast run takes about 0.1 ms, so every timed batch holds at least 50
+    fast runs and 10 referee runs, and the two sides' batches alternate
+    (:func:`_time_pair_ns`)."""
     from repro.devices.parameters import MODERN_STT
     from repro.energy.model import InstructionCostModel
     from repro.harvest import HarvestingConfig, ProfileRun
     from repro.ml.benchmarks import SVM_ADULT
+    from repro.perf.baseline import profile_run_reference
 
     cost = InstructionCostModel(MODERN_STT)
     profile = SVM_ADULT.profile(cost)
 
-    was_enabled = compilejit.enabled()
-    try:
-        compilejit.set_enabled(True)
-        fast_b = ProfileRun(
-            profile, cost, HarvestingConfig.paper(MODERN_STT, 100e-6)
-        ).run()
-        compilejit.set_enabled(False)
-        ref_b = ProfileRun(
-            profile, cost, HarvestingConfig.paper(MODERN_STT, 100e-6)
-        ).run()
-        if fast_b != ref_b:
-            raise AssertionError(
-                "fused ProfileRun breakdown diverges from the scalar referee"
-            )
+    fast_b = ProfileRun(
+        profile, cost, HarvestingConfig.paper(MODERN_STT, 100e-6)
+    ).run()
+    ref_b = profile_run_reference(
+        ProfileRun(profile, cost, HarvestingConfig.paper(MODERN_STT, 100e-6))
+    )
+    if fast_b != ref_b:
+        raise AssertionError(
+            "ProfileRun breakdown diverges from the method-call referee"
+        )
 
-        fast_config = HarvestingConfig.paper(MODERN_STT, 100e-6)
-        ref_config = HarvestingConfig.paper(MODERN_STT, 100e-6)
-
-        def fast_run():
-            compilejit.set_enabled(True)
-            ProfileRun(profile, cost, fast_config).run()
-
-        def ref_run():
-            compilejit.set_enabled(False)
-            ProfileRun(profile, cost, ref_config).run()
-
-        reps, ref_reps = (10, 3) if quick else (50, 10)
-        ns = _time_ns(fast_run, reps)
-        ref_ns = _time_ns(ref_run, ref_reps)
-    finally:
-        compilejit.set_enabled(was_enabled)
+    fast_config = HarvestingConfig.paper(MODERN_STT, 100e-6)
+    ref_config = HarvestingConfig.paper(MODERN_STT, 100e-6)
+    reps, ref_reps = (250, 50) if quick else (1000, 100)
+    ns, ref_ns = _time_pair_ns(
+        lambda: ProfileRun(profile, cost, fast_config).run(),
+        lambda: profile_run_reference(ProfileRun(profile, cost, ref_config)),
+        reps,
+        ref_reps,
+    )
     return BenchResult(
         op="compiled_intermittent_replay",
         config={
@@ -444,7 +431,6 @@ BENCHMARKS = (
     bench_logic_op,
     bench_step_instruction,
     bench_compiled_step_instruction,
-    bench_intermittent_replay,
     bench_compiled_intermittent_replay,
     bench_trace_replay,
     bench_classify_svm,

@@ -206,6 +206,127 @@ class TestProfileResume:
         assert 0 < resumed.ledger.breakdown.instructions < 1500
         assert breakdown_json(resumed.run()) == expected
 
+    @staticmethod
+    def adaptive_run(leakage_amps, checkpointer=None):
+        from repro.env import AdaptivePolicy, solar_diurnal
+        from repro.ml.benchmarks import SVM_ADULT
+
+        cost = InstructionCostModel(MODERN_STT)
+        trace = solar_diurnal(
+            seed=1, peak_watts=2e-4, floor_watts=3e-5, day_length=0.2
+        )
+        return ProfileRun(
+            SVM_ADULT.profile(cost),
+            cost,
+            HarvestingConfig.from_trace(
+                MODERN_STT, trace, leakage_amps=leakage_amps
+            ),
+            checkpoint_period=2,
+            adaptive=AdaptivePolicy(),
+            checkpointer=checkpointer,
+        )
+
+    @staticmethod
+    def final_state(run, breakdown):
+        return (
+            breakdown_json(breakdown),
+            run.time,
+            run.config.buffer.voltage,
+            dict(run.degraded),
+        )
+
+    @pytest.mark.parametrize("leakage_amps", [0.0, 5e-5], ids=["ideal", "leaky"])
+    def test_adaptive_run_resumes_from_every_image(self, tmp_path, leakage_amps):
+        """The cadence policy and the degraded tallies travel in the
+        image: resuming from any image reproduces the uninterrupted
+        adaptive run."""
+        straight = self.adaptive_run(leakage_amps)
+        expected = self.final_state(straight, straight.run())
+        assert expected[3]["skipped_checkpoint"] > 0
+
+        checkpointer = Checkpointer(
+            tmp_path / "live", CheckpointPolicy(period=5000)
+        )
+        images = []
+        commit = checkpointer.store.commit
+
+        def recording_commit(payload):
+            images.append(json.loads(json.dumps(payload)))
+            return commit(payload)
+
+        checkpointer.store.commit = recording_commit
+        self.adaptive_run(leakage_amps, checkpointer).run()
+        assert len(images) >= 5
+
+        for i, payload in enumerate(images):
+            NVImageStore(tmp_path / f"image{i}").commit(payload)
+            resumed = resume_profile(tmp_path / f"image{i}")
+            assert resumed.adaptive is not None
+            assert self.final_state(resumed, resumed.run()) == expected, i
+
+    def _one_image(self, directory):
+        checkpointer = Checkpointer(directory, CheckpointPolicy(period=10))
+        ProfileRun(
+            self.make_profile(),
+            InstructionCostModel(MODERN_STT),
+            self.config(),
+            checkpointer=checkpointer,
+        ).run()
+        payload, _seq = checkpointer.store.load()
+        return payload
+
+    def test_image_without_policy_resumes_at_fixed_cadence(self, tmp_path):
+        payload = self._one_image(tmp_path / "live")
+        del payload["adaptive"], payload["degraded"]
+        NVImageStore(tmp_path / "old").commit(payload)
+        resumed = resume_profile(tmp_path / "old")
+        assert resumed.adaptive is None
+        assert resumed.degraded == {
+            "skipped_checkpoint": 0, "deferred_commit": 0, "fail_stop": 0
+        }
+
+    def test_policy_off_its_defaults_travels_in_the_image(self):
+        """Every AdaptivePolicy field is stored, so a policy with no
+        default value resumes as itself."""
+        from repro.durability.state import decode_policy, encode_policy
+        from repro.env import AdaptivePolicy
+
+        policy = AdaptivePolicy(
+            max_period=5,
+            tighten_below=0.4,
+            defer_below=0.2,
+            max_charge_retries=3,
+            charge_backoff=2.5,
+        )
+        assert all(
+            getattr(policy, f.name) != f.default
+            for f in dataclasses.fields(policy)
+        )
+        image = json.loads(json.dumps(encode_policy(policy)))
+        assert decode_policy(image) == policy
+
+    @pytest.mark.parametrize(
+        "adaptive",
+        [
+            5,
+            [16, 0.25, 0.1, 8, 1.5],
+            {"max_period": 16},
+            {"max_period": "16", "tighten_below": 0.25, "defer_below": 0.1,
+             "max_charge_retries": 8, "charge_backoff": 1.5},
+            {"max_period": 16, "tighten_below": 1.5, "defer_below": 0.1,
+             "max_charge_retries": 8, "charge_backoff": 1.5},
+            {"max_period": 16, "tighten_below": 0.25, "defer_below": 0.1,
+             "max_charge_retries": True, "charge_backoff": 1.5},
+        ],
+        ids=["int", "list", "missing", "string", "range", "bool"],
+    )
+    def test_malformed_policy_rejected(self, tmp_path, adaptive):
+        payload = self._one_image(tmp_path / "live")
+        payload["adaptive"] = adaptive
+        NVImageStore(tmp_path / "bad").commit(payload)
+        with pytest.raises(ValueError):
+            resume_profile(tmp_path / "bad")
+
 
 class TestTaskStore:
     def test_put_get_done(self, tmp_path):

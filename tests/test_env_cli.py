@@ -71,6 +71,14 @@ class TestEnvCli:
         with pytest.raises(SystemExit):
             main(["env", "replay", "nonsense-workload", "solar"])
 
+    def test_malformed_trace_file_fails_cleanly(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"schema": "repro.env.trace/v1", "samples": 1}\n[0.0, 1e-4]\n')
+        with pytest.raises(SystemExit, match="cannot read trace .*'name'"):
+            main(["env", "replay", "svm-adult", str(path)])
+        with pytest.raises(SystemExit, match="cannot read trace"):
+            main(["env", "describe", str(tmp_path)])
+
     def test_env_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main(["env"])
