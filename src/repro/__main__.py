@@ -36,7 +36,7 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from repro.experiments.runner import EXPERIMENTS
 
@@ -74,7 +74,11 @@ def _experiment_map() -> dict[str, object]:
     return out
 
 
-def cmd_list() -> int:
+class CommandError(Exception):
+    """Bad input found after parsing: ``main`` prints it and exits 2."""
+
+
+def cmd_list(args: Optional[argparse.Namespace] = None) -> int:
     print("available experiments (python -m repro run <slug>):")
     for label, _ in EXPERIMENTS:
         print(f"  {_slug(label)}")
@@ -108,7 +112,43 @@ def _apply_jobs(jobs: Optional[int]) -> int:
     return resolved
 
 
+def _technologies(names: list[str], allow_all: bool = False) -> list:
+    """Device parameters for technology slugs (``all`` = every one,
+    when ``allow_all``); an unknown slug is a :class:`CommandError`."""
+    from repro.devices.parameters import ALL_TECHNOLOGIES
+
+    if allow_all and names == ["all"]:
+        return list(ALL_TECHNOLOGIES)
+    techs = {_slug(p.name): p for p in ALL_TECHNOLOGIES}
+    for name in names:
+        if name.lower() not in techs:
+            known = (["all"] if allow_all else []) + sorted(techs)
+            raise CommandError(
+                f"unknown technology {name!r}; one of: {', '.join(known)}"
+            )
+    return [techs[name.lower()] for name in names]
+
+
+def _read_program(path: str):
+    """The assembly file at ``path`` as a :class:`Program` named after it."""
+    from repro.core.program import Program
+    from repro.isa.assembler import AssemblerError, assemble
+
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return Program(assemble(f.read()), name=path)
+    except OSError as exc:
+        raise CommandError(f"cannot read {path}: {exc}")
+    except (AssemblerError, ValueError) as exc:
+        raise CommandError(f"cannot assemble {path}: {exc}")
+
+
 SESSION_SCHEMA = "repro.durability.session/v1"
+
+#: The ``run`` arguments ``session.json`` records for ``resume``.
+SESSION_KEYS = (
+    "names", "events", "trace", "manifest", "seed", "jobs", "no_compiled"
+)
 
 
 def _write_session(checkpoint_dir: str, payload: dict) -> None:
@@ -145,153 +185,93 @@ def _read_session(checkpoint_dir: str) -> dict:
     return session
 
 
-def cmd_run(
-    names: list[str],
-    events: Optional[str] = None,
-    trace: Optional[str] = None,
-    manifest: Optional[str] = None,
-    seed: Optional[int] = None,
-    jobs: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-    resumed: bool = False,
-    serve_metrics: Optional[int] = None,
-    no_compiled: bool = False,
+def _instrumented(
+    args: argparse.Namespace,
+    work: Callable[[], Any],
+    report: Optional[Callable[[Any], int]] = None,
+    *,
+    span: Optional[str] = None,
+    command: tuple[str, ...] = (),
+    config: Optional[dict] = None,
+    extra: Callable[[], dict] = dict,
+    interrupted_note: str = "flushing telemetry and manifest",
+    resume_hint: Optional[str] = None,
 ) -> int:
-    from repro import compilejit, obs
+    """Run one command's ``work()`` under telemetry and graceful signals.
+
+    Telemetry goes to ``args.events``/``args.trace`` (and is served on
+    ``args.serve_metrics`` where the command has that flag) and is
+    closed on every exit path.  SIGINT/SIGTERM stop the work cleanly:
+    the exit status is ``128 + signum`` and nothing is reported.
+    Otherwise ``report(result)`` prints the result and returns the exit
+    status (without ``report``, the result is the status).  With
+    ``args.manifest`` the manifest is written either way: ``config``,
+    plus the top-level keys ``extra()`` returns after the work.
+    """
+    from contextlib import nullcontext
+
+    from repro import obs
     from repro.durability import Interrupted, graceful_signals
-    from repro.experiments.runner import RESUMABLE
 
-    if resumed and checkpoint_dir is None:
-        print("--resume requires --checkpoint-dir")
-        return 2
-    _seed_everything(seed)
-    compilejit.set_enabled(not no_compiled)
-    n_jobs = _apply_jobs(jobs)
-    table = _experiment_map()
-    if checkpoint_dir is not None:
-        if resumed:
-            _read_session(checkpoint_dir)  # must exist and carry the schema
-        _write_session(
-            checkpoint_dir,
-            {
-                "command": "run",
-                "names": names,
-                "events": events,
-                "trace": trace,
-                "manifest": manifest,
-                "seed": seed,
-                "jobs": jobs,
-                "no_compiled": no_compiled,
-            },
-        )
+    trace = getattr(args, "trace", None)
     try:
-        telemetry = obs.from_paths(events=events, trace=trace)
+        telemetry = obs.from_paths(events=args.events, trace=trace)
     except OSError as exc:
-        print(f"cannot open telemetry output: {exc}")
-        return 2
+        raise CommandError(f"cannot open telemetry output: {exc}")
     server = None
-    if serve_metrics is not None:
-        from repro.obs.export import MetricsServer
-
-        try:
-            server = MetricsServer(telemetry, port=serve_metrics).start()
-        except OSError as exc:
-            print(f"cannot serve metrics: {exc}")
-            telemetry.close()
-            return 2
-        print(f"metrics: {server.url}/metrics")
-    status = 0
     interrupted: Optional[Interrupted] = None
-    started = time.perf_counter()
-    ran: list[str] = []
     try:
-        with graceful_signals(), obs.use(telemetry):
-            for name in names:
-                entry = table.get(name.lower())
-                if entry is None:
-                    print(
-                        f"unknown experiment {name!r}; "
-                        "try 'python -m repro list'"
-                    )
-                    status = 2
-                    continue
-                if isinstance(entry, AmbiguousSlug):
-                    print(
-                        f"ambiguous experiment {name!r}; candidates: "
-                        + ", ".join(entry.candidates)
-                    )
-                    status = 2
-                    continue
-                with telemetry.span(name.lower()):
-                    if checkpoint_dir is not None and entry in RESUMABLE:
-                        entry(
-                            checkpoint_dir=f"{checkpoint_dir}/{name.lower()}"
-                        )
-                    else:
-                        entry()
-                ran.append(name.lower())
-    except Interrupted as exc:
-        interrupted = exc
-        print(f"\ninterrupted ({exc}); flushing telemetry and manifest")
-    wall = time.perf_counter() - started
-    if server is not None:
-        server.close()
-    telemetry.close()
+        if getattr(args, "serve_metrics", None) is not None:
+            from repro.obs.export import MetricsServer
 
-    if telemetry.enabled and interrupted is None:
-        _print_telemetry_summary(telemetry, events, trace)
-    if manifest is not None:
+            try:
+                server = MetricsServer(
+                    telemetry, port=args.serve_metrics
+                ).start()
+            except OSError as exc:
+                raise CommandError(f"cannot serve metrics: {exc}")
+            print(f"metrics: {server.url}/metrics")
+        started = time.perf_counter()
+        try:
+            with graceful_signals(), obs.use(telemetry):
+                with telemetry.span(span) if span else nullcontext():
+                    result = work()
+        except Interrupted as exc:
+            interrupted = exc
+            print(f"\ninterrupted ({exc}); {interrupted_note}")
+        wall = time.perf_counter() - started
+    finally:
+        if server is not None:
+            server.close()
+        telemetry.close()
+
+    if interrupted is None:
+        status = result if report is None else report(result)
+        if telemetry.enabled:
+            _print_telemetry_summary(telemetry, args.events, trace)
+    if getattr(args, "manifest", None) is not None:
         from repro.obs.manifest import write_manifest
         from repro.perf.parallel import last_fanout
 
         path = write_manifest(
-            manifest,
-            command=["python", "-m", "repro", "run"] + names,
-            config={
-                "experiments": ran,
-                "events": events,
-                "trace": trace,
-                "jobs": n_jobs,
-                "checkpoint_dir": checkpoint_dir,
-                "compiled": compilejit.enabled(),
-            },
-            seed=seed,
+            args.manifest,
+            command=["python", "-m", "repro", *command],
+            config=config,
+            seed=args.seed,
             wall_time_s=wall,
             metrics=telemetry.snapshot() if telemetry.enabled else None,
             extra={
                 "interrupted": interrupted is not None,
-                "resumed": resumed,
                 "fanout": last_fanout(),
-                "compilejit": compilejit.stats_snapshot(),
+                **extra(),
             },
         )
         print(f"manifest: {path}")
     if interrupted is not None:
-        if checkpoint_dir is not None:
-            print(f"resume with: python -m repro resume {checkpoint_dir}")
+        if resume_hint is not None:
+            print(resume_hint)
         return interrupted.exit_code
     return status
-
-
-def cmd_resume(checkpoint_dir: str, jobs: Optional[int] = None) -> int:
-    """Replay the invocation recorded in ``<dir>/session.json``,
-    reusing every per-task result already on disk."""
-    session = _read_session(checkpoint_dir)
-    if session.get("command") != "run":
-        raise SystemExit(
-            f"cannot resume: unknown session command {session.get('command')!r}"
-        )
-    return cmd_run(
-        list(session.get("names") or []),
-        events=session.get("events"),
-        trace=session.get("trace"),
-        manifest=session.get("manifest"),
-        seed=session.get("seed"),
-        jobs=jobs if jobs is not None else session.get("jobs"),
-        checkpoint_dir=checkpoint_dir,
-        resumed=True,
-        no_compiled=bool(session.get("no_compiled")),
-    )
 
 
 def _print_telemetry_summary(telemetry, events, trace) -> None:
@@ -312,15 +292,113 @@ def _print_telemetry_summary(telemetry, events, trace) -> None:
             print(f"    {'TOTAL':10s} {stats.total_energy!r}")
 
 
-def cmd_all(skip_accuracy: bool, jobs: Optional[int] = None) -> int:
+def _write_out(path: str, text: str) -> None:
+    from repro.durability.atomic import atomic_write_text
+
+    atomic_write_text(path, text)
+    print(f"report: {path}")
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    from repro import compilejit, obs
+    from repro.experiments.runner import RESUMABLE
+
+    checkpoint_dir = args.checkpoint_dir
+    if args.resume and checkpoint_dir is None:
+        raise CommandError("--resume requires --checkpoint-dir")
+    _seed_everything(args.seed)
+    compilejit.set_enabled(not args.no_compiled)
+    n_jobs = _apply_jobs(args.jobs)
+    table = _experiment_map()
+    if checkpoint_dir is not None:
+        if args.resume:
+            _read_session(checkpoint_dir)  # must exist and carry the schema
+        _write_session(
+            checkpoint_dir,
+            {"command": "run", **{key: vars(args)[key] for key in SESSION_KEYS}},
+        )
+    ran: list[str] = []  # filled by work(); the manifest lists it
+
+    def work() -> int:
+        status = 0
+        for name in args.names:
+            entry = table.get(name.lower())
+            if entry is None:
+                print(
+                    f"unknown experiment {name!r}; "
+                    "try 'python -m repro list'"
+                )
+                status = 2
+                continue
+            if isinstance(entry, AmbiguousSlug):
+                print(
+                    f"ambiguous experiment {name!r}; candidates: "
+                    + ", ".join(entry.candidates)
+                )
+                status = 2
+                continue
+            with obs.current().span(name.lower()):
+                if checkpoint_dir is not None and entry in RESUMABLE:
+                    entry(checkpoint_dir=f"{checkpoint_dir}/{name.lower()}")
+                else:
+                    entry()
+            ran.append(name.lower())
+        return status
+
+    return _instrumented(
+        args,
+        work,
+        command=("run", *args.names),
+        config={
+            "experiments": ran,
+            "events": args.events,
+            "trace": args.trace,
+            "jobs": n_jobs,
+            "checkpoint_dir": checkpoint_dir,
+            "compiled": compilejit.enabled(),
+        },
+        extra=lambda: {
+            "resumed": args.resume,
+            "compilejit": compilejit.stats_snapshot(),
+        },
+        resume_hint=(
+            None
+            if checkpoint_dir is None
+            else f"resume with: python -m repro resume {checkpoint_dir}"
+        ),
+    )
+
+
+def cmd_resume(args: argparse.Namespace) -> int:
+    """Replay the invocation recorded in ``<dir>/session.json``,
+    reusing every per-task result already on disk."""
+    session = _read_session(args.checkpoint_dir)
+    if session.get("command") != "run":
+        raise SystemExit(
+            f"cannot resume: unknown session command {session.get('command')!r}"
+        )
+    recorded = argparse.Namespace(
+        **{key: session.get(key) for key in SESSION_KEYS},
+        checkpoint_dir=args.checkpoint_dir,
+        resume=True,
+        serve_metrics=None,
+    )
+    recorded.names = list(recorded.names or [])
+    recorded.no_compiled = bool(recorded.no_compiled)
+    if args.jobs is not None:
+        recorded.jobs = args.jobs
+    return cmd_run(recorded)
+
+
+def cmd_all(args: argparse.Namespace) -> int:
     from repro.durability import Interrupted, graceful_signals
     from repro.experiments import accuracy
 
-    _apply_jobs(jobs)
+    _apply_jobs(args.jobs)
     try:
         with graceful_signals():
             for label, entry in EXPERIMENTS:
-                if skip_accuracy and entry is accuracy.main:
+                if args.skip_accuracy and entry is accuracy.main:
                     continue
                 print(f"\n=== {label} ===")
                 entry()
@@ -330,32 +408,26 @@ def cmd_all(skip_accuracy: bool, jobs: Optional[int] = None) -> int:
     return 0
 
 
-def cmd_info() -> int:
+def cmd_info(args: Optional[argparse.Namespace] = None) -> int:
     from repro.experiments import table2_devices
 
     table2_devices.main()
     return 0
 
 
-def cmd_export(directory: str) -> int:
+def cmd_export(args: argparse.Namespace) -> int:
     from repro.experiments.export import export_all
 
-    for name, count in export_all(directory).items():
+    for name, count in export_all(args.directory).items():
         print(f"  {name}.csv: {count} rows")
-    print(f"wrote CSVs to {directory}/")
+    print(f"wrote CSVs to {args.directory}/")
     return 0
 
 
-def cmd_faults(args) -> int:
-    from repro import obs
-    from repro.devices.parameters import ALL_TECHNOLOGIES
+def cmd_faults(args: argparse.Namespace) -> int:
     from repro.faults import FaultCampaign, FaultPlan, WORKLOADS, render
 
-    techs = {p.name.lower().replace(" ", "-"): p for p in ALL_TECHNOLOGIES}
-    params = techs.get(args.tech.lower())
-    if params is None:
-        print(f"unknown technology {args.tech!r}; one of: {', '.join(sorted(techs))}")
-        return 2
+    [params] = _technologies([args.tech])
     plan = FaultPlan.from_variation(
         params,
         sigma=args.sigma,
@@ -367,244 +439,169 @@ def cmd_faults(args) -> int:
         verify_retry=not args.no_retry,
         retry_budget=args.retry_budget,
     )
-    try:
-        telemetry = obs.from_paths(events=args.events, trace=args.trace)
-    except OSError as exc:
-        print(f"cannot open telemetry output: {exc}")
-        return 2
-    from repro.durability import Interrupted, graceful_signals
-
     n_jobs = _apply_jobs(args.jobs)
-    started = time.perf_counter()
-    interrupted: Optional[Interrupted] = None
-    report = None
-    try:
-        with graceful_signals(), obs.use(telemetry):
-            with telemetry.span("fault-campaign"):
-                campaign = FaultCampaign(
-                    workload=WORKLOADS[args.workload](tech=params),
-                    plan=plan,
-                    trials=args.trials,
-                    seed=args.seed,
-                )
-                report = campaign.run(
-                    jobs=n_jobs, checkpoint_dir=args.checkpoint_dir
-                )
-    except Interrupted as exc:
-        interrupted = exc
-        print(f"\ninterrupted ({exc}); flushing telemetry and manifest")
-    wall = time.perf_counter() - started
-    telemetry.close()
 
-    if interrupted is None:
-        print(render(report))
-    if interrupted is None:
+    def work():
+        campaign = FaultCampaign(
+            workload=WORKLOADS[args.workload](tech=params),
+            plan=plan,
+            trials=args.trials,
+            seed=args.seed,
+        )
+        return campaign.run(jobs=n_jobs, checkpoint_dir=args.checkpoint_dir)
+
+    def report(result) -> int:
+        print(render(result))
         if args.out is not None:
-            from repro.durability.atomic import atomic_write_text
-
-            atomic_write_text(args.out, report.to_json())
-            print(f"report: {args.out}")
+            _write_out(args.out, result.to_json())
         else:
-            sys.stdout.write(report.to_json())
-        if telemetry.enabled:
-            _print_telemetry_summary(telemetry, args.events, args.trace)
-    if args.manifest is not None:
-        from repro.obs.manifest import write_manifest
-        from repro.perf.parallel import last_fanout
+            sys.stdout.write(result.to_json())
+        return 1 if result.sdc else 0
 
-        path = write_manifest(
-            args.manifest,
-            command=["python", "-m", "repro", "faults"],
-            config={
-                "workload": args.workload,
-                "technology": params.name,
-                "trials": args.trials,
-                "plan": plan.to_json_obj(),
-                "out": args.out,
-                "jobs": n_jobs,
-                "checkpoint_dir": args.checkpoint_dir,
-            },
-            seed=args.seed,
-            wall_time_s=wall,
-            metrics=telemetry.snapshot() if telemetry.enabled else None,
-            extra={
-                "interrupted": interrupted is not None,
-                "fanout": last_fanout(),
-            },
-        )
-        print(f"manifest: {path}")
-    if interrupted is not None:
-        return interrupted.exit_code
-    return 1 if report.sdc else 0
-
-
-def cmd_harden(args) -> int:
-    from repro import obs
-    from repro.devices.parameters import ALL_TECHNOLOGIES
-    from repro.harden.frontier import format_table, report_json, run_frontier
-
-    techs = {p.name.lower().replace(" ", "-"): p for p in ALL_TECHNOLOGIES}
-    if args.tech == ["all"]:
-        selected = list(ALL_TECHNOLOGIES)
-    else:
-        selected = []
-        for name in args.tech:
-            params = techs.get(name.lower())
-            if params is None:
-                print(
-                    f"unknown technology {name!r}; "
-                    f"one of: all, {', '.join(sorted(techs))}"
-                )
-                return 2
-            selected.append(params)
-    try:
-        telemetry = obs.from_paths(events=args.events, trace=args.trace)
-    except OSError as exc:
-        print(f"cannot open telemetry output: {exc}")
-        return 2
-    from repro.durability import Interrupted, graceful_signals
-
-    n_jobs = _apply_jobs(args.jobs)
-    started = time.perf_counter()
-    interrupted: Optional[Interrupted] = None
-    report = None
-    try:
-        with graceful_signals(), obs.use(telemetry):
-            with telemetry.span("harden-frontier"):
-                report = run_frontier(
-                    workloads=args.workloads,
-                    technologies=selected,
-                    levels=args.levels,
-                    trials=args.trials,
-                    seed=args.seed,
-                    target_flips=args.target_flips,
-                    tmr_share=args.tmr_share,
-                    jobs=n_jobs,
-                    checkpoint_dir=args.checkpoint_dir,
-                )
-    except Interrupted as exc:
-        interrupted = exc
-        print(f"\ninterrupted ({exc}); flushing telemetry and manifest")
-    wall = time.perf_counter() - started
-    telemetry.close()
-
-    if interrupted is None:
-        print(format_table(report))
-        if args.out is not None:
-            from repro.durability.atomic import atomic_write_text
-
-            atomic_write_text(args.out, report_json(report))
-            print(f"report: {args.out}")
-        if telemetry.enabled:
-            _print_telemetry_summary(telemetry, args.events, args.trace)
-    if args.manifest is not None:
-        from repro.obs.manifest import write_manifest
-        from repro.perf.parallel import last_fanout
-
-        path = write_manifest(
-            args.manifest,
-            command=["python", "-m", "repro", "harden"],
-            config={
-                "workloads": list(args.workloads),
-                "technologies": [p.name for p in selected],
-                "levels": list(args.levels),
-                "trials": args.trials,
-                "target_flips": args.target_flips,
-                "tmr_share": args.tmr_share,
-                "out": args.out,
-                "jobs": n_jobs,
-                "checkpoint_dir": args.checkpoint_dir,
-            },
-            seed=args.seed,
-            wall_time_s=wall,
-            metrics=telemetry.snapshot() if telemetry.enabled else None,
-            extra={
-                "interrupted": interrupted is not None,
-                "fanout": last_fanout(),
-            },
-        )
-        print(f"manifest: {path}")
-    if interrupted is not None:
-        return interrupted.exit_code
-    return 0 if report["checks"]["ok"] else 1
-
-
-def cmd_lint(args) -> int:
-    import json
-
-    from repro.core.program import Program
-    from repro.lint import (
-        RULES,
-        LintConfig,
-        Linter,
-        TARGETS,
-        render,
+    return _instrumented(
+        args,
+        work,
+        report,
+        span="fault-campaign",
+        command=("faults",),
+        config={
+            "workload": args.workload,
+            "technology": params.name,
+            "trials": args.trials,
+            "plan": plan.to_json_obj(),
+            "out": args.out,
+            "jobs": n_jobs,
+            "checkpoint_dir": args.checkpoint_dir,
+        },
     )
+
+
+def cmd_harden(args: argparse.Namespace) -> int:
+    from repro.harden import frontier
+
+    selected = _technologies(args.tech, allow_all=True)
+    n_jobs = _apply_jobs(args.jobs)
+
+    def work() -> dict:
+        return frontier.run_frontier(
+            workloads=args.workloads,
+            technologies=selected,
+            levels=args.levels,
+            trials=args.trials,
+            seed=args.seed,
+            target_flips=args.target_flips,
+            tmr_share=args.tmr_share,
+            jobs=n_jobs,
+            checkpoint_dir=args.checkpoint_dir,
+        )
+
+    def report(result: dict) -> int:
+        print(frontier.format_table(result))
+        if args.out is not None:
+            _write_out(args.out, frontier.report_json(result))
+        return 0 if result["checks"]["ok"] else 1
+
+    return _instrumented(
+        args,
+        work,
+        report,
+        span="harden-frontier",
+        command=("harden",),
+        config={
+            "workloads": list(args.workloads),
+            "technologies": [p.name for p in selected],
+            "levels": list(args.levels),
+            "trials": args.trials,
+            "target_flips": args.target_flips,
+            "tmr_share": args.tmr_share,
+            "out": args.out,
+            "jobs": n_jobs,
+            "checkpoint_dir": args.checkpoint_dir,
+        },
+    )
+
+
+def _print_catalog(
+    args, tool: str, adjective: str, targets: dict, rule_prefixes=("",)
+) -> bool:
+    """Print the rule catalog (``--rules``) or the target list
+    (``--list``) of ``lint``/``verify``; False when neither was asked."""
+    from repro.lint import RULES
 
     if args.rules:
         for rule in RULES.values():
-            print(f"{rule.id}  [{rule.severity}]  {rule.title}")
-            print(f"    {rule.why}")
-        return 0
-    if args.list:
-        print("lintable program targets (python -m repro lint <name>):")
-        for name, target in sorted(TARGETS.items()):
+            if rule.id.startswith(rule_prefixes):
+                print(f"{rule.id}  [{rule.severity}]  {rule.title}")
+                print(f"    {rule.why}")
+    elif args.list:
+        print(f"{adjective} program targets (python -m repro {tool} <name>):")
+        for name, target in sorted(targets.items()):
             print(f"  {name:12s} {target.description}")
+    return args.rules or args.list
+
+
+def _target_names(args, tool: str, targets: dict) -> list[str]:
+    """The positional target names (default: all), each one known."""
+    names = args.targets or ["all"]
+    if names == ["all"]:
+        return sorted(targets)
+    for name in names:
+        if name not in targets:
+            raise CommandError(
+                f"unknown {tool} target {name!r}; "
+                f"try 'python -m repro {tool} --list'"
+            )
+    return names
+
+
+def _print_reports(reports: list, as_json: bool, tool: str) -> int:
+    """Render lint/verify reports (or one JSON document); 1 if any failed."""
+    import json
+
+    from repro.lint import render
+
+    if as_json:
+        payload = [r.to_json_obj() for r in reports]
+        print(
+            json.dumps(
+                payload[0] if len(payload) == 1 else payload,
+                indent=2,
+                sort_keys=True,
+            )
+        )
+    else:
+        for report in reports:
+            print(render(report, tool=tool))
+    return 0 if all(r.ok for r in reports) else 1
+
+
+def cmd_lint(args: argparse.Namespace) -> int:
+    from repro.lint import LintConfig, Linter, TARGETS
+
+    if _print_catalog(args, "lint", "lintable", TARGETS):
         return 0
-
-    jobs: list[tuple[str, Program, LintConfig]] = []
     if args.asm is not None:
-        from repro.isa.assembler import AssemblerError, assemble
-
-        try:
-            with open(args.asm, "r", encoding="utf-8") as f:
-                instructions = assemble(f.read())
-        except OSError as exc:
-            print(f"cannot read {args.asm}: {exc}")
-            return 2
-        except (AssemblerError, ValueError) as exc:
-            print(f"cannot assemble {args.asm}: {exc}")
-            return 2
+        program = _read_program(args.asm)
         config = LintConfig(
             n_data_tiles=args.tiles, rows=args.rows, cols=args.cols
         )
-        jobs.append((args.asm, Program(instructions, name=args.asm), config))
+        jobs = [(args.asm, program, config)]
     else:
-        names = args.targets or ["all"]
-        if names == ["all"]:
-            names = sorted(TARGETS)
-        for name in names:
-            target = TARGETS.get(name)
-            if target is None:
-                print(
-                    f"unknown lint target {name!r}; "
-                    "try 'python -m repro lint --list'"
-                )
-                return 2
-            program, config = target.build()
-            jobs.append((name, program, config))
-
-    status = 0
-    reports = []
-    for name, program, config in jobs:
-        report = Linter(config).run(program, name=name)
-        reports.append(report)
-        if not report.ok:
-            status = 1
-        if not args.json:
-            print(render(report))
-    if args.json:
-        payload = [r.to_json_obj() for r in reports]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload,
-                         indent=2, sort_keys=True))
-    return status
+        jobs = [
+            (name, *TARGETS[name].build())
+            for name in _target_names(args, "lint", TARGETS)
+        ]
+    reports = [
+        Linter(config).run(program, name=name)
+        for name, program, config in jobs
+    ]
+    return _print_reports(reports, args.json, "lint")
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     import json
 
-    from repro.core.program import Program
-    from repro.lint import RULES, LintConfig, render
+    from repro.lint import LintConfig
     from repro.verify import (
         ReExecutionPass,
         SemanticSpec,
@@ -616,17 +613,9 @@ def cmd_verify(args) -> int:
         verify_program,
     )
 
-    if args.rules:
-        for rule in RULES.values():
-            if not rule.id.startswith(("SEM", "REEX")):
-                continue
-            print(f"{rule.id}  [{rule.severity}]  {rule.title}")
-            print(f"    {rule.why}")
-        return 0
-    if args.list:
-        print("verifiable program targets (python -m repro verify <name>):")
-        for name, target in sorted(VERIFY_TARGETS.items()):
-            print(f"  {name:12s} {target.description}")
+    if _print_catalog(
+        args, "verify", "verifiable", VERIFY_TARGETS, ("SEM", "REEX")
+    ):
         return 0
     if args.mutants:
         rows = run_mutation_corpus(strict=False)
@@ -650,20 +639,9 @@ def cmd_verify(args) -> int:
             )
         return 1 if escaped else 0
 
-    status = 0
     reports = []
     if args.asm is not None:
-        from repro.isa.assembler import AssemblerError, assemble
-
-        try:
-            with open(args.asm, "r", encoding="utf-8") as f:
-                instructions = assemble(f.read())
-        except OSError as exc:
-            print(f"cannot read {args.asm}: {exc}")
-            return 2
-        except (AssemblerError, ValueError) as exc:
-            print(f"cannot assemble {args.asm}: {exc}")
-            return 2
+        program = _read_program(args.asm)
         config = LintConfig(
             n_data_tiles=args.tiles, rows=args.rows, cols=args.cols
         )
@@ -673,8 +651,7 @@ def cmd_verify(args) -> int:
                 with open(args.spec, "r", encoding="utf-8") as f:
                     spec = SemanticSpec.from_json_obj(json.load(f))
             except (OSError, ValueError, KeyError) as exc:
-                print(f"cannot load spec {args.spec}: {exc}")
-                return 2
+                raise CommandError(f"cannot load spec {args.spec}: {exc}")
         focus = spec.focus_column if spec is not None else args.focus_column
         constants = (
             {cell: bit for cell, bit in spec.constants}
@@ -687,20 +664,11 @@ def cmd_verify(args) -> int:
         if args.against is not None:
             from repro.verify import EquivalencePass
 
-            try:
-                with open(args.against, "r", encoding="utf-8") as f:
-                    source = Program(
-                        assemble(f.read()), name=args.against
-                    )
-            except OSError as exc:
-                print(f"cannot read {args.against}: {exc}")
-                return 2
-            except (AssemblerError, ValueError) as exc:
-                print(f"cannot assemble {args.against}: {exc}")
-                return 2
             passes.append(
                 EquivalencePass(
-                    source, constants=constants, focus_column=focus
+                    _read_program(args.against),
+                    constants=constants,
+                    focus_column=focus,
                 )
             )
         passes.append(
@@ -708,19 +676,9 @@ def cmd_verify(args) -> int:
                 period=args.period, constants=constants, focus_column=focus
             )
         )
-        program = Program(instructions, name=args.asm)
         reports.append(verify_program(program, config, passes, name=args.asm))
     else:
-        names = args.targets or ["all"]
-        if names == ["all"]:
-            names = sorted(VERIFY_TARGETS)
-        for name in names:
-            if name not in VERIFY_TARGETS:
-                print(
-                    f"unknown verify target {name!r}; "
-                    "try 'python -m repro verify --list'"
-                )
-                return 2
+        for name in _target_names(args, "verify", VERIFY_TARGETS):
             reports.append(build_verify_target(name).run())
             if args.hardened:
                 from repro.harden import HardenPolicy
@@ -729,84 +687,53 @@ def cmd_verify(args) -> int:
                     level=args.level, tmr_share=args.tmr_share
                 )
                 reports.append(hardened_job(name, policy).run())
-
-    for report in reports:
-        if not report.ok:
-            status = 1
-        if not args.json:
-            print(render(report, tool="verify"))
-    if args.json:
-        payload = [r.to_json_obj() for r in reports]
-        print(
-            json.dumps(
-                payload[0] if len(payload) == 1 else payload,
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    return status
+    return _print_reports(reports, args.json, "verify")
 
 
-def cmd_bench(args) -> int:
-    from repro import obs
-    from repro.durability import Interrupted, graceful_signals
-    from repro.perf.bench import (
-        compare_reports,
-        load_report,
-        render,
-        render_compare,
-        run_bench,
-        write_report,
-    )
+def cmd_bench(args: argparse.Namespace) -> int:
+    from repro.perf import bench
 
     if args.compare:
         if len(args.compare) > 2:
-            print("--compare takes OLD.json and at most one NEW.json")
-            return 2
+            raise CommandError(
+                "--compare takes OLD.json and at most one NEW.json"
+            )
         try:
-            old = load_report(args.compare[0])
+            old = bench.load_report(args.compare[0])
             new = (
-                load_report(args.compare[1])
+                bench.load_report(args.compare[1])
                 if len(args.compare) == 2
                 else None
             )
         except (OSError, ValueError) as exc:
-            print(f"cannot compare: {exc}")
-            return 2
+            raise CommandError(f"cannot compare: {exc}")
         if new is None:
             # No NEW report: measure the current tree against OLD.
-            new = run_bench(quick=args.quick)
+            new = bench.run_bench(quick=args.quick)
         if old.get("quick") != new.get("quick"):
             print(
                 "warning: comparing a quick report against a full one; "
                 "repetition counts differ"
             )
-        comparison = compare_reports(old, new, threshold=args.threshold)
-        print(render_compare(comparison))
+        comparison = bench.compare_reports(old, new, threshold=args.threshold)
+        print(bench.render_compare(comparison))
         return 1 if comparison["regressions"] else 0
 
-    try:
-        telemetry = obs.from_paths(events=args.events)
-    except OSError as exc:
-        print(f"cannot open telemetry output: {exc}")
-        return 2
-    try:
-        with graceful_signals(), obs.use(telemetry):
-            report = run_bench(quick=args.quick)
-    except Interrupted as exc:
-        telemetry.close()
-        print(f"\ninterrupted ({exc}); no benchmark report written")
-        return exc.exit_code
-    telemetry.close()
-    print(render(report))
-    write_report(report, args.out)
-    print(f"report: {args.out}")
-    if telemetry.enabled:
-        _print_telemetry_summary(telemetry, args.events, None)
-    return 0
+    def report(result: dict) -> int:
+        print(bench.render(result))
+        bench.write_report(result, args.out)
+        print(f"report: {args.out}")
+        return 0
+
+    return _instrumented(
+        args,
+        lambda: bench.run_bench(quick=args.quick),
+        report,
+        interrupted_note="no benchmark report written",
+    )
 
 
-def cmd_profile(args) -> int:
+def cmd_profile(args: argparse.Namespace) -> int:
     """Per-scope energy/latency attribution for one workload.
 
     Small campaign workloads (``adder``/``svm``/``bnn``) run on the
@@ -817,17 +744,9 @@ def cmd_profile(args) -> int:
     Either way the profiler's root breakdown must equal the run's
     bit-for-bit — the command exits non-zero if it does not.
     """
-    from repro.devices.parameters import ALL_TECHNOLOGIES
     from repro.obs.prof import EnergyProfiler
 
-    techs = {p.name.lower().replace(" ", "-"): p for p in ALL_TECHNOLOGIES}
-    params = techs.get(args.tech.lower())
-    if params is None:
-        print(
-            f"unknown technology {args.tech!r}; one of: "
-            + ", ".join(sorted(techs))
-        )
-        return 2
+    [params] = _technologies([args.tech])
 
     from repro.faults.campaign import WORKLOADS
 
@@ -853,11 +772,10 @@ def cmd_profile(args) -> int:
         )
         if workload is None:
             known = sorted(WORKLOADS) + [_slug(w.name) for w in ALL_WORKLOADS]
-            print(
+            raise CommandError(
                 f"unknown workload {args.workload!r}; one of: "
                 + ", ".join(known)
             )
-            return 2
         cost = InstructionCostModel(params)
         profile = workload.profile(cost)
         config = HarvestingConfig.paper(params, args.power * 1e-6)
@@ -955,7 +873,7 @@ def _table_iv_workload(name: str):
     return workload
 
 
-def cmd_env(args) -> int:
+def cmd_env(args: argparse.Namespace) -> int:
     """Harvest-environment tooling: trace catalog, stats, replay, sweep."""
     import json
 
@@ -982,17 +900,9 @@ def cmd_env(args) -> int:
         return 0
 
     if args.env_command == "replay":
-        from repro.devices.parameters import ALL_TECHNOLOGIES
         from repro.env import AdaptivePolicy, replay
 
-        techs = {p.name.lower().replace(" ", "-"): p for p in ALL_TECHNOLOGIES}
-        params = techs.get(args.tech.lower())
-        if params is None:
-            print(
-                f"unknown technology {args.tech!r}; one of: "
-                + ", ".join(sorted(techs))
-            )
-            return 2
+        [params] = _technologies([args.tech])
         workload = _table_iv_workload(args.workload)
         trace = _build_trace(args.trace, args.seed, args.watts)
         policy = AdaptivePolicy() if args.adaptive else None
@@ -1015,71 +925,154 @@ def cmd_env(args) -> int:
                 print(f"  {key:12s} {obj[key]}")
         return 0
 
-    if args.env_command == "sweep":
-        from repro.experiments import env_sweep
+    from repro.experiments import env_sweep
 
-        rows = env_sweep.run()
-        if args.json:
-            print(json.dumps(rows, indent=2, sort_keys=True))
-        else:
-            print(env_sweep.render(rows))
-        return 0 if all(r["adaptive_at_least_fixed"] for r in rows) else 1
-
-    return 2  # pragma: no cover
+    rows = env_sweep.run()
+    if args.json:
+        print(json.dumps(rows, indent=2, sort_keys=True))
+    else:
+        print(env_sweep.render(rows))
+    return 0 if all(r["adaptive_at_least_fixed"] for r in rows) else 1
 
 
-def cmd_stats(path: str, top: int) -> int:
+def cmd_stats(args: argparse.Namespace) -> int:
     from repro.obs.replay import render, replay
 
     try:
-        stats = replay(path, top=top)
+        stats = replay(args.path, top=args.top)
     except (OSError, ValueError) as exc:
-        print(f"cannot read {path}: {exc}")
-        return 2
-    print(render(stats, top=top))
+        raise CommandError(f"cannot read {args.path}: {exc}")
+    print(render(stats, top=args.top))
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="repro", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("list", help="list experiment slugs")
-    run_p = sub.add_parser("run", help="run selected experiments")
-    run_p.add_argument("names", nargs="+")
-    run_p.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed the stdlib/numpy RNGs and record it in the manifest",
-    )
-    run_p.add_argument(
+def _bounded(convert: Callable[[str], Any], accept, bound: str):
+    """An argparse ``type``: ``convert`` the text, then reject values
+    outside ``bound``, so argparse exits 2 naming the flag."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # "invalid int value: 'x'" as before
+    return parse
+
+
+def _at_least(low: int):
+    return _bounded(int, lambda n: n >= low, f">= {low}")
+
+
+_PROBABILITY = _bounded(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+_POSITIVE = _bounded(float, lambda x: x > 0.0, "> 0")
+_NON_NEGATIVE = _bounded(float, lambda x: x >= 0.0, ">= 0")
+
+
+def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """A parent parser: options declared once, shared by subcommands."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    events_flag = _flags()
+    events_flag.add_argument(
         "--events", metavar="PATH", help="write a JSONL telemetry event log"
     )
-    run_p.add_argument(
+    jobs_flag = _flags()
+    jobs_flag.add_argument(
+        "--jobs",
+        type=_at_least(0),
+        default=None,
+        metavar="N",
+        help="worker processes (0 = all cores); results are "
+        "byte-identical at any count",
+    )
+    instrumented = _flags(events_flag, jobs_flag)
+    instrumented.add_argument(
         "--trace",
         metavar="PATH",
         help="write a Chrome-trace JSON loadable in Perfetto",
     )
-    run_p.add_argument(
+    instrumented.add_argument(
         "--manifest",
         nargs="?",
         const="runs",
         metavar="DIR",
         help="write a run manifest (default directory: runs/)",
     )
-    run_p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for parallel sweeps (0 = all cores); "
-        "results are byte-identical at any count",
-    )
-    run_p.add_argument(
+    instrumented.add_argument(
         "--checkpoint-dir",
         metavar="DIR",
-        help="persist per-task results (and a session.json) so a killed "
-        "run resumes from where it stopped, byte-identically",
+        help="persist per-task results so a killed run resumes "
+        "byte-identically",
+    )
+    tech_flag = _flags()
+    tech_flag.add_argument(
+        "--tech",
+        default="modern-stt",
+        help="device technology (modern-stt, projected-stt, projected-she)",
+    )
+    trace_flags = _flags()
+    trace_flags.add_argument(
+        "--seed", type=int, default=0, help="generator seed (default 0)"
+    )
+    trace_flags.add_argument(
+        "--watts",
+        type=_POSITIVE,
+        default=100e-6,
+        help="power level for the constant family (default 100e-6)",
+    )
+    program_flags = _flags()
+    program_flags.add_argument(
+        "targets",
+        nargs="*",
+        help="registered target names (default: all; see --list)",
+    )
+    program_flags.add_argument(
+        "--asm", metavar="PATH", help="check an assembly file instead"
+    )
+    program_flags.add_argument(
+        "--tiles",
+        type=_at_least(1),
+        default=1,
+        help="data tiles in the bank (--asm)",
+    )
+    program_flags.add_argument(
+        "--rows", type=_at_least(2), default=1024, help="rows per tile (--asm)"
+    )
+    program_flags.add_argument(
+        "--cols",
+        type=_at_least(1),
+        default=1024,
+        help="columns per tile (--asm)",
+    )
+    program_flags.add_argument(
+        "--json", action="store_true", help="emit JSON diagnostics"
+    )
+    program_flags.add_argument(
+        "--list", action="store_true", help="list the registered targets"
+    )
+    program_flags.add_argument(
+        "--rules", action="store_true", help="print the rule catalog"
+    )
+
+    parser = argparse.ArgumentParser(prog="repro", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, func, summary, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=list(parents))
+        p.set_defaults(func=func)
+        return p
+
+    command("list", cmd_list, "list experiment slugs")
+    run_p = command("run", cmd_run, "run selected experiments", instrumented)
+    run_p.add_argument("names", nargs="+")
+    run_p.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="seed the stdlib/numpy RNGs and record it in the manifest",
     )
     run_p.add_argument(
         "--resume",
@@ -1104,93 +1097,60 @@ def main(argv: list[str] | None = None) -> int:
         "(disables the repro.compilejit plan executor; results are "
         "byte-identical either way)",
     )
-    resume_p = sub.add_parser(
+    resume_p = command(
         "resume",
-        help="replay the invocation recorded in a checkpoint directory",
+        cmd_resume,
+        "replay the invocation recorded in a checkpoint directory",
+        jobs_flag,
     )
     resume_p.add_argument("checkpoint_dir", metavar="DIR")
-    resume_p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="override the recorded worker count (0 = all cores)",
-    )
-    faults_p = sub.add_parser(
-        "faults", help="run a seeded fault-injection campaign"
+    faults_p = command(
+        "faults",
+        cmd_faults,
+        "run a seeded fault-injection campaign",
+        instrumented,
+        tech_flag,
     )
     faults_p.add_argument(
         "--workload", choices=("svm", "adder", "bnn"), default="svm"
     )
-    faults_p.add_argument(
-        "--tech",
-        default="modern-stt",
-        help="device technology (modern-stt, projected-stt, projected-she)",
-    )
-    faults_p.add_argument("--trials", type=int, default=16)
+    faults_p.add_argument("--trials", type=_at_least(1), default=16)
     faults_p.add_argument("--seed", type=int, default=0)
     faults_p.add_argument(
         "--sigma",
-        type=float,
+        type=_NON_NEGATIVE,
         default=0.05,
         help="relative device-parameter spread for gate flip rates",
     )
     faults_p.add_argument(
         "--derive-trials",
-        type=int,
+        type=_at_least(1),
         default=20_000,
         help="Monte-Carlo samples per gate when deriving flip rates",
     )
     faults_p.add_argument(
         "--gate-scale",
-        type=float,
+        type=_NON_NEGATIVE,
         default=1.0,
         help="multiplier on derived gate flip rates (0 disables gate faults)",
     )
-    faults_p.add_argument("--array-rate", type=float, default=0.0)
-    faults_p.add_argument("--nv-rate", type=float, default=0.0)
-    faults_p.add_argument("--outage-rate", type=float, default=0.0)
+    faults_p.add_argument("--array-rate", type=_PROBABILITY, default=0.0)
+    faults_p.add_argument("--nv-rate", type=_PROBABILITY, default=0.0)
+    faults_p.add_argument("--outage-rate", type=_PROBABILITY, default=0.0)
     faults_p.add_argument(
         "--no-retry",
         action="store_true",
         help="disable the verify-and-retry recovery layer",
     )
-    faults_p.add_argument("--retry-budget", type=int, default=8)
+    faults_p.add_argument("--retry-budget", type=_at_least(0), default=8)
     faults_p.add_argument(
         "--out", metavar="PATH", help="write the JSON report here"
     )
-    faults_p.add_argument(
-        "--events", metavar="PATH", help="write a JSONL telemetry event log"
-    )
-    faults_p.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="write a Chrome-trace JSON loadable in Perfetto",
-    )
-    faults_p.add_argument(
-        "--manifest",
-        nargs="?",
-        const="runs",
-        metavar="DIR",
-        help="write a run manifest (default directory: runs/)",
-    )
-    faults_p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for campaign trials (0 = all cores); "
-        "the report JSON is byte-identical at any count",
-    )
-    faults_p.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        help="persist per-trial results so a killed campaign resumes "
-        "with a byte-identical report",
-    )
-    harden_p = sub.add_parser(
+    harden_p = command(
         "harden",
-        help="sweep the selective-protection frontier (yield vs energy)",
+        cmd_harden,
+        "sweep the selective-protection frontier (yield vs energy)",
+        instrumented,
     )
     harden_p.add_argument(
         "--workloads",
@@ -1209,68 +1169,35 @@ def main(argv: list[str] | None = None) -> int:
     harden_p.add_argument(
         "--levels",
         nargs="+",
-        type=float,
+        type=_PROBABILITY,
         default=[0.0, 0.25, 0.5, 0.75, 1.0],
         help="protection levels to sweep (fraction of critical gates)",
     )
-    harden_p.add_argument("--trials", type=int, default=32)
+    harden_p.add_argument("--trials", type=_at_least(1), default=32)
     harden_p.add_argument("--seed", type=int, default=11)
     harden_p.add_argument(
         "--target-flips",
-        type=float,
+        type=_NON_NEGATIVE,
         default=1.0,
         help="expected injected flips per unhardened trial (rates are "
         "rescaled from the device Monte Carlo to hit this)",
     )
     harden_p.add_argument(
         "--tmr-share",
-        type=float,
+        type=_PROBABILITY,
         default=0.25,
         help="share of protected gates that get TMR (rest verify-retry)",
     )
     harden_p.add_argument(
         "--out", metavar="PATH", help="write the frontier report JSON here"
     )
-    harden_p.add_argument(
-        "--events", metavar="PATH", help="write a JSONL telemetry event log"
-    )
-    harden_p.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="write a Chrome-trace JSON loadable in Perfetto",
-    )
-    harden_p.add_argument(
-        "--manifest",
-        nargs="?",
-        const="runs",
-        metavar="DIR",
-        help="write a run manifest (default directory: runs/)",
-    )
-    harden_p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for frontier points (0 = all cores); "
-        "the report JSON is byte-identical at any count",
-    )
-    harden_p.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        help="persist per-point results so a killed sweep resumes "
-        "with a byte-identical report",
-    )
-    all_p = sub.add_parser("all", help="run every experiment")
+    all_p = command("all", cmd_all, "run every experiment", jobs_flag)
     all_p.add_argument("--skip-accuracy", action="store_true")
-    all_p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for parallel sweeps (0 = all cores)",
-    )
-    bench_p = sub.add_parser(
-        "bench", help="run hot-path microbenchmarks, write BENCH_PR9.json"
+    bench_p = command(
+        "bench",
+        cmd_bench,
+        "run hot-path microbenchmarks, write BENCH_PR9.json",
+        events_flag,
     )
     bench_p.add_argument(
         "--out", default="BENCH_PR9.json", metavar="PATH",
@@ -1282,9 +1209,6 @@ def main(argv: list[str] | None = None) -> int:
         help="smaller repetition counts (what make test gates on)",
     )
     bench_p.add_argument(
-        "--events", metavar="PATH", help="write a JSONL telemetry event log"
-    )
-    bench_p.add_argument(
         "--compare",
         nargs="+",
         metavar="REPORT",
@@ -1294,15 +1218,17 @@ def main(argv: list[str] | None = None) -> int:
     )
     bench_p.add_argument(
         "--threshold",
-        type=float,
+        type=_NON_NEGATIVE,
         default=0.30,
         metavar="FRAC",
         help="fractional ns/op growth counted as a regression "
         "(default 0.30)",
     )
-    profile_p = sub.add_parser(
+    profile_p = command(
         "profile",
-        help="per-scope energy/latency attribution (tables + flamegraphs)",
+        cmd_profile,
+        "per-scope energy/latency attribution (tables + flamegraphs)",
+        tech_flag,
     )
     profile_p.add_argument(
         "workload",
@@ -1310,13 +1236,8 @@ def main(argv: list[str] | None = None) -> int:
         "Table IV name (svm-adult, bnn-finn, ...; harvested)",
     )
     profile_p.add_argument(
-        "--tech",
-        default="modern-stt",
-        help="device technology (modern-stt, projected-stt, projected-she)",
-    )
-    profile_p.add_argument(
         "--power",
-        type=float,
+        type=_POSITIVE,
         default=100.0,
         metavar="UW",
         help="harvested power in uW for Table IV workloads (default 100)",
@@ -1346,28 +1267,22 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PORT",
         help="after profiling, serve /metrics and /profile until Ctrl-C",
     )
-    env_p = sub.add_parser(
+    env_p = command(
         "env",
-        help="harvest environments: trace catalog, stats, replay, sweep",
+        cmd_env,
+        "harvest environments: trace catalog, stats, replay, sweep",
     )
     env_sub = env_p.add_subparsers(dest="env_command", required=True)
     env_sub.add_parser("list", help="list the synthetic trace families")
     describe_p = env_sub.add_parser(
-        "describe", help="summary statistics for a trace (family or file)"
+        "describe",
+        help="summary statistics for a trace (family or file)",
+        parents=[trace_flags],
     )
     describe_p.add_argument(
         "trace",
         help="trace family (constant, solar, rf_burst, kinetic) or a "
         "repro.env.trace/v1 JSONL file",
-    )
-    describe_p.add_argument(
-        "--seed", type=int, default=0, help="generator seed (default 0)"
-    )
-    describe_p.add_argument(
-        "--watts",
-        type=float,
-        default=100e-6,
-        help="power level for the constant family (default 100e-6)",
     )
     describe_p.add_argument(
         "--save", metavar="PATH", help="also write the trace as JSONL"
@@ -1378,6 +1293,7 @@ def main(argv: list[str] | None = None) -> int:
     replay_p = env_sub.add_parser(
         "replay",
         help="replay a Table IV workload under a harvest trace",
+        parents=[tech_flag, trace_flags],
     )
     replay_p.add_argument(
         "workload", help="Table IV workload name (svm-adult, bnn-finn, ...)"
@@ -1386,47 +1302,33 @@ def main(argv: list[str] | None = None) -> int:
         "trace", help="trace family name or a JSONL trace file"
     )
     replay_p.add_argument(
-        "--tech",
-        default="modern-stt",
-        help="device technology (modern-stt, projected-stt, projected-she)",
-    )
-    replay_p.add_argument(
-        "--seed", type=int, default=0, help="generator seed (default 0)"
-    )
-    replay_p.add_argument(
-        "--watts",
-        type=float,
-        default=100e-6,
-        help="power level for the constant family (default 100e-6)",
-    )
-    replay_p.add_argument(
         "--adaptive",
         action="store_true",
         help="use the adaptive checkpoint policy (default: fixed cadence)",
     )
     replay_p.add_argument(
         "--budget",
-        type=float,
+        type=_POSITIVE,
         default=None,
         metavar="S",
         help="time budget in simulated seconds (default: four trace spans)",
     )
     replay_p.add_argument(
-        "--max-inferences", type=int, default=64, metavar="N"
+        "--max-inferences", type=_at_least(1), default=64, metavar="N"
     )
     replay_p.add_argument(
-        "--checkpoint-period", type=int, default=1, metavar="N"
+        "--checkpoint-period", type=_at_least(1), default=1, metavar="N"
     )
     replay_p.add_argument(
         "--leakage",
-        type=float,
+        type=_NON_NEGATIVE,
         default=0.0,
         metavar="A",
         help="capacitor leakage current in amps (default 0: ideal)",
     )
     replay_p.add_argument(
         "--esr",
-        type=float,
+        type=_NON_NEGATIVE,
         default=0.0,
         metavar="OHMS",
         help="capacitor equivalent series resistance (default 0: ideal)",
@@ -1441,55 +1343,25 @@ def main(argv: list[str] | None = None) -> int:
     sweep_p.add_argument(
         "--json", action="store_true", help="emit the rows as JSON"
     )
-    sub.add_parser("info", help="device technologies and gate designs")
-    export_p = sub.add_parser("export", help="write every artifact as CSV")
+    command("info", cmd_info, "device technologies and gate designs")
+    export_p = command("export", cmd_export, "write every artifact as CSV")
     export_p.add_argument("directory", nargs="?", default="results")
-    stats_p = sub.add_parser(
-        "stats", help="replay a JSONL event log into aggregate views"
+    stats_p = command(
+        "stats", cmd_stats, "replay a JSONL event log into aggregate views"
     )
     stats_p.add_argument("path")
     stats_p.add_argument("--top", type=int, default=10)
-    lint_p = sub.add_parser(
-        "lint", help="statically verify compiled CRAM programs"
+    command(
+        "lint",
+        cmd_lint,
+        "statically verify compiled CRAM programs",
+        program_flags,
     )
-    lint_p.add_argument(
-        "targets",
-        nargs="*",
-        help="registered target names (default: all; see --list)",
-    )
-    lint_p.add_argument(
-        "--asm", metavar="PATH", help="lint an assembly file instead"
-    )
-    lint_p.add_argument(
-        "--tiles", type=int, default=1, help="data tiles in the bank (--asm)"
-    )
-    lint_p.add_argument(
-        "--rows", type=int, default=1024, help="rows per tile (--asm)"
-    )
-    lint_p.add_argument(
-        "--cols", type=int, default=1024, help="columns per tile (--asm)"
-    )
-    lint_p.add_argument(
-        "--json", action="store_true", help="emit JSON diagnostics"
-    )
-    lint_p.add_argument(
-        "--list", action="store_true", help="list lintable targets"
-    )
-    lint_p.add_argument(
-        "--rules", action="store_true", help="print the rule catalog"
-    )
-
-    verify_p = sub.add_parser(
+    verify_p = command(
         "verify",
-        help="prove compiled CRAM programs equivalent to golden semantics",
-    )
-    verify_p.add_argument(
-        "targets",
-        nargs="*",
-        help="registered verify targets (default: all; see --list)",
-    )
-    verify_p.add_argument(
-        "--asm", metavar="PATH", help="verify an assembly file instead"
+        cmd_verify,
+        "prove compiled CRAM programs equivalent to golden semantics",
+        program_flags,
     )
     verify_p.add_argument(
         "--spec",
@@ -1502,17 +1374,8 @@ def main(argv: list[str] | None = None) -> int:
         help="source assembly --asm must stay equivalent to (SEM003)",
     )
     verify_p.add_argument(
-        "--tiles", type=int, default=1, help="data tiles in the bank (--asm)"
-    )
-    verify_p.add_argument(
-        "--rows", type=int, default=1024, help="rows per tile (--asm)"
-    )
-    verify_p.add_argument(
-        "--cols", type=int, default=1024, help="columns per tile (--asm)"
-    )
-    verify_p.add_argument(
         "--period",
-        type=int,
+        type=_at_least(1),
         default=1,
         help="commit-window period for the re-execution pass (--asm)",
     )
@@ -1521,17 +1384,6 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=0,
         help="column to track symbolically without a spec (--asm)",
-    )
-    verify_p.add_argument(
-        "--json", action="store_true", help="emit JSON diagnostics"
-    )
-    verify_p.add_argument(
-        "--list", action="store_true", help="list verifiable targets"
-    )
-    verify_p.add_argument(
-        "--rules",
-        action="store_true",
-        help="print the SEM/REEX rule catalog",
     )
     verify_p.add_argument(
         "--mutants",
@@ -1545,58 +1397,26 @@ def main(argv: list[str] | None = None) -> int:
     )
     verify_p.add_argument(
         "--level",
-        type=float,
+        type=_PROBABILITY,
         default=1.0,
         help="hardening protection level for --hardened",
     )
     verify_p.add_argument(
         "--tmr-share",
-        type=float,
+        type=_PROBABILITY,
         default=0.5,
         help="TMR share of the protection budget for --hardened",
     )
+    return parser
 
-    args = parser.parse_args(argv)
-    if args.command == "list":
-        return cmd_list()
-    if args.command == "run":
-        return cmd_run(
-            args.names,
-            events=args.events,
-            trace=args.trace,
-            manifest=args.manifest,
-            seed=args.seed,
-            jobs=args.jobs,
-            checkpoint_dir=args.checkpoint_dir,
-            resumed=args.resume,
-            serve_metrics=args.serve_metrics,
-            no_compiled=args.no_compiled,
-        )
-    if args.command == "resume":
-        return cmd_resume(args.checkpoint_dir, jobs=args.jobs)
-    if args.command == "faults":
-        return cmd_faults(args)
-    if args.command == "harden":
-        return cmd_harden(args)
-    if args.command == "all":
-        return cmd_all(args.skip_accuracy, jobs=args.jobs)
-    if args.command == "bench":
-        return cmd_bench(args)
-    if args.command == "profile":
-        return cmd_profile(args)
-    if args.command == "env":
-        return cmd_env(args)
-    if args.command == "info":
-        return cmd_info()
-    if args.command == "export":
-        return cmd_export(args.directory)
-    if args.command == "stats":
-        return cmd_stats(args.path, args.top)
-    if args.command == "lint":
-        return cmd_lint(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return 2  # pragma: no cover
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except CommandError as exc:
+        print(exc)
+        return 2
 
 
 if __name__ == "__main__":

@@ -86,6 +86,8 @@ def gate_error_rate(
     critical current, then checks the electrical switch/hold decision
     against the ideal truth table.
     """
+    if trials < 1:
+        raise ValueError("need at least one Monte-Carlo trial")
     rng = np.random.default_rng(seed)
     voltage = design_voltage(params, spec)
     n = spec.n_inputs

@@ -94,6 +94,8 @@ def replay(
     """
     if max_inferences < 1:
         raise ValueError("max_inferences must be >= 1")
+    if time_budget is not None and not time_budget > 0:
+        raise ValueError("time_budget must be positive")
     if time_budget is None:
         time_budget = _default_budget(trace)
     cost = InstructionCostModel(params)

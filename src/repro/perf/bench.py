@@ -164,30 +164,6 @@ def bench_logic_op(quick: bool) -> BenchResult:
     )
 
 
-def bench_step_instruction(quick: bool) -> BenchResult:
-    """Full controller microstep loop over the adder workload; ns per
-    executed instruction (fetch + decode + execute + commit)."""
-    from repro.faults.campaign import adder_workload
-
-    workload = adder_workload()
-    workload.build().run()  # warm-up: AOT plan compile + import costs
-    reps = 3 if quick else 10
-    total_ns = 0
-    instructions = 0
-    for _ in range(reps):
-        mouse = workload.build()
-        start = time.perf_counter_ns()
-        mouse.run()
-        total_ns += time.perf_counter_ns() - start
-        instructions += mouse.ledger.breakdown.instructions
-    return BenchResult(
-        op="step_instruction",
-        config={"workload": workload.name, "instructions": instructions // reps},
-        reps=reps,
-        ns_per_op=total_ns / instructions,
-    )
-
-
 def bench_trace_replay(quick: bool) -> BenchResult:
     """One harvested SVM ADULT execution under a looping solar trace —
     the inner loop of the environment sweep.  ``ProfileRun`` walks the
@@ -429,7 +405,6 @@ def bench_classify_bnn(quick: bool) -> BenchResult:
 
 BENCHMARKS = (
     bench_logic_op,
-    bench_step_instruction,
     bench_compiled_step_instruction,
     bench_compiled_intermittent_replay,
     bench_trace_replay,

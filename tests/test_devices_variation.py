@@ -41,6 +41,12 @@ class TestVariationModel:
         b = gate_error_rate(MODERN_STT, NAND, VariationModel(0.05, 0.05), seed=7)
         assert a.failures == b.failures
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_needs_at_least_one_trial(self, trials):
+        """Zero trials would report a 0.0 error rate for any gate."""
+        with pytest.raises(ValueError, match="trial"):
+            gate_error_rate(MODERN_STT, NAND, VariationModel(), trials=trials)
+
 
 class TestRobustnessOrdering:
     """The paper's qualitative claims, quantified."""

@@ -229,6 +229,11 @@ class TestReplayAndCompare:
         with pytest.raises(ValueError):
             replay(SVM_ADULT, MODERN_STT, constant(1e-4), max_inferences=0)
 
+    @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan])
+    def test_replay_rejects_a_non_positive_time_budget(self, budget):
+        with pytest.raises(ValueError, match="time_budget"):
+            replay(SVM_ADULT, MODERN_STT, solar_diurnal(), time_budget=budget)
+
 
 class TestChargeRetry:
     def test_leakage_outrunning_harvester_fail_stops(self):
