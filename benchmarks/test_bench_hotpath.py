@@ -3,6 +3,7 @@
 Unlike the experiment-regeneration benchmarks in this suite, these time
 the simulator's inner loops: one cached-kernel gate execution, the
 compiled-plan executors against the controller microstep loop, a
+gate-flip campaign's batched trials against interpreted ones, a
 harvested replay, and the batch-64 lock-step classifiers.  Every op with a
 baseline gates on its speedup, measured against the scalar/serial
 referee in the same run, so the ratio is machine-independent even
@@ -57,6 +58,11 @@ def test_compiled_step_instruction(regen, benchmark, recorded_speedups):
 
 def test_compiled_intermittent_replay(regen, benchmark, recorded_speedups):
     result = regen(benchmark, hotpath.bench_compiled_intermittent_replay, True)
+    assert_speedup_gates(result, recorded_speedups)
+
+
+def test_compiled_campaign_trials(regen, benchmark, recorded_speedups):
+    result = regen(benchmark, hotpath.bench_compiled_campaign_trials, True)
     assert_speedup_gates(result, recorded_speedups)
 
 

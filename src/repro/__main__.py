@@ -425,6 +425,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
+    from repro import compilejit
     from repro.faults import FaultCampaign, FaultPlan, WORKLOADS, render
 
     [params] = _technologies([args.tech])
@@ -473,10 +474,12 @@ def cmd_faults(args: argparse.Namespace) -> int:
             "jobs": n_jobs,
             "checkpoint_dir": args.checkpoint_dir,
         },
+        extra=lambda: {"compilejit": compilejit.stats_snapshot()},
     )
 
 
 def cmd_harden(args: argparse.Namespace) -> int:
+    from repro import compilejit
     from repro.harden import frontier
 
     selected = _technologies(args.tech, allow_all=True)
@@ -518,6 +521,7 @@ def cmd_harden(args: argparse.Namespace) -> int:
             "jobs": n_jobs,
             "checkpoint_dir": args.checkpoint_dir,
         },
+        extra=lambda: {"compilejit": compilejit.stats_snapshot()},
     )
 
 

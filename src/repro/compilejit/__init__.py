@@ -11,8 +11,11 @@ its :class:`~repro.energy.metrics.Breakdown` (and, where supported, its
 :class:`~repro.obs.prof.EnergyProfiler` attribution) **bit for bit**,
 enforced by the translation-validation and byte-identity tests.
 Anything a plan cannot model exactly — sensors, fault hooks, telemetry
-sinks, checkpoints, lint-rejected programs — silently falls back to the
-interpreter.
+sinks, checkpoints, lint-rejected programs — falls back to the
+interpreter.  A fault campaign that injects gate flips only keeps its
+trials on the plan: they run as the rows of one batch, with each
+trial's flips laid over its row after each logic op
+(:mod:`repro.faults.campaign`).
 
 Execution tiers (see docs/PERFORMANCE.md):
 
@@ -21,9 +24,10 @@ Execution tiers (see docs/PERFORMANCE.md):
 3. compiled plans (this package).  One :class:`CompiledPlan` per
    (program, technology, bank geometry), cached on the Program, drives
    continuous ``Mouse`` runs, the fused intermittent window loop and
-   lock-step ``BatchedMouse`` batches; every executor applies its ops
-   through :func:`repro.compilejit.exec.apply_op` on ``(rows, cols)``
-   or ``(batch, rows, cols)`` tile states.
+   lock-step ``BatchedMouse`` batches (gate-flip campaign trials
+   included); every executor applies its ops through
+   :func:`repro.compilejit.exec.apply_op` on ``(rows, cols)`` or
+   ``(batch, rows, cols)`` tile states.
 
 Harvest profiles (:class:`~repro.harvest.intermittent.ProfileRun`) are
 not CRAM programs and have one engine of their own: the switch and the
@@ -44,7 +48,8 @@ from repro.compilejit.plan import (
 ENABLED = True
 
 #: Counters for run manifests: how often the compiled path ran vs fell
-#: back to the interpreter (process-wide, monotonically increasing).
+#: back to the interpreter (process-wide, monotonically increasing; a
+#: fault campaign's trial set counts as one run).
 STATS = {"compiled_runs": 0, "fallback_runs": 0, "plans_compiled": 0}
 
 

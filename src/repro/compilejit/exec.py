@@ -155,16 +155,13 @@ def apply_op(op, states, views, tiles, cbuf, actreg, share, oms):
 # ----------------------------------------------------------------------
 
 
-def try_run_continuous(mouse, max_instructions: int) -> bool:
-    """Run the loaded program via its compiled plan if eligible.
-
-    Returns False (without touching any state) when the machine or the
-    program needs the scalar interpreter: telemetry/fault hooks
-    attached, mid-run state, dead replay pending, non-default register
-    parity, or an uncompilable program.
-    """
+def start_plan(mouse) -> Optional[CompiledPlan]:
+    """The plan a compiled run of ``mouse`` starts, or None when the
+    machine is not where every plan run begins — powered at pc 0 in
+    FETCH with default register parity, nothing staged, no dead replay
+    or sensor transfer pending, no fault hook or telemetry attached —
+    or its program does not compile."""
     controller = mouse.controller
-    ledger = mouse.ledger
     if (
         not controller.powered
         or controller.halted
@@ -172,19 +169,27 @@ def try_run_continuous(mouse, max_instructions: int) -> bool:
         or controller._dead_replay
         or controller._faults is not None
         or controller._obs is not None
-        or ledger.obs is not None
+        or mouse.ledger.obs is not None
         or controller.pc.read() != 0
         or controller.pc.parity.value
         or controller.pc._staged
         or controller.sensor_pc.read() != _NONE
     ):
+        return None
+    return _mouse_plan(mouse)
+
+
+def try_run_continuous(mouse, max_instructions: int) -> bool:
+    """Run the loaded program via its compiled plan if eligible.
+
+    Returns False (without touching any state) when the machine or the
+    program needs the scalar interpreter (see :func:`start_plan`), or
+    when a profiler is attached to only one of controller and ledger.
+    """
+    prof = mouse.controller._prof
+    if mouse.ledger.prof is not prof:
         return False
-    prof = controller._prof
-    if prof is not None and ledger.prof is not prof:
-        return False
-    if prof is None and ledger.prof is not None:
-        return False
-    plan = _mouse_plan(mouse)
+    plan = start_plan(mouse)
     if plan is None or plan.n_instructions > max_instructions:
         return False
     _run_continuous(mouse, plan, prof)
@@ -554,7 +559,7 @@ def try_run_batched(machine) -> bool:
     )
     if plan is None:
         return False
-    _run_batched(machine, plan)
+    run_batched(machine, plan)
     from repro import compilejit
 
     compilejit.STATS["compiled_runs"] += 1
@@ -568,11 +573,17 @@ def _acc_each(starts: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return np.array([_acc(float(s), vals) for s in uniq])[inverse]
 
 
-def _run_batched(machine, plan: CompiledPlan) -> None:
-    """Ledgers bit-identical to the scalar batched loop.  Only the
-    compute-energy chain differs between samples (each logic op's slot
-    holds that sample's energy), so it alone is built per sample; the
-    backup and latency chains are the plan's constants."""
+def run_batched(machine, plan: CompiledPlan, hooks=None) -> None:
+    """Run ``plan`` on a BatchedMouse, ledgers bit-identical to the
+    scalar batched loop.  Only the compute-energy chain differs between
+    samples (each logic op's slot holds that sample's energy), so it
+    alone is built per sample; the backup and latency chains are the
+    plan's constants.
+
+    ``hooks`` maps a logic op's pc to a callable that receives the
+    ``(batch, rows, cols)`` data-tile states right after the op is
+    applied — how a fault campaign lays each trial's surviving gate
+    flips over its row (:mod:`repro.faults.campaign`)."""
     ledger = machine.ledger
     tiles = machine.tiles
     states = [t.state for t in tiles]
@@ -588,10 +599,13 @@ def _run_batched(machine, plan: CompiledPlan) -> None:
     ce = np.empty((plan.ce_idx.size + 1, machine.batch), dtype=np.float64)
     ce[0] = ledger.compute_energy
     ce[1:] = vals[plan.ce_idx, None]
-    for op in plan.ops:
+    hooks = hooks or {}
+    for pc, op in enumerate(plan.ops):
         e = apply_op(op, states, views, tiles, cbuf, None, share, oms)
         if op[0] >= K_L1S:
             ce[ce_row[op[1]]] = e
+            if pc in hooks:
+                hooks[pc](states)
     np.add.accumulate(ce, axis=0, out=ce)
 
     n = plan.n_instructions

@@ -377,6 +377,20 @@ class CompiledPlan:
     # Introspection
     # ------------------------------------------------------------------
 
+    def flip_targets(self, pc: int) -> tuple[tuple[int, int, np.ndarray], ...]:
+        """``(tile, output row, active columns)`` of each gate the logic
+        op at ``pc`` fires, in target-tile order: the cells a gate-output
+        flip can hit, in the order the fault hook draws them."""
+        op = self.ops[pc]
+        out = []
+        for gate in op[3] if op[0] == K_LN else (op,):
+            if gate[0] == K_L1S:
+                sl = gate[6]
+                out.append((gate[3], gate[5], np.arange(sl.start, sl.stop)))
+            else:
+                out.append((gate[3], gate[6], gate[5]))
+        return tuple(out)
+
     def stats(self) -> dict:
         return {
             "instructions": self.n_instructions,

@@ -109,15 +109,18 @@ class Program:
     exist*, not how a given instruction behaves, and the metadata is
     advisory for the fault layer and the SDC lint rules.
 
-    A program is encoded and validated once: :meth:`words` memoises the
-    encoded words and :meth:`validate` the bank geometries it has
-    accepted, so loading one program into many machines pays for
-    neither again.  The memo rests on one rule: instructions are added
-    only through :meth:`append` / :meth:`extend` (which drop it, and
+    A program is encoded, validated and analysed once: :meth:`words`
+    memoises the encoded words, :meth:`validate` the bank geometries it
+    has accepted, :attr:`verify_pcs` its verify marks, and
+    :func:`repro.lint.lint_program` its default-pass reports, so
+    loading one program into many machines pays for none of them
+    again.  The memos rest on two rules: instructions are added only
+    through :meth:`append` / :meth:`extend` (which drop every memo, and
     any compiled plans cached on the program), never by editing
-    ``instructions`` in place.  To rewrite a program, build the
-    instruction and scope-id lists first and construct a new
-    ``Program`` from them.
+    ``instructions`` in place; and ``harden_meta`` is replaced, never
+    edited in place (assigning it drops the verify marks and lint
+    reports).  To rewrite a program, build the instruction and scope-id
+    lists first and construct a new ``Program`` from them.
     """
 
     instructions: list[Instruction] = field(default_factory=list)
@@ -142,10 +145,22 @@ class Program:
 
     def _forget(self) -> None:
         """Drop everything memoised from the instructions: the encoded
-        words, the accepted geometries and any compiled plans."""
-        self._words: Optional[list[int]] = None
-        self._valid_shapes: set[tuple[int, int, int]] = set()
-        self.__dict__.pop("_cjit_plans", None)
+        words, the accepted geometries, any compiled plans, the verify
+        marks and the lint reports.  (Written through ``__dict__``:
+        :meth:`append` calls it once per instruction.)"""
+        memo = self.__dict__
+        memo["_words"] = None
+        memo["_valid_shapes"] = set()
+        memo.pop("_cjit_plans", None)
+        memo.pop("_verify_pcs", None)
+        memo.pop("_lint_reports", None)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        object.__setattr__(self, name, value)
+        if name == "harden_meta":
+            # The verify marks and the lint reports read the metadata.
+            self.__dict__.pop("_verify_pcs", None)
+            self.__dict__.pop("_lint_reports", None)
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -195,11 +210,12 @@ class Program:
         when the plan's ``verify_marked`` switch is on; empty for
         programs without hardening metadata.
         """
-        if not self.harden_meta:
-            return frozenset()
-        return frozenset(
-            int(pc) for pc in self.harden_meta.get("verify_pcs", ())
-        )
+        marks = self.__dict__.get("_verify_pcs")
+        if marks is None:
+            marks = self._verify_pcs = frozenset(
+                int(pc) for pc in (self.harden_meta or {}).get("verify_pcs", ())
+            )
+        return marks
 
     def words(self) -> list[int]:
         """Encoded 64-bit words, ready for the instruction tiles.

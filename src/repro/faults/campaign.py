@@ -1,20 +1,29 @@
 """Seeded fault-injection campaigns over whole workloads.
 
 A :class:`FaultCampaign` runs N independent trials of one workload
-under one :class:`~repro.faults.plan.FaultPlan`.  Every trial builds a
-fresh machine, attaches a :class:`~repro.faults.injectors.TrialInjector`
-seeded with ``default_rng([seed, trial])``, steps the controller to
-HALT with injections at microstep and instruction boundaries, and
-classifies the outcome against a golden (fault-free) run of the same
-workload:
+under one :class:`~repro.faults.plan.FaultPlan`.  Every trial draws
+from ``default_rng([seed, trial])`` and is classified against a golden
+(fault-free) run of the same workload:
 
 * final data-tile memory is compared bit-for-bit, and
 * the workload's readout values are compared against the golden run's.
 
+Trials execute on one of two tiers.  The referee builds a fresh machine
+per trial, attaches a :class:`~repro.faults.injectors.TrialInjector`
+and steps the controller to HALT with injections at microstep and
+instruction boundaries.  When the plan injects gate flips only, each
+trial's flips, retries and budget abort are drawn up front
+(:class:`~repro.faults.injectors.GateFlipDraws`) and every trial runs
+as one row of a lock-step pass of the program's compiled plan, with
+its surviving flips laid over its row after each logic op.  The batch
+runs only where it is provably identical; :data:`INTERPRETER_REASONS`
+names every case that stays on the referee.
+
 Determinism is load-bearing: the trial RNG stream depends only on
 ``(seed, trial)``, the report contains no timestamps, and two runs of
-the same campaign serialise byte-identically
-(``tests/test_faults_campaign.py`` asserts this).
+the same campaign serialise byte-identically on either tier
+(``tests/test_faults_campaign.py`` and
+``tests/test_faults_batched_trials.py`` assert this).
 """
 
 from __future__ import annotations
@@ -30,9 +39,40 @@ from repro.compile.classifier import CompiledSvm, compile_svm_decision
 from repro.core.accelerator import Mouse
 from repro.core.controller import InstructionBudgetExceeded, Phase
 from repro.devices.parameters import MODERN_STT, DeviceParameters
-from repro.faults.injectors import RetryBudgetExhausted, TrialInjector
+from repro.faults.injectors import (
+    FaultCounters,
+    FlipSite,
+    GateFlipDraws,
+    RetryBudgetExhausted,
+    TrialInjector,
+)
 from repro.faults.plan import FaultPlan
 from repro.faults.report import CampaignReport
+from repro.isa.instruction import LogicInstruction
+
+#: Why a campaign's trials run on the interpreter instead of as rows of
+#: one batched plan, in the order they are checked:
+#:
+#: * ``compiled_off``: :func:`repro.compilejit.enabled` is False;
+#: * ``telemetry``: a hub is attached (fault events carry simulated
+#:   timestamps);
+#: * ``non_flip_faults``: an array, NV or outage rate is set, or an
+#:   outage trace is given;
+#: * ``no_plan``: the program has no compiled plan for the bank, or a
+#:   built machine does not start where a plan run starts;
+#: * ``microstep_budget``: a full trial would reach ``max_microsteps``
+#:   (the interpreter raises :class:`InstructionBudgetExceeded`).
+INTERPRETER_REASONS = (
+    "compiled_off",
+    "telemetry",
+    "non_flip_faults",
+    "no_plan",
+    "microstep_budget",
+)
+
+#: Tile state one batched pass holds at most; larger trial sets run in
+#: several passes.
+_BATCH_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -214,17 +254,21 @@ class FaultCampaign:
         jobs: Optional[int] = None,
         checkpoint_dir: Optional[str] = None,
     ) -> CampaignReport:
-        """Run the campaign; ``jobs > 1`` fans trials across processes.
+        """Run the campaign; ``jobs > 1`` fans interpreted trials
+        across processes.
 
-        Trials are already independent by construction — each one
-        builds a fresh machine and draws from ``default_rng([seed,
-        trial])`` — so the fan-out merges per-trial details back in
-        trial order and the report JSON is byte-identical at any job
-        count.  With ``jobs > 1`` each worker resolves its own ambient
-        hub *at trial time* — the per-worker shard hub installed by the
-        pool (see :mod:`repro.obs.fanout`) — so ``fault.*`` events
-        survive fan-out: the parent merges the shards into the main
-        event log after the pool drains.
+        A gate-flip-only campaign runs its trials as the rows of one
+        compiled batch (see :data:`INTERPRETER_REASONS` for when it
+        does not); the report is byte-identical either way.  Trials are
+        independent by construction — each one starts from a freshly
+        built machine and draws from ``default_rng([seed, trial])`` —
+        so the fan-out merges per-trial details back in trial order and
+        the report JSON is byte-identical at any job count.  With
+        ``jobs > 1`` each worker resolves its own ambient hub *at trial
+        time* — the per-worker shard hub installed by the pool (see
+        :mod:`repro.obs.fanout`) — so ``fault.*`` events survive
+        fan-out: the parent merges the shards into the main event log
+        after the pool drains.
 
         ``checkpoint_dir`` persists each trial's detail record the
         moment it completes; a killed campaign re-run against the same
@@ -233,9 +277,13 @@ class FaultCampaign:
         trial's outcome is the same no matter which process, or which
         resume attempt, computed it).
         """
+        from repro import compilejit
+
         obs = self._resolve_obs()
 
         golden = self.workload.build()
+        reason, compiled = self._interpreter_reason(golden, obs)
+        initial = golden.bank.snapshot() if reason is None else None
         if self.outage_trace is not None:
             from repro.faults.outages import outages_from_trace
 
@@ -288,18 +336,31 @@ class FaultCampaign:
                     "plan": self.plan.to_json_obj(),
                 },
             )
-        details = run_resumable(
-            [f"trial-{trial}" for trial in range(self.trials)],
-            [
+        keys = [f"trial-{trial}" for trial in range(self.trials)]
+        if reason is None:
+            done = store.done(keys) if store is not None else set()
+            pending = [t for t, key in enumerate(keys) if key not in done]
+            fresh: dict[int, dict] = {}
+            per_pass = max(1, _BATCH_BYTES // sum(a.nbytes for a in initial))
+            for lo in range(0, len(pending), per_pass):
+                rows = pending[lo:lo + per_pass]
+                fresh.update(zip(rows, self._run_batch(
+                    rows, golden, compiled, initial, golden_memory,
+                    golden_values,
+                )))
+            thunks = [lambda t=trial: fresh[t] for trial in range(self.trials)]
+            n_jobs = 1
+            compilejit.STATS["compiled_runs"] += 1
+        else:
+            thunks = [
                 lambda t=trial: self._run_trial(
                     t, golden_memory, golden_values,
                     self._trial_obs(obs, n_jobs),
                 )
                 for trial in range(self.trials)
-            ],
-            store,
-            jobs=n_jobs,
-        )
+            ]
+            compilejit.STATS["fallback_runs"] += 1
+        details = run_resumable(keys, thunks, store, jobs=n_jobs)
         for detail in details:
             report.outcomes[detail["outcome"]] += 1
             for site, count in detail["injected"].items():
@@ -315,6 +376,130 @@ class FaultCampaign:
         return report
 
     # ------------------------------------------------------------------
+
+    def _interpreter_reason(self, machine: Mouse, obs):
+        """``(None, plan)`` when the trials may run as rows of the
+        freshly built ``machine``'s compiled plan, else the first
+        :data:`INTERPRETER_REASONS` entry that applies and None."""
+        from repro import compilejit
+        from repro.compilejit.exec import start_plan
+
+        plan = self.plan
+        if not compilejit.enabled():
+            return "compiled_off", None
+        if obs is not None:
+            return "telemetry", None
+        if (
+            plan.array_flip_rate > 0
+            or plan.nv_corruption_rate > 0
+            or plan.outage_rate > 0
+            or self.outage_trace is not None
+        ):
+            return "non_flip_faults", None
+        compiled = start_plan(machine)
+        if compiled is None or machine.controller.buffer.any():
+            return "no_plan", None
+        # A straight-line run takes 5 microsteps per instruction and 3
+        # for the HALT; a retry adds none.
+        if 5 * compiled.n_instructions - 2 > self.max_microsteps:
+            return "microstep_budget", None
+        return None, compiled
+
+    def _run_batch(
+        self,
+        trials: Sequence[int],
+        golden: Mouse,
+        compiled,
+        initial: Sequence[np.ndarray],
+        golden_memory: Sequence[np.ndarray],
+        golden_values: list[int],
+    ) -> list[dict]:
+        """``trials`` as the rows of one lock-step pass of the
+        ``compiled`` plan.
+
+        Each row starts from the built machine's ``initial`` tiles.
+        After a logic op the row's surviving flips are XORed into the
+        op's output row, and a row whose retry budget ran out there has
+        its tiles copied, as the interpreter leaves them when it stops.
+        ``golden`` serves as the machine each finished row is read out
+        on.
+        """
+        from repro.compilejit.exec import run_batched
+        from repro.perf.batched import BatchedMouse
+
+        program = golden.program
+        marked = program.verify_pcs if self.plan.verify_marked else frozenset()
+        sites, targets = [], {}
+        for pc, instr in enumerate(program.instructions):
+            rate = (
+                self.plan.rate_for(instr.spec.name)
+                if isinstance(instr, LogicInstruction)
+                else 0.0
+            )
+            if rate <= 0.0:
+                continue
+            targets[pc] = compiled.flip_targets(pc)
+            sites.append(FlipSite(
+                pc, instr.spec.name, rate,
+                self.plan.verify_retry or pc in marked,
+                sum(cols.size for _, _, cols in targets[pc]),
+            ))
+        draws = GateFlipDraws(self.plan, sites)
+
+        counters = [FaultCounters() for _ in trials]
+        aborts: list[Optional[RetryBudgetExhausted]] = []
+        flips_at: dict[int, list] = {}
+        stops_at: dict[int, list[int]] = {}
+        for row, trial in enumerate(trials):
+            flips, abort = draws.draw(
+                np.random.default_rng([self.seed, trial]), counters[row]
+            )
+            aborts.append(abort)
+            for pc, mask in flips.items():
+                flips_at.setdefault(pc, []).append((row, mask))
+            if abort is not None:
+                stops_at.setdefault(abort.pc, []).append(row)
+        stopped: dict[int, list[np.ndarray]] = {}
+
+        def hook(pc: int):
+            def after(states) -> None:
+                for row, mask in flips_at.get(pc, ()):
+                    start = 0
+                    for tile, out_row, cols in targets[pc]:
+                        stop = start + cols.size
+                        flipped = cols[mask[start:stop]]
+                        states[tile][row, out_row, flipped] ^= True
+                        start = stop
+                for row in stops_at.get(pc, ()):
+                    stopped[row] = [state[row].copy() for state in states]
+
+            return after
+
+        bank = golden.bank
+        machine = BatchedMouse(
+            golden.params, len(trials), len(initial), bank.rows, bank.cols
+        )
+        for tile, state in zip(machine.tiles, initial):
+            tile.state[...] = state
+        machine.load(program)
+        hooks = {pc: hook(pc) for pc in flips_at.keys() | stops_at.keys()}
+        run_batched(machine, compiled, hooks)
+
+        details = []
+        for row, trial in enumerate(trials):
+            memory = stopped.get(row) or [t.state[row] for t in machine.tiles]
+            memory_match = all(
+                np.array_equal(a, b) for a, b in zip(memory, golden_memory)
+            )
+            value_match = False
+            if aborts[row] is None:
+                for tile, state in zip(bank.data_tiles, memory):
+                    tile.state[...] = state
+                value_match = self.workload.readout(golden) == golden_values
+            details.append(self._detail(
+                trial, counters[row], aborts[row], memory_match, value_match
+            ))
+        return details
 
     @staticmethod
     def _hardening_summary(golden: Mouse) -> Optional[dict]:
@@ -374,8 +559,7 @@ class FaultCampaign:
         injector.attach(mouse)
         controller = mouse.controller
 
-        aborted: Optional[str] = None
-        abort: Optional[dict] = None
+        abort: Optional[RetryBudgetExhausted] = None
         steps = 0
         try:
             while not controller.halted:
@@ -389,11 +573,7 @@ class FaultCampaign:
                     injector.after_commit(mouse)
                 injector.after_microstep(mouse, phase)
         except RetryBudgetExhausted as exc:
-            # The exception carries *where* the budget died, not just a
-            # message — thread it into the frozen report rather than
-            # flattening it to a string.
-            aborted = str(exc)
-            abort = {"pc": exc.pc, "gate": exc.gate, "retries": exc.retries}
+            abort = exc
 
         counters = injector.counters
         if obs is not None:
@@ -403,8 +583,22 @@ class FaultCampaign:
             for a, b in zip(mouse.bank.snapshot(), golden_memory)
         )
         value_match = (
-            aborted is None and self.workload.readout(mouse) == golden_values
+            abort is None and self.workload.readout(mouse) == golden_values
         )
+        return self._detail(trial, counters, abort, memory_match, value_match)
+
+    def _detail(
+        self,
+        trial: int,
+        counters: FaultCounters,
+        abort: Optional[RetryBudgetExhausted],
+        memory_match: bool,
+        value_match: bool,
+    ) -> dict:
+        """One trial's report record.  The exhaustion carries *where*
+        the budget died, not just a message; it goes into the frozen
+        report rather than being flattened to a string."""
+        aborted = None if abort is None else str(abort)
         outcome = self._classify(counters, aborted, memory_match, value_match)
         detail = {
             "trial": trial,
@@ -416,9 +610,11 @@ class FaultCampaign:
             "memory_match": memory_match,
             "value_match": value_match,
         }
-        if aborted is not None:
+        if abort is not None:
             detail["abort_reason"] = aborted
-            detail["abort"] = abort
+            detail["abort"] = {
+                "pc": abort.pc, "gate": abort.gate, "retries": abort.retries
+            }
         return detail
 
     @staticmethod

@@ -17,6 +17,10 @@ so a trial is replayable bit-exactly:
   flips, NV dual-register corruption (followed by a power cycle the
   Figure-7 protocol must survive), and stochastic adversarial outages.
 
+:class:`GateFlipDraws` makes the hook's draws for a whole trial up
+front, for campaigns that inject gate flips only and run their trials
+as rows of one compiled batch (:mod:`repro.faults.campaign`).
+
 Detection here is architectural, not oracular: the verifier re-reads
 the *current* array contents (inputs included), so a gate whose inputs
 were corrupted earlier computes a consistent-but-wrong answer that only
@@ -27,7 +31,7 @@ exactly the silent-data-corruption channel the campaign quantifies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -52,6 +56,16 @@ class RetryBudgetExhausted(RuntimeError):
         self.pc = pc
         self.gate = gate
         self.retries = retries
+
+    @classmethod
+    def at(cls, pc: int, gate: str, retries: int, budget: int):
+        return cls(
+            f"gate {gate} at pc {pc} still wrong after {retries} re-issues "
+            f"(budget {budget})",
+            pc=pc,
+            gate=gate,
+            retries=retries,
+        )
 
 
 @dataclass
@@ -161,12 +175,8 @@ class ControllerFaultHook:
                 count=mismatches,
             )
             if retries >= self.plan.retry_budget:
-                raise RetryBudgetExhausted(
-                    f"gate {spec.name} at pc {pc} still wrong after "
-                    f"{retries} re-issues (budget {self.plan.retry_budget})",
-                    pc=pc,
-                    gate=spec.name,
-                    retries=retries,
+                raise RetryBudgetExhausted.at(
+                    pc, spec.name, retries, self.plan.retry_budget
                 )
             retries += 1
             self.counters.retries += 1
@@ -222,6 +232,99 @@ class ControllerFaultHook:
                 ),
                 2.0 * cycle,
             )
+
+
+@dataclass(frozen=True)
+class FlipSite:
+    """A logic instruction with a non-zero flip rate: its pc and gate,
+    whether it is verified, and how many active columns its target
+    tiles hold together (the length of one draw)."""
+
+    pc: int
+    gate: str
+    rate: float
+    verify: bool
+    width: int
+
+
+class GateFlipDraws:
+    """Every draw :meth:`ControllerFaultHook.after_logic` makes in one
+    trial that injects gate flips only, made without simulating.
+
+    ``sites`` are the program's logic instructions with a non-zero
+    rate, in pc order (no draw happens at rate 0).  The draws are exact
+    because none depends on array data: a lint-clean program fires
+    every gate into a freshly preset row with the right polarity, and
+    a re-issue recomputes it from unchanged inputs, so a verify re-read
+    mismatches exactly when that attempt's own draw flipped a column.
+    And ``rng.random(a)`` then ``rng.random(b)`` yields the numbers of
+    ``rng.random(a + b)``, so every site's first attempt is drawn in
+    one call, and each re-issue shifts the later sites along the same
+    stream.
+    """
+
+    def __init__(self, plan: FaultPlan, sites: Sequence[FlipSite]) -> None:
+        self.budget = plan.retry_budget
+        self.sites = list(sites)
+        widths = np.array([site.width for site in self.sites], dtype=np.intp)
+        self.ends = np.cumsum(widths)
+        self.starts = self.ends - widths
+        self.total = int(self.ends[-1]) if self.sites else 0
+        self.rates = np.repeat([site.rate for site in self.sites], widths)
+        self.owner = np.repeat(np.arange(len(self.sites)), widths)
+
+    def draw(
+        self, rng: np.random.Generator, counters: FaultCounters
+    ) -> tuple[dict[int, np.ndarray], Optional[RetryBudgetExhausted]]:
+        """One trial's draws: the flips that survive at each pc (a mask
+        over the site's columns, target tile after target tile) and the
+        exhaustion that stops the trial, if any.  ``counters`` are
+        updated as the hook updates them."""
+        stream = rng.random(self.total)
+
+        def reach(n: int) -> None:
+            nonlocal stream
+            if stream.size < n:
+                stream = np.concatenate((stream, rng.random(n - stream.size)))
+
+        survivors: dict[int, np.ndarray] = {}
+        shift = 0  # draws the re-issues so far took from the stream
+        first = 0
+        while first < len(self.sites):
+            reach(self.total + shift)
+            lo = self.starts[first]
+            hit = stream[lo + shift:self.total + shift] < self.rates[lo:]
+            resolved = None
+            for s in np.unique(self.owner[lo + np.flatnonzero(hit)]):
+                site = self.sites[s]
+                cursor = self.ends[s] + shift
+                mask = stream[cursor - site.width:cursor] < site.rate
+                counters.injected["gate"] += int(mask.sum())
+                if not site.verify:
+                    survivors[site.pc] = mask
+                    continue
+                retries = 0
+                while mask.any():
+                    counters.detected += 1
+                    if retries >= self.budget:
+                        survivors[site.pc] = mask
+                        return survivors, RetryBudgetExhausted.at(
+                            site.pc, site.gate, retries, self.budget
+                        )
+                    retries += 1
+                    counters.retries += 1
+                    reach(cursor + site.width)
+                    mask = stream[cursor:cursor + site.width] < site.rate
+                    cursor += site.width
+                    counters.injected["gate"] += int(mask.sum())
+                counters.recovered += 1
+                shift = cursor - self.ends[s]
+                resolved = s
+                break
+            if resolved is None:
+                break
+            first = resolved + 1
+        return survivors, None
 
 
 class TrialInjector:

@@ -19,6 +19,7 @@ and seed are byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Any, Mapping
 
 from repro.devices.parameters import DeviceParameters
@@ -208,13 +209,40 @@ class FaultPlan:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping[str, Any]) -> "FaultPlan":
+        """The plan :meth:`to_json_obj` wrote; ``ValueError`` naming the
+        field for anything else (a missing field takes its default)."""
+        if not isinstance(obj, Mapping):
+            raise ValueError("fault plan must be a JSON object")
+
+        def typed(key: str, default: Any, kind: type, what: str) -> Any:
+            value = obj.get(key, default)
+            # bool is an int subtype: accepted only where asked for.
+            if not isinstance(value, kind) or (
+                isinstance(value, bool) and kind is not bool
+            ):
+                raise ValueError(
+                    f"fault plan {key!r} must be {what}, not {value!r}"
+                )
+            return value
+
+        rates = typed("gate_flip_rates", {}, Mapping, "a mapping")
+        for name, rate in rates.items():
+            if isinstance(rate, bool) or not isinstance(rate, Real):
+                raise ValueError(
+                    f"fault plan rate for gate {name!r} must be a number, "
+                    f"not {rate!r}"
+                )
         return cls(
-            gate_flip_rates=dict(obj.get("gate_flip_rates", {})),
-            array_flip_rate=float(obj.get("array_flip_rate", 0.0)),
-            nv_corruption_rate=float(obj.get("nv_corruption_rate", 0.0)),
-            outage_rate=float(obj.get("outage_rate", 0.0)),
-            verify_retry=bool(obj.get("verify_retry", True)),
-            verify_marked=bool(obj.get("verify_marked", True)),
-            retry_budget=int(obj.get("retry_budget", 8)),
-            meta=dict(obj.get("meta", {})),
+            gate_flip_rates=dict(rates),
+            array_flip_rate=float(
+                typed("array_flip_rate", 0.0, Real, "a number")
+            ),
+            nv_corruption_rate=float(
+                typed("nv_corruption_rate", 0.0, Real, "a number")
+            ),
+            outage_rate=float(typed("outage_rate", 0.0, Real, "a number")),
+            verify_retry=typed("verify_retry", True, bool, "a boolean"),
+            verify_marked=typed("verify_marked", True, bool, "a boolean"),
+            retry_budget=int(typed("retry_budget", 8, Integral, "an integer")),
+            meta=dict(typed("meta", {}, Mapping, "a mapping")),
         )

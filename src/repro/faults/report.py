@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Any, Mapping
 
 from repro.faults.plan import SITES, FaultPlan
@@ -102,9 +103,25 @@ class CampaignReport:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
 
 
+def _count(value: Any, what: str) -> int:
+    """``value`` as a non-negative count (a bool is not a count)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+        raise ValueError(f"{what} has bad count {value!r}")
+    return value
+
+
+def _mapping(value: Any, what: str) -> Mapping[str, Any]:
+    if not isinstance(value, Mapping):
+        raise ValueError(
+            f"{what} must be a mapping, not {type(value).__name__}"
+        )
+    return value
+
+
 def validate_report(obj: Mapping[str, Any]) -> None:
-    """Raise ``ValueError`` unless ``obj`` is a well-formed report
-    (any compatible schema version: v1 or v1.1)."""
+    """Raise ``ValueError`` naming the field unless ``obj`` is a
+    well-formed report (any compatible schema version)."""
+    _mapping(obj, "report")
     if obj.get("schema") not in COMPATIBLE_SCHEMAS:
         raise ValueError(
             f"schema is {obj.get('schema')!r}, expected one of "
@@ -113,54 +130,50 @@ def validate_report(obj: Mapping[str, Any]) -> None:
     for key in ("workload", "trials", "seed", "plan", "outcomes", "totals", "details"):
         if key not in obj:
             raise ValueError(f"report is missing {key!r}")
-    outcomes = obj["outcomes"]
+    trials = _count(obj["trials"], "report 'trials'")
+    outcomes = _mapping(obj["outcomes"], "outcomes")
     for cls in OUTCOMES:
-        count = outcomes.get(cls)
-        if not isinstance(count, int) or count < 0:
-            raise ValueError(f"outcome {cls!r} has bad count {count!r}")
+        _count(outcomes.get(cls), f"outcome {cls!r}")
     extra = set(outcomes) - set(OUTCOMES)
     if extra:
         raise ValueError(f"unknown outcome classes {sorted(extra)}")
-    if sum(outcomes.values()) != obj["trials"]:
+    if sum(outcomes.values()) != trials:
         raise ValueError(
             f"outcome counts sum to {sum(outcomes.values())}, "
-            f"expected {obj['trials']} trials"
+            f"expected {trials} trials"
         )
-    injected = obj["totals"].get("injected", {})
-    for site in injected:
+    totals = _mapping(obj["totals"], "totals")
+    injected = _mapping(totals.get("injected", {}), "totals 'injected'")
+    for site, count in injected.items():
         if site not in SITES:
             raise ValueError(f"unknown injection site {site!r}")
-    if len(obj["details"]) != obj["trials"]:
+        _count(count, f"injection site {site!r}")
+    details = obj["details"]
+    if not isinstance(details, list):
+        raise ValueError(
+            f"details must be a list, not {type(details).__name__}"
+        )
+    if len(details) != trials:
         raise ValueError("per-trial details do not cover every trial")
     lint = obj.get("lint")
     if lint is not None:
+        lint = _mapping(lint, "lint block")
         for key in ("errors", "warnings"):
-            count = lint.get(key) if isinstance(lint, Mapping) else None
-            if not isinstance(count, int) or count < 0:
-                raise ValueError(f"lint block has bad {key!r}: {count!r}")
+            _count(lint.get(key), f"lint block {key!r}")
         if not isinstance(lint.get("rules"), list):
             raise ValueError("lint block needs a 'rules' list")
     hardening = obj.get("hardening")
     if hardening is not None:
-        if not isinstance(hardening, Mapping):
-            raise ValueError("hardening block must be a mapping")
+        hardening = _mapping(hardening, "hardening block")
         for key in ("tmr_groups", "verify_pcs"):
-            count = hardening.get(key)
-            if not isinstance(count, int) or count < 0:
-                raise ValueError(
-                    f"hardening block has bad {key!r}: {count!r}"
-                )
-    for detail in obj["details"]:
-        abort = detail.get("abort") if isinstance(detail, Mapping) else None
+            _count(hardening.get(key), f"hardening block {key!r}")
+    for detail in details:
+        abort = _mapping(detail, "per-trial detail").get("abort")
         if abort is not None:
-            if not isinstance(abort, Mapping):
-                raise ValueError("per-trial abort record must be a mapping")
-            retries = abort.get("retries")
-            if retries is not None and (
-                not isinstance(retries, int) or retries < 0
-            ):
-                raise ValueError(f"abort record has bad retries: {retries!r}")
-    FaultPlan.from_json_obj(obj["plan"])  # re-validates rates
+            retries = _mapping(abort, "per-trial abort record").get("retries")
+            if retries is not None:
+                _count(retries, "abort record 'retries'")
+    FaultPlan.from_json_obj(_mapping(obj["plan"], "plan"))  # re-validates rates
 
 
 def render(report: CampaignReport) -> str:

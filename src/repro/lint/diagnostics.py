@@ -77,9 +77,10 @@ class Diagnostic:
         return text
 
 
-@dataclass
+@dataclass(frozen=True)
 class LintReport:
-    """All findings of one linter run over one program."""
+    """All findings of one linter run over one program (frozen: one
+    report may be shared by every caller that linted the program)."""
 
     program: str
     n_instructions: int

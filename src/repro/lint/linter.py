@@ -6,6 +6,13 @@ returns a sorted :class:`~repro.lint.diagnostics.LintReport`.  When
 telemetry is enabled (:func:`repro.obs.current`), each run emits a
 ``lint.report`` event and bumps ``lint.*`` counters so lint verdicts
 land in run manifests.
+
+A default-pass report is memoised on the :class:`~repro.core.program.
+Program`, keyed by the (hashable) config and the report name, so the
+several callers that lint one program against one bank — hardening,
+the plan gate, a campaign's golden verdict — run the passes once.  The
+memo goes when the program changes (see ``Program``); every call still
+emits its event and bumps its counters.
 """
 
 from __future__ import annotations
@@ -37,8 +44,27 @@ class Linter:
     ) -> None:
         self.config = config or LintConfig()
         self.passes = tuple(passes) if passes is not None else default_passes()
+        self._memoise = passes is None
 
     def run(self, program: Program, name: Optional[str] = None) -> LintReport:
+        memo = (
+            program.__dict__.setdefault("_lint_reports", {})
+            if self._memoise
+            else None
+        )
+        key = (self.config, name or program.name)
+        try:
+            report = memo.get(key) if memo is not None else None
+        except TypeError:  # unhashable config (a custom EnergyBuffer)
+            memo = report = None
+        if report is None:
+            report = self._lint(program, name)
+            if memo is not None:
+                memo[key] = report
+        self._observe(report)
+        return report
+
+    def _lint(self, program: Program, name: Optional[str]) -> LintReport:
         diagnostics = []
         for lint_pass in self.passes:
             diagnostics.extend(lint_pass.run(program, self.config))
@@ -50,14 +76,12 @@ class Linter:
                 d.row if d.row is not None else -1,
             )
         )
-        report = LintReport(
+        return LintReport(
             program=name or program.name,
             n_instructions=len(program),
             diagnostics=tuple(diagnostics),
             passes=tuple(p.name for p in self.passes),
         )
-        self._observe(report)
-        return report
 
     @staticmethod
     def _observe(report: LintReport) -> None:

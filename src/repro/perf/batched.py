@@ -38,9 +38,12 @@ applying each op to the ``(batch, rows, cols)`` states
 (:mod:`repro.compilejit.exec`); the loop runs when compiled execution
 is switched off or the program does not compile.
 
-Scope: continuous power only.  Intermittent execution, fault injection,
-and sensor reads are inherently per-sample/per-outage serial semantics
-— use the serial machine for those (see ``docs/PERFORMANCE.md``).
+Scope: continuous power only.  Intermittent execution and sensor
+reads are inherently per-sample/per-outage serial semantics — use the
+serial machine for those (see ``docs/PERFORMANCE.md``).  Fault
+injection is serial too, except gate flips: a campaign that injects
+only those draws every trial's flips up front and runs its trials as
+the samples of one compiled batch (:mod:`repro.faults.campaign`).
 """
 
 from __future__ import annotations

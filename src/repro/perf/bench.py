@@ -42,6 +42,7 @@ FLOORS = {
     "classify_bnn_batch64": 10.0,
     "compiled_step_instruction": 10.0,
     "compiled_intermittent_replay": 5.0,
+    "compiled_campaign_trials": 5.0,
 }
 
 
@@ -294,6 +295,54 @@ def bench_compiled_intermittent_replay(quick: bool) -> BenchResult:
     )
 
 
+def bench_compiled_campaign_trials(quick: bool) -> BenchResult:
+    """An 8-trial gate-flip campaign on the adder (Table-II-derived
+    rates, verify-and-retry on): trials as rows of one compiled batch vs
+    the same campaign with compiled plans off, where every trial steps
+    the interpreter referee.  ns per campaign; the two reports are
+    asserted byte-identical before timing, and the two sides' batches
+    alternate (:func:`_time_pair_ns`)."""
+    from repro import compilejit
+    from repro.devices.parameters import MODERN_STT
+    from repro.faults import FaultCampaign, FaultPlan, adder_workload
+
+    workload = adder_workload()
+    campaign = FaultCampaign(
+        workload,
+        FaultPlan.from_variation(MODERN_STT, sigma=0.05, trials=4_000),
+        trials=8,
+        seed=3,
+    )
+
+    def referee():
+        compilejit.set_enabled(False)
+        try:
+            return campaign.run(jobs=1)
+        finally:
+            compilejit.set_enabled(True)
+
+    if campaign.run(jobs=1).to_json() != referee().to_json():
+        raise AssertionError(
+            "batched campaign trials diverge from the interpreter"
+        )
+    reps, ref_reps = (25, 5) if quick else (100, 20)
+    ns, ref_ns = _time_pair_ns(
+        lambda: campaign.run(jobs=1), referee, reps, ref_reps
+    )
+    return BenchResult(
+        op="compiled_campaign_trials",
+        config={
+            "workload": workload.name,
+            "trials": campaign.trials,
+            "technology": MODERN_STT.name,
+        },
+        reps=reps,
+        ns_per_op=ns,
+        baseline="scalar_interpreter",
+        baseline_ns_per_op=ref_ns,
+    )
+
+
 # ----------------------------------------------------------------------
 # Batch-64 classification: lock-step engine vs serial Python loop
 # ----------------------------------------------------------------------
@@ -407,6 +456,7 @@ BENCHMARKS = (
     bench_logic_op,
     bench_compiled_step_instruction,
     bench_compiled_intermittent_replay,
+    bench_compiled_campaign_trials,
     bench_trace_replay,
     bench_classify_svm,
     bench_classify_bnn,

@@ -148,6 +148,32 @@ class TestFaultsCommand:
         assert payload["config"]["workload"] == "adder"
         assert "gate_flip_rates" in payload["config"]["plan"]
 
+    @pytest.mark.parametrize(
+        "extra, compiled, fallback",
+        [([], 2, 0), (["--outage-rate", "0.01"], 1, 1)],
+        ids=["gate-flips", "outages"],
+    )
+    def test_manifest_records_the_trial_tier(
+        self, tmp_path, capsys, monkeypatch, extra, compiled, fallback
+    ):
+        """Gate flips alone: the golden run and the batched trial set
+        are compiled runs.  Outages keep the trials on the interpreter:
+        one fallback trial set."""
+        from repro import compilejit
+
+        monkeypatch.setattr(
+            compilejit,
+            "STATS",
+            {"compiled_runs": 0, "fallback_runs": 0, "plans_compiled": 0},
+        )
+        mdir = tmp_path / "run"
+        args = ["faults", "--workload", "adder", "--trials", "2",
+                "--derive-trials", "2000", "--manifest", str(mdir)]
+        main(args + extra)
+        payload = json.load(open(mdir / "manifest.json"))
+        assert payload["compilejit"]["compiled_runs"] == compiled
+        assert payload["compilejit"]["fallback_runs"] == fallback
+
 
 class TestRunSeed:
     def test_seed_recorded_in_manifest(self, tmp_path, capsys):

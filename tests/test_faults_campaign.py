@@ -261,3 +261,147 @@ class TestReportV12:
         obj["hardening"] = {"tmr_groups": "three", "verify_pcs": 0}
         with pytest.raises(ValueError, match="hardening"):
             validate_report(obj)
+
+
+class TestMalformedReportsRejected:
+    """Each malformed input named in the reader's contract raises
+    ``ValueError`` naming the field, never an untyped exception."""
+
+    @pytest.fixture(scope="class")
+    def obj(self):
+        return run_campaign(GATE_PLAN, trials=2).to_json_obj()
+
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda o: [o], "report"),
+            (lambda o: dict(o, outcomes=[]), "outcomes"),
+            (lambda o: dict(o, totals=[]), "totals"),
+            (lambda o: dict(o, plan=[]), "plan"),
+            (lambda o: dict(o, details=3), "details"),
+            (lambda o: dict(o, trials=True), "trials"),
+            (
+                lambda o: dict(o, outcomes=dict(o["outcomes"], clean=True)),
+                "clean",
+            ),
+            (
+                lambda o: dict(o, plan=dict(o["plan"], gate_flip_rates=5)),
+                "gate_flip_rates",
+            ),
+            (
+                lambda o: dict(
+                    o, plan=dict(o["plan"], gate_flip_rates={"NOT": "x"})
+                ),
+                "NOT",
+            ),
+            (
+                lambda o: dict(o, plan=dict(o["plan"], retry_budget=None)),
+                "retry_budget",
+            ),
+        ],
+    )
+    def test_names_the_field(self, obj, mutate, field):
+        with pytest.raises(ValueError, match=field):
+            validate_report(mutate(obj))
+
+
+#: Seeded byte-level fuzzing of ``validate_report`` and
+#: ``FaultPlan.from_json_obj``: FUZZ_SEEDS seeds, each drawing
+#: FUZZ_CASES mutated inputs (truncation, byte flips, a field dropped or
+#: retyped at any depth) of a real hardened report with aborted trials.
+FUZZ_SEEDS = 8
+FUZZ_CASES = 64
+_RETYPES = (
+    None, 5, -1, 1.5, "x", "", [], [1], {}, {"a": 1}, True, float("nan")
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_base():
+    from repro.harden import HardenPolicy, harden_program
+    from repro.harden.frontier import _hardened_workload
+    from repro.lint import LintConfig
+
+    base = adder_workload(MODERN_STT)
+    machine = base.build()
+    bank = machine.bank
+    hardened = harden_program(
+        machine.program,
+        {"NAND": 0.02, "BUF": 0.01, "NOT": 0.01},
+        LintConfig(n_data_tiles=1, rows=bank.rows, cols=bank.cols),
+        HardenPolicy(level=1.0),
+    )
+    plan = FaultPlan(
+        gate_flip_rates={"NAND": 0.3, "BUF": 0.3, "NOT": 0.3},
+        retry_budget=1,
+    )
+    report = run_campaign(
+        plan, trials=4, workload=_hardened_workload(base, hardened)
+    )
+    obj = report.to_json_obj()
+    assert "hardening" in obj and any("abort" in d for d in obj["details"])
+    return obj
+
+
+def _paths(obj, prefix=()):
+    """Every path to a value inside a JSON tree."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return []
+    out = []
+    for key, value in items:
+        out.append(prefix + (key,))
+        out.extend(_paths(value, prefix + (key,)))
+    return out
+
+
+def _mutated_obj(rng, obj):
+    import copy
+
+    obj = copy.deepcopy(obj)
+    path = rng.choice(_paths(obj))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if rng.randrange(2):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = rng.choice(_RETYPES)
+    return obj
+
+
+def _mutated_bytes(rng, obj) -> bytes:
+    data = bytearray(json.dumps(obj).encode())
+    if rng.randrange(2):
+        del data[rng.randrange(len(data)):]
+    else:
+        for _ in range(rng.randint(1, 4)):
+            data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+    return bytes(data)
+
+
+@pytest.mark.parametrize("seed", range(FUZZ_SEEDS))
+def test_fuzzed_reports_validate_or_raise_value_error(fuzz_base, seed):
+    import random
+
+    rng = random.Random(seed)
+    accepted = 0
+    for case in range(FUZZ_CASES):
+        try:
+            validate_report(json.loads(_mutated_bytes(rng, fuzz_base)))
+            accepted += 1
+        except ValueError:
+            pass
+        try:
+            validate_report(_mutated_obj(rng, fuzz_base))
+            accepted += 1
+        except ValueError:
+            pass
+        try:
+            FaultPlan.from_json_obj(_mutated_obj(rng, fuzz_base["plan"]))
+        except ValueError:
+            pass
+    assert accepted < 2 * FUZZ_CASES  # the mutations do reach the error paths

@@ -366,6 +366,85 @@ class TestLinter:
         assert "PAR001" in str(err)
 
 
+class TestLintMemo:
+    """A default-pass report is memoised on the Program, keyed by the
+    config and the report name; every call still reports to the hub."""
+
+    @pytest.fixture
+    def pass_runs(self, monkeypatch):
+        runs = []
+        for lint_pass in default_passes():
+            cls = type(lint_pass)
+            real = cls.run
+
+            def spy(self, program, config, real=real):
+                runs.append(self.name)
+                return real(self, program, config)
+
+            monkeypatch.setattr(cls, "run", spy)
+        return runs
+
+    def test_equal_config_runs_no_pass_again(self, pass_runs):
+        program = prog(*GOOD.instructions)
+        first = lint_program(program, CONFIG)
+        n_passes = len(pass_runs)
+        assert n_passes == len(default_passes())
+        again = lint_program(
+            program, LintConfig(n_data_tiles=1, rows=256, cols=8)
+        )
+        assert again is first
+        assert len(pass_runs) == n_passes
+        lint_program(program, CONFIG, name="renamed")
+        assert len(pass_runs) == 2 * n_passes
+
+    def test_every_call_reports_to_the_hub(self):
+        from repro import obs
+        from repro.obs import InMemorySink, Telemetry
+
+        program = prog(*GOOD.instructions)
+        sink = InMemorySink()
+        telemetry = Telemetry(sink)
+        with obs.use(telemetry):
+            lint_program(program, CONFIG)
+            lint_program(program, CONFIG)
+        assert len(sink.by_kind(obs.events.LINT_REPORT)) == 2
+        assert telemetry.snapshot()["counters"]["lint.runs"] == 2
+
+    def test_append_and_harden_meta_drop_the_memo(self, pass_runs):
+        program = prog(*GOOD.instructions[:-1])
+        lint_program(program, CONFIG)
+        program.append(HaltInstruction())
+        assert lint_program(program, CONFIG).clean
+        assert len(pass_runs) == 2 * len(default_passes())
+        assert program.verify_pcs == frozenset()
+        program.harden_meta = {"schema": "repro.harden/v1", "verify_pcs": [2]}
+        assert program.verify_pcs == frozenset({2})
+        lint_program(program, CONFIG)
+        assert len(pass_runs) == 3 * len(default_passes())
+
+    def test_unhashable_config_and_custom_passes_still_lint(self, pass_runs):
+        from repro.harvest.capacitor import EnergyBuffer
+
+        program = prog(*GOOD.instructions)
+        config = LintConfig(
+            n_data_tiles=1, rows=256, cols=8,
+            buffer=EnergyBuffer(capacitance=1e-6, v_off=0.5, v_on=1.0),
+        )
+        assert lint_program(program, config).ok
+        assert lint_program(program, config).ok
+        assert len(pass_runs) == 2 * len(default_passes())
+        lint_program(program, CONFIG, passes=[StructurePass()])
+        lint_program(program, CONFIG, passes=[StructurePass()])
+        assert pass_runs.count("structure") == 4
+
+    def test_reports_are_frozen(self):
+        from dataclasses import FrozenInstanceError
+
+        report = lint_program(prog(*GOOD.instructions), CONFIG)
+        with pytest.raises(FrozenInstanceError):
+            report.diagnostics = ()
+
+
 class TestStrictFinish:
     def test_clean_builder_program_passes_strict(self):
         b = ProgramBuilder(tile=0, rows=256, cols=8)
