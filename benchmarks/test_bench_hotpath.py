@@ -3,11 +3,11 @@
 Unlike the experiment-regeneration benchmarks in this suite, these time
 the simulator's inner loops: one cached-kernel gate execution, the
 compiled-plan executors against the controller microstep loop, a
-gate-flip campaign's batched trials against interpreted ones, a
-harvested replay, and the batch-64 lock-step classifiers.  Every op with a
-baseline gates on its speedup, measured against the scalar/serial
-referee in the same run, so the ratio is machine-independent even
-though the ns/op is not:
+gate-flip campaign's and an outage campaign's batched trials against
+interpreted ones, a harvested replay, and the batch-64 lock-step
+classifiers.  Every op with a baseline gates on its speedup, measured
+against the scalar/serial referee in the same run, so the ratio is
+machine-independent even though the ns/op is not:
 
 * the speedup must reach its floor in :data:`repro.perf.bench.FLOORS`;
 * it must not fall below half the speedup recorded in the committed
@@ -63,6 +63,11 @@ def test_compiled_intermittent_replay(regen, benchmark, recorded_speedups):
 
 def test_compiled_campaign_trials(regen, benchmark, recorded_speedups):
     result = regen(benchmark, hotpath.bench_compiled_campaign_trials, True)
+    assert_speedup_gates(result, recorded_speedups)
+
+
+def test_compiled_outage_trials(regen, benchmark, recorded_speedups):
+    result = regen(benchmark, hotpath.bench_compiled_outage_trials, True)
     assert_speedup_gates(result, recorded_speedups)
 
 

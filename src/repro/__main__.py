@@ -441,6 +441,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         retry_budget=args.retry_budget,
     )
     n_jobs = _apply_jobs(args.jobs)
+    campaigns = []
 
     def work():
         campaign = FaultCampaign(
@@ -449,6 +450,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
             trials=args.trials,
             seed=args.seed,
         )
+        campaigns.append(campaign)
         return campaign.run(jobs=n_jobs, checkpoint_dir=args.checkpoint_dir)
 
     def report(result) -> int:
@@ -474,7 +476,11 @@ def cmd_faults(args: argparse.Namespace) -> int:
             "jobs": n_jobs,
             "checkpoint_dir": args.checkpoint_dir,
         },
-        extra=lambda: {"compilejit": compilejit.stats_snapshot()},
+        extra=lambda: {
+            "compilejit": compilejit.stats_snapshot(),
+            # Where the trials ran, and why not batched if they did not.
+            "trial_tier": campaigns[0].trial_tier if campaigns else None,
+        },
     )
 
 

@@ -12,9 +12,9 @@ its :class:`~repro.energy.metrics.Breakdown` (and, where supported, its
 enforced by the translation-validation and byte-identity tests.
 Anything a plan cannot model exactly — sensors, fault hooks, telemetry
 sinks, checkpoints, lint-rejected programs — falls back to the
-interpreter.  A fault campaign that injects gate flips only keeps its
-trials on the plan: they run as the rows of one batch, with each
-trial's flips laid over its row after each logic op
+interpreter.  A fault campaign that does not mix gate flips with other
+faults keeps its trials on the plan: they run as the rows of one
+batch, with each trial's faults laid over its row after each op
 (:mod:`repro.faults.campaign`).
 
 Execution tiers (see docs/PERFORMANCE.md):
@@ -24,7 +24,7 @@ Execution tiers (see docs/PERFORMANCE.md):
 3. compiled plans (this package).  One :class:`CompiledPlan` per
    (program, technology, bank geometry), cached on the Program, drives
    continuous ``Mouse`` runs, the fused intermittent window loop and
-   lock-step ``BatchedMouse`` batches (gate-flip campaign trials
+   lock-step ``BatchedMouse`` batches (fault campaign trials
    included); every executor applies its ops through
    :func:`repro.compilejit.exec.apply_op` on ``(rows, cols)`` or
    ``(batch, rows, cols)`` tile states.

@@ -580,10 +580,14 @@ def run_batched(machine, plan: CompiledPlan, hooks=None) -> None:
     alone is built per sample; the backup and latency chains are the
     plan's constants.
 
-    ``hooks`` maps a logic op's pc to a callable that receives the
-    ``(batch, rows, cols)`` data-tile states right after the op is
-    applied — how a fault campaign lays each trial's surviving gate
-    flips over its row (:mod:`repro.faults.campaign`)."""
+    ``hooks`` maps a pc to a callable run right after that pc's op is
+    applied to every row: ``hook(states, redo)`` receives the
+    ``(batch, rows, cols)`` data-tile states and ``redo(rows)``, which
+    applies the op once more to each listed row.  A fault campaign lays
+    each trial's faults over its row this way and re-issues a verified
+    gate on the rows whose re-read fails (:mod:`repro.faults.campaign`);
+    a re-issue is not charged to the ledgers.  The ops between two
+    hooked pcs run with no per-op check."""
     ledger = machine.ledger
     tiles = machine.tiles
     states = [t.state for t in tiles]
@@ -595,17 +599,31 @@ def run_batched(machine, plan: CompiledPlan, hooks=None) -> None:
     ce_row[plan.ce_idx] = np.arange(1, plan.ce_idx.size + 1)
     share = plan.share
     oms = plan.oms
+    ops = plan.ops
 
     ce = np.empty((plan.ce_idx.size + 1, machine.batch), dtype=np.float64)
     ce[0] = ledger.compute_energy
     ce[1:] = vals[plan.ce_idx, None]
-    hooks = hooks or {}
-    for pc, op in enumerate(plan.ops):
-        e = apply_op(op, states, views, tiles, cbuf, None, share, oms)
-        if op[0] >= K_L1S:
-            ce[ce_row[op[1]]] = e
-            if pc in hooks:
-                hooks[pc](states)
+
+    def apply(lo: int, hi: int) -> None:
+        for op in ops[lo:hi]:
+            e = apply_op(op, states, views, tiles, cbuf, None, share, oms)
+            if op[0] >= K_L1S:
+                ce[ce_row[op[1]]] = e
+
+    def redo(op, rows) -> None:
+        for r in rows:
+            apply_op(
+                op, [st[r] for st in states], [v[r] for v in views], tiles,
+                cbuf[r], None, share, oms,
+            )
+
+    lo = 0
+    for pc in sorted(hooks or ()):
+        apply(lo, pc + 1)
+        hooks[pc](states, lambda rows, op=ops[pc]: redo(op, rows))
+        lo = pc + 1
+    apply(lo, len(ops))
     np.add.accumulate(ce, axis=0, out=ce)
 
     n = plan.n_instructions

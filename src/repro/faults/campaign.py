@@ -11,13 +11,17 @@ from ``default_rng([seed, trial])`` and is classified against a golden
 Trials execute on one of two tiers.  The referee builds a fresh machine
 per trial, attaches a :class:`~repro.faults.injectors.TrialInjector`
 and steps the controller to HALT with injections at microstep and
-instruction boundaries.  When the plan injects gate flips only, each
-trial's flips, retries and budget abort are drawn up front
-(:class:`~repro.faults.injectors.GateFlipDraws`) and every trial runs
-as one row of a lock-step pass of the program's compiled plan, with
-its surviving flips laid over its row after each logic op.  The batch
-runs only where it is provably identical; :data:`INTERPRETER_REASONS`
-names every case that stays on the referee.
+instruction boundaries.  When the plan does not mix gate flips with
+other faults, each trial's draws are made up front — its flips,
+retries and budget abort (:class:`~repro.faults.injectors.GateFlipDraws`),
+or the power cuts, NV disturbs and array flips of its microstep walk
+(:class:`~repro.faults.injectors.WalkDraws`) — and every trial runs as
+one row of a lock-step pass of the program's compiled plan, its faults
+laid over its row after each pc's op.  The op a power cut replays is
+not applied again: it writes what its first application wrote.  The
+batch runs only where it is provably identical;
+:data:`INTERPRETER_REASONS` names every case that stays on the
+referee, and :attr:`FaultCampaign.trial_tier` records which tier ran.
 
 Determinism is load-bearing: the trial RNG stream depends only on
 ``(seed, trial)``, the report contains no timestamps, and two runs of
@@ -29,7 +33,7 @@ the same campaign serialise byte-identically on either tier
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -45,6 +49,8 @@ from repro.faults.injectors import (
     GateFlipDraws,
     RetryBudgetExhausted,
     TrialInjector,
+    WalkDraws,
+    verify_mismatches,
 )
 from repro.faults.plan import FaultPlan
 from repro.faults.report import CampaignReport
@@ -56,23 +62,62 @@ from repro.isa.instruction import LogicInstruction
 #: * ``compiled_off``: :func:`repro.compilejit.enabled` is False;
 #: * ``telemetry``: a hub is attached (fault events carry simulated
 #:   timestamps);
-#: * ``non_flip_faults``: an array, NV or outage rate is set, or an
-#:   outage trace is given;
+#: * ``mixed_faults``: the plan sets a gate flip rate together with an
+#:   array, NV or outage rate, or with an outage trace;
 #: * ``no_plan``: the program has no compiled plan for the bank, or a
 #:   built machine does not start where a plan run starts;
-#: * ``microstep_budget``: a full trial would reach ``max_microsteps``
-#:   (the interpreter raises :class:`InstructionBudgetExceeded`).
+#: * ``replay_unstable``: power is cycled (an NV or outage rate, or an
+#:   outage trace) and the plan is not ``replay_stable``, so a restore
+#:   need not re-latch the columns the plan's ops use;
+#: * ``microstep_budget``: a trial would reach ``max_microsteps`` (the
+#:   interpreter raises :class:`InstructionBudgetExceeded`), counting
+#:   the microsteps its power cuts replay.
 INTERPRETER_REASONS = (
     "compiled_off",
     "telemetry",
-    "non_flip_faults",
+    "mixed_faults",
     "no_plan",
+    "replay_unstable",
     "microstep_budget",
 )
+
+#: Phases after which a power cut restarts the in-flight op before
+#: executing it.
+_BEFORE_EXECUTE = (Phase.FETCH, Phase.DECODE)
+
+
+def _injects_flips(plan: FaultPlan) -> bool:
+    return any(rate > 0 for rate in plan.gate_flip_rates.values())
+
+
+def _events_before(events: Sequence[tuple], pc: int) -> int:
+    """How many walk ``events`` came before ``pc``'s first EXECUTE: all
+    at earlier pcs, and the cuts that restarted ``pc`` before it (the
+    walk never returns to an earlier pc)."""
+    k = 0
+    while k < len(events) and (
+        events[k][0] < pc
+        or (events[k][0] == pc and events[k][1] in _BEFORE_EXECUTE)
+    ):
+        k += 1
+    return k
+
 
 #: Tile state one batched pass holds at most; larger trial sets run in
 #: several passes.
 _BATCH_BYTES = 1 << 26
+
+
+class _Draws(NamedTuple):
+    """One trial's faults, drawn up front (:meth:`FaultCampaign._draw`)."""
+
+    counters: FaultCounters
+    #: Surviving gate flips: pc -> mask over the pc's flip targets.
+    flips: dict
+    #: The retry-budget exhaustion the gate flips cause, if any.
+    abort: Optional[RetryBudgetExhausted]
+    #: The walk's ``(pc, phase, site, cell)`` events, in walk order.
+    events: Sequence[tuple]
 
 
 @dataclass(frozen=True)
@@ -221,6 +266,10 @@ class FaultCampaign:
         self.max_microsteps = max_microsteps
         self.outage_trace = outage_trace
         self._outage_steps: Optional[frozenset] = None
+        #: Where the last :meth:`run` ran its trials: ``{"tier":
+        #: "batched"}`` or ``{"tier": "interpreter", "reason": ...}``
+        #: with an :data:`INTERPRETER_REASONS` entry.
+        self.trial_tier: Optional[dict] = None
 
     def _resolve_obs(self):
         if self.telemetry is not None:
@@ -257,13 +306,14 @@ class FaultCampaign:
         """Run the campaign; ``jobs > 1`` fans interpreted trials
         across processes.
 
-        A gate-flip-only campaign runs its trials as the rows of one
-        compiled batch (see :data:`INTERPRETER_REASONS` for when it
-        does not); the report is byte-identical either way.  Trials are
-        independent by construction — each one starts from a freshly
-        built machine and draws from ``default_rng([seed, trial])`` —
-        so the fan-out merges per-trial details back in trial order and
-        the report JSON is byte-identical at any job count.  With
+        The trials run as the rows of one compiled batch unless one of
+        :data:`INTERPRETER_REASONS` applies (:attr:`trial_tier` says
+        which happened); the report is byte-identical either way.
+        Trials are independent by construction — each one starts from a
+        freshly built machine and draws from ``default_rng([seed,
+        trial])`` — so the fan-out merges per-trial details back in
+        trial order and the report JSON is byte-identical at any job
+        count.  With
         ``jobs > 1`` each worker resolves its own ambient hub *at trial
         time* — the per-worker shard hub installed by the pool (see
         :mod:`repro.obs.fanout`) — so ``fault.*`` events survive
@@ -340,13 +390,21 @@ class FaultCampaign:
         if reason is None:
             done = store.done(keys) if store is not None else set()
             pending = [t for t, key in enumerate(keys) if key not in done]
+            draws = self._draw(pending, golden, compiled)
+            if draws is None:
+                reason = "microstep_budget"
+        self.trial_tier = (
+            {"tier": "batched"} if reason is None
+            else {"tier": "interpreter", "reason": reason}
+        )
+        if reason is None:
             fresh: dict[int, dict] = {}
             per_pass = max(1, _BATCH_BYTES // sum(a.nbytes for a in initial))
             for lo in range(0, len(pending), per_pass):
                 rows = pending[lo:lo + per_pass]
                 fresh.update(zip(rows, self._run_batch(
-                    rows, golden, compiled, initial, golden_memory,
-                    golden_values,
+                    rows, draws[lo:lo + per_pass], golden, compiled, initial,
+                    golden_memory, golden_values,
                 )))
             thunks = [lambda t=trial: fresh[t] for trial in range(self.trials)]
             n_jobs = 1
@@ -389,25 +447,76 @@ class FaultCampaign:
             return "compiled_off", None
         if obs is not None:
             return "telemetry", None
-        if (
-            plan.array_flip_rate > 0
-            or plan.nv_corruption_rate > 0
+        cycles = (  # power is cut and restored
+            plan.nv_corruption_rate > 0
             or plan.outage_rate > 0
             or self.outage_trace is not None
-        ):
-            return "non_flip_faults", None
+        )
+        if _injects_flips(plan) and (cycles or plan.array_flip_rate > 0):
+            return "mixed_faults", None
         compiled = start_plan(machine)
         if compiled is None or machine.controller.buffer.any():
             return "no_plan", None
+        if cycles and not compiled.replay_stable:
+            return "replay_unstable", None
         # A straight-line run takes 5 microsteps per instruction and 3
-        # for the HALT; a retry adds none.
+        # for the HALT; a retry adds none, and the microsteps a trial's
+        # power cuts replay are counted when its walk is drawn.
         if 5 * compiled.n_instructions - 2 > self.max_microsteps:
             return "microstep_budget", None
         return None, compiled
 
+    def _draw(
+        self, trials: Sequence[int], golden: Mouse, compiled
+    ) -> Optional[list[_Draws]]:
+        """Each trial's faults, drawn up front from its own
+        ``default_rng([seed, trial])``: a gate-flip campaign's flips,
+        retries and abort (:class:`GateFlipDraws`), or any other
+        campaign's power cuts, array flips and NV disturbs
+        (:class:`WalkDraws`).  None when a trial's walk would reach
+        ``max_microsteps``."""
+        plan = self.plan
+        program = golden.program
+        rngs = [np.random.default_rng([self.seed, trial]) for trial in trials]
+        if _injects_flips(plan):
+            marked = program.verify_pcs if plan.verify_marked else frozenset()
+            sites = []
+            for pc, instr in enumerate(program.instructions):
+                if not isinstance(instr, LogicInstruction):
+                    continue
+                rate = plan.rate_for(instr.spec.name)
+                if rate > 0.0:
+                    sites.append(FlipSite(
+                        pc, instr.spec.name, rate,
+                        plan.verify_retry or pc in marked,
+                        sum(cols.size for _, _, cols in compiled.flip_targets(pc)),
+                    ))
+            flips = GateFlipDraws(plan, sites)
+            draws = []
+            for rng in rngs:
+                counters = FaultCounters()
+                drawn, abort = flips.draw(rng, counters)
+                draws.append(_Draws(counters, drawn, abort, ()))
+            return draws
+        bank = golden.bank
+        walk = WalkDraws(
+            plan,
+            compiled.n_instructions,
+            (len(bank.data_tiles), bank.rows, bank.cols),
+            self._outage_steps,
+        )
+        draws = []
+        for rng in rngs:
+            events = walk.draw(rng, self.max_microsteps)
+            if events is None:
+                return None
+            draws.append(_Draws(FaultCounters(), {}, None, events))
+        return draws
+
     def _run_batch(
         self,
         trials: Sequence[int],
+        draws: Sequence[_Draws],
         golden: Mouse,
         compiled,
         initial: Sequence[np.ndarray],
@@ -415,63 +524,110 @@ class FaultCampaign:
         golden_values: list[int],
     ) -> list[dict]:
         """``trials`` as the rows of one lock-step pass of the
-        ``compiled`` plan.
+        ``compiled`` plan, under their :meth:`_draw` ``draws``.
 
-        Each row starts from the built machine's ``initial`` tiles.
-        After a logic op the row's surviving flips are XORed into the
-        op's output row, and a row whose retry budget ran out there has
-        its tiles copied, as the interpreter leaves them when it stops.
-        ``golden`` serves as the machine each finished row is read out
-        on.
+        Each row starts from the built machine's ``initial`` tiles, and
+        after each pc's op its faults land where the interpreter lays
+        them: surviving gate flips are XORed into the op's output row
+        and an array flip is XORed in after the commit.  A verified gate
+        re-reads its output on each row an array flip has touched and
+        re-issues or aborts as :meth:`ControllerFaultHook.after_logic`
+        does; every other row holds the golden run's data, which the
+        re-read always passes.  A power cut needs no work: the op it
+        replays writes what the op's first application wrote, since a
+        plan's gates never read their own output row (IDEM001), array
+        flips land only after every replay of their pc, and power
+        cycles batch only on ``replay_stable`` plans.  A row whose retry
+        budget runs out has its tiles copied, as the interpreter leaves
+        them when it stops.  ``golden`` serves as the machine each
+        finished row is read out on.
         """
         from repro.compilejit.exec import run_batched
         from repro.perf.batched import BatchedMouse
 
         program = golden.program
-        marked = program.verify_pcs if self.plan.verify_marked else frozenset()
-        sites, targets = [], {}
-        for pc, instr in enumerate(program.instructions):
-            rate = (
-                self.plan.rate_for(instr.spec.name)
-                if isinstance(instr, LogicInstruction)
-                else 0.0
-            )
-            if rate <= 0.0:
-                continue
-            targets[pc] = compiled.flip_targets(pc)
-            sites.append(FlipSite(
-                pc, instr.spec.name, rate,
-                self.plan.verify_retry or pc in marked,
-                sum(cols.size for _, _, cols in targets[pc]),
-            ))
-        draws = GateFlipDraws(self.plan, sites)
-
-        counters = [FaultCounters() for _ in trials]
-        aborts: list[Optional[RetryBudgetExhausted]] = []
+        plan = self.plan
+        counters = [draw.counters for draw in draws]
+        aborts = [draw.abort for draw in draws]
         flips_at: dict[int, list] = {}
         stops_at: dict[int, list[int]] = {}
-        for row, trial in enumerate(trials):
-            flips, abort = draws.draw(
-                np.random.default_rng([self.seed, trial]), counters[row]
-            )
-            aborts.append(abort)
+        cells_at: dict[int, list] = {}
+        for row, (_, flips, abort, events) in enumerate(draws):
             for pc, mask in flips.items():
                 flips_at.setdefault(pc, []).append((row, mask))
             if abort is not None:
                 stops_at.setdefault(abort.pc, []).append(row)
+            for pc, _, site, cell in events:
+                if site == "array":
+                    cells_at.setdefault(pc, []).append((row, cell))
+        # The verified gates after the first array flip re-read rows.
+        checks: set[int] = set()
+        if cells_at:
+            first = min(cells_at)
+            marked = program.verify_pcs if plan.verify_marked else frozenset()
+            checks = {
+                pc
+                for pc, instr in enumerate(program.instructions)
+                if pc > first
+                and isinstance(instr, LogicInstruction)
+                and (plan.verify_retry or pc in marked)
+            }
+        targets = {
+            pc: compiled.flip_targets(pc) for pc in flips_at.keys() | checks
+        }
         stopped: dict[int, list[np.ndarray]] = {}
+        flipped: set[int] = set()  # rows an array flip has touched
+        kept: dict[int, int] = {}  # events an aborted row got to
+
+        def verify(states, redo, pc: int, row: int) -> None:
+            """``after_logic``'s verify loop on one row (no gate flips,
+            so no draws)."""
+            instr = program.instructions[pc]
+            tiles = [state[row] for state in states]
+            retries = 0
+            while any(
+                verify_mismatches(tiles[t], instr, cols)
+                for t, _, cols in targets[pc]
+            ):
+                counters[row].detected += 1
+                if retries >= plan.retry_budget:
+                    stopped[row] = [tile.copy() for tile in tiles]
+                    aborts[row] = RetryBudgetExhausted.at(
+                        pc, instr.spec.name, retries, plan.retry_budget
+                    )
+                    kept[row] = _events_before(draws[row].events, pc)
+                    return
+                retries += 1
+                counters[row].retries += 1
+                for t, out_row, cols in targets[pc]:
+                    tiles[t][out_row, cols] = instr.spec.preset
+                redo((row,))
+            if retries:
+                counters[row].recovered += 1
 
         def hook(pc: int):
-            def after(states) -> None:
-                for row, mask in flips_at.get(pc, ()):
+            flips = flips_at.get(pc, ())
+            stops = stops_at.get(pc, ())
+            cells = cells_at.get(pc, ())
+            check = pc in checks
+
+            def after(states, redo) -> None:
+                for row, mask in flips:
                     start = 0
                     for tile, out_row, cols in targets[pc]:
                         stop = start + cols.size
-                        flipped = cols[mask[start:stop]]
-                        states[tile][row, out_row, flipped] ^= True
+                        hit = cols[mask[start:stop]]
+                        states[tile][row, out_row, hit] ^= True
                         start = stop
-                for row in stops_at.get(pc, ()):
+                if check:
+                    for row in sorted(flipped - stopped.keys()):
+                        verify(states, redo, pc, row)
+                for row in stops:
                     stopped[row] = [state[row].copy() for state in states]
+                for row, (tile, r, c) in cells:
+                    if row not in stopped:
+                        states[tile][row, r, c] ^= True
+                        flipped.add(row)
 
             return after
 
@@ -482,11 +638,14 @@ class FaultCampaign:
         for tile, state in zip(machine.tiles, initial):
             tile.state[...] = state
         machine.load(program)
-        hooks = {pc: hook(pc) for pc in flips_at.keys() | stops_at.keys()}
-        run_batched(machine, compiled, hooks)
+        hooked = flips_at.keys() | stops_at.keys() | cells_at.keys() | checks
+        run_batched(machine, compiled, {pc: hook(pc) for pc in hooked})
 
         details = []
         for row, trial in enumerate(trials):
+            events = draws[row].events
+            for _, _, site, _ in events[:kept.get(row, len(events))]:
+                counters[row].injected[site] += 1
             memory = stopped.get(row) or [t.state[row] for t in machine.tiles]
             memory_match = all(
                 np.array_equal(a, b) for a, b in zip(memory, golden_memory)

@@ -17,9 +17,12 @@ so a trial is replayable bit-exactly:
   flips, NV dual-register corruption (followed by a power cycle the
   Figure-7 protocol must survive), and stochastic adversarial outages.
 
-:class:`GateFlipDraws` makes the hook's draws for a whole trial up
-front, for campaigns that inject gate flips only and run their trials
-as rows of one compiled batch (:mod:`repro.faults.campaign`).
+Two draw classes make a whole trial's draws up front, without
+simulating, for campaigns that run their trials as rows of one compiled
+batch (:mod:`repro.faults.campaign`): :class:`GateFlipDraws` repeats
+the hook's draws when the plan injects gate flips only, and
+:class:`WalkDraws` repeats :class:`TrialInjector`'s between-microstep
+draws when it injects none.
 
 Detection here is architectural, not oracular: the verifier re-reads
 the *current* array contents (inputs included), so a gate whose inputs
@@ -30,11 +33,13 @@ exactly the silent-data-corruption channel the campaign quantifies.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.controller import Phase
 from repro.energy.metrics import Category
 from repro.faults.plan import SITES, FaultPlan
 from repro.isa.instruction import LogicInstruction
@@ -199,20 +204,12 @@ class ControllerFaultHook:
     def _verify(self, controller, spec, instr, tiles) -> int:
         """Re-read the output column and compare against the threshold
         truth table over the *current* inputs; charge the read."""
-        target = bool(spec.direction.target_state)
-        switch_table = np.array(
-            [spec.switches(k) for k in range(spec.n_inputs + 1)]
-        )
         mismatches = 0
         for tile in tiles:
             active = tile.active_columns
             if not active.any():
                 continue
-            inputs = tile.state[list(instr.input_rows)][:, active]
-            n_ones = inputs.sum(axis=0)
-            expected = np.where(switch_table[n_ones], target, bool(spec.preset))
-            actual = tile.state[instr.output_row][active]
-            mismatches += int((actual != expected).sum())
+            mismatches += verify_mismatches(tile.state, instr, active)
             controller.ledger.charge(
                 Category.COMPUTE, controller.cost.row_read_energy(tile.cols)
             )
@@ -232,6 +229,20 @@ class ControllerFaultHook:
                 ),
                 2.0 * cycle,
             )
+
+
+def verify_mismatches(state: np.ndarray, instr: LogicInstruction, active) -> int:
+    """How many of the ``active`` columns (a bool mask or sorted column
+    indices) of one tile's ``state`` hold a gate output that disagrees
+    with the threshold truth table over the *current* inputs — the
+    verify re-read of :meth:`ControllerFaultHook.after_logic`."""
+    spec = instr.spec
+    switches = np.array([spec.switches(k) for k in range(spec.n_inputs + 1)])
+    n_ones = state[list(instr.input_rows)][:, active].sum(axis=0)
+    expected = np.where(
+        switches[n_ones], bool(spec.direction.target_state), bool(spec.preset)
+    )
+    return int((state[instr.output_row][active] != expected).sum())
 
 
 @dataclass(frozen=True)
@@ -325,6 +336,162 @@ class GateFlipDraws:
                 break
             first = resolved + 1
         return survivors, None
+
+
+#: One instruction's microsteps in walk order (the HALT runs the first
+#: three).
+_WALK_PHASES = (
+    Phase.FETCH, Phase.DECODE, Phase.EXECUTE, Phase.PC_STAGE, Phase.COMMIT
+)
+
+
+class WalkDraws:
+    """Every draw :meth:`TrialInjector.after_commit` and
+    :meth:`TrialInjector.after_microstep` make in one trial that injects
+    no gate flips, made without simulating.
+
+    A plan program is straight-line, so a trial's microstep walk
+    follows from its power cuts alone: FETCH, DECODE, EXECUTE,
+    PC_STAGE and COMMIT per instruction, and FETCH, DECODE and EXECUTE
+    for the final HALT.  A cut resumes at the in-flight instruction's
+    FETCH, or at the next instruction after COMMIT, which is also where
+    an NV disturb's power cycle resumes.  The walk's *slots* are its
+    draws in order: after each microstep but HALT's EXECUTE (the
+    machine has halted) one outage number when the plan has an outage
+    rate, and at a COMMIT first an array number and then an NV number
+    when those rates are set.  As ``rng.random(a)`` then
+    ``rng.random(b)`` yields the numbers of ``rng.random(a + b)``, the
+    slots between two ``integers`` calls read one buffered stream, and
+    a cut only moves the walk along it.  An array flip or NV disturb
+    draws its ``integers`` where the injector does: the generator is
+    rewound to the buffer's start and redrawn up to the hit.
+    """
+
+    #: Stream numbers drawn per buffer refill.
+    chunk = 1024
+
+    def __init__(
+        self,
+        plan: FaultPlan,
+        n_instructions: int,
+        data_shape: tuple[int, int, int],
+        outage_steps=None,
+    ) -> None:
+        """``data_shape`` is the bank's ``(data tiles, rows, cols)``;
+        ``outage_steps`` the scheduled cuts, as for
+        :class:`TrialInjector`."""
+        self.outage_rate = plan.outage_rate
+        #: Slots after each of FETCH, DECODE, EXECUTE and PC_STAGE.
+        self.between = 1 if plan.outage_rate > 0 else 0
+        #: A COMMIT's slots in draw order, with their rates.
+        self.at_commit = [
+            (site, rate)
+            for site, rate in (
+                ("array", plan.array_flip_rate),
+                ("nv", plan.nv_corruption_rate),
+                ("outage", plan.outage_rate),
+            )
+            if rate > 0
+        ]
+        self.per_pc = 4 * self.between + len(self.at_commit)
+        self.halt_pc = n_instructions - 1
+        #: Microsteps of the straight-line walk.
+        self.length = 5 * n_instructions - 2
+        self.top = max(
+            plan.outage_rate, plan.array_flip_rate, plan.nv_corruption_rate
+        )
+        self.shape = data_shape
+        self.scheduled = sorted(int(s) for s in outage_steps or ())
+
+    def _first(self, step: int) -> int:
+        """The first slot after walk microstep ``step`` (the slot count
+        for ``step == length``)."""
+        pc, phase = divmod(step, 5)
+        last = 4 if pc < self.halt_pc else 2
+        return pc * self.per_pc + self.between * min(phase, last)
+
+    def _slot(self, slot: int) -> tuple[int, str, float]:
+        """The walk microstep a slot follows, and its site and rate."""
+        pc, k = divmod(slot, self.per_pc)
+        if k < 4 * self.between:
+            return 5 * pc + k, "outage", self.outage_rate
+        site, rate = self.at_commit[k - 4 * self.between]
+        return 5 * pc + 4, site, rate
+
+    def draw(self, rng: np.random.Generator, limit: int) -> Optional[list[tuple]]:
+        """One trial's walk events, or None when it would not halt
+        within ``limit`` microsteps, counting the microsteps its cuts
+        replay.  Each event is ``(pc, phase, site, cell)`` in walk
+        order: a power cut (``"outage"``, after ``phase``), an array
+        flip (``"array"``, after COMMIT, ``cell`` its ``(tile, row,
+        col)``) or an NV disturb (``"nv"``, after COMMIT)."""
+        length, scheduled = self.length, self.scheduled
+        bits = rng.bit_generator
+        saved = bits.state
+        events: list[tuple] = []
+        # Stream numbers drawn and consumed since ``saved``, and the
+        # drawn numbers under the top rate (their stream index, value).
+        drawn = used = 0
+        cand: list[int] = []
+        vals: list[float] = []
+        at = 0  # next candidate
+        # Next walk microstep and slot; global microstep minus walk one.
+        i = j = shift = 0
+        while True:
+            cut = length  # the next scheduled cut's microstep, if any
+            k = bisect_left(scheduled, i + shift)
+            if k < len(scheduled) and scheduled[k] - shift < length - 1:
+                cut = scheduled[k] - shift
+            end = self._first(min(cut + 1, length))
+            hit = None
+            while True:
+                if at == len(cand):
+                    if drawn - used >= end - j:
+                        break
+                    more = rng.random(self.chunk)
+                    new = np.flatnonzero(more < self.top)
+                    cand.extend((new + drawn).tolist())
+                    vals.extend(more[new].tolist())
+                    drawn += self.chunk
+                    continue
+                slot = j + cand[at] - used
+                if slot >= end:
+                    break
+                if slot >= j:
+                    step, site, rate = self._slot(slot)
+                    if vals[at] < rate:
+                        hit = slot
+                        break
+                at += 1
+            if hit is None:
+                if cut == length:
+                    return events if length + shift <= limit else None
+                used += end - j
+            else:
+                used += hit - j + 1
+                if site != "outage":
+                    bits.state = saved
+                    rng.random(used)
+                    cell = None
+                    if site == "array":
+                        cell = tuple(int(rng.integers(n)) for n in self.shape)
+                    else:  # the register, then its garbage value
+                        rng.integers(3)
+                        rng.integers(1 << 24)
+                    events.append((step // 5, Phase.COMMIT, site, cell))
+                    saved = bits.state
+                    drawn = used = at = 0
+                    cand, vals = [], []
+                    i, j = step, hit + 1
+                    continue
+                cut = step
+            pc, phase = divmod(cut, 5)
+            events.append((pc, _WALK_PHASES[phase], "outage", None))
+            if cut + shift + 1 >= limit:
+                return None
+            i = cut + 1 if phase == 4 else 5 * pc
+            shift += cut + 1 - i
+            j = self._first(i)
 
 
 class TrialInjector:

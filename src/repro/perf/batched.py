@@ -40,10 +40,11 @@ is switched off or the program does not compile.
 
 Scope: continuous power only.  Intermittent execution and sensor
 reads are inherently per-sample/per-outage serial semantics — use the
-serial machine for those (see ``docs/PERFORMANCE.md``).  Fault
-injection is serial too, except gate flips: a campaign that injects
-only those draws every trial's flips up front and runs its trials as
-the samples of one compiled batch (:mod:`repro.faults.campaign`).
+serial machine for those (see ``docs/PERFORMANCE.md``).  A fault
+campaign that does not mix gate flips with other faults draws every
+trial's faults up front and runs its trials as the samples of one
+compiled batch (:mod:`repro.faults.campaign`); a mixed campaign is
+serial.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ log shows where the time and the cache hits went.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -43,6 +44,7 @@ FLOORS = {
     "compiled_step_instruction": 10.0,
     "compiled_intermittent_replay": 5.0,
     "compiled_campaign_trials": 5.0,
+    "compiled_outage_trials": 5.0,
 }
 
 
@@ -295,24 +297,18 @@ def bench_compiled_intermittent_replay(quick: bool) -> BenchResult:
     )
 
 
-def bench_compiled_campaign_trials(quick: bool) -> BenchResult:
-    """An 8-trial gate-flip campaign on the adder (Table-II-derived
-    rates, verify-and-retry on): trials as rows of one compiled batch vs
-    the same campaign with compiled plans off, where every trial steps
-    the interpreter referee.  ns per campaign; the two reports are
-    asserted byte-identical before timing, and the two sides' batches
-    alternate (:func:`_time_pair_ns`)."""
+def _bench_campaign(op: str, plan, quick: bool) -> BenchResult:
+    """An 8-trial campaign on the adder under ``plan``: trials as rows
+    of one compiled batch vs the same campaign with compiled plans off,
+    where every trial steps the interpreter referee.  ns per campaign;
+    the two reports are asserted byte-identical before timing, and the
+    two sides' batches alternate (:func:`_time_pair_ns`)."""
     from repro import compilejit
     from repro.devices.parameters import MODERN_STT
-    from repro.faults import FaultCampaign, FaultPlan, adder_workload
+    from repro.faults import FaultCampaign, adder_workload
 
     workload = adder_workload()
-    campaign = FaultCampaign(
-        workload,
-        FaultPlan.from_variation(MODERN_STT, sigma=0.05, trials=4_000),
-        trials=8,
-        seed=3,
-    )
+    campaign = FaultCampaign(workload, plan, trials=8, seed=3)
 
     def referee():
         compilejit.set_enabled(False)
@@ -322,15 +318,13 @@ def bench_compiled_campaign_trials(quick: bool) -> BenchResult:
             compilejit.set_enabled(True)
 
     if campaign.run(jobs=1).to_json() != referee().to_json():
-        raise AssertionError(
-            "batched campaign trials diverge from the interpreter"
-        )
+        raise AssertionError(f"{op}: batched trials diverge from the interpreter")
     reps, ref_reps = (25, 5) if quick else (100, 20)
     ns, ref_ns = _time_pair_ns(
         lambda: campaign.run(jobs=1), referee, reps, ref_reps
     )
     return BenchResult(
-        op="compiled_campaign_trials",
+        op=op,
         config={
             "workload": workload.name,
             "trials": campaign.trials,
@@ -341,6 +335,25 @@ def bench_compiled_campaign_trials(quick: bool) -> BenchResult:
         baseline="scalar_interpreter",
         baseline_ns_per_op=ref_ns,
     )
+
+
+def bench_compiled_campaign_trials(quick: bool) -> BenchResult:
+    """A gate-flip campaign (Table-II-derived rates, verify-and-retry
+    on), its flips drawn up front (:func:`_bench_campaign`)."""
+    from repro.devices.parameters import MODERN_STT
+    from repro.faults import FaultPlan
+
+    plan = FaultPlan.from_variation(MODERN_STT, sigma=0.05, trials=4_000)
+    return _bench_campaign("compiled_campaign_trials", plan, quick)
+
+
+def bench_compiled_outage_trials(quick: bool) -> BenchResult:
+    """A campaign of power cuts and NV disturbs, 5 % each, its
+    microstep walks drawn up front (:func:`_bench_campaign`)."""
+    from repro.faults import FaultPlan
+
+    plan = FaultPlan(outage_rate=0.05, nv_corruption_rate=0.05)
+    return _bench_campaign("compiled_outage_trials", plan, quick)
 
 
 # ----------------------------------------------------------------------
@@ -457,6 +470,7 @@ BENCHMARKS = (
     bench_compiled_step_instruction,
     bench_compiled_intermittent_replay,
     bench_compiled_campaign_trials,
+    bench_compiled_outage_trials,
     bench_trace_replay,
     bench_classify_svm,
     bench_classify_bnn,
@@ -540,7 +554,10 @@ def write_report(report: dict, path: str) -> None:
 
 
 def load_report(path: str) -> dict:
-    """Read and schema-check a ``repro.bench/v1`` report file."""
+    """Read a ``repro.bench/v1`` report file; ``ValueError`` naming the
+    field for anything :func:`compare_reports` could not read: a row
+    whose ``op`` is not a string, or whose ``ns_per_op``, ``speedup``
+    or ``baseline_ns_per_op`` is not a finite, non-negative number."""
     with open(path, "r", encoding="utf-8") as f:
         report = json.load(f)
     if not isinstance(report, dict) or report.get("schema") != SCHEMA:
@@ -548,7 +565,33 @@ def load_report(path: str) -> dict:
             f"{path}: not a {SCHEMA} report "
             f"(schema={report.get('schema') if isinstance(report, dict) else '?'!r})"
         )
+    results = report.get("results")
+    if not isinstance(results, list):
+        raise ValueError(f"{path}: 'results' must be a list, not {results!r}")
+    for index, row in enumerate(results):
+        where = f"{path}: results[{index}]"
+        if not isinstance(row, dict):
+            raise ValueError(f"{where} must be an object, not {row!r}")
+        if not isinstance(row.get("op"), str):
+            raise ValueError(f"{where} 'op' must be a string, not {row.get('op')!r}")
+        for key in ("ns_per_op", "speedup", "baseline_ns_per_op"):
+            if (key == "ns_per_op" or key in row) and not _non_negative(
+                row.get(key)
+            ):
+                raise ValueError(
+                    f"{where} {key!r} must be a finite number >= 0, "
+                    f"not {row.get(key)!r}"
+                )
     return report
+
+
+def _non_negative(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value) and value >= 0
+    except OverflowError:  # an int past the float range
+        return False
 
 
 def compare_reports(old: dict, new: dict, threshold: float = 0.30) -> dict:

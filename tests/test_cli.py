@@ -149,16 +149,27 @@ class TestFaultsCommand:
         assert "gate_flip_rates" in payload["config"]["plan"]
 
     @pytest.mark.parametrize(
-        "extra, compiled, fallback",
-        [([], 2, 0), (["--outage-rate", "0.01"], 1, 1)],
-        ids=["gate-flips", "outages"],
+        "extra, compiled, fallback, tier",
+        [
+            ([], 2, 0, {"tier": "batched"}),
+            (
+                ["--outage-rate", "0.01"], 1, 1,
+                {"tier": "interpreter", "reason": "mixed_faults"},
+            ),
+            (
+                ["--gate-scale", "0", "--outage-rate", "0.01"], 2, 0,
+                {"tier": "batched"},
+            ),
+        ],
+        ids=["gate-flips", "outages", "outages-only"],
     )
     def test_manifest_records_the_trial_tier(
-        self, tmp_path, capsys, monkeypatch, extra, compiled, fallback
+        self, tmp_path, capsys, monkeypatch, extra, compiled, fallback, tier
     ):
-        """Gate flips alone: the golden run and the batched trial set
-        are compiled runs.  Outages keep the trials on the interpreter:
-        one fallback trial set."""
+        """Gate flips alone, or outages alone: the golden run and the
+        batched trial set are compiled runs.  The derived gate flips
+        together with outages keep the trials on the interpreter: one
+        fallback trial set, and the manifest says why."""
         from repro import compilejit
 
         monkeypatch.setattr(
@@ -173,6 +184,7 @@ class TestFaultsCommand:
         payload = json.load(open(mdir / "manifest.json"))
         assert payload["compilejit"]["compiled_runs"] == compiled
         assert payload["compilejit"]["fallback_runs"] == fallback
+        assert payload["trial_tier"] == tier
 
 
 class TestRunSeed:

@@ -1,6 +1,8 @@
 """``bench --compare``: diffing two ``repro.bench/v1`` reports."""
 
 import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +42,86 @@ class TestLoadReport:
         path.write_text("[1, 2]")
         with pytest.raises(ValueError):
             load_report(str(path))
+
+    @pytest.mark.parametrize(
+        "results, field",
+        [
+            ("x", "'results'"),
+            (["x"], r"results\[0\] must be an object"),
+            ([{"ns_per_op": 1.0}], "'op'"),
+            ([{"op": 3, "ns_per_op": 1.0}], "'op'"),
+            ([{"op": "a"}], "'ns_per_op'"),
+            ([{"op": "a", "ns_per_op": "1"}], "'ns_per_op'"),
+            ([{"op": "a", "ns_per_op": True}], "'ns_per_op'"),
+            ([{"op": "a", "ns_per_op": -1.0}], "'ns_per_op'"),
+            ([{"op": "a", "ns_per_op": float("nan")}], "'ns_per_op'"),
+            ([{"op": "a", "ns_per_op": 10**400}], "'ns_per_op'"),
+            ([{"op": "a", "ns_per_op": 1.0, "speedup": None}], "'speedup'"),
+            (
+                [{"op": "a", "ns_per_op": 1.0, "baseline_ns_per_op": float("inf")}],
+                "'baseline_ns_per_op'",
+            ),
+        ],
+    )
+    def test_rejects_malformed_results_naming_the_field(
+        self, tmp_path, results, field
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_report(results)))
+        with pytest.raises(ValueError, match=field):
+            load_report(str(path))
+
+
+#: Seeded byte-level fuzzing of ``load_report`` + ``compare_reports``:
+#: FUZZ_SEEDS seeds, each drawing FUZZ_CASES mutated copies of the
+#: committed BENCH_PR9.json (truncation, bit flips, a value's text
+#: replaced by another JSON token).
+FUZZ_SEEDS = 8
+FUZZ_CASES = 64
+_TOKENS = (
+    "null", "true", "0", "-1", "1e999", "NaN", "-Infinity", '"x"', "[]", "{}",
+)
+BENCH_PR9 = Path(__file__).resolve().parents[1] / "BENCH_PR9.json"
+
+
+def _mutated(rng: random.Random, data: bytes) -> bytes:
+    data = bytearray(data)
+    kind = rng.randrange(3)
+    if kind == 0:
+        del data[rng.randrange(len(data)):]
+    elif kind == 1:
+        for _ in range(rng.randint(1, 4)):
+            data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+    else:
+        starts = [i + 2 for i in range(len(data) - 1) if data[i:i + 2] == b": "]
+        start = rng.choice(starts)
+        end = start
+        while data[end:end + 1] not in (b",", b"\n", b"}"):
+            end += 1
+        data[start:end] = rng.choice(_TOKENS).encode()
+    return bytes(data)
+
+
+@pytest.mark.parametrize("seed", range(FUZZ_SEEDS))
+def test_fuzzed_reports_compare_or_raise_value_error(seed, tmp_path):
+    """Each mutated report either loads and compares against the
+    committed one both ways, or ``load_report`` raises ValueError."""
+    rng = random.Random(seed)
+    base = BENCH_PR9.read_bytes()
+    committed = load_report(str(BENCH_PR9))
+    path = tmp_path / "fuzzed.json"
+    outcomes = set()
+    for _ in range(FUZZ_CASES):
+        path.write_bytes(_mutated(rng, base))
+        try:
+            report = load_report(str(path))
+        except ValueError:
+            outcomes.add("rejected")
+            continue
+        for old, new in ((committed, report), (report, committed)):
+            render_compare(compare_reports(old, new))
+        outcomes.add("compared")
+    assert outcomes == {"rejected", "compared"}
 
 
 class TestCompareReports:
