@@ -311,8 +311,8 @@ def intermittent_eligible(run, obs, checkpointer) -> Optional[CompiledPlan]:
         or controller.sensor_pc.read() != _NONE
     ):
         return None
-    # The fused loop inlines *ideal* capacitor arithmetic; a leaky/ESR
-    # buffer must run the scalar engine, which prices the losses.
+    # The fused loop draws as the scalar loop does for an ideal buffer
+    # (no duration, no leak); a leaky/ESR buffer runs the scalar loop.
     if not run.config.buffer.is_ideal:
         return None
     plan = _mouse_plan(run.mouse)
@@ -327,10 +327,13 @@ def intermittent_eligible(run, obs, checkpointer) -> Optional[CompiledPlan]:
 def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
     """The IntermittentRun while-loop, fused per instruction.
 
-    Replays the interpreter's exact per-microstep buffer arithmetic —
-    including the ``draw_energy(0.0)`` square-root round-trips at
-    DECODE and PC_STAGE — and hands outages to the referee's own
-    stall check, ``power_off``, ``charge_until_ready`` and ``power_on``,
+    Keeps the voltage in a local and makes the interpreter's exact
+    per-microstep buffer calls through the buffer's
+    :meth:`~repro.harvest.capacitor.EnergyBuffer.stepper` closures —
+    including the ``draw(v, 0.0)`` square-root round-trips at DECODE
+    and PC_STAGE and the domain check of every harvest — and hands
+    outages to the referee's own stall check, ``power_off``,
+    ``charge_until_ready`` and ``power_on``,
     so restore/charging accounting, activation re-issue, and the dual-PC
     protocol are the scalar engine's code.  One instruction is applied at
     a time: speculating across an outage boundary is unsound (the PR 8
@@ -362,9 +365,8 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
     act_backup_e = plan.act_backup_e
     share = plan.share
     oms = plan.oms
-    cap = buffer.capacitance
-    hc = 0.5 * cap
-    voff_eps = buffer.v_off + 1e-15
+    steps = buffer.stepper()
+    add, draw, off_at = steps.add, steps.draw, steps.off_at
     source_energy = source.energy
 
     # Locals mirrored from the ledger breakdown / run cursor; written
@@ -457,17 +459,16 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
         else:
             ce += fetch_e
         consumed = ce + be + de + re_ - te
-        tot = max(0.0, hc * v * v - consumed)
-        v = (2.0 * tot / cap) ** 0.5
+        v = draw(v, consumed)
         drawn_w += consumed
-        if v <= voff_eps:
+        if v <= off_at:
             outage(Phase.DECODE, False)
             continue
 
         # ---- DECODE: zero draw (square-root round-trip) ----
         instr = decode_cached(word)
-        v = (2.0 * (hc * v * v) / cap) ** 0.5
-        if v <= voff_eps:
+        v = draw(v, 0.0)
+        if v <= off_at:
             outage(Phase.EXECUTE, False)
             continue
 
@@ -482,8 +483,7 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
             commits_w += 1
             harvested = source_energy(t, cycle)
             t += cycle
-            v = (2.0 * (hc * v * v + harvested) / cap) ** 0.5
-            v = (2.0 * (hc * v * v) / cap) ** 0.5
+            v = draw(add(v, harvested), 0.0)
             break
 
         e_exec = float(
@@ -497,17 +497,16 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
         if k == K_ACT:
             be += act_backup_e
         consumed = ce + be + de + re_ - te
-        tot = max(0.0, hc * v * v - consumed)
-        v = (2.0 * tot / cap) ** 0.5
+        v = draw(v, consumed)
         drawn_w += consumed
-        if v <= voff_eps:
+        if v <= off_at:
             outage(Phase.PC_STAGE, True)
             continue
 
         # ---- PC_STAGE: stage pc+1, zero draw ----
         pcreg.stage(pc + 1)
-        v = (2.0 * (hc * v * v) / cap) ** 0.5
-        if v <= voff_eps:
+        v = draw(v, 0.0)
+        if v <= off_at:
             outage(Phase.COMMIT, True)
             continue
 
@@ -528,11 +527,9 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
         commits_w += 1
         harvested = source_energy(t, cycle)
         t += cycle
-        v = (2.0 * (hc * v * v + harvested) / cap) ** 0.5
-        tot = max(0.0, hc * v * v - consumed)
-        v = (2.0 * tot / cap) ** 0.5
+        v = draw(add(v, harvested), consumed)
         drawn_w += consumed
-        if v <= voff_eps:
+        if v <= off_at:
             outage(Phase.FETCH, False)
             continue
 

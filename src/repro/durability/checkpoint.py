@@ -88,15 +88,6 @@ class Checkpointer:
         self._last_count = 0
         self.commits = 0
 
-    def _resolve_obs(self):
-        if self.telemetry is not None:
-            t = self.telemetry
-        else:
-            from repro.obs import current
-
-            t = current()
-        return t if t.enabled else None
-
     # ------------------------------------------------------------------
     # Engine hooks
     # ------------------------------------------------------------------
@@ -126,9 +117,11 @@ class Checkpointer:
     # ------------------------------------------------------------------
 
     def _commit(self, payload: dict, sim_time: float) -> int:
+        from repro.obs import active
+
         seq = self.store.commit(payload)
         self.commits += 1
-        obs = self._resolve_obs()
+        obs = active(self.telemetry)
         if obs is not None:
             size = len(encode_image(payload, seq))
             obs.counter("checkpoint.writes").inc()
@@ -203,20 +196,17 @@ def capture_profile(run: ProfileRun) -> dict[str, Any]:
 
 
 def _load(store: Union[NVImageStore, str, Path], telemetry) -> tuple[dict, int, NVImageStore]:
+    from repro.obs import active
+
     if not isinstance(store, NVImageStore):
         store = NVImageStore(store)
     before = store.fallbacks
     payload, seq = store.load()
-    if telemetry is None:
-        from repro.obs import current
-
-        telemetry = current()
-    if telemetry is not None and telemetry.enabled:
-        telemetry.counter("checkpoint.resumes").inc()
+    obs = active(telemetry)
+    if obs is not None:
+        obs.counter("checkpoint.resumes").inc()
         if store.fallbacks > before:
-            telemetry.counter("checkpoint.fallbacks").inc(
-                store.fallbacks - before
-            )
+            obs.counter("checkpoint.fallbacks").inc(store.fallbacks - before)
     return payload, seq, store
 
 

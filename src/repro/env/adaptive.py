@@ -34,10 +34,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.harvest.intermittent import (
-    DEFAULT_CHARGE_BACKOFF,
-    DEFAULT_CHARGE_RETRIES,
-)
+from repro.harvest.capacitor import DEFAULT_CHARGE_BACKOFF, DEFAULT_CHARGE_RETRIES
 
 
 class DegradedMode(str, Enum):
@@ -63,7 +60,7 @@ class AdaptivePolicy:
     ``max_charge_retries`` / ``charge_backoff`` — bounded
     retry-with-backoff for charge windows that fall short of the
     restart threshold (see
-    :func:`repro.harvest.intermittent.charge_with_retry`).
+    :meth:`repro.harvest.capacitor.EnergyBuffer.charge`).
     """
 
     max_period: int = 16
@@ -157,8 +154,10 @@ class AdaptiveCheckpointer:
         return buffer.headroom / window if window > 0.0 else 0.0
 
     def _note(self, run, mode: str, count: int = 1) -> None:
+        from repro.obs import active
+
         run.degraded[mode] += count
-        obs = self.inner._resolve_obs()
+        obs = active(self.inner.telemetry)
         if obs is not None:
             obs.counter(f"env.degraded.{mode}").inc(count)
             obs.emit(

@@ -21,12 +21,8 @@ from repro.devices.parameters import DeviceParameters
 from repro.energy.model import InstructionCostModel
 from repro.env.adaptive import AdaptivePolicy
 from repro.env.trace import HarvestTrace
-from repro.harvest.intermittent import (
-    ChargeWindowFailure,
-    HarvestingConfig,
-    ProfileRun,
-    _fresh_degraded,
-)
+from repro.harvest.capacitor import ChargeWindowFailure
+from repro.harvest.intermittent import HarvestingConfig, ProfileRun, _fresh_degraded
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,7 @@ def replay(
     An inference counts only when it completes within ``time_budget``
     (default: four trace spans; unbounded for a constant trace, where
     ``max_inferences`` bounds the replay).  A
-    :class:`~repro.harvest.intermittent.ChargeWindowFailure` — the
+    :class:`~repro.harvest.capacitor.ChargeWindowFailure` — the
     trace died or leakage outran it — ends the replay as a recorded
     fail-stop, not an exception: that is the graceful-degradation
     contract.

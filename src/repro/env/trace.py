@@ -24,7 +24,7 @@ byte; ``tests/test_env_replay.py`` and the property tests assert it.
 Tail semantics make outages *emergent*: with ``extend="hold"`` the
 last sample's level persists forever (a zero tail means the harvester
 died — charging waits become infinite and the engines raise
-:class:`~repro.harvest.intermittent.ChargeWindowFailure`); with
+:class:`~repro.harvest.capacitor.ChargeWindowFailure`); with
 ``extend="loop"`` the trace repeats with period ``period`` (the
 solar-diurnal day/night cycle).
 """
@@ -637,7 +637,7 @@ class TraceSource:
         """Seconds until ``energy`` joules accumulate from ``start``;
         ``math.inf`` when the trace can never supply it (dead tail) —
         the engines turn that into an explicit
-        :class:`~repro.harvest.intermittent.ChargeWindowFailure`
+        :class:`~repro.harvest.capacitor.ChargeWindowFailure`
         instead of hanging."""
         if self.constant_watts is not None:
             if energy <= 0:

@@ -53,9 +53,12 @@ def _plans(tech: DeviceParameters) -> list[tuple[str, FaultPlan]]:
 def run(trials: int = 6, seed: int = 7) -> list[CampaignRow]:
     rows = []
     for tech in ALL_TECHNOLOGIES:
+        # One workload per technology: its four campaigns share the
+        # compiled program, so the plan and its lint are built once.
+        workload = svm_workload(tech=tech)
         for name, plan in _plans(tech):
             report = FaultCampaign(
-                workload=svm_workload(tech=tech),
+                workload=workload,
                 plan=plan,
                 trials=trials,
                 seed=seed,

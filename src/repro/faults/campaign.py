@@ -271,15 +271,6 @@ class FaultCampaign:
         #: with an :data:`INTERPRETER_REASONS` entry.
         self.trial_tier: Optional[dict] = None
 
-    def _resolve_obs(self):
-        if self.telemetry is not None:
-            t = self.telemetry
-        else:
-            from repro.obs import current
-
-            t = current()
-        return t if t.enabled else None
-
     def _trial_obs(self, parent_obs, n_jobs):
         """The hub one trial should emit to, resolved *at trial time*.
 
@@ -291,10 +282,9 @@ class FaultCampaign:
         """
         if n_jobs <= 1:
             return parent_obs
-        from repro.obs import current
+        from repro.obs import active
 
-        t = current()
-        return t if t.enabled else None
+        return active()
 
     # ------------------------------------------------------------------
 
@@ -328,8 +318,9 @@ class FaultCampaign:
         resume attempt, computed it).
         """
         from repro import compilejit
+        from repro.obs import active
 
-        obs = self._resolve_obs()
+        obs = active(self.telemetry)
 
         golden = self.workload.build()
         reason, compiled = self._interpreter_reason(golden, obs)

@@ -19,18 +19,21 @@ Two execution engines share the metric ledger:
 
 from repro.harvest.budget import BudgetPlan, PowerBudgetPlanner
 from repro.harvest.source import ConstantPowerSource, PowerSource, SolarProfileSource
-from repro.harvest.capacitor import EnergyBuffer, EnergyDomainError, buffer_for
+from repro.harvest.capacitor import (
+    ChargeWindowFailure,
+    EnergyBuffer,
+    EnergyDomainError,
+    buffer_for,
+)
 from repro.harvest.converter import SwitchedCapacitorConverter, CONVERSION_RATIOS
 from repro.harvest.intermittent import (
     DEGRADED_MODES,
-    ChargeWindowFailure,
     HarvestingConfig,
     IntermittentRun,
     InstructionProfile,
     NonTerminationError,
     ProfileRun,
     Segment,
-    charge_with_retry,
 )
 
 __all__ = [
@@ -52,5 +55,4 @@ __all__ = [
     "ProfileRun",
     "InstructionProfile",
     "Segment",
-    "charge_with_retry",
 ]

@@ -17,6 +17,11 @@ Two engines share a common configuration and metric ledger:
 
 Both charge Backup continuously, Dead on every re-performed
 instruction, and Restore on every restart, per the EH-model metrics.
+Neither defines any buffer physics: every voltage update, threshold
+test and charge window is evaluated by the closures of
+:meth:`repro.harvest.capacitor.EnergyBuffer.stepper`, either directly
+or through the buffer's methods (``ProfileRun``'s closed-form burst
+loop, the one exception, inlines its ideal transfers).
 """
 
 from __future__ import annotations
@@ -30,15 +35,14 @@ from repro.core.controller import InstructionBudgetExceeded
 from repro.devices.parameters import DeviceParameters
 from repro.energy.metrics import Breakdown, Category, EnergyLedger
 from repro.energy.model import InstructionCostModel
-from repro.harvest.capacitor import EnergyBuffer, _check_energy, buffer_for
-from repro.harvest.source import ConstantPowerSource, PowerSource
-
-#: Bounded retry-with-backoff for charge windows under a non-ideal
-#: buffer: each retry waits ``backoff``x longer than the closed-form
-#: estimate; after ``retries`` attempts without reaching ``v_on`` the
-#: charge fail-stops (:class:`ChargeWindowFailure`) instead of hanging.
-DEFAULT_CHARGE_RETRIES = 8
-DEFAULT_CHARGE_BACKOFF = 1.5
+from repro.harvest.capacitor import (
+    DEFAULT_CHARGE_BACKOFF,
+    DEFAULT_CHARGE_RETRIES,
+    ChargeWindowFailure,
+    EnergyBuffer,
+    buffer_for,
+)
+from repro.harvest.source import ConstantPowerSource, PowerSource, trace_position_of
 
 #: Degraded-mode taxonomy keys (see :class:`repro.env.DegradedMode`):
 #: ``skipped_checkpoint`` — the adaptive cadence stretched the simulated
@@ -50,15 +54,6 @@ DEGRADED_MODES = ("skipped_checkpoint", "deferred_commit", "fail_stop")
 
 def _fresh_degraded() -> dict[str, int]:
     return {mode: 0 for mode in DEGRADED_MODES}
-
-
-def trace_position_of(source, time: float):
-    """The source's trace position at ``time`` (None for sources
-    without one) — threaded into stall and fail-stop diagnoses."""
-    position = getattr(source, "position", None)
-    if callable(position):
-        return position(time)
-    return None
 
 
 class NonTerminationError(RuntimeError):
@@ -88,150 +83,42 @@ class NonTerminationError(RuntimeError):
         self.trace_position = trace_position
 
 
-class ChargeWindowFailure(RuntimeError):
-    """A charge window could not lift the buffer to the restart
-    threshold: the harvest trace is exhausted (infinite wait) or
-    leakage outran the harvester for the whole retry budget.  The
-    explicit fail-stop of the degraded-mode taxonomy — carries where
-    (trace position) and how hard (voltage, needed energy, retries) the
-    restart failed."""
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        voltage: Optional[float] = None,
-        needed: Optional[float] = None,
-        retries: int = 0,
-        trace_position=None,
-    ) -> None:
-        super().__init__(message)
-        self.voltage = voltage
-        self.needed = needed
-        self.retries = retries
-        self.trace_position = trace_position
-
-    @classmethod
-    def unsupplied(cls, needed, voltage, v_on, retries, trace_position):
-        """The source can never deliver the ``needed`` joules."""
-        return cls(
-            f"harvest source can never supply the {needed:.3e} J "
-            f"needed to restart (buffer at {voltage:.4f} V, "
-            f"restart at {v_on:.4f} V)",
-            voltage=voltage,
-            needed=needed,
-            retries=retries,
-            trace_position=trace_position,
-        )
-
-    @classmethod
-    def exhausted(cls, needed, voltage, v_on, retries, trace_position):
-        """``retries`` attempts all fell short of the threshold."""
-        return cls(
-            f"charge window failed to reach the restart threshold "
-            f"after {retries} attempts (buffer at "
-            f"{voltage:.4f} V of {v_on:.4f} V; leakage "
-            "outruns the harvester)",
-            voltage=voltage,
-            needed=needed,
-            retries=retries,
-            trace_position=trace_position,
-        )
+def _fail_stop(degraded: dict, obs, time: float, voltage: float) -> None:
+    # A ChargeWindowFailure is the degraded taxonomy's fail-stop.
+    degraded["fail_stop"] += 1
+    if obs is not None:
+        obs.counter("env.degraded.fail_stop").inc()
+        obs.emit("env.degraded", time, mode="fail_stop", voltage=voltage)
 
 
-def charge_with_retry(
-    buffer: EnergyBuffer,
-    source: PowerSource,
-    time: float,
-    charge: "callable",
-    retries: int = DEFAULT_CHARGE_RETRIES,
-    backoff: float = DEFAULT_CHARGE_BACKOFF,
-) -> tuple[float, float, int]:
-    """Charge a (possibly leaky) buffer to ``v_on`` with bounded
-    retry-with-backoff.
-
-    The closed-form wait from ``time_to_harvest`` ignores leakage, so
-    each attempt may fall short; retries stretch the wait by
-    ``backoff``x per attempt.  ``charge(wait)`` is called once per
-    attempt to account the charging latency on the caller's ledger.
-    Returns ``(new_time, total_wait, attempts)``; raises
-    :class:`ChargeWindowFailure` when the trace can never supply the
-    energy or the retry budget is exhausted below ``v_on``.
-    """
-    total = 0.0
-    attempts = 0
-    while not buffer.ready_to_start:
-        needed = buffer.energy_to_reach(buffer.v_on)
-        wait = source.time_to_harvest(needed, start=time)
-        if not math.isfinite(wait):
-            raise ChargeWindowFailure.unsupplied(
-                needed, buffer.voltage, buffer.v_on, attempts,
-                trace_position_of(source, time),
-            )
-        if attempts >= retries:
-            raise ChargeWindowFailure.exhausted(
-                needed, buffer.voltage, buffer.v_on, attempts,
-                trace_position_of(source, time),
-            )
-        if attempts:
-            wait = wait * (backoff ** attempts)
-        harvested = source.energy(time, wait)
-        buffer.add_energy(harvested)
-        buffer.leak(wait)
-        time += wait
-        total += wait
-        charge(wait)
-        attempts += 1
-    return time, total, attempts
+def _emit_charge(obs, start: float, waited: float, initial: bool) -> None:
+    obs.histogram("harvest.off_time").observe(waited)
+    obs.emit("harvest.charge", start, dur=waited, initial=initial)
 
 
 def charge_until_ready(run, ledger: EnergyLedger, obs, initial: bool = False) -> None:
     """Charge ``run``'s buffer to the restart threshold.
 
     ``run`` is an :class:`IntermittentRun` or a :class:`ProfileRun`: the
-    wait advances its ``time`` and lands on ``ledger`` as CHARGING
-    latency.  A non-ideal buffer charges with bounded retry-with-backoff
-    (:func:`charge_with_retry`); an ideal one in one closed-form step.
-    Either fail-stops with :class:`ChargeWindowFailure` — tallied in
-    ``run.degraded`` — when the threshold is unreachable.
+    buffer's :meth:`~repro.harvest.capacitor.EnergyBuffer.charge`
+    advances its ``time``, and each attempt's wait lands on ``ledger``
+    as CHARGING latency.  A :class:`ChargeWindowFailure` — the
+    threshold is unreachable — is tallied in ``run.degraded``.
     """
-    buffer = run.config.buffer
-    source = run.config.source
     start = run.time
     try:
-        if not buffer.is_ideal:
-            run.time, wait, _ = charge_with_retry(
-                buffer,
-                source,
-                run.time,
-                lambda w: ledger.charge(Category.CHARGING, 0.0, w),
-                retries=run.charge_retries,
-                backoff=run.charge_backoff,
-            )
-        else:
-            needed = buffer.energy_to_reach(buffer.v_on)
-            wait = source.time_to_harvest(needed, start=run.time)
-            if not math.isfinite(wait):
-                # Trace exhausted: an ideal buffer cannot retry its way
-                # out of a dead harvester either.
-                raise ChargeWindowFailure.unsupplied(
-                    needed, buffer.voltage, buffer.v_on, 0,
-                    trace_position_of(source, run.time),
-                )
-            buffer.add_energy(source.energy(run.time, wait))
-            run.time += wait
-            ledger.charge(Category.CHARGING, 0.0, wait)
-    except ChargeWindowFailure:
-        run.degraded["fail_stop"] += 1
-        if obs is not None:
-            obs.counter("env.degraded.fail_stop").inc()
-            obs.emit(
-                "env.degraded", run.time, mode="fail_stop", voltage=buffer.voltage
-            )
+        run.time, waited, _ = run.config.buffer.charge(
+            run.config.source,
+            run.time,
+            lambda wait: ledger.charge(Category.CHARGING, 0.0, wait),
+            run.charge_retries,
+            run.charge_backoff,
+        )
+    except ChargeWindowFailure as failure:
+        _fail_stop(run.degraded, obs, run.time, failure.voltage)
         raise
     if obs is not None:
-        obs.histogram("harvest.off_time").observe(wait)
-        obs.emit("harvest.charge", start, dur=wait, initial=initial)
+        _emit_charge(obs, start, waited, initial)
 
 
 @dataclass
@@ -317,7 +204,7 @@ class IntermittentRun:
         self.vcap_sample_period = vcap_sample_period
         self.checkpointer = checkpointer
         #: Charge-window retry budget for non-ideal buffers (see
-        #: :func:`charge_with_retry`); an ideal buffer never retries.
+        #: :meth:`EnergyBuffer.charge`); an ideal buffer never retries.
         self.charge_retries = DEFAULT_CHARGE_RETRIES
         self.charge_backoff = DEFAULT_CHARGE_BACKOFF
         #: Degraded-mode tallies (see :data:`DEGRADED_MODES`).
@@ -334,23 +221,16 @@ class IntermittentRun:
         #: boundary (machine off, capacitor below the restart bound).
         self._resume_phase: Optional[str] = None
 
-    def _resolve_obs(self):
-        if self.telemetry is not None:
-            t = self.telemetry
-        else:
-            from repro.obs import current
-
-            t = current()
-        return t if t.enabled else None
-
     def run(self, max_instructions: int = 10_000_000) -> Breakdown:
+        from repro.obs import active
+
         controller = self.mouse.controller
         ledger = self.mouse.ledger
         buffer = self.config.buffer
         source = self.config.source
         cycle = self.mouse.cost.cycle_time
 
-        obs = self._obs = self._resolve_obs()
+        obs = self._obs = active(self.telemetry)
         if obs is not None:
             self.mouse.attach_telemetry(obs)
             vcap = obs.gauge("harvest.vcap")
@@ -401,7 +281,11 @@ class IntermittentRun:
         # Figure 7 (worst case: executed but uncommitted work).
         from repro.core.controller import Phase
 
-        nonideal = not buffer.is_ideal
+        # The buffer's closures, fetched once.  With no ESR, draw()
+        # ignores the duration, and with no leakage leak() returns the
+        # voltage untouched, so every buffer takes the same calls.
+        steps = buffer.stepper()
+        add, draw, leak, off_at = steps.add, steps.draw, steps.leak, steps.off_at
         while not controller.halted:
             if self.executed >= max_instructions:
                 raise InstructionBudgetExceeded(
@@ -417,20 +301,15 @@ class IntermittentRun:
                 self._commits_in_window += 1
                 harvested = source.energy(self.time, cycle)
                 self.time += cycle
-                buffer.add_energy(harvested)
-                if nonideal:
-                    buffer.leak(cycle)
+                buffer.voltage = leak(add(buffer.voltage, harvested), cycle)
                 if (
                     obs is not None
                     and self.executed % self.vcap_sample_period == 0
                 ):
                     vcap.set(buffer.voltage, ts=self.time)
-            if nonideal:
-                buffer.draw_energy(consumed, cycle)
-            else:
-                buffer.draw_energy(consumed)
+            buffer.voltage = draw(buffer.voltage, consumed, cycle)
             self._drawn_in_window += consumed
-            if buffer.must_shut_down and not controller.halted:
+            if buffer.voltage <= off_at and not controller.halted:
                 self._check_progress()
                 if obs is not None:
                     obs.counter("harvest.outages").inc()
@@ -658,37 +537,31 @@ class ProfileRun:
         #: from the stored cursor.
         self._resumed = False
 
-    def _resolve_obs(self):
-        if self.telemetry is not None:
-            t = self.telemetry
-        else:
-            from repro.obs import current
-
-            t = current()
-        return t if t.enabled else None
-
     def run(self) -> Breakdown:
         """Execute the profile (or, after
         :func:`repro.durability.resume_profile`, the rest of it) and
         return the run's :class:`Breakdown`.
 
         One loop serves every source, buffer, cadence and hook.  The
-        cursor, the buffer voltage and the breakdown live in locals,
-        and every step evaluates the float expressions the source's,
-        the buffer's and the ledger's own methods evaluate — the
-        method-call loop, kept as
-        :func:`repro.perf.baseline.profile_run_reference`, is its
-        referee.  The harvest over ``[t, t + d]`` is ``watts * d`` for
-        a constant source (:class:`ConstantPowerSource` or a constant
-        trace); a fluctuating :class:`repro.env.TraceSource` is walked
-        with its :meth:`~repro.env.TraceSource.stepper`; any other
-        source is called through its own methods.  Telemetry, the
-        profiler and a host checkpointer get the referee's hook calls
-        in the referee's order; the locals are flushed onto the run,
-        ledger and buffer before a checkpointer hook and before any
-        exception.
+        cursor, the buffer voltage and the breakdown live in locals.
+        Every voltage update and charge window goes through the
+        buffer's :meth:`~repro.harvest.capacitor.EnergyBuffer.stepper`
+        closures (the closed-form burst loop alone inlines its ideal
+        transfers), and the source's and the ledger's expressions are
+        evaluated as their own methods evaluate them — the method-call
+        loop, kept as :func:`repro.perf.baseline.profile_run_reference`,
+        is its referee.  The harvest over ``[t, t + d]`` is
+        ``watts * d`` for a constant source (:class:`ConstantPowerSource`
+        or a constant trace); a fluctuating :class:`repro.env.TraceSource`
+        is walked with its :meth:`~repro.env.TraceSource.stepper`; any
+        other source is called through its own methods.  Telemetry, the
+        profiler and a host checkpointer get the referee's hook calls in
+        the referee's order; the locals are flushed onto the run, ledger
+        and buffer before a checkpointer hook and before any exception.
         """
-        obs = self._resolve_obs()
+        from repro.obs import active
+
+        obs = active(self.telemetry)
         if self.ledger is None:
             self.ledger = EnergyLedger()
         ledger = self.ledger
@@ -711,16 +584,14 @@ class ProfileRun:
         backoff = self.charge_backoff
 
         buffer = self.config.buffer
+        steps = buffer.stepper()
+        add, draw, leak = steps.add, steps.draw, steps.leak
+        charge, off_at = steps.charge, steps.off_at
         cap = buffer.capacitance
         hc = 0.5 * cap  # stored energy is hc * v * v
         e_off = hc * buffer.v_off * buffer.v_off
         e_on = hc * buffer.v_on * buffer.v_on
         window = e_on - e_off
-        off_at = buffer.v_off + 1e-15  # must_shut_down: v <= off_at
-        on_at = buffer.v_on - 1e-15  # ready_to_start: v >= on_at
-        leak_amps = buffer.leakage_amps
-        esr = buffer.esr_ohms
-        nonideal = not buffer.is_ideal
 
         cost = self.cost
         cycle = cost.cycle_time
@@ -742,7 +613,7 @@ class ProfileRun:
         source = self.config.source
         watts = None  # a constant source's level: harvest = watts * d
         energy = energy_ahead = source.energy
-        time_to_harvest = None  # None: call source.time_to_harvest
+        time_to_harvest = source.time_to_harvest
         if type(source) is ConstantPowerSource:
             watts = source.watts
         else:
@@ -761,12 +632,12 @@ class ProfileRun:
         # cadence, with no hook to feed, runs each segment in the
         # closed-form burst loop below: every harvest and draw there is
         # a finite non-negative product, so the buffer's domain checks
-        # cannot fire.  Anything else steps through step() and
-        # charge(), which keep every check.
+        # cannot fire.  Anything else steps through the stepper's add,
+        # draw and leak, which keep every check.
         simple = (
             fixed_net
             and 0.0 < watts < inf
-            and not nonideal
+            and buffer.is_ideal
             and not hooked
             and restore_e >= 0.0
         )
@@ -797,330 +668,291 @@ class ProfileRun:
             if prof is not None:
                 prof.record(category, energy, latency)
 
-        def step(v, t, duration, draw):
-            # Harvest over [t, t + duration] into the buffer, then
-            # draw_energy(draw, duration) and leak(duration); returns
-            # the new voltage.
-            harvested = watts * duration if watts is not None else energy(t, duration)
-            if not harvested >= 0.0:
-                _check_energy(harvested, "add")
-            v = (2.0 * (hc * v * v + harvested) / cap) ** 0.5
-            if not draw >= 0.0:
-                _check_energy(draw, "draw")
-            if esr and duration > 0.0 and v > 0.0 and draw > 0.0:
-                current = draw / (v * duration)
-                draw = draw + current * current * esr * duration
-            total = hc * v * v - draw
-            v = (2.0 * total / cap) ** 0.5 if total > 0.0 else 0.0
-            if leak_amps and duration > 0.0 and v > 0.0:
-                lost = v * leak_amps * duration
-                stored = hc * v * v
-                if lost > stored:
-                    lost = stored
-                v = (2.0 * (stored - lost) / cap) ** 0.5
-            return v
-
-        def charge(initial, seg_index, remaining) -> None:
-            # charge_until_ready: one closed-form wait for an ideal
-            # buffer, bounded retry-with-backoff (charge_with_retry)
-            # for a non-ideal one.
-            nonlocal t, v, chl
-            start = t
-            total = 0.0
-            attempts = 0
-            while (not v >= on_at) if nonideal else not attempts:
-                needed = e_on - hc * v * v
-                if not needed > 0.0:
-                    needed = 0.0
-                if watts is not None:
-                    wait = needed / watts if needed > 0 else 0.0
-                elif time_to_harvest is not None:
-                    wait = time_to_harvest(needed, t)
-                else:
-                    wait = source.time_to_harvest(needed, start=t)
-                if not math.isfinite(wait):
-                    failure = ChargeWindowFailure.unsupplied(
-                        needed, v, buffer.v_on, attempts,
-                        trace_position_of(source, t),
-                    )
-                elif nonideal and attempts >= retries:
-                    failure = ChargeWindowFailure.exhausted(
-                        needed, v, buffer.v_on, attempts,
-                        trace_position_of(source, t),
-                    )
-                else:
-                    failure = None
-                if failure is not None:
-                    # The failed attempts stay on the buffer and the
-                    # ledger; the clock stays where the charge began.
-                    t = start
-                    degraded["fail_stop"] += 1
-                    if obs is not None:
-                        obs.counter("env.degraded.fail_stop").inc()
-                        obs.emit(
-                            "env.degraded", t, mode="fail_stop", voltage=v
-                        )
-                    flush(seg_index, remaining)
-                    raise failure
-                if attempts:
-                    wait = wait * (backoff ** attempts)
-                harvested = watts * wait if watts is not None else energy(t, wait)
-                if not harvested >= 0.0:
-                    _check_energy(harvested, "add")
-                v = (2.0 * (hc * v * v + harvested) / cap) ** 0.5
-                if leak_amps and wait > 0.0 and v > 0.0:
-                    lost = v * leak_amps * wait
-                    stored = hc * v * v
-                    if lost > stored:
-                        lost = stored
-                    v = (2.0 * (stored - lost) / cap) ** 0.5
-                t += wait
-                total += wait
-                if wait < 0:
-                    raise ValueError("energy and latency must be non-negative")
-                chl += wait
-                if hooked:
-                    note(Category.CHARGING, 0.0, wait)
-                attempts += 1
-            if obs is not None:
-                obs.histogram("harvest.off_time").observe(total)
-                obs.emit("harvest.charge", start, dur=total, initial=initial)
+        def account_wait(wait) -> None:
+            # ledger.charge(CHARGING, 0.0, wait), once per charge attempt.
+            nonlocal chl
+            if wait < 0:
+                raise ValueError("energy and latency must be non-negative")
+            chl += wait
+            if hooked:
+                note(Category.CHARGING, 0.0, wait)
 
         seg_index = self.seg_index
         remaining = self.remaining
-        if not self._resumed:
-            # Initial charge (capacitor starts discharged).
-            charge(True, seg_index, remaining)
-            seg_index = 0
-            remaining = None
-        self._resumed = False
-
         segments = profile.segments
-        table = _segment_table(profile, base_period, dead_fraction)
-        n_segments = len(table)
-        while seg_index < n_segments:
-            (
-                count, seg_e, backup, backup_per, per_instr,
-                dead, dead_e, dead_be,
-            ) = table[seg_index]
-            if prof is not None:
-                segment = segments[seg_index]
-                label = segment.label or segment.kind or f"segment{seg_index}"
-                prof.set_scope(prof.scope_id((profile.name, label)))
-            if remaining is None:
-                remaining = count
-            if fixed_net:
-                net = per_instr - h_cycle
-                if simple and not net > window:
-                    # Closed forms: each burst decides only its length
-                    # and whether it ends in an outage.  (A segment no
-                    # burst can finish goes on to raise below.)
-                    while remaining > 0:
-                        if net <= 0.0:
-                            # Source outruns consumption: the rest of
-                            # the segment is one burst.
-                            burst = remaining
-                        else:
+        try:
+            if not self._resumed:
+                # Initial charge (capacitor starts discharged).
+                start = t
+                v, t, waited, _ = charge(
+                    v, t, source, energy, time_to_harvest, account_wait,
+                    retries, backoff,
+                )
+                if obs is not None:
+                    _emit_charge(obs, start, waited, True)
+                seg_index = 0
+                remaining = None
+            self._resumed = False
+
+            table = _segment_table(profile, base_period, dead_fraction)
+            n_segments = len(table)
+            while seg_index < n_segments:
+                (
+                    count, seg_e, backup, backup_per, per_instr,
+                    dead, dead_e, dead_be,
+                ) = table[seg_index]
+                if prof is not None:
+                    segment = segments[seg_index]
+                    label = segment.label or segment.kind or f"segment{seg_index}"
+                    prof.set_scope(prof.scope_id((profile.name, label)))
+                if remaining is None:
+                    remaining = count
+                if fixed_net:
+                    net = per_instr - h_cycle
+                    if simple and not net > window:
+                        # Closed forms: each burst decides only its
+                        # length and whether it ends in an outage.  (A
+                        # segment no burst can finish goes on to raise
+                        # below.)  The transfers here are the stepper's
+                        # add-then-draw of a finite non-negative harvest
+                        # and drain, written inline: calling add() and
+                        # draw() for the burst, the restore and the dead
+                        # replay made a harvest_sweep op cycle 27 %
+                        # slower (median of per-process minimum times
+                        # 0.433 -> 0.550 s, 12 alternating processes,
+                        # seed 11, shared 2-core VM).
+                        while remaining > 0:
+                            if net <= 0.0:
+                                # Source outruns consumption: the rest
+                                # of the segment is one burst.
+                                burst = remaining
+                            else:
+                                headroom = hc * v * v - e_off
+                                if not headroom > 0.0:
+                                    headroom = 0.0
+                                burst = int(headroom // net)
+                                if burst < 1:
+                                    burst = 1
+                                if burst > remaining:
+                                    burst = remaining
+                            consumed = burst * per_instr
+                            bc = burst * cycle
+                            ce += burst * seg_e
+                            cl += bc
+                            be += burst * backup_per
+                            ninstr += burst
+                            remaining -= burst
+                            v = (2.0 * (hc * v * v + watts * bc) / cap) ** 0.5
+                            total = hc * v * v - consumed
+                            v = (2.0 * total / cap) ** 0.5 if total > 0.0 else 0.0
+                            t += bc
+                            if v <= off_at and remaining > 0:
+                                # Outage: the charge's one closed-form
+                                # wait (an unreachable threshold goes to
+                                # charge() to fail-stop), restore, then
+                                # the dead replay.
+                                needed = e_on - hc * v * v
+                                wait = needed / watts if needed > 0.0 else 0.0
+                                if not wait < inf:
+                                    charge(
+                                        v, t, source, energy, time_to_harvest,
+                                        account_wait, retries, backoff,
+                                    )
+                                v = (2.0 * (hc * v * v + watts * wait) / cap) ** 0.5
+                                t += wait
+                                chl += wait
+                                nrestart += 1
+                                re_ += restore_e
+                                rl += restore_l
+                                v = (2.0 * (hc * v * v + watts * restore_l) / cap) ** 0.5
+                                total = hc * v * v - restore_e
+                                v = (2.0 * total / cap) ** 0.5 if total > 0.0 else 0.0
+                                t += restore_l
+                                v = (2.0 * (hc * v * v + watts * dead_l) / cap) ** 0.5
+                                total = hc * v * v - dead
+                                v = (2.0 * total / cap) ** 0.5 if total > 0.0 else 0.0
+                                t += dead_l
+                                de += dead_e
+                                dl += dead_l
+                                be += dead_be
+                            if checkpointer is not None:
+                                flush(seg_index, remaining)
+                                checkpointer.on_profile_point(self)
+                        seg_index += 1
+                        remaining = None
+                        continue
+                while remaining > 0:
+                    if not fixed_net:
+                        if adaptive is not None:
+                            # Headroom-aware cadence: stretch the
+                            # simulated checkpoint period when the
+                            # buffer is charged, snap back to the fixed
+                            # baseline as it sags.
                             headroom = hc * v * v - e_off
                             if not headroom > 0.0:
                                 headroom = 0.0
-                            burst = int(headroom // net)
-                            if burst < 1:
-                                burst = 1
-                            if burst > remaining:
-                                burst = remaining
-                        consumed = burst * per_instr
-                        bc = burst * cycle
-                        ce += burst * seg_e
-                        cl += bc
-                        be += burst * backup_per
-                        ninstr += burst
-                        remaining -= burst
-                        v = (2.0 * (hc * v * v + watts * bc) / cap) ** 0.5
-                        total = hc * v * v - consumed
-                        v = (2.0 * total / cap) ** 0.5 if total > 0.0 else 0.0
-                        t += bc
-                        if v <= off_at and remaining > 0:
-                            # Outage: charge's one closed-form wait (an
-                            # unreachable threshold goes to charge() to
-                            # fail-stop), restore, then the dead replay.
-                            needed = e_on - hc * v * v
-                            wait = needed / watts if needed > 0.0 else 0.0
-                            if not wait < inf:
-                                charge(False, seg_index, remaining)
-                            v = (2.0 * (hc * v * v + watts * wait) / cap) ** 0.5
-                            t += wait
-                            chl += wait
-                            nrestart += 1
-                            re_ += restore_e
-                            rl += restore_l
-                            v = (2.0 * (hc * v * v + watts * restore_l) / cap) ** 0.5
-                            total = hc * v * v - restore_e
-                            v = (2.0 * total / cap) ** 0.5 if total > 0.0 else 0.0
-                            t += restore_l
-                            v = (2.0 * (hc * v * v + watts * dead_l) / cap) ** 0.5
-                            total = hc * v * v - dead
-                            v = (2.0 * total / cap) ** 0.5 if total > 0.0 else 0.0
-                            t += dead_l
-                            de += dead_e
-                            dl += dead_l
-                            be += dead_be
-                        if checkpointer is not None:
+                            frac = headroom / window if window > 0.0 else 0.0
+                            period = adaptive.period_for(frac, base_period)
+                            backup_per = backup / period
+                            per_instr = seg_e + backup_per
+                        per_cycle = (
+                            h_cycle if watts is not None
+                            else energy_ahead(t, cycle)
+                        )
+                        net = per_instr - per_cycle
+                        if period > base_period and net > 0.0:
+                            # A stretched burst must never be the one
+                            # that hits the shutdown bound (its replay
+                            # would cost more than the baseline's):
+                            # without one instruction of slack above the
+                            # tighten threshold, run this burst at the
+                            # baseline.
+                            slack = int(
+                                (headroom - adaptive.tighten_below * window) // net
+                            )
+                            if slack < 1:
+                                period = base_period
+                                backup_per = backup / period
+                                per_instr = seg_e + backup_per
+                                net = per_instr - per_cycle
+                    if net <= 0.0:
+                        # Source outruns consumption: the whole segment
+                        # completes without an outage.
+                        burst = remaining
+                    else:
+                        if net > window:
                             flush(seg_index, remaining)
-                            checkpointer.on_profile_point(self)
-                    seg_index += 1
-                    remaining = None
-                    continue
-            while remaining > 0:
-                if not fixed_net:
-                    if adaptive is not None:
-                        # Headroom-aware cadence: stretch the simulated
-                        # checkpoint period when the buffer is charged,
-                        # snap back to the fixed baseline as it sags.
+                            position = trace_position_of(source, t)
+                            where = f" ({position})" if position is not None else ""
+                            raise NonTerminationError(
+                                f"{profile.name}: instruction needs "
+                                f"{net:.3e} J net but the capacitor window "
+                                f"holds {window:.3e} J — no "
+                                "forward progress is possible; reduce the "
+                                "active-column parallelism or enlarge the "
+                                f"buffer{where}",
+                                breakdown=b,
+                                instruction_energy=net,
+                                trace_position=position,
+                            )
                         headroom = hc * v * v - e_off
                         if not headroom > 0.0:
                             headroom = 0.0
-                        frac = headroom / window if window > 0.0 else 0.0
-                        period = adaptive.period_for(frac, base_period)
-                        backup_per = backup / period
-                        per_instr = seg_e + backup_per
-                    per_cycle = (
-                        h_cycle if watts is not None
-                        else energy_ahead(t, cycle)
-                    )
-                    net = per_instr - per_cycle
-                    if period > base_period and net > 0.0:
-                        # A stretched burst must never be the one that
-                        # hits the shutdown bound (its replay would cost
-                        # more than the baseline's): without one
-                        # instruction of slack above the tighten
-                        # threshold, run this burst at the baseline.
-                        slack = int(
-                            (headroom - adaptive.tighten_below * window) // net
-                        )
-                        if slack < 1:
-                            period = base_period
-                            backup_per = backup / period
-                            per_instr = seg_e + backup_per
-                            net = per_instr - per_cycle
-                if net <= 0.0:
-                    # Source outruns consumption: the whole segment
-                    # completes without an outage.
-                    burst = remaining
-                else:
-                    if net > window:
-                        flush(seg_index, remaining)
-                        position = trace_position_of(source, t)
-                        where = f" ({position})" if position is not None else ""
-                        raise NonTerminationError(
-                            f"{profile.name}: instruction needs "
-                            f"{net:.3e} J net but the capacitor window "
-                            f"holds {window:.3e} J — no "
-                            "forward progress is possible; reduce the "
-                            "active-column parallelism or enlarge the "
-                            f"buffer{where}",
-                            breakdown=b,
-                            instruction_energy=net,
-                            trace_position=position,
-                        )
-                    headroom = hc * v * v - e_off
-                    if not headroom > 0.0:
-                        headroom = 0.0
-                    burst = int(headroom // net)
-                    if burst < 1:
-                        burst = 1
-                    if burst > remaining:
-                        burst = remaining
-                if period > base_period:
-                    if net > 0.0:
-                        # Cap the stretched burst at the tighten
-                        # threshold so the final stretch before any
-                        # outage runs at the baseline cadence.
-                        slack = int(
-                            (headroom - adaptive.tighten_below * window) // net
-                        )
-                        if slack < burst:
-                            burst = slack
-                    stretched = burst // base_period - burst // period
-                    if burst > 0 and stretched > 0:
-                        skipped += stretched
-                        if obs is not None:
-                            obs.counter(
-                                "env.degraded.skipped_checkpoint"
-                            ).inc(stretched)
-                consumed = burst * per_instr
-                bc = burst * cycle
-                ce += burst * seg_e
-                cl += bc
-                be += burst * backup_per
-                ninstr += burst
-                remaining -= burst
-                burst_start = t
-                v = step(v, t, bc, consumed)
-                t += bc
-                if hooked:
-                    note(Category.COMPUTE, burst * seg_e, bc)
-                    note(Category.BACKUP, burst * backup_per)
-                    if prof is not None:
-                        prof.count_instructions(burst)
-                    if obs is not None:
-                        obs.emit(
-                            "profile.burst",
-                            burst_start,
-                            label=segments[seg_index].label or profile.name,
-                            count=burst,
-                            energy=burst * seg_e,
-                        )
-                        vcap.set(v, ts=t)
-                if v <= off_at and remaining > 0:
-                    # Outage: recharge, restore, then re-perform the
-                    # work since the last checkpoint (Dead): at most
-                    # one instruction at period 1, (N-1)/2 + 1
-                    # expected at period N.
-                    if obs is not None:
-                        obs.counter("harvest.outages").inc()
-                        obs.emit(
-                            "harvest.outage",
-                            t,
-                            voltage=v,
-                            instructions=ninstr,
-                        )
-                    charge(False, seg_index, remaining)
-                    nrestart += 1
-                    re_ += restore_e
-                    rl += restore_l
+                        burst = int(headroom // net)
+                        if burst < 1:
+                            burst = 1
+                        if burst > remaining:
+                            burst = remaining
+                    if period > base_period:
+                        if net > 0.0:
+                            # Cap the stretched burst at the tighten
+                            # threshold so the final stretch before any
+                            # outage runs at the baseline cadence.
+                            slack = int(
+                                (headroom - adaptive.tighten_below * window) // net
+                            )
+                            if slack < burst:
+                                burst = slack
+                        stretched = burst // base_period - burst // period
+                        if burst > 0 and stretched > 0:
+                            skipped += stretched
+                            if obs is not None:
+                                obs.counter(
+                                    "env.degraded.skipped_checkpoint"
+                                ).inc(stretched)
+                    consumed = burst * per_instr
+                    bc = burst * cycle
+                    ce += burst * seg_e
+                    cl += bc
+                    be += burst * backup_per
+                    ninstr += burst
+                    remaining -= burst
+                    burst_start = t
+                    harvested = watts * bc if watts is not None else energy(t, bc)
+                    v = leak(draw(add(v, harvested), consumed, bc), bc)
+                    t += bc
                     if hooked:
+                        note(Category.COMPUTE, burst * seg_e, bc)
+                        note(Category.BACKUP, burst * backup_per)
                         if prof is not None:
-                            prof.count_restart()
-                        note(Category.RESTORE, restore_e, restore_l)
-                    v = step(v, t, restore_l, restore_e)
-                    t += restore_l
-                    if obs is not None:
-                        obs.emit("harvest.restore", t, voltage=v)
-                    if period == base_period:
-                        r_draw, r_e, r_be, r_l = dead, dead_e, dead_be, dead_l
-                    else:
-                        replayed = dead_fraction * ((period - 1) / 2.0 + 1.0)
-                        r_draw = per_instr * replayed
-                        r_e = seg_e * replayed
-                        r_be = backup_per * replayed
-                        r_l = cycle * replayed
-                    v = step(v, t, r_l, r_draw)
-                    t += r_l
-                    de += r_e
-                    dl += r_l
-                    be += r_be
-                    if hooked:
-                        note(Category.DEAD, r_e, r_l)
-                        note(Category.BACKUP, r_be)
-                if checkpointer is not None:
-                    # Burst boundary: the cursor (seg_index, remaining,
-                    # time, ledger, buffer voltage) fully determines the
-                    # rest of the run.
-                    flush(seg_index, remaining)
-                    checkpointer.on_profile_point(self)
-            seg_index += 1
-            remaining = None
+                            prof.count_instructions(burst)
+                        if obs is not None:
+                            obs.emit(
+                                "profile.burst",
+                                burst_start,
+                                label=segments[seg_index].label or profile.name,
+                                count=burst,
+                                energy=burst * seg_e,
+                            )
+                            vcap.set(v, ts=t)
+                    if v <= off_at and remaining > 0:
+                        # Outage: recharge, restore, then re-perform the
+                        # work since the last checkpoint (Dead): at most
+                        # one instruction at period 1, (N-1)/2 + 1
+                        # expected at period N.
+                        if obs is not None:
+                            obs.counter("harvest.outages").inc()
+                            obs.emit(
+                                "harvest.outage",
+                                t,
+                                voltage=v,
+                                instructions=ninstr,
+                            )
+                        start = t
+                        v, t, waited, _ = charge(
+                            v, t, source, energy, time_to_harvest,
+                            account_wait, retries, backoff,
+                        )
+                        if obs is not None:
+                            _emit_charge(obs, start, waited, False)
+                        nrestart += 1
+                        re_ += restore_e
+                        rl += restore_l
+                        if hooked:
+                            if prof is not None:
+                                prof.count_restart()
+                            note(Category.RESTORE, restore_e, restore_l)
+                        harvested = (
+                            watts * restore_l if watts is not None
+                            else energy(t, restore_l)
+                        )
+                        v = add(v, harvested)
+                        v = leak(draw(v, restore_e, restore_l), restore_l)
+                        t += restore_l
+                        if obs is not None:
+                            obs.emit("harvest.restore", t, voltage=v)
+                        if period == base_period:
+                            r_draw, r_e, r_be, r_l = dead, dead_e, dead_be, dead_l
+                        else:
+                            replayed = dead_fraction * ((period - 1) / 2.0 + 1.0)
+                            r_draw = per_instr * replayed
+                            r_e = seg_e * replayed
+                            r_be = backup_per * replayed
+                            r_l = cycle * replayed
+                        harvested = watts * r_l if watts is not None else energy(t, r_l)
+                        v = leak(draw(add(v, harvested), r_draw, r_l), r_l)
+                        t += r_l
+                        de += r_e
+                        dl += r_l
+                        be += r_be
+                        if hooked:
+                            note(Category.DEAD, r_e, r_l)
+                            note(Category.BACKUP, r_be)
+                    if checkpointer is not None:
+                        # Burst boundary: the cursor (seg_index,
+                        # remaining, time, ledger, buffer voltage) fully
+                        # determines the rest of the run.
+                        flush(seg_index, remaining)
+                        checkpointer.on_profile_point(self)
+                seg_index += 1
+                remaining = None
+        except ChargeWindowFailure as failure:
+            # The failed attempts stay on the buffer and the ledger; the
+            # clock stays where the charge began.
+            v = failure.voltage
+            _fail_stop(degraded, obs, t, v)
+            flush(seg_index, remaining)
+            raise
         flush(seg_index, None)
         return b
 

@@ -27,6 +27,15 @@ class PowerSource(Protocol):
         ...
 
 
+def trace_position_of(source, time: float):
+    """The source's trace position at ``time`` (None for sources
+    without one) — threaded into stall and fail-stop diagnoses."""
+    position = getattr(source, "position", None)
+    if callable(position):
+        return position(time)
+    return None
+
+
 @dataclass(frozen=True)
 class ConstantPowerSource:
     """The paper's harvester model: a constant power level."""

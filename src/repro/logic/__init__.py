@@ -13,7 +13,6 @@ from repro.logic.gates import GateSpec, design_voltage, gate_energy, gate_margin
 from repro.logic.library import GATE_LIBRARY, gate_by_name
 from repro.logic.resistance import (
     input_network_resistance,
-    parallel_resistance,
     total_path_resistance,
 )
 
@@ -24,7 +23,6 @@ __all__ = [
     "gate_margin",
     "GATE_LIBRARY",
     "gate_by_name",
-    "parallel_resistance",
     "input_network_resistance",
     "total_path_resistance",
 ]

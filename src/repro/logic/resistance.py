@@ -14,14 +14,6 @@ from repro.devices.cell import input_resistance, output_resistance
 from repro.devices.parameters import DeviceParameters
 
 
-def parallel_resistance(resistances) -> float:
-    """Parallel combination; raises on an empty network."""
-    rs = list(resistances)
-    if not rs:
-        raise ValueError("need at least one resistance")
-    return 1.0 / sum(1.0 / r for r in rs)
-
-
 def input_network_resistance(
     params: DeviceParameters, n_inputs: int, n_ones: int
 ) -> float:

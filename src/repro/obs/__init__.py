@@ -36,7 +36,14 @@ from repro.obs.sinks import (
     Sink,
     TeeSink,
 )
-from repro.obs.telemetry import DISABLED, Telemetry, current, from_paths, use
+from repro.obs.telemetry import (
+    DISABLED,
+    Telemetry,
+    active,
+    current,
+    from_paths,
+    use,
+)
 from repro.obs.trace import (
     InstructionRecord,
     TraceBudgetExceeded,
@@ -68,6 +75,7 @@ __all__ = [
     "Telemetry",
     "TraceBudgetExceeded",
     "TraceRecorder",
+    "active",
     "build_manifest",
     "current",
     "from_paths",

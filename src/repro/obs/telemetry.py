@@ -154,6 +154,14 @@ def current() -> Telemetry:
     return _current
 
 
+def active(telemetry: Optional[Telemetry] = None) -> Optional[Telemetry]:
+    """The hub to emit to: ``telemetry`` if given, else the ambient
+    hub; None when that hub is disabled, so a hot path guards with
+    one ``is None`` check."""
+    hub = _current if telemetry is None else telemetry
+    return hub if hub.enabled else None
+
+
 @contextmanager
 def use(telemetry: Telemetry) -> Iterator[Telemetry]:
     """Install ``telemetry`` as the ambient hub for the duration."""

@@ -28,8 +28,8 @@ from repro.harvest.intermittent import (
     NonTerminationError,
     ProfileRun,
     charge_until_ready,
-    trace_position_of,
 )
+from repro.harvest.source import trace_position_of
 from repro.logic.gates import GateSpec, design_voltage, gate_energy
 from repro.logic.resistance import total_path_resistance
 
@@ -106,7 +106,9 @@ def profile_run_reference(run: ProfileRun) -> Breakdown:
     and the ledger's methods for every transfer and charge.  Mutates
     ``run`` (cursor, time, ledger, buffer, degraded tallies) exactly
     as ``run.run()`` does, hooks and resume included."""
-    obs = run._resolve_obs()
+    from repro.obs import active
+
+    obs = active(run.telemetry)
     if run.ledger is None:
         run.ledger = EnergyLedger()
     ledger = run.ledger

@@ -44,7 +44,7 @@ from repro.verify.passes import (
     SemanticsPass,
     check_equivalent,
 )
-from repro.verify.verifier import Verifier, VerifyError, verify_program
+from repro.verify.verifier import Verifier, verify_program
 from repro.verify.targets import (
     VERIFY_TARGETS,
     VerifyJob,
@@ -67,7 +67,6 @@ __all__ = [
     "VERIFY_TARGETS",
     "VarSpace",
     "Verifier",
-    "VerifyError",
     "VerifyJob",
     "VerifyTarget",
     "array_to_table",

@@ -24,16 +24,12 @@ can check hand-written programs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.verify.symbolic import (
-    SymbolicMachine,
-    array_to_table,
-    table_to_array,
-)
+from repro.verify.symbolic import SymbolicMachine, array_to_table
 
 
 @dataclass(frozen=True)
@@ -171,36 +167,3 @@ def expected_table(
             f"{1 << spec.n_inputs} assignments"
         )
     return array_to_table(out)
-
-
-def pack_value(bits: Sequence[np.ndarray], signed: bool = False) -> np.ndarray:
-    """Little-endian bit columns -> integer per assignment.
-
-    ``bits[i]`` is bit ``i``'s value over all assignments (bool array);
-    with ``signed`` the top bit is a two's-complement sign.
-    """
-    total = np.zeros(bits[0].shape, dtype=np.int64)
-    for i, bit in enumerate(bits):
-        total += bit.astype(np.int64) << i
-    if signed and len(bits) > 0:
-        width = len(bits)
-        total -= (bits[-1].astype(np.int64)) << width
-    return total
-
-
-def spec_outputs_with(
-    spec: SemanticSpec,
-    checks: Iterable[tuple[int, int, Callable[[np.ndarray], np.ndarray], str]],
-) -> SemanticSpec:
-    """A copy of ``spec`` with outputs derived from reference functions."""
-    outputs = tuple(
-        OutputCheck(tile=t, row=r, table=expected_table(spec, fn), label=label)
-        for t, r, fn, label in checks
-    )
-    return SemanticSpec(
-        inputs=spec.inputs,
-        outputs=outputs,
-        constants=spec.constants,
-        focus_column=spec.focus_column,
-        name=spec.name,
-    )

@@ -159,19 +159,6 @@ def states_equal(a: SymbolicState, b: SymbolicState, n: int) -> bool:
     return a.buffer == b.buffer
 
 
-def diverging_cells(
-    a: SymbolicState, b: SymbolicState, n: int
-) -> list[tuple[int, int]]:
-    """Cells whose functions differ between two synced states."""
-    _sync_state(a, n)
-    _sync_state(b, n)
-    out = []
-    for key in sorted(set(a.cells) | set(b.cells)):
-        if a.cells.get(key, 0) != b.cells.get(key, 0):
-            out.append(key)
-    return out
-
-
 class SymbolicMachine:
     """Abstract interpretation of one program at one focus column.
 

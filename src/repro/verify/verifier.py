@@ -15,16 +15,8 @@ from typing import Optional, Sequence
 
 from repro.core.program import Program
 from repro.lint.config import LintConfig
-from repro.lint.diagnostics import LintReport, render
+from repro.lint.diagnostics import LintReport
 from repro.lint.passes import LintPass
-
-
-class VerifyError(ValueError):
-    """A verification run refuted a program; carries the full report."""
-
-    def __init__(self, report: LintReport) -> None:
-        self.report = report
-        super().__init__(render(report))
 
 
 class Verifier:

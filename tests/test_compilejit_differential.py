@@ -11,8 +11,9 @@ and is compared with its referee:
 * ``Mouse.run()`` against ``Mouse.run(compiled=False)``;
 * ``BatchedMouse`` against the per-sample serial interpreter;
 * the fused intermittent loop against the scalar ``IntermittentRun``,
-  at capacitances small enough to force outages (only replay-stable
-  plans take the fused path).
+  at capacitances small enough to force outages, under a constant, a
+  sinusoidal and two burst-trace harvesters, one of them with a dead
+  tail (only replay-stable plans take the fused path).
 
 Breakdowns are compared with float ``==`` and tile states with array
 equality, never a tolerance.
@@ -33,13 +34,14 @@ from repro.core.accelerator import Mouse
 from repro.core.program import Program
 from repro.devices import ALL_TECHNOLOGIES
 from repro.energy.model import InstructionCostModel
-from repro.harvest.capacitor import EnergyBuffer, buffer_for
+from repro.env.trace import TraceSource, rf_burst
+from repro.harvest.capacitor import ChargeWindowFailure, EnergyBuffer, buffer_for
 from repro.harvest.intermittent import (
     HarvestingConfig,
     IntermittentRun,
     NonTerminationError,
 )
-from repro.harvest.source import ConstantPowerSource
+from repro.harvest.source import ConstantPowerSource, SolarProfileSource
 from repro.isa.instruction import (
     ActivateColumnsInstruction,
     HaltInstruction,
@@ -64,6 +66,8 @@ BATCH = 4
 WINDOW_INSTRUCTIONS = (2.5, 6.0)
 #: Harvested power as a share of the program's mean instruction power.
 HARVEST_SHARE = 0.2
+#: Harvesters of the fused-vs-scalar runs (see :func:`_source`).
+SOURCES = ("constant", "solar", "rf_burst", "dead_tail")
 
 #: The library gates that have an ISA opcode, by input count.
 GATES_BY_ARITY = {
@@ -238,33 +242,62 @@ def test_batched_plan_matches_serial_interpreter(seed, tech):
                 assert np.array_equal(tile.state[sample], ref_tile.state), (key, sample)
 
 
-def _intermittent(tech, program, states, per_instruction, n_window, compiled):
+def _source(kind: str, watts: float, charge_time: float, seed: int):
+    """A harvester of mean power near ``watts``.  ``charge_time`` is the
+    time ``watts`` takes to charge the empty buffer to ``v_on``; the
+    sinusoid and the bursts are timed in it.  The ``dead_tail`` bursts
+    harvest one and a half such charges in all and then nothing, so a
+    long run ends in a :class:`ChargeWindowFailure`."""
+    if kind == "constant":
+        return ConstantPowerSource(watts)
+    if kind == "solar":
+        return SolarProfileSource(watts, depth=0.9, period=charge_time / 3.0)
+    dead = kind == "dead_tail"
+    return TraceSource(
+        rf_burst(
+            seed,
+            burst_watts=4.0 * watts,
+            idle_watts=0.0 if dead else 0.5 * watts,
+            burst_duration=charge_time / 8.0,
+            burst_period=charge_time / 4.0,
+            n_bursts=3 if dead else 64,
+        )
+    )
+
+
+def _intermittent(
+    tech, program, states, per_instruction, n_window, compiled, kind, seed
+):
     """One IntermittentRun on an ideal buffer whose usable window holds
     ``n_window`` mean instructions, on the technology's paper voltage
-    window, harvesting a fixed share of the mean instruction power."""
+    window, harvesting about a fixed share of the mean instruction
+    power from a ``kind`` source (see :func:`_source`).  A run that
+    stops raising returns the error's type, message and attributes."""
     base = buffer_for(tech)
     window = n_window * per_instruction
     capacitance = 2.0 * window / (base.v_on**2 - base.v_off**2)
     buffer = EnergyBuffer(capacitance=capacitance, v_off=base.v_off, v_on=base.v_on)
-    source = ConstantPowerSource(HARVEST_SHARE * per_instruction / tech.cycle_time)
+    watts = HARVEST_SHARE * per_instruction / tech.cycle_time
+    source = _source(kind, watts, buffer.energy_to_reach(base.v_on) / watts, seed)
     mouse = _mouse(tech, program, states)
     run = IntermittentRun(mouse, HarvestingConfig(source, buffer))
     compilejit.set_enabled(compiled)
     try:
-        breakdown = run.run()
+        run.run()
         err = None
-    except NonTerminationError as exc:
-        breakdown = exc.breakdown
-        err = (str(exc), exc.instruction_energy)
+    except (NonTerminationError, ChargeWindowFailure) as exc:
+        err = (type(exc), str(exc), vars(exc))
     finally:
         compilejit.set_enabled(True)
-    return mouse, run, breakdown, err
+    return mouse, run, mouse.ledger.breakdown, err
 
 
 @pytest.mark.parametrize("tech", ALL_TECHNOLOGIES, ids=TECH_IDS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fused_intermittent_matches_scalar_run(seed, tech):
-    restarts = completed = 0
+    restarts = dict.fromkeys(SOURCES, 0)
+    completed = dict.fromkeys(SOURCES, 0)
+    failed = 0
     for index, (program, plan, states) in enumerate(_programs(seed)):
         if not plan.replay_stable:
             continue
@@ -273,34 +306,34 @@ def test_fused_intermittent_matches_scalar_run(seed, tech):
         b = continuous.ledger.breakdown
         per_instruction = (b.compute_energy + b.backup_energy) / b.instructions
         for n_window in WINDOW_INSTRUCTIONS:
-            key = (seed, tech.name, index, n_window)
-            before = compilejit.stats_snapshot()
-            fast = _intermittent(
-                tech, program, states[0], per_instruction, n_window, True
-            )
-            after = compilejit.stats_snapshot()
-            # The fused loop ran: it counts a compiled run on HALT, and a
-            # non-terminating run leaves both counters untouched.
-            assert after["fallback_runs"] == before["fallback_runs"], key
-            assert after["compiled_runs"] == before["compiled_runs"] + (
-                fast[3] is None
-            ), key
-            ref = _intermittent(
-                tech, program, states[0], per_instruction, n_window, False
-            )
-            (m1, r1, b1, e1), (m2, r2, b2, e2) = fast, ref
-            assert e1 == e2, key
-            assert b1 == b2, key
-            assert r1.time == r2.time and r1.executed == r2.executed, key
-            assert r1.config.buffer.voltage == r2.config.buffer.voltage, key
-            _assert_tiles_equal((m1, m2), key)
-            c1, c2 = m1.controller, m2.controller
-            assert c1.pc._values == c2.pc._values, key
-            assert c1.halted == c2.halted and c1.phase == c2.phase, key
-            assert c1._dead_replay == c2._dead_replay, key
-            restarts += b1.restarts
-            completed += e1 is None
-    assert restarts > 0 and completed > 0, (restarts, completed)
+            for kind in SOURCES:
+                key = (seed, tech.name, index, n_window, kind)
+                args = (tech, program, states[0], per_instruction, n_window)
+                before = compilejit.stats_snapshot()
+                fast = _intermittent(*args, True, kind, seed)
+                after = compilejit.stats_snapshot()
+                # The fused loop ran: it counts a compiled run on HALT,
+                # and a run that raises leaves both counters untouched.
+                assert after["fallback_runs"] == before["fallback_runs"], key
+                assert after["compiled_runs"] == before["compiled_runs"] + (
+                    fast[3] is None
+                ), key
+                ref = _intermittent(*args, False, kind, seed)
+                (m1, r1, b1, e1), (m2, r2, b2, e2) = fast, ref
+                assert e1 == e2, key
+                assert b1 == b2, key
+                assert r1.time == r2.time and r1.executed == r2.executed, key
+                assert r1.config.buffer.voltage == r2.config.buffer.voltage, key
+                _assert_tiles_equal((m1, m2), key)
+                c1, c2 = m1.controller, m2.controller
+                assert c1.pc._values == c2.pc._values, key
+                assert c1.halted == c2.halted and c1.phase == c2.phase, key
+                assert c1._dead_replay == c2._dead_replay, key
+                restarts[kind] += b1.restarts
+                completed[kind] += e1 is None
+                failed += e1 is not None and e1[0] is ChargeWindowFailure
+    assert all(restarts.values()) and all(completed.values()), (restarts, completed)
+    assert failed > 0
 
 
 # ----------------------------------------------------------------------

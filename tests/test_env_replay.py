@@ -24,7 +24,6 @@ from repro.harvest import (
     HarvestingConfig,
     NonTerminationError,
     ProfileRun,
-    charge_with_retry,
 )
 from repro.ml.benchmarks import SVM_ADULT
 
@@ -243,10 +242,7 @@ class TestChargeRetry:
         )
         waits = []
         with pytest.raises(ChargeWindowFailure) as info:
-            charge_with_retry(
-                buffer, ConstantPowerSource(1e-9), 0.0, waits.append,
-                retries=3,
-            )
+            buffer.charge(ConstantPowerSource(1e-9), 0.0, waits.append, retries=3)
         assert info.value.retries == 3
         assert len(waits) == 3  # every attempt charged its latency
         assert info.value.voltage < buffer.v_on
@@ -260,7 +256,7 @@ class TestChargeRetry:
         )
         start = trace.span + 1.0  # past the last pulse: dead hold tail
         with pytest.raises(ChargeWindowFailure) as info:
-            charge_with_retry(buffer, source, start, lambda wait: None)
+            buffer.charge(source, start, lambda wait: None)
         assert info.value.trace_position is not None
         assert info.value.trace_position.elapsed == start
         assert "never supply" in str(info.value)
@@ -270,8 +266,8 @@ class TestChargeRetry:
             capacitance=100e-6, v_off=0.32, v_on=0.34,
             voltage=0.32, leakage_amps=1e-9,
         )
-        time, total, attempts = charge_with_retry(
-            buffer, ConstantPowerSource(1e-6), 0.0, lambda wait: None
+        time, total, attempts = buffer.charge(
+            ConstantPowerSource(1e-6), 0.0, lambda wait: None
         )
         assert buffer.ready_to_start
         assert attempts >= 1

@@ -403,14 +403,14 @@ def test_compiled_off_runs_the_interpreter(monkeypatch):
 
 
 def test_telemetry_runs_the_interpreter(monkeypatch):
-    from repro.obs import InMemorySink, Telemetry
+    from repro.obs import InMemorySink, Telemetry, active
 
     sink = InMemorySink()
     campaign = FaultCampaign(
         WORKLOADS["adder"](MODERN_STT), FaultPlan(gate_flip_rates=FLIPS),
         trials=2, seed=4, telemetry=Telemetry(sink),
     )
-    assert _reason(campaign, campaign._resolve_obs()) == "telemetry"
+    assert _reason(campaign, active(campaign.telemetry)) == "telemetry"
     _assert_interpreted(campaign, monkeypatch, "telemetry")
     assert any(e.kind.startswith("fault.") for e in sink.events)
 
