@@ -11,11 +11,12 @@ its :class:`~repro.energy.metrics.Breakdown` (and, where supported, its
 :class:`~repro.obs.prof.EnergyProfiler` attribution) **bit for bit**,
 enforced by the translation-validation and byte-identity tests.
 Anything a plan cannot model exactly — sensors, fault hooks, telemetry
-sinks, checkpoints, lint-rejected programs — falls back to the
-interpreter.  A fault campaign that does not mix gate flips with other
-faults keeps its trials on the plan: they run as the rows of one
-batch, with each trial's faults laid over its row after each op
-(:mod:`repro.faults.campaign`).
+sinks, lint-rejected programs — falls back to the interpreter; a host
+checkpointer rides the fused intermittent loop, which calls its hooks
+where the scalar loop does.  A fault campaign that does not mix gate
+flips with other faults keeps its trials on the plan: they run as the
+rows of one batch, with each trial's faults laid over its row after
+each op (:mod:`repro.faults.campaign`).
 
 Execution tiers (see docs/PERFORMANCE.md):
 

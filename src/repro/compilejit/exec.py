@@ -176,7 +176,7 @@ def start_plan(mouse) -> Optional[CompiledPlan]:
         or controller.sensor_pc.read() != _NONE
     ):
         return None
-    return _mouse_plan(mouse)
+    return mouse_plan(mouse)
 
 
 def try_run_continuous(mouse, max_instructions: int) -> bool:
@@ -199,7 +199,9 @@ def try_run_continuous(mouse, max_instructions: int) -> bool:
     return True
 
 
-def _mouse_plan(mouse) -> Optional[CompiledPlan]:
+def mouse_plan(mouse) -> Optional[CompiledPlan]:
+    """The cached plan of ``mouse``'s loaded program for its bank (see
+    :func:`~repro.compilejit.plan.plan_for`), built on first use."""
     bank = mouse.bank
     return plan_for(
         mouse._program, mouse.cost, len(bank.data_tiles), bank.rows, bank.cols
@@ -293,13 +295,19 @@ def _apply_prof(plan: CompiledPlan, prof, vals: np.ndarray) -> None:
 # ----------------------------------------------------------------------
 
 
-def intermittent_eligible(run, obs, checkpointer) -> Optional[CompiledPlan]:
-    """The plan to use for a fused intermittent run, or None."""
+def intermittent_eligible(run, obs) -> Optional[CompiledPlan]:
+    """The plan to use for a fused intermittent run, or None.
+
+    None when something observes the run per microstep (telemetry, a
+    profiler, a fault hook), when the machine is not where a plan run
+    starts (unpowered, halted, mid-instruction, or inside a sensor
+    transfer), or when the program has no replay-stable plan.  Any
+    source, buffer and checkpointer fuses.
+    """
     controller = run.mouse.controller
     ledger = run.mouse.ledger
     if (
         obs is not None
-        or checkpointer is not None
         or controller._obs is not None
         or controller._prof is not None
         or controller._faults is not None
@@ -311,11 +319,7 @@ def intermittent_eligible(run, obs, checkpointer) -> Optional[CompiledPlan]:
         or controller.sensor_pc.read() != _NONE
     ):
         return None
-    # The fused loop draws as the scalar loop does for an ideal buffer
-    # (no duration, no leak); a leaky/ESR buffer runs the scalar loop.
-    if not run.config.buffer.is_ideal:
-        return None
-    plan = _mouse_plan(run.mouse)
+    plan = mouse_plan(run.mouse)
     if plan is None or not plan.replay_stable:
         return None
     pc = controller.pc.read()
@@ -330,15 +334,21 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
     Keeps the voltage in a local and makes the interpreter's exact
     per-microstep buffer calls through the buffer's
     :meth:`~repro.harvest.capacitor.EnergyBuffer.stepper` closures —
-    including the ``draw(v, 0.0)`` square-root round-trips at DECODE
-    and PC_STAGE and the domain check of every harvest — and hands
-    outages to the referee's own stall check, ``power_off``,
-    ``charge_until_ready`` and ``power_on``,
-    so restore/charging accounting, activation re-issue, and the dual-PC
-    protocol are the scalar engine's code.  One instruction is applied at
-    a time: speculating across an outage boundary is unsound (the PR 8
-    re-execution analysis refuted window-level replay for programs with
-    WAR hazards, and energy arrival decides where the window ends).
+    every draw priced over one cycle (the ESR term), including the
+    zero draws at DECODE and PC_STAGE, and every commit's harvest
+    checked and leaked — and hands outages to the referee's own stall
+    check, ``power_off``, ``charge_until_ready`` and ``power_on``, so
+    restore/charging accounting, activation re-issue, and the dual-PC
+    protocol are the scalar engine's code.  A checkpointer gets the
+    scalar loop's hook calls in its order: ``on_outage`` right after
+    ``power_off``, ``on_commit`` after every committed instruction
+    (HALT included, and after the outage a commit ends in).  The
+    locals are written back onto the run, ledger, buffer and controller
+    before every hook and interpreter call and on every exit, a raise
+    included.  One instruction is applied at a time: speculating across
+    an outage boundary is unsound (the ``repro.verify`` re-execution
+    analysis refuted window-level replay for programs with WAR hazards,
+    and energy arrival decides where the window ends).
     """
     from repro import compilejit
     from repro.harvest.intermittent import charge_until_ready
@@ -349,6 +359,7 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
     b = ledger.breakdown
     buffer = run.config.buffer
     source = run.config.source
+    checkpointer = run.checkpointer
     bank = mouse.bank
     tiles = bank.data_tiles
     states = [t.state for t in tiles]
@@ -366,12 +377,13 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
     share = plan.share
     oms = plan.oms
     steps = buffer.stepper()
-    add, draw, off_at = steps.add, steps.draw, steps.off_at
+    add, draw, leak, off_at = steps.add, steps.draw, steps.leak, steps.off_at
     source_energy = source.energy
+    DECODE, EXECUTE = Phase.DECODE, Phase.EXECUTE
+    PC_STAGE, COMMIT, FETCH = Phase.PC_STAGE, Phase.COMMIT, Phase.FETCH
 
     # Locals mirrored from the ledger breakdown / run cursor; written
-    # back around every interpreter call (outage path, exceptions) and
-    # at the end.
+    # back before every hook and interpreter call and on every exit.
     ce = b.compute_energy
     cl = b.compute_latency
     be = b.backup_energy
@@ -386,12 +398,17 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
     drawn_w = run._drawn_in_window
     dead = controller._dead_replay
     # _word lives FETCH..COMMIT, _instr lives DECODE..COMMIT; power_off
-    # clears both.  Mirror the lifecycle so a NonTermination /
-    # budget-exceeded raise leaves the same machine state behind.
+    # clears both.  `phase` and `eu` are the controller's phase and
+    # executed-uncommitted flag after the last microstep the locals
+    # hold, so a raise anywhere leaves the scalar loop's machine state.
     word = controller._word
     instr = controller._instr
+    phase, eu = FETCH, False
+    # False while the power path owns the state: the locals are stale
+    # until outage() reloads them.
+    live = True
 
-    def flush(phase: Phase, eu: bool) -> None:
+    def flush() -> None:
         b.compute_energy = ce
         b.compute_latency = cl
         b.backup_energy = be
@@ -409,12 +426,15 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
         controller._word = word
         controller._instr = instr
 
-    def outage(phase: Phase, eu: bool) -> None:
-        nonlocal ce, cl, be, de, dl, re_, ninstr, v, t
-        nonlocal executed, commits_w, drawn_w, dead, word, instr
-        flush(phase, eu)
+    def outage() -> None:
+        nonlocal ce, cl, be, de, dl, re_, ninstr, v, t, live
+        nonlocal executed, commits_w, drawn_w, dead, word, instr, phase, eu
+        flush()
+        live = False
         run._check_progress()
         controller.power_off()
+        if checkpointer is not None:
+            checkpointer.on_outage(run)
         charge_until_ready(run, ledger, None)
         controller.power_on()
         run._commits_in_window = 0
@@ -435,108 +455,128 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
         dead = controller._dead_replay
         word = None  # power_off cleared them
         instr = None
+        phase, eu = FETCH, False
+        live = True
 
-    while True:
-        if executed >= max_instructions:
-            flush(Phase.FETCH, False)
-            raise InstructionBudgetExceeded(
-                f"instruction budget exhausted: program did not halt "
-                f"within {max_instructions} instructions"
+    try:
+        while True:
+            if executed >= max_instructions:
+                raise InstructionBudgetExceeded(
+                    f"instruction budget exhausted: program did not halt "
+                    f"within {max_instructions} instructions"
+                )
+            pc = pcreg.read()
+            op = ops[pc]
+            k = op[0]
+
+            # ---- FETCH: charge fetch energy, draw it ----
+            # The scalar loop draws `total_energy_after -
+            # total_energy_before` where total_energy is the rounded
+            # left-associated sum ((ce + be) + de) + re — NOT the raw
+            # charge value.  The delta differs from the charge by ulps,
+            # so replicate it exactly.
+            word = words[pc]
+            te = ce + be + de + re_
+            if dead:
+                de += fetch_e
+            else:
+                ce += fetch_e
+            consumed = ce + be + de + re_ - te
+            phase = DECODE
+            v = draw(v, consumed, cycle)
+            drawn_w += consumed
+            if v <= off_at:
+                outage()
+                continue
+
+            # ---- DECODE: zero draw (square-root round-trip) ----
+            instr = decode_cached(word)
+            phase = EXECUTE
+            v = draw(v, 0.0, cycle)
+            if v <= off_at:
+                outage()
+                continue
+
+            # ---- EXECUTE ----
+            if k == K_HALT:
+                if dead:
+                    dl += cycle
+                else:
+                    cl += cycle
+                ninstr += 1
+                controller.halted = True
+                phase = FETCH
+                executed += 1
+                commits_w += 1
+                harvested = source_energy(t, cycle)
+                t += cycle
+                v = leak(add(v, harvested), cycle)
+                v = draw(v, 0.0, cycle)
+                break
+
+            e_exec = float(
+                apply_op(op, states, views, tiles, cbuf, actreg, share, oms)
             )
-        pc = pcreg.read()
-        op = ops[pc]
-        k = op[0]
+            te = ce + be + de + re_
+            if dead:
+                de += e_exec
+            else:
+                ce += e_exec
+            if k == K_ACT:
+                be += act_backup_e
+            consumed = ce + be + de + re_ - te
+            phase, eu = PC_STAGE, True
+            v = draw(v, consumed, cycle)
+            drawn_w += consumed
+            if v <= off_at:
+                outage()
+                continue
 
-        # ---- FETCH: charge fetch energy, draw it ----
-        # The scalar loop draws `total_energy_after - total_energy_before`
-        # where total_energy is the rounded left-associated sum
-        # ((ce + be) + de) + re — NOT the raw charge value.  The delta
-        # differs from the charge by ulps, so replicate it exactly.
-        word = words[pc]
-        te = ce + be + de + re_
-        if dead:
-            de += fetch_e
-        else:
-            ce += fetch_e
-        consumed = ce + be + de + re_ - te
-        v = draw(v, consumed)
-        drawn_w += consumed
-        if v <= off_at:
-            outage(Phase.DECODE, False)
-            continue
+            # ---- PC_STAGE: stage pc+1, zero draw ----
+            pcreg.stage(pc + 1)
+            phase = COMMIT
+            v = draw(v, 0.0, cycle)
+            if v <= off_at:
+                outage()
+                continue
 
-        # ---- DECODE: zero draw (square-root round-trip) ----
-        instr = decode_cached(word)
-        v = draw(v, 0.0)
-        if v <= off_at:
-            outage(Phase.EXECUTE, False)
-            continue
-
-        # ---- EXECUTE ----
-        if k == K_HALT:
+            # ---- COMMIT: publish pc, charge backup, count, harvest ----
+            pcreg.commit()
+            word = None
+            instr = None
+            te = ce + be + de + re_
+            be += backup_e
+            consumed = ce + be + de + re_ - te
             if dead:
                 dl += cycle
             else:
                 cl += cycle
             ninstr += 1
+            dead = False
+            phase, eu = FETCH, False
             executed += 1
             commits_w += 1
             harvested = source_energy(t, cycle)
             t += cycle
-            v = draw(add(v, harvested), 0.0)
-            break
+            v = leak(add(v, harvested), cycle)
+            v = draw(v, consumed, cycle)
+            drawn_w += consumed
+            if v <= off_at:
+                outage()
+            if checkpointer is not None:
+                flush()
+                checkpointer.on_commit(run)
 
-        e_exec = float(
-            apply_op(op, states, views, tiles, cbuf, actreg, share, oms)
-        )
-        te = ce + be + de + re_
-        if dead:
-            de += e_exec
-        else:
-            ce += e_exec
-        if k == K_ACT:
-            be += act_backup_e
-        consumed = ce + be + de + re_ - te
-        v = draw(v, consumed)
-        drawn_w += consumed
-        if v <= off_at:
-            outage(Phase.PC_STAGE, True)
-            continue
-
-        # ---- PC_STAGE: stage pc+1, zero draw ----
-        pcreg.stage(pc + 1)
-        v = draw(v, 0.0)
-        if v <= off_at:
-            outage(Phase.COMMIT, True)
-            continue
-
-        # ---- COMMIT: publish pc, charge backup, count, harvest ----
-        pcreg.commit()
-        word = None
-        instr = None
-        te = ce + be + de + re_
-        be += backup_e
-        consumed = ce + be + de + re_ - te
-        if dead:
-            dl += cycle
-        else:
-            cl += cycle
-        ninstr += 1
-        dead = False
-        executed += 1
-        commits_w += 1
-        harvested = source_energy(t, cycle)
-        t += cycle
-        v = draw(add(v, harvested), consumed)
-        drawn_w += consumed
-        if v <= off_at:
-            outage(Phase.FETCH, False)
-            continue
-
-    # HALT: final state (scalar HALT leaves the fetched word in place;
-    # `word`/`instr` still hold it, and flush writes them back).
-    controller.halted = True
-    flush(Phase.FETCH, False)
+        # HALT: final state (scalar HALT leaves the fetched word in
+        # place; `word`/`instr` still hold it, and flush writes them
+        # back).
+        flush()
+        if checkpointer is not None:
+            checkpointer.on_commit(run)
+    except BaseException:
+        if live:
+            flush()
+        raise
     compilejit.STATS["compiled_runs"] += 1
     return b
 

@@ -39,6 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.compilejit.exec import mouse_plan
 from repro.durability.checkpoint import (
     Checkpointer,
     CheckpointPolicy,
@@ -46,6 +47,7 @@ from repro.durability.checkpoint import (
     resume_intermittent,
 )
 from repro.durability.image import NoValidImageError, NVImageStore
+from repro.durability.state import capture_machine, restore_machine
 from repro.harvest.capacitor import EnergyBuffer
 from repro.harvest.intermittent import HarvestingConfig, IntermittentRun
 from repro.harvest.source import ConstantPowerSource
@@ -310,6 +312,13 @@ def run_crash_campaign(
         raise ValueError(
             f"cannot place {plan.kills} kills in {total} instructions"
         )
+    # Resumed children run restored machines, which share one Program
+    # per word list while a machine holds it (durability.state):
+    # restoring one here, held until the campaign ends, and building its
+    # plan before the first fork lets every child inherit both, instead
+    # of linting and planning the program again.
+    restored = restore_machine(capture_machine(ref_run.mouse))
+    mouse_plan(restored)
 
     # Seeded kill schedule: strictly increasing instruction boundaries,
     # a seeded subset striking mid-image-write.

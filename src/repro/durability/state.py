@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import weakref
 from typing import Any, get_type_hints
 
 import numpy as np
@@ -345,13 +346,24 @@ def restore_machine(payload: dict[str, Any]) -> Mouse:
     return mouse
 
 
+#: Restored programs by their words.  A restored :class:`Program`
+#: carries nothing but its instructions, so machines restored from equal
+#: words share one, and with it its validate, lint and plan memos: a
+#: resumed run does not lint and plan its program again.
+_RESTORED: "weakref.WeakValueDictionary[tuple, Program]" = (
+    weakref.WeakValueDictionary()
+)
+
+
 def _restore_program(mouse: Mouse, words: Any) -> None:
     """Load a captured program back into a freshly built machine.
 
     Rejects what capture never writes: words that are not JSON integers
     (floats, strings, booleans), words that do not decode, and programs
     that fail :meth:`Program.validate` against the machine's geometry
-    (a missing HALT included) or overflow its instruction tiles.
+    (a missing HALT included) or overflow its instruction tiles.  Equal
+    words restore to one shared :class:`Program` while any machine
+    holds it.
     """
     if not isinstance(words, list):
         raise StateCaptureError("captured program is not a list of words")
@@ -367,7 +379,10 @@ def _restore_program(mouse: Mouse, words: Any) -> None:
             raise StateCaptureError(
                 f"program word {index} does not decode: {exc}"
             ) from exc
-    program = Program(instructions)
+    key = tuple(words)
+    program = _RESTORED.get(key)
+    if program is None:
+        program = _RESTORED[key] = Program(instructions)
     bank = mouse.bank
     try:
         program.validate(len(bank.data_tiles), rows=bank.rows, cols=bank.cols)

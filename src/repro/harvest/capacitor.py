@@ -300,9 +300,7 @@ class EnergyBuffer:
         """No leakage, no ESR: the paper's buffer model.  An ideal
         buffer charges in one closed-form wait, a lossy one with
         bounded retries (:meth:`charge`).  Every engine prices the
-        losses through :meth:`stepper`; the fused ``IntermittentRun``
-        loop takes only ideal buffers, because it draws without a
-        duration (no ESR) and never leaks."""
+        losses through :meth:`stepper`."""
         return self.leakage_amps == 0.0 and self.esr_ohms == 0.0
 
     @property

@@ -256,12 +256,13 @@ class IntermittentRun:
         # machine is live and the loop continues without any preamble.
         self._resume_phase = None
 
-        # Fused fast path: when nothing observes the run mid-flight
-        # (no telemetry, profiler, faults, or checkpoints) and the
-        # loaded program compiled into a replay-stable plan, execute
-        # the whole loop in repro.compilejit with bit-identical
-        # arithmetic.  Outages still run the real power_off /
-        # charge / power_on methods below.
+        # Fused fast path: when nothing observes the run per microstep
+        # (no telemetry, profiler or fault hook) and the loaded program
+        # compiled into a replay-stable plan, execute the whole loop in
+        # repro.compilejit with bit-identical arithmetic, for any
+        # source and buffer.  Outages still run the real power_off /
+        # charge / power_on methods, and a checkpointer gets this
+        # loop's hook calls in this loop's order.
         from repro import compilejit
 
         if compilejit.enabled():
@@ -270,7 +271,7 @@ class IntermittentRun:
                 run_intermittent_fused,
             )
 
-            plan = intermittent_eligible(self, obs, checkpointer)
+            plan = intermittent_eligible(self, obs)
             if plan is not None:
                 return run_intermittent_fused(self, plan, max_instructions)
             compilejit.STATS["fallback_runs"] += 1

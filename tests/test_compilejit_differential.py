@@ -13,7 +13,9 @@ and is compared with its referee:
 * the fused intermittent loop against the scalar ``IntermittentRun``,
   at capacitances small enough to force outages, under a constant, a
   sinusoidal and two burst-trace harvesters, one of them with a dead
-  tail (only replay-stable plans take the fused path).
+  tail (only replay-stable plans take the fused path); a subset also
+  runs on leaky and ESR buffers and under host checkpointers, whose
+  NVImages must match byte for byte.
 
 Breakdowns are compared with float ``==`` and tile states with array
 equality, never a tolerance.
@@ -33,7 +35,10 @@ from repro.compilejit.plan import PlanUnsupported, compile_program
 from repro.core.accelerator import Mouse
 from repro.core.program import Program
 from repro.devices import ALL_TECHNOLOGIES
+from repro.durability import Checkpointer, CheckpointPolicy, NVImageStore
+from repro.durability.image import encode_image
 from repro.energy.model import InstructionCostModel
+from repro.env import AdaptiveCheckpointer, AdaptivePolicy
 from repro.env.trace import TraceSource, rf_burst
 from repro.harvest.capacitor import ChargeWindowFailure, EnergyBuffer, buffer_for
 from repro.harvest.intermittent import (
@@ -68,6 +73,20 @@ WINDOW_INSTRUCTIONS = (2.5, 6.0)
 HARVEST_SHARE = 0.2
 #: Harvesters of the fused-vs-scalar runs (see :func:`_source`).
 SOURCES = ("constant", "solar", "rf_burst", "dead_tail")
+#: (buffer losses, host checkpointer) pairs run beyond the ideal,
+#: unwatched runs (see :func:`_losses` and :func:`_checkpointer`), on
+#: the first ``AXIS_PROGRAMS`` replay-stable programs of each seed at
+#: the larger window, under every source.  The first of those programs
+#: also runs once under the adaptive checkpointer on a leaky buffer.
+AXES = (("ideal", "plain"), ("leaky", None), ("esr", None), ("lossy", "plain"))
+AXIS_PROGRAMS = 2
+#: Leakage at ``v_on`` as a share of the mean harvested power.
+LEAK_SHARE = 0.3
+#: ESR loss of a mean instruction drawn over one cycle at ``v_on``, as
+#: a share of its energy.
+ESR_SHARE = 0.2
+#: The plain checkpointer's period, in committed instructions.
+CHECKPOINT_PERIOD = 3
 
 #: The library gates that have an ISA opcode, by input count.
 GATES_BY_ARITY = {
@@ -265,22 +284,70 @@ def _source(kind: str, watts: float, charge_time: float, seed: int):
     )
 
 
+def _losses(kind: str, watts: float, per_instruction: float, tech, v_on) -> dict:
+    """The ``EnergyBuffer`` loss knobs of a ``kind`` buffer: ``ideal``,
+    ``leaky`` (at ``v_on`` it leaks ``LEAK_SHARE`` of the mean harvest),
+    ``esr`` (a mean instruction drawn over one cycle at ``v_on`` loses
+    ``ESR_SHARE`` of its energy) or ``lossy`` (both)."""
+    losses = {}
+    if kind in ("leaky", "lossy"):
+        losses["leakage_amps"] = LEAK_SHARE * watts / v_on
+    if kind in ("esr", "lossy"):
+        losses["esr_ohms"] = ESR_SHARE * v_on * v_on * tech.cycle_time / per_instruction
+    return losses
+
+
+class _ImageLog(NVImageStore):
+    """An in-memory NVImage store that keeps the bytes of every image
+    committed to it, in order."""
+
+    def __init__(self) -> None:
+        self.images: list[bytes] = []
+        self.fallbacks = 0
+
+    def commit(self, payload: dict) -> int:
+        self.images.append(encode_image(payload, len(self.images) + 1))
+        return len(self.images)
+
+
+def _checkpointer(kind):
+    """No checkpointer (None), a ``plain`` one imaging every
+    ``CHECKPOINT_PERIOD`` commits and at every outage, or an
+    ``adaptive`` one, which reads the buffer's headroom at every commit
+    to stretch a period of 1 up to 8 or defer a due image."""
+    if kind is None:
+        return None
+    if kind == "plain":
+        return Checkpointer(_ImageLog(), CheckpointPolicy(period=CHECKPOINT_PERIOD))
+    return AdaptiveCheckpointer(
+        Checkpointer(_ImageLog(), CheckpointPolicy(period=1)),
+        AdaptivePolicy(max_period=8),
+    )
+
+
 def _intermittent(
-    tech, program, states, per_instruction, n_window, compiled, kind, seed
+    tech, program, states, per_instruction, n_window, kind, seed,
+    losses="ideal", checkpointer=None, compiled=True,
 ):
-    """One IntermittentRun on an ideal buffer whose usable window holds
+    """One IntermittentRun on a buffer whose usable window holds
     ``n_window`` mean instructions, on the technology's paper voltage
     window, harvesting about a fixed share of the mean instruction
-    power from a ``kind`` source (see :func:`_source`).  A run that
-    stops raising returns the error's type, message and attributes."""
+    power from a ``kind`` source (see :func:`_source`), with the
+    ``losses`` of :func:`_losses` and the ``checkpointer`` of
+    :func:`_checkpointer`.  A run that stops raising returns the
+    error's type, message and attributes."""
     base = buffer_for(tech)
     window = n_window * per_instruction
     capacitance = 2.0 * window / (base.v_on**2 - base.v_off**2)
-    buffer = EnergyBuffer(capacitance=capacitance, v_off=base.v_off, v_on=base.v_on)
     watts = HARVEST_SHARE * per_instruction / tech.cycle_time
+    buffer = EnergyBuffer(
+        capacitance=capacitance, v_off=base.v_off, v_on=base.v_on,
+        **_losses(losses, watts, per_instruction, tech, base.v_on),
+    )
     source = _source(kind, watts, buffer.energy_to_reach(base.v_on) / watts, seed)
     mouse = _mouse(tech, program, states)
-    run = IntermittentRun(mouse, HarvestingConfig(source, buffer))
+    ckpt = _checkpointer(checkpointer)
+    run = IntermittentRun(mouse, HarvestingConfig(source, buffer), checkpointer=ckpt)
     compilejit.set_enabled(compiled)
     try:
         run.run()
@@ -289,7 +356,38 @@ def _intermittent(
         err = (type(exc), str(exc), vars(exc))
     finally:
         compilejit.set_enabled(True)
-    return mouse, run, mouse.ledger.breakdown, err
+    return mouse, run, mouse.ledger.breakdown, err, ckpt
+
+
+def _fused_matches_scalar(key, *args, **axes):
+    """Run ``_intermittent(*args, **axes)`` fused and on the scalar
+    loop and compare everything either leaves behind; returns the fused
+    run."""
+    before = compilejit.stats_snapshot()
+    fast = _intermittent(*args, **axes)
+    after = compilejit.stats_snapshot()
+    # The fused loop ran: it counts a compiled run on HALT, and a run
+    # that raises leaves both counters untouched.
+    assert after["fallback_runs"] == before["fallback_runs"], key
+    assert after["compiled_runs"] == before["compiled_runs"] + (
+        fast[3] is None
+    ), key
+    ref = _intermittent(*args, compiled=False, **axes)
+    (m1, r1, b1, e1, k1), (m2, r2, b2, e2, k2) = fast, ref
+    assert e1 == e2, key
+    assert b1 == b2, key
+    assert r1.time == r2.time and r1.executed == r2.executed, key
+    assert r1.config.buffer.voltage == r2.config.buffer.voltage, key
+    assert r1.degraded == r2.degraded, key
+    _assert_tiles_equal((m1, m2), key)
+    c1, c2 = m1.controller, m2.controller
+    assert c1.pc._values == c2.pc._values, key
+    assert c1.halted == c2.halted and c1.phase == c2.phase, key
+    assert c1._dead_replay == c2._dead_replay, key
+    if k1 is not None:
+        assert k1.store.images == k2.store.images, key
+        assert k1.commits == k2.commits, key
+    return fast
 
 
 @pytest.mark.parametrize("tech", ALL_TECHNOLOGIES, ids=TECH_IDS)
@@ -298,9 +396,11 @@ def test_fused_intermittent_matches_scalar_run(seed, tech):
     restarts = dict.fromkeys(SOURCES, 0)
     completed = dict.fromkeys(SOURCES, 0)
     failed = 0
-    for index, (program, plan, states) in enumerate(_programs(seed)):
-        if not plan.replay_stable:
-            continue
+    axis_restarts = dict.fromkeys(AXES, 0)
+    images = dict.fromkeys(AXES, 0)
+    degraded = 0
+    stable = [entry for entry in _programs(seed) if entry[1].replay_stable]
+    for index, (program, _, states) in enumerate(stable):
         continuous = _mouse(tech, program, states[0])
         continuous.run(compiled=False)
         b = continuous.ledger.breakdown
@@ -309,31 +409,30 @@ def test_fused_intermittent_matches_scalar_run(seed, tech):
             for kind in SOURCES:
                 key = (seed, tech.name, index, n_window, kind)
                 args = (tech, program, states[0], per_instruction, n_window)
-                before = compilejit.stats_snapshot()
-                fast = _intermittent(*args, True, kind, seed)
-                after = compilejit.stats_snapshot()
-                # The fused loop ran: it counts a compiled run on HALT,
-                # and a run that raises leaves both counters untouched.
-                assert after["fallback_runs"] == before["fallback_runs"], key
-                assert after["compiled_runs"] == before["compiled_runs"] + (
-                    fast[3] is None
-                ), key
-                ref = _intermittent(*args, False, kind, seed)
-                (m1, r1, b1, e1), (m2, r2, b2, e2) = fast, ref
-                assert e1 == e2, key
-                assert b1 == b2, key
-                assert r1.time == r2.time and r1.executed == r2.executed, key
-                assert r1.config.buffer.voltage == r2.config.buffer.voltage, key
-                _assert_tiles_equal((m1, m2), key)
-                c1, c2 = m1.controller, m2.controller
-                assert c1.pc._values == c2.pc._values, key
-                assert c1.halted == c2.halted and c1.phase == c2.phase, key
-                assert c1._dead_replay == c2._dead_replay, key
+                _, _, b1, e1, _ = _fused_matches_scalar(key, *args, kind, seed)
                 restarts[kind] += b1.restarts
                 completed[kind] += e1 is None
                 failed += e1 is not None and e1[0] is ChargeWindowFailure
+                if index >= AXIS_PROGRAMS or n_window != WINDOW_INSTRUCTIONS[-1]:
+                    continue
+                for axis in AXES:
+                    _, _, b1, _, k1 = _fused_matches_scalar(
+                        key + axis, *args, kind, seed,
+                        losses=axis[0], checkpointer=axis[1],
+                    )
+                    axis_restarts[axis] += b1.restarts
+                    images[axis] += k1 is not None and len(k1.store.images)
+                if index == 0 and kind == "constant":
+                    _, run, _, _, _ = _fused_matches_scalar(
+                        key + ("leaky", "adaptive"), *args, kind, seed,
+                        losses="leaky", checkpointer="adaptive",
+                    )
+                    degraded = sum(run.degraded.values())
     assert all(restarts.values()) and all(completed.values()), (restarts, completed)
     assert failed > 0
+    assert all(axis_restarts.values()), axis_restarts
+    assert images[AXES[0]] and images[AXES[-1]], images
+    assert degraded > 0
 
 
 # ----------------------------------------------------------------------

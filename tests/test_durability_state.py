@@ -1,8 +1,12 @@
 """Bit-exact capture/restore of simulator state."""
 
+import gc
+
 import numpy as np
 import pytest
 
+from repro import compilejit
+from repro.compilejit.exec import mouse_plan
 from repro.core.accelerator import Mouse
 from repro.devices.parameters import MODERN_STT, PROJECTED_SHE, PROJECTED_STT
 from repro.durability.state import (
@@ -122,6 +126,19 @@ class TestMachineCapture:
         clone.run()
         assert workload.readout(clone) == workload.readout(original)
         assert clone.ledger.breakdown == original.ledger.breakdown
+
+
+    def test_restores_share_one_program_and_its_plan(self):
+        """Machines restored from equal words share one Program, so a
+        resumed run lints and plans nothing a sibling already did."""
+        gc.collect()  # drop restored machines earlier tests left in cycles
+        snapshot = capture_machine(bnn_workload(PROJECTED_SHE).build())
+        before = compilejit.stats_snapshot()["plans_compiled"]
+        first = restore_machine(snapshot)
+        second = restore_machine(snapshot)
+        assert first.program is second.program
+        assert mouse_plan(first) is mouse_plan(second) is not None
+        assert compilejit.stats_snapshot()["plans_compiled"] == before + 1
 
 
 class TestRestoreRejectsMalformedProgram:

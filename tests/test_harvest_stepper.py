@@ -8,6 +8,10 @@ loop, on ``ProfileRun``'s general loop and on its method-call referee;
 the fused loop used to skip the check and run to HALT.  The charge
 policy (one closed-form wait for an ideal buffer, bounded retries for a
 lossy one) is pinned through the buffer's own ``charge``.
+
+Whatever stops an ``IntermittentRun`` — a bad harvest, a raising
+source, a raising checkpointer hook — the fused loop must leave the
+run, ledger, buffer and controller where the scalar loop leaves them.
 """
 
 import dataclasses
@@ -86,6 +90,121 @@ def _intermittent(bad: float, compiled: bool) -> None:
             assert compilejit.stats_snapshot()["fallback_runs"] == before
     finally:
         compilejit.set_enabled(was)
+
+
+class _Stop(BaseException):
+    """Stands in for a host kill inside one process."""
+
+
+class RaisingSource(PoisonedSource):
+    """Raises instead of harvesting after the initial charge."""
+
+    def energy(self, start: float, duration: float) -> float:
+        if start > 0.0:
+            raise _Stop
+        return self.watts * duration
+
+
+class RaisingCheckpointer:
+    """Counts its hook calls and raises on the ``at``-th call of
+    ``hook``."""
+
+    def __init__(self, hook: str, at: int) -> None:
+        self.hook, self.at = hook, at
+        self.calls = {"on_commit": 0, "on_outage": 0}
+
+    def _call(self, hook: str) -> None:
+        self.calls[hook] += 1
+        if hook == self.hook and self.calls[hook] == self.at:
+            raise _Stop
+
+    def on_commit(self, run) -> None:
+        self._call("on_commit")
+
+    def on_outage(self, run) -> None:
+        self._call("on_outage")
+
+
+#: The adder's 102 instructions (the last is HALT) take about 30
+#: outages on this buffer.
+SMALL_BUFFER = dict(capacitance=2e-10, v_off=0.30, v_on=0.34)
+
+#: What stops the run: (source, buffer, checkpointer, exception).
+STOPPERS = {
+    "bad_harvest": lambda: (
+        PoisonedSource(1e-4, -1e-12), buffer_for(MODERN_STT), None,
+        EnergyDomainError,
+    ),
+    "raising_source": lambda: (
+        RaisingSource(1e-4, 0.0), buffer_for(MODERN_STT), None, _Stop,
+    ),
+    "commit_hook": lambda: (
+        ConstantPowerSource(5e-9), EnergyBuffer(**SMALL_BUFFER),
+        RaisingCheckpointer("on_commit", 17), _Stop,
+    ),
+    "halt_hook": lambda: (
+        ConstantPowerSource(5e-9), EnergyBuffer(**SMALL_BUFFER),
+        RaisingCheckpointer("on_commit", 102), _Stop,
+    ),
+    "outage_hook": lambda: (
+        ConstantPowerSource(5e-9), EnergyBuffer(**SMALL_BUFFER, leakage_amps=1e-9),
+        RaisingCheckpointer("on_outage", 3), _Stop,
+    ),
+}
+
+
+def _stopped_state(stopper: str, compiled: bool) -> tuple:
+    source, buffer, checkpointer, error = STOPPERS[stopper]()
+    run = IntermittentRun(
+        _adder(), HarvestingConfig(source, buffer), checkpointer=checkpointer
+    )
+    was = compilejit.enabled()
+    compilejit.set_enabled(compiled)
+    try:
+        before = compilejit.stats_snapshot()["fallback_runs"]
+        with pytest.raises(error):
+            run.run()
+        assert compilejit.stats_snapshot()["fallback_runs"] == before
+    finally:
+        compilejit.set_enabled(was)
+    controller = run.mouse.controller
+    return (
+        run.executed,
+        run.time,
+        run._commits_in_window,
+        run._drawn_in_window,
+        run._stalled_pc,
+        dataclasses.asdict(run.mouse.ledger.breakdown),
+        buffer.voltage,
+        controller.phase,
+        controller._word,
+        controller._instr,
+        controller.halted,
+        controller.powered,
+        controller._executed_uncommitted,
+        controller._dead_replay,
+        controller.pc._values,
+        checkpointer and checkpointer.calls,
+    )
+
+
+@pytest.mark.parametrize("stopper", sorted(STOPPERS))
+def test_a_raise_leaves_the_scalar_loops_state(stopper):
+    fused = _stopped_state(stopper, compiled=True)
+    assert fused == _stopped_state(stopper, compiled=False)
+    executed, breakdown, voltage, halted, powered = (
+        fused[i] for i in (0, 5, 6, 10, 11)
+    )
+    # Each stopper struck where it was aimed: HALT's commit, or just
+    # after a power_off.
+    assert halted == (stopper == "halt_hook")
+    assert powered == (stopper != "outage_hook")
+    if stopper == "bad_harvest":
+        # The first commit's harvest raised: one instruction is on the
+        # ledger, and the buffer holds its fetch and execute draws.
+        assert executed == 1 and breakdown["instructions"] == 1
+        assert breakdown["compute_energy"] > 0.0
+        assert 0.32 < voltage < 0.34
 
 
 def _profile_run(bad: float) -> ProfileRun:
