@@ -129,10 +129,11 @@ class CompiledPlan:
         self.cols = cols
         self.lint_warnings = lint_warnings
 
+        prices = cost.prices
         self.cycle = cost.cycle_time
-        self.fetch_e = cost.fetch_energy()
-        self.backup_e = cost.backup_energy()
-        self.act_backup_e = cost.activate_backup_energy()
+        self.fetch_e = prices.fetch
+        self.backup_e = prices.backup
+        self.act_backup_e = prices.activate_backup
         # Inlined `PeripheralModel.with_array_energy` constants; `oms`
         # is precomputed exactly as the interpreter computes it
         # (`1.0 - share`), so the division sees identical bits.
@@ -155,6 +156,7 @@ class CompiledPlan:
 
     def _build(self) -> None:
         program, cost = self.program, self.cost
+        prices = cost.prices
         if not program.halts:
             raise PlanUnsupported("program does not end in HALT")
         n = self.n_instructions
@@ -235,7 +237,7 @@ class CompiledPlan:
                 for t in tiles:
                     last_only[t] = spec
                 word = encode(instr)
-                e = cost.activate_energy(instr.column_count)
+                e = prices.activate[instr.column_count]
                 acts = tuple(
                     (t, instr.bulk, tuple(int(c) for c in instr.columns))
                     for t in tiles
@@ -253,17 +255,17 @@ class CompiledPlan:
                 if op == "READ":
                     if instr.tile == SENSOR_TILE:
                         raise PlanUnsupported("sensor reads are run-time data")
-                    e = cost.row_read_energy(cols)
+                    e = prices.row_read[cols]
                     self.ops.append((K_READ, e, instr.tile, instr.row))
                 elif op == "WRITE":
                     tiles = resolve_tiles(instr.tile)
-                    e = cost.row_write_energy(cols) * len(tiles)
+                    e = prices.row_write[cols] * len(tiles)
                     self.ops.append((K_WRITE, e, tiles, instr.row))
                 else:  # PRESET0 / PRESET1
                     tiles = resolve_tiles(instr.tile)
                     check_use(tiles, pc)
                     n_columns = sum(_spec_count(full[t]) for t in tiles)
-                    e = cost.preset_energy(max(n_columns, 1))
+                    e = prices.preset[max(n_columns, 1)]
                     sets = tuple(
                         (t, instr.row, selector(full[t])) for t in tiles
                     )

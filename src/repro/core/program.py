@@ -111,8 +111,9 @@ class Program:
 
     A program is encoded, validated and analysed once: :meth:`words`
     memoises the encoded words, :meth:`validate` the bank geometries it
-    has accepted, :attr:`verify_pcs` its verify marks, and
-    :func:`repro.lint.lint_program` its default-pass reports, so
+    has accepted, :attr:`verify_pcs` its verify marks,
+    :func:`repro.lint.lint_program` its default-pass reports, and
+    :func:`repro.lint.cost.pricing_keys` its cost-pass pricing keys, so
     loading one program into many machines pays for none of them
     again.  The memos rest on two rules: instructions are added only
     through :meth:`append` / :meth:`extend` (which drop every memo, and
@@ -146,14 +147,15 @@ class Program:
     def _forget(self) -> None:
         """Drop everything memoised from the instructions: the encoded
         words, the accepted geometries, any compiled plans, the verify
-        marks and the lint reports.  (Written through ``__dict__``:
-        :meth:`append` calls it once per instruction.)"""
+        marks, the lint reports and the pricing keys.  (Written through
+        ``__dict__``: :meth:`append` calls it once per instruction.)"""
         memo = self.__dict__
         memo["_words"] = None
         memo["_valid_shapes"] = set()
         memo.pop("_cjit_plans", None)
         memo.pop("_verify_pcs", None)
         memo.pop("_lint_reports", None)
+        memo.pop("_cost_keys", None)
 
     def __setattr__(self, name: str, value: Any) -> None:
         object.__setattr__(self, name, value)

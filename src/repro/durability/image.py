@@ -48,10 +48,22 @@ class NoValidImageError(FileNotFoundError):
     """Neither generation of the store holds a valid image."""
 
 
+def _check_payload(payload: Any) -> None:
+    """The payload rule :func:`encode_image` and :func:`decode_image`
+    share, so every framed image decodes."""
+    if not isinstance(payload, dict):
+        raise ImageCorruptError("image payload must be a JSON object")
+
+
 def encode_image(payload: dict, seq: int) -> bytes:
-    """Frame ``payload`` as NVImage bytes with sequence number ``seq``."""
+    """Frame ``payload`` as NVImage bytes with sequence number ``seq``.
+
+    Raises :class:`ImageCorruptError` for a payload
+    :func:`decode_image` would reject.
+    """
     if seq < 1:
         raise ValueError("sequence numbers start at 1")
+    _check_payload(payload)
     body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(
         "utf-8"
     )
@@ -110,8 +122,7 @@ def decode_image(data: bytes) -> tuple[dict, int]:
         payload = json.loads(body)
     except ValueError as exc:  # pragma: no cover - CRC already passed
         raise ImageCorruptError(f"unparseable body: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ImageCorruptError("image payload must be a JSON object")
+    _check_payload(payload)
     return payload, seq
 
 
@@ -135,6 +146,10 @@ class NVImageStore:
         self._write_hook: Optional[Callable[[int], None]] = None
         #: Bytes per write chunk when a write hook is active.
         self._chunk = 4096
+        #: Per slot, the bytes this store last wrote or validated there
+        #: and their sequence number (None = corrupt), so a commit
+        #: decodes only a slot whose bytes have changed since.
+        self._seen: list[Optional[tuple[bytes, Optional[int]]]] = [None, None]
 
     # ------------------------------------------------------------------
 
@@ -154,16 +169,39 @@ class NVImageStore:
             try:
                 payload, seq = decode_image(data)
             except ImageCorruptError:
+                self._seen[slot] = (data, None)
                 corrupt += 1
                 continue
+            self._seen[slot] = (data, seq)
             if seq > best_seq:
                 best_payload, best_seq = payload, seq
         return best_payload, best_seq, corrupt
 
+    def _slot_seq(self, slot: int) -> int:
+        """Sequence number of the valid image in ``slot`` (0 if absent
+        or corrupt).  Decodes the slot only when its bytes differ from
+        the ones this store last wrote or validated there: decoding is
+        a pure function of the bytes, so the answer is the full
+        decode's for any on-disk state."""
+        try:
+            data = self.slot_path(slot).read_bytes()
+        except OSError:
+            return 0
+        seen = self._seen[slot]
+        if seen is not None and seen[0] == data:
+            seq = seen[1]
+        else:
+            try:
+                seq = decode_image(data)[1]
+            except ImageCorruptError:
+                seq = None
+            self._seen[slot] = (data, seq)
+        return seq or 0
+
     @property
     def latest_seq(self) -> int:
         """Sequence number of the newest valid generation (0 if none)."""
-        return self._scan()[1]
+        return max(self._slot_seq(0), self._slot_seq(1))
 
     def load(self) -> tuple[dict, int]:
         """Return ``(payload, seq)`` of the newest valid generation.
@@ -214,6 +252,8 @@ class NVImageStore:
             except OSError:
                 pass
             raise
+        # encode_image framed these bytes, so they decode to ``seq``.
+        self._seen[seq % 2] = (data, seq)
         _fsync_directory(target.parent)
         self._sweep_temps()
         return seq

@@ -10,11 +10,17 @@ scaled by active-column count) + peripheral share + the per-address
 decoder costs.  The same model instance serves both the cycle-accurate
 functional simulator (which passes in *measured* array energy) and the
 aggregate workload profiles (which use input-averaged gate energy).
+
+Each model carries one memo, :attr:`InstructionCostModel.prices`, of
+its fixed energies and of its column-count-keyed ones, every value the
+model's own method's result computed once (see :class:`CostMemo`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from repro.devices.parameters import DeviceParameters
 from repro.energy.peripheral import PeripheralModel
@@ -32,6 +38,12 @@ class InstructionCostModel:
     def __post_init__(self) -> None:
         if self.peripheral is None:
             object.__setattr__(self, "peripheral", PeripheralModel(self.params))
+
+    @cached_property
+    def prices(self) -> "CostMemo":
+        """This model's energy memo (built on first read; not a field,
+        so equality, hashing and ``repr`` see only the parameters)."""
+        return CostMemo(self)
 
     # ------------------------------------------------------------------
     # Timing
@@ -117,3 +129,57 @@ class InstructionCostModel:
             + self.backup_energy()
         )
         return per_cycle / self.cycle_time
+
+
+class _ByColumns(dict):
+    """``n_columns -> method(n_columns)``, each value computed on its
+    first lookup."""
+
+    __slots__ = ("_method",)
+
+    def __init__(self, method: Callable[[int], float]) -> None:
+        super().__init__()
+        self._method = method
+
+    def __missing__(self, n_columns: int) -> float:
+        value = self[n_columns] = self._method(n_columns)
+        return value
+
+
+class CostMemo:
+    """The energies of one :class:`InstructionCostModel`, each computed
+    once by the model's own method, so a reader gets the same float the
+    method returns.
+
+    ``fetch``, ``backup`` and ``activate_backup`` are the fixed
+    energies; ``preset``, ``row_read``, ``row_write``, ``activate`` and
+    ``restore`` map a column count to the method's result at that
+    count (``memo.row_write[cols] == model.row_write_energy(cols)``).
+
+    The static cost pass, :func:`repro.harden.overhead_summary`,
+    :class:`repro.compilejit.plan.CompiledPlan` and
+    :class:`repro.harvest.intermittent.ProfileRun` read it; the
+    interpreter-side charge sites call the methods (see
+    ``docs/PERFORMANCE.md``).
+    """
+
+    __slots__ = (
+        "fetch",
+        "backup",
+        "activate_backup",
+        "preset",
+        "row_read",
+        "row_write",
+        "activate",
+        "restore",
+    )
+
+    def __init__(self, cost: InstructionCostModel) -> None:
+        self.fetch = cost.fetch_energy()
+        self.backup = cost.backup_energy()
+        self.activate_backup = cost.activate_backup_energy()
+        self.preset = _ByColumns(cost.preset_energy)
+        self.row_read = _ByColumns(cost.row_read_energy)
+        self.row_write = _ByColumns(cost.row_write_energy)
+        self.activate = _ByColumns(cost.activate_energy)
+        self.restore = _ByColumns(cost.restore_energy)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.core.accelerator import Mouse
 from repro.core.controller import InstructionBudgetExceeded
@@ -54,6 +54,22 @@ DEGRADED_MODES = ("skipped_checkpoint", "deferred_commit", "fail_stop")
 
 def _fresh_degraded() -> dict[str, int]:
     return {mode: 0 for mode in DEGRADED_MODES}
+
+
+#: :func:`repro.obs.active`, bound by the first :func:`_obs_active`.
+_active: Optional[Callable] = None
+
+
+def _obs_active(telemetry):
+    """``repro.obs.active(telemetry)``.  ``repro.obs`` imports this
+    module (through ``repro.experiments``), so it cannot be imported at
+    module level; the first call imports it once for every later run."""
+    global _active
+    if _active is None:
+        from repro.obs import active
+
+        _active = active
+    return _active(telemetry)
 
 
 class NonTerminationError(RuntimeError):
@@ -222,15 +238,13 @@ class IntermittentRun:
         self._resume_phase: Optional[str] = None
 
     def run(self, max_instructions: int = 10_000_000) -> Breakdown:
-        from repro.obs import active
-
         controller = self.mouse.controller
         ledger = self.mouse.ledger
         buffer = self.config.buffer
         source = self.config.source
         cycle = self.mouse.cost.cycle_time
 
-        obs = self._obs = active(self.telemetry)
+        obs = self._obs = _obs_active(self.telemetry)
         if obs is not None:
             self.mouse.attach_telemetry(obs)
             vcap = obs.gauge("harvest.vcap")
@@ -560,9 +574,7 @@ class ProfileRun:
         the referee's order; the locals are flushed onto the run, ledger
         and buffer before a checkpointer hook and before any exception.
         """
-        from repro.obs import active
-
-        obs = active(self.telemetry)
+        obs = _obs_active(self.telemetry)
         if self.ledger is None:
             self.ledger = EnergyLedger()
         ledger = self.ledger
@@ -596,7 +608,7 @@ class ProfileRun:
 
         cost = self.cost
         cycle = cost.cycle_time
-        restore_e = cost.restore_energy(profile.active_columns)
+        restore_e = cost.prices.restore[profile.active_columns]
         restore_l = cost.restore_latency()
         dead_l = cycle * (dead_fraction * ((base_period - 1) / 2.0 + 1.0))
         inf = math.inf

@@ -9,6 +9,8 @@ elder generation restoring.
 import numpy as np
 import pytest
 
+from repro.durability import image as image_module
+
 from repro.core.accelerator import Mouse
 from repro.devices.parameters import MODERN_STT, PROJECTED_SHE, PROJECTED_STT
 from repro.isa.instruction import MemoryInstruction
@@ -193,3 +195,106 @@ class TestStore:
         assert NVImageStore(tmp_path).load() == ({"n": 1}, 1)
         store.commit({"n": 2})
         assert not list(tmp_path.glob(".nvimage.*.tmp.*"))
+
+
+class TestCommitSequence:
+    """``commit`` remembers the bytes it last wrote or validated in
+    each slot and decodes only a slot whose bytes changed; its next
+    sequence number and slot must still be a fresh store's."""
+
+    DAMAGE = (
+        "truncate",
+        "flip-body",
+        "flip-header",
+        "delete",
+        "garbage",
+        "replace-same-length",
+        "replace-lower-seq",
+        "elder-overtakes",
+        "both-replaced",
+    )
+
+    @staticmethod
+    def damage(store, how, seed):
+        rng = np.random.default_rng(seed)
+        newest = store.slot_path(3)  # seq 3 lives in slot 1
+        elder = store.slot_path(2)
+        data = bytearray(newest.read_bytes())
+        if how == "truncate":
+            newest.write_bytes(bytes(data[: int(rng.integers(1, len(data)))]))
+        elif how == "flip-body":
+            data[len(data) - 1 - int(rng.integers(0, 4))] ^= 0x01
+            newest.write_bytes(bytes(data))
+        elif how == "flip-header":
+            data[int(rng.integers(0, 12))] ^= 0x40
+            newest.write_bytes(bytes(data))
+        elif how == "delete":
+            newest.unlink()
+        elif how == "garbage":
+            newest.write_bytes(b"not an image")
+        elif how == "replace-same-length":
+            # Another writer: same payload and length, another seq.
+            newest.write_bytes(encode_image({"n": 3}, 7))
+        elif how == "replace-lower-seq":
+            newest.write_bytes(encode_image({"n": "other"}, 1))
+        elif how == "elder-overtakes":
+            elder.write_bytes(encode_image({"n": "other"}, 9))
+        elif how == "both-replaced":
+            newest.write_bytes(encode_image({"n": "a"}, 5))
+            elder.write_bytes(encode_image({"n": "b"}, 6))
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("how", DAMAGE)
+    def test_next_commit_matches_a_fresh_scan(self, tmp_path, how, seed):
+        store = NVImageStore(tmp_path)
+        for n in (1, 2, 3):
+            assert store.commit({"n": n}) == n
+        self.damage(store, how, seed)
+        expected = NVImageStore(tmp_path).latest_seq + 1
+        assert store.latest_seq + 1 == expected
+        seq = store.commit({"n": "next"})
+        assert seq == expected
+        assert decode_image(store.slot_path(seq).read_bytes()) == (
+            {"n": "next"},
+            seq,
+        )
+        assert NVImageStore(tmp_path).load() == ({"n": "next"}, seq)
+        # And the commit after that one agrees with a fresh scan too.
+        assert store.commit({"n": "after"}) == seq + 1
+        assert NVImageStore(tmp_path).load() == ({"n": "after"}, seq + 1)
+
+    def test_unchanged_slots_are_not_decoded(self, tmp_path, monkeypatch):
+        decoded = []
+        real = image_module.decode_image
+
+        def spy(data):
+            decoded.append(len(data))
+            return real(data)
+
+        monkeypatch.setattr(image_module, "decode_image", spy)
+        store = NVImageStore(tmp_path)
+        for n in range(1, 6):
+            assert store.commit({"n": n}) == n
+        assert decoded == []
+        # A slot another writer changed is decoded once, then known.
+        store.slot_path(0).write_bytes(encode_image({"n": "x"}, 8))
+        assert store.commit({"n": 6}) == 9
+        assert len(decoded) == 1
+        assert store.commit({"n": 7}) == 10
+        assert len(decoded) == 1
+
+    def test_a_non_object_payload_is_refused(self, tmp_path):
+        """Only a JSON object decodes as a payload, so neither
+        ``encode_image`` nor ``commit`` frames anything else: every
+        image a store writes decodes to the sequence number it
+        remembers."""
+        store = NVImageStore(tmp_path)
+        store.commit({"n": 1})
+        with pytest.raises(ImageCorruptError, match="JSON object"):
+            encode_image(["not", "an", "object"], 2)
+        with pytest.raises(ImageCorruptError, match="JSON object"):
+            store.commit(["not", "an", "object"])
+        assert not store.slot_path(2).exists()
+        assert not list(tmp_path.glob(".nvimage.*.tmp.*"))
+        assert store.commit({"n": 2}) == 2
+        assert NVImageStore(tmp_path).load() == ({"n": 2}, 2)

@@ -101,3 +101,32 @@ class TestPeripheralModel:
         assert p.buffer_transfer_energy(1024) == pytest.approx(
             1024 * p.buffer_transfer_energy(1)
         )
+
+
+class TestPriceMemo:
+    def test_memo_values_are_the_methods_results(self, tech):
+        custom = PeripheralModel(tech, energy_share=0.3, address_energy=0.4)
+        for cost in (InstructionCostModel(tech), InstructionCostModel(tech, custom)):
+            prices = cost.prices
+            assert prices is cost.prices  # built once per instance
+            assert prices.fetch == cost.fetch_energy()
+            assert prices.backup == cost.backup_energy()
+            assert prices.activate_backup == cost.activate_backup_energy()
+            for n in (0, 1, 5, 8, 1024):
+                assert prices.preset[n] == cost.preset_energy(n)
+                assert prices.row_read[n] == cost.row_read_energy(n)
+                assert prices.row_write[n] == cost.row_write_energy(n)
+                assert prices.activate[n] == cost.activate_energy(n)
+                assert prices.restore[n] == cost.restore_energy(n)
+
+    def test_memo_is_not_a_field(self):
+        """Reading the memo changes neither equality, hashing nor repr,
+        so plan caches keyed by the model keep hitting."""
+        read = InstructionCostModel(MODERN_STT)
+        unread = InstructionCostModel(MODERN_STT)
+        before = repr(read)
+        read.prices.row_write[64]
+        assert read == unread and hash(read) == hash(unread)
+        assert repr(read) == before
+        assert {read: 1}[unread] == 1
+        assert read.prices is not unread.prices
