@@ -145,10 +145,36 @@ def _read_program(path: str):
 
 SESSION_SCHEMA = "repro.durability.session/v1"
 
-#: The ``run`` arguments ``session.json`` records for ``resume``.
-SESSION_KEYS = (
-    "names", "events", "trace", "manifest", "seed", "jobs", "no_compiled"
-)
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_optional_str(value: Any) -> bool:
+    return value is None or isinstance(value, str)
+
+
+#: The ``run`` arguments ``session.json`` records for ``resume``, each
+#: with a test that its value is one ``run``'s parser can produce, and
+#: what such a value is.
+SESSION_FIELDS: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "names": (
+        lambda v: isinstance(v, list)
+        and bool(v)
+        and all(isinstance(name, str) for name in v),
+        "a non-empty list of strings",
+    ),
+    "events": (_is_optional_str, "a string or null"),
+    "trace": (_is_optional_str, "a string or null"),
+    "manifest": (_is_optional_str, "a string or null"),
+    "seed": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "jobs": (
+        lambda v: v is None or (_is_int(v) and v >= 0),
+        "an integer >= 0 or null",
+    ),
+    "no_compiled": (lambda v: isinstance(v, bool), "true or false"),
+}
+SESSION_KEYS = tuple(SESSION_FIELDS)
 
 
 def _write_session(checkpoint_dir: str, payload: dict) -> None:
@@ -168,7 +194,11 @@ def _write_session(checkpoint_dir: str, payload: dict) -> None:
 
 
 def _read_session(checkpoint_dir: str) -> dict:
+    """``<dir>/session.json``, with every :data:`SESSION_FIELDS` value
+    checked (a missing one reads as null); anything else is a
+    ``SystemExit`` starting ``cannot resume:``."""
     import json
+    import reprlib
     from pathlib import Path
 
     path = Path(checkpoint_dir) / "session.json"
@@ -182,6 +212,12 @@ def _read_session(checkpoint_dir: str) -> dict:
         raise SystemExit(
             f"cannot resume: {path} does not carry schema {SESSION_SCHEMA}"
         )
+    for key, (valid, expected) in SESSION_FIELDS.items():
+        if not valid(session.get(key)):
+            raise SystemExit(
+                f"cannot resume: {path}: {key!r} must be {expected}, "
+                f"not {reprlib.repr(session.get(key))}"
+            )
     return session
 
 
@@ -383,8 +419,6 @@ def cmd_resume(args: argparse.Namespace) -> int:
         resume=True,
         serve_metrics=None,
     )
-    recorded.names = list(recorded.names or [])
-    recorded.no_compiled = bool(recorded.no_compiled)
     if args.jobs is not None:
         recorded.jobs = args.jobs
     return cmd_run(recorded)

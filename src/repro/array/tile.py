@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.devices.parameters import DeviceParameters
-from repro.logic.gates import GateSpec, write_energy, read_energy
+from repro.logic.gates import GateSpec, write_energy
 from repro.array.lines import check_logic_rows
 from repro.perf.kernels import electrical_kernel
 
@@ -166,10 +166,6 @@ class Tile:
             n_columns=self.cols,
             switched=self.cols,
         )
-
-    def read_row_energy(self) -> float:
-        """Array energy of one full-row read."""
-        return read_energy(self.params) * self.cols
 
     def preset_row(self, row: int, value: bool) -> OpResult:
         """Write ``value`` into ``row`` in the *active* columns only.

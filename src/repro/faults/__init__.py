@@ -28,7 +28,6 @@ from repro.faults.injectors import (
 from repro.faults.outages import (
     SweepResult,
     exhaustive_phase_sweep,
-    outages_from_trace,
     run_with_outages,
 )
 from repro.faults.plan import (
@@ -69,5 +68,4 @@ __all__ = [
     "SweepResult",
     "run_with_outages",
     "exhaustive_phase_sweep",
-    "outages_from_trace",
 ]

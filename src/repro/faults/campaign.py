@@ -8,6 +8,13 @@ from ``default_rng([seed, trial])`` and is classified against a golden
 * final data-tile memory is compared bit-for-bit, and
 * the workload's readout values are compared against the golden run's.
 
+A trial's power cuts are the plan's stochastic outages
+(``FaultPlan.outage_rate``).  Outages a harvest trace causes come from
+the capacitor draining, in :class:`~repro.harvest.intermittent.
+IntermittentRun` and :class:`~repro.harvest.intermittent.ProfileRun`
+under a :class:`~repro.env.TraceSource`, and the adversarial cut
+schedules of the Figure 7 tests from :mod:`repro.faults.outages`.
+
 Trials execute on one of two tiers.  The referee builds a fresh machine
 per trial, attaches a :class:`~repro.faults.injectors.TrialInjector`
 and steps the controller to HALT with injections at microstep and
@@ -63,12 +70,12 @@ from repro.isa.instruction import LogicInstruction
 #: * ``telemetry``: a hub is attached (fault events carry simulated
 #:   timestamps);
 #: * ``mixed_faults``: the plan sets a gate flip rate together with an
-#:   array, NV or outage rate, or with an outage trace;
+#:   array, NV or outage rate;
 #: * ``no_plan``: the program has no compiled plan for the bank, or a
 #:   built machine does not start where a plan run starts;
-#: * ``replay_unstable``: power is cycled (an NV or outage rate, or an
-#:   outage trace) and the plan is not ``replay_stable``, so a restore
-#:   need not re-latch the columns the plan's ops use;
+#: * ``replay_unstable``: power is cycled (an NV or outage rate) and
+#:   the plan is not ``replay_stable``, so a restore need not re-latch
+#:   the columns the plan's ops use;
 #: * ``microstep_budget``: a trial would reach ``max_microsteps`` (the
 #:   interpreter raises :class:`InstructionBudgetExceeded`), counting
 #:   the microsteps its power cuts replay.
@@ -249,13 +256,7 @@ class FaultCampaign:
         seed: int = 0,
         telemetry=None,
         max_microsteps: int = 2_000_000,
-        outage_trace=None,
     ) -> None:
-        """``outage_trace`` — optional :class:`repro.env.HarvestTrace`;
-        its dropouts become a deterministic power-cut schedule applied
-        to every trial *in addition to* the plan's stochastic faults
-        (the schedule depends only on the trace, so the campaign stays
-        byte-reproducible)."""
         if trials < 1:
             raise ValueError("need at least one trial")
         self.workload = workload
@@ -264,8 +265,6 @@ class FaultCampaign:
         self.seed = seed
         self.telemetry = telemetry
         self.max_microsteps = max_microsteps
-        self.outage_trace = outage_trace
-        self._outage_steps: Optional[frozenset] = None
         #: Where the last :meth:`run` ran its trials: ``{"tier":
         #: "batched"}`` or ``{"tier": "interpreter", "reason": ...}``
         #: with an :data:`INTERPRETER_REASONS` entry.
@@ -325,14 +324,6 @@ class FaultCampaign:
         golden = self.workload.build()
         reason, compiled = self._interpreter_reason(golden, obs)
         initial = golden.bank.snapshot() if reason is None else None
-        if self.outage_trace is not None:
-            from repro.faults.outages import outages_from_trace
-
-            self._outage_steps = frozenset(
-                outages_from_trace(
-                    self.outage_trace, golden.cost.cycle_time
-                )
-            )
         golden.run()
         golden_memory = golden.bank.snapshot()
         golden_values = self.workload.readout(golden)
@@ -438,11 +429,8 @@ class FaultCampaign:
             return "compiled_off", None
         if obs is not None:
             return "telemetry", None
-        cycles = (  # power is cut and restored
-            plan.nv_corruption_rate > 0
-            or plan.outage_rate > 0
-            or self.outage_trace is not None
-        )
+        # Power is cut and restored.
+        cycles = plan.nv_corruption_rate > 0 or plan.outage_rate > 0
         if _injects_flips(plan) and (cycles or plan.array_flip_rate > 0):
             return "mixed_faults", None
         compiled = start_plan(machine)
@@ -494,7 +482,6 @@ class FaultCampaign:
             plan,
             compiled.n_instructions,
             (len(bank.data_tiles), bank.rows, bank.cols),
-            self._outage_steps,
         )
         draws = []
         for rng in rngs:
@@ -703,9 +690,7 @@ class FaultCampaign:
     ) -> dict:
         rng = np.random.default_rng([self.seed, trial])
         mouse = self.workload.build()
-        injector = TrialInjector(
-            self.plan, rng, telemetry=obs, outage_steps=self._outage_steps
-        )
+        injector = TrialInjector(self.plan, rng, telemetry=obs)
         injector.attach(mouse)
         controller = mouse.controller
 

@@ -15,7 +15,8 @@ so a trial is replayable bit-exactly:
 * :class:`TrialInjector` owns the hook plus the *between-microstep*
   injections a campaign performs from its run loop: transient array bit
   flips, NV dual-register corruption (followed by a power cycle the
-  Figure-7 protocol must survive), and stochastic adversarial outages.
+  Figure-7 protocol must survive), and power cuts at the plan's outage
+  rate.
 
 Two draw classes make a whole trial's draws up front, without
 simulating, for campaigns that run their trials as rows of one compiled
@@ -33,7 +34,6 @@ exactly the silent-data-corruption channel the campaign quantifies.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -375,11 +375,8 @@ class WalkDraws:
         plan: FaultPlan,
         n_instructions: int,
         data_shape: tuple[int, int, int],
-        outage_steps=None,
     ) -> None:
-        """``data_shape`` is the bank's ``(data tiles, rows, cols)``;
-        ``outage_steps`` the scheduled cuts, as for
-        :class:`TrialInjector`."""
+        """``data_shape`` is the bank's ``(data tiles, rows, cols)``."""
         self.outage_rate = plan.outage_rate
         #: Slots after each of FETCH, DECODE, EXECUTE and PC_STAGE.
         self.between = 1 if plan.outage_rate > 0 else 0
@@ -401,7 +398,6 @@ class WalkDraws:
             plan.outage_rate, plan.array_flip_rate, plan.nv_corruption_rate
         )
         self.shape = data_shape
-        self.scheduled = sorted(int(s) for s in outage_steps or ())
 
     def _first(self, step: int) -> int:
         """The first slot after walk microstep ``step`` (the slot count
@@ -425,7 +421,7 @@ class WalkDraws:
         order: a power cut (``"outage"``, after ``phase``), an array
         flip (``"array"``, after COMMIT, ``cell`` its ``(tile, row,
         col)``) or an NV disturb (``"nv"``, after COMMIT)."""
-        length, scheduled = self.length, self.scheduled
+        end = self._first(self.length)  # the walk's slot count
         bits = rng.bit_generator
         saved = bits.state
         events: list[tuple] = []
@@ -435,14 +431,9 @@ class WalkDraws:
         cand: list[int] = []
         vals: list[float] = []
         at = 0  # next candidate
-        # Next walk microstep and slot; global microstep minus walk one.
-        i = j = shift = 0
+        # Next slot; global microstep minus walk one.
+        j = shift = 0
         while True:
-            cut = length  # the next scheduled cut's microstep, if any
-            k = bisect_left(scheduled, i + shift)
-            if k < len(scheduled) and scheduled[k] - shift < length - 1:
-                cut = scheduled[k] - shift
-            end = self._first(min(cut + 1, length))
             hit = None
             while True:
                 if at == len(cand):
@@ -464,34 +455,30 @@ class WalkDraws:
                         break
                 at += 1
             if hit is None:
-                if cut == length:
-                    return events if length + shift <= limit else None
-                used += end - j
-            else:
-                used += hit - j + 1
-                if site != "outage":
-                    bits.state = saved
-                    rng.random(used)
-                    cell = None
-                    if site == "array":
-                        cell = tuple(int(rng.integers(n)) for n in self.shape)
-                    else:  # the register, then its garbage value
-                        rng.integers(3)
-                        rng.integers(1 << 24)
-                    events.append((step // 5, Phase.COMMIT, site, cell))
-                    saved = bits.state
-                    drawn = used = at = 0
-                    cand, vals = [], []
-                    i, j = step, hit + 1
-                    continue
-                cut = step
-            pc, phase = divmod(cut, 5)
+                return events if self.length + shift <= limit else None
+            used += hit - j + 1
+            if site != "outage":
+                bits.state = saved
+                rng.random(used)
+                cell = None
+                if site == "array":
+                    cell = tuple(int(rng.integers(n)) for n in self.shape)
+                else:  # the register, then its garbage value
+                    rng.integers(3)
+                    rng.integers(1 << 24)
+                events.append((step // 5, Phase.COMMIT, site, cell))
+                saved = bits.state
+                drawn = used = at = 0
+                cand, vals = [], []
+                j = hit + 1
+                continue
+            pc, phase = divmod(step, 5)
             events.append((pc, _WALK_PHASES[phase], "outage", None))
-            if cut + shift + 1 >= limit:
+            if step + shift + 1 >= limit:
                 return None
-            i = cut + 1 if phase == 4 else 5 * pc
-            shift += cut + 1 - i
-            j = self._first(i)
+            resume = step + 1 if phase == 4 else 5 * pc
+            shift += step + 1 - resume
+            j = self._first(resume)
 
 
 class TrialInjector:
@@ -507,20 +494,10 @@ class TrialInjector:
         plan: FaultPlan,
         rng: np.random.Generator,
         telemetry=None,
-        outage_steps=None,
     ) -> None:
-        """``outage_steps`` — optional set of global microstep indices
-        at which power is cut *deterministically*, independent of the
-        plan's stochastic outage rate; the campaign derives these from
-        a harvest trace's dropouts
-        (:func:`repro.faults.outages.outages_from_trace`)."""
         self.plan = plan
         self.rng = rng
         self.counters = FaultCounters()
-        self.outage_steps = (
-            None if outage_steps is None else frozenset(int(s) for s in outage_steps)
-        )
-        self._microstep = 0
         self._obs = telemetry if (telemetry is not None and telemetry.enabled) else None
         self.hook = ControllerFaultHook(
             plan, rng, counters=self.counters, telemetry=telemetry
@@ -540,23 +517,14 @@ class TrialInjector:
     # -- between-microstep injections -----------------------------------
 
     def after_microstep(self, mouse, phase) -> None:
-        """Stochastic and/or trace-scheduled outage at this microstep
-        boundary.  The RNG draw sequence with no schedule attached is
-        identical to the schedule-free code path, so existing seeded
-        campaigns reproduce byte-for-byte."""
-        step = self._microstep
-        self._microstep += 1
-        scheduled = self.outage_steps is not None and step in self.outage_steps
-        if self.plan.outage_rate <= 0.0 and not scheduled:
+        """A power cut at this microstep boundary, at the plan's outage
+        rate (one draw per boundary while the machine runs)."""
+        if self.plan.outage_rate <= 0.0:
             return
         controller = mouse.controller
         if controller.halted or not controller.powered:
             return
-        stochastic = (
-            self.plan.outage_rate > 0.0
-            and self.rng.random() < self.plan.outage_rate
-        )
-        if scheduled or stochastic:
+        if self.rng.random() < self.plan.outage_rate:
             self.counters.injected["outage"] += 1
             self._emit(
                 FAULT_INJECTED,
@@ -564,7 +532,6 @@ class TrialInjector:
                 site="outage",
                 phase=phase.value,
                 pc=controller.pc.read(),
-                scheduled=scheduled,
             )
             controller.power_off()
             controller.power_on()

@@ -36,58 +36,6 @@ from repro.core.controller import InstructionBudgetExceeded, Phase
 from repro.isa.instruction import LogicInstruction
 
 
-def outages_from_trace(
-    trace,
-    cycle_time: float,
-    *,
-    threshold_fraction: float = 0.05,
-    microsteps_per_instruction: int = 5,
-    max_cuts: int = 64,
-) -> list[int]:
-    """Derive a deterministic microstep cut schedule from a harvest
-    trace's dropouts.
-
-    Every falling edge of the trace below ``threshold_fraction`` of its
-    peak power becomes one power cut, placed at the global microstep
-    the machine would be executing when the dropout begins (a committed
-    instruction takes ``cycle_time`` seconds and at most
-    ``microsteps_per_instruction`` microsteps, so dropout time ``t``
-    maps to microstep ``t / (cycle_time / microsteps_per_instruction)``).
-    The schedule addresses *executed* microsteps, which is exactly what
-    :func:`run_with_outages` consumes; a looping trace contributes its
-    dropouts once per period up to ``max_cuts`` cuts.
-    """
-    if cycle_time <= 0.0:
-        raise ValueError("cycle_time must be positive")
-    if not 0.0 <= threshold_fraction < 1.0:
-        raise ValueError("threshold_fraction must be in [0, 1)")
-    if microsteps_per_instruction < 1 or max_cuts < 1:
-        raise ValueError("need microsteps_per_instruction >= 1, max_cuts >= 1")
-    threshold = threshold_fraction * trace.peak_watts
-    step_duration = cycle_time / microsteps_per_instruction
-
-    def edges(offset: float) -> list[float]:
-        out = []
-        prev = None
-        for t, w in zip(trace.times, trace.watts):
-            if w <= threshold and (prev is None or prev > threshold):
-                out.append(offset + t)
-            prev = w
-        return out
-
-    drop_times: list[float] = edges(0.0)
-    if trace.extend == "loop":
-        wrap = 1
-        while len(drop_times) < max_cuts:
-            more = edges(wrap * trace.period)
-            if not more:
-                break
-            drop_times.extend(more)
-            wrap += 1
-    cuts = sorted({int(t // step_duration) for t in drop_times if t > 0.0})
-    return cuts[:max_cuts]
-
-
 @dataclass(frozen=True)
 class SweepResult:
     """Outcome of one adversarial schedule."""

@@ -48,9 +48,6 @@ class SwitchedCapacitorConverter:
             return min(covering)
         return max(self.ratios)
 
-    def output_voltage(self, v_in: float, v_desired: float) -> float:
-        return self.best_ratio(v_in, v_desired) * v_in
-
     def can_supply(self, v_in: float, v_desired: float) -> bool:
         """Whether some ratio reaches the desired level from ``v_in``."""
         return max(self.ratios) * v_in >= v_desired

@@ -5,7 +5,8 @@ a pass list; :meth:`Linter.run` executes every pass over a program and
 returns a sorted :class:`~repro.lint.diagnostics.LintReport`.  When
 telemetry is enabled (:func:`repro.obs.current`), each run emits a
 ``lint.report`` event and bumps ``lint.*`` counters so lint verdicts
-land in run manifests.
+land in run manifests (:class:`repro.verify.Verifier` sets
+:attr:`Linter.metrics` to report under ``verify.*`` instead).
 
 A default-pass report is memoised on the :class:`~repro.core.program.
 Program`, keyed by the (hashable) config and the report name, so the
@@ -36,6 +37,10 @@ class LintError(ValueError):
 
 class Linter:
     """A configured pass pipeline, reusable across programs."""
+
+    #: Each run bumps the ``<metrics>.runs``, ``.errors`` and
+    #: ``.warnings`` counters and emits a ``<metrics>.report`` event.
+    metrics = "lint"
 
     def __init__(
         self,
@@ -83,18 +88,17 @@ class Linter:
             passes=tuple(p.name for p in self.passes),
         )
 
-    @staticmethod
-    def _observe(report: LintReport) -> None:
+    def _observe(self, report: LintReport) -> None:
         from repro import obs
 
         telemetry = obs.current()
         if not telemetry.enabled:
             return
-        telemetry.counter("lint.runs").inc()
-        telemetry.counter("lint.errors").inc(report.n_errors)
-        telemetry.counter("lint.warnings").inc(report.n_warnings)
+        telemetry.counter(f"{self.metrics}.runs").inc()
+        telemetry.counter(f"{self.metrics}.errors").inc(report.n_errors)
+        telemetry.counter(f"{self.metrics}.warnings").inc(report.n_warnings)
         telemetry.emit(
-            obs.events.LINT_REPORT,
+            f"{self.metrics}.report",
             time.time(),
             program=report.program,
             errors=report.n_errors,

@@ -295,10 +295,6 @@ class BatchedMouse:
         )
         self._program = program
 
-    def reset_ledger(self) -> None:
-        """Fresh per-sample ledgers (array contents are kept)."""
-        self.ledger = BatchedLedger(self.batch)
-
     # ------------------------------------------------------------------
 
     def run(self) -> BatchedLedger:

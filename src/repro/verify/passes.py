@@ -279,6 +279,47 @@ class EquivalencePass(LintPass):
         )
 
 
+def _window_diverges(start: int, stop: int) -> Diagnostic:
+    """``REEX001``: replaying ``[start, stop)`` from a crash inside it
+    does not reach the uninterrupted run's state."""
+    return Diagnostic(
+        rule="REEX001",
+        severity=Severity.ERROR,
+        message=(
+            f"replaying window [{start}, {stop}) from a crash point inside "
+            "it diverges from the uninterrupted run: the window reads a "
+            "cell it also overwrites"
+        ),
+        index=start,
+        hint=(
+            "shrink the checkpoint period, or keep each window's reads "
+            "disjoint from its writes"
+        ),
+    )
+
+
+def _window_resamples(
+    start: int, stop: int, index: Optional[int]
+) -> Diagnostic:
+    """``REEX002``: ``[start, stop)`` commits the sensor sample its READ
+    at ``index`` would re-take on replay."""
+    return Diagnostic(
+        rule="REEX002",
+        severity=Severity.ERROR,
+        message=(
+            f"window [{start}, {stop}) commits a sensor sample it would "
+            "re-take on replay: recovery stores a different reading than "
+            "the pre-crash execution did"
+        ),
+        index=index,
+        tile=SENSOR_TILE,
+        hint=(
+            "persist the sample (WRITE it) in its own committed window "
+            "before any use"
+        ),
+    )
+
+
 class ReExecutionPass(LintPass):
     """Re-execution safety over commit windows of ``period``.
 
@@ -452,43 +493,11 @@ class ReExecutionPass(LintPass):
                 if window_diverges and sensor_diverges:
                     break
             if window_diverges:
-                diagnostics.append(
-                    Diagnostic(
-                        rule="REEX001",
-                        severity=Severity.ERROR,
-                        message=(
-                            f"replaying window [{start}, {stop}) from a "
-                            "crash point inside it diverges from the "
-                            "uninterrupted run: the window reads a cell "
-                            "it also overwrites"
-                        ),
-                        index=start,
-                        hint=(
-                            "shrink the checkpoint period, or keep each "
-                            "window's reads disjoint from its writes"
-                        ),
-                    )
-                )
+                diagnostics.append(_window_diverges(start, stop))
             elif sensor_diverges:
                 sensor_pc = self._sensor_read_in(program, start, stop)
-                diagnostics.append(
-                    Diagnostic(
-                        rule="REEX002",
-                        severity=Severity.ERROR,
-                        message=(
-                            f"window [{start}, {stop}) commits a sensor "
-                            "sample it would re-take on replay: recovery "
-                            "stores a different reading than the "
-                            "pre-crash execution did"
-                        ),
-                        index=sensor_pc if sensor_pc is not None else start,
-                        tile=SENSOR_TILE,
-                        hint=(
-                            "persist the sample (WRITE it) in its own "
-                            "committed window before any use"
-                        ),
-                    )
-                )
+                index = start if sensor_pc is None else sensor_pc
+                diagnostics.append(_window_resamples(start, stop, index))
         return diagnostics
 
     def _run_windows_structural(
@@ -545,42 +554,9 @@ class ReExecutionPass(LintPass):
                         if op == "WRITE" and sensor_pc is not None:
                             committed_sensor = True
             if war:
-                diagnostics.append(
-                    Diagnostic(
-                        rule="REEX001",
-                        severity=Severity.ERROR,
-                        message=(
-                            f"replaying window [{start}, {stop}) from a "
-                            "crash point inside it diverges from the "
-                            "uninterrupted run: the window reads a cell "
-                            "it also overwrites"
-                        ),
-                        index=start,
-                        hint=(
-                            "shrink the checkpoint period, or keep each "
-                            "window's reads disjoint from its writes"
-                        ),
-                    )
-                )
+                diagnostics.append(_window_diverges(start, stop))
             elif committed_sensor:
-                diagnostics.append(
-                    Diagnostic(
-                        rule="REEX002",
-                        severity=Severity.ERROR,
-                        message=(
-                            f"window [{start}, {stop}) commits a sensor "
-                            "sample it would re-take on replay: recovery "
-                            "stores a different reading than the "
-                            "pre-crash execution did"
-                        ),
-                        index=sensor_pc,
-                        tile=SENSOR_TILE,
-                        hint=(
-                            "persist the sample (WRITE it) in its own "
-                            "committed window before any use"
-                        ),
-                    )
-                )
+                diagnostics.append(_window_resamples(start, stop, sensor_pc))
         return diagnostics
 
     @staticmethod

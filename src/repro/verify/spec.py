@@ -97,13 +97,6 @@ class SemanticSpec:
             bool
         )
 
-    def decode_assignment(self, assignment: int) -> dict[str, int]:
-        """Input values under one assignment index, keyed by cell."""
-        return {
-            f"t{tile}.r{row}": (assignment >> j) & 1
-            for j, (tile, row) in enumerate(self.inputs)
-        }
-
     # ------------------------------------------------------------------
     # Serialisation (lint-corpus + CLI --spec)
     # ------------------------------------------------------------------

@@ -307,3 +307,118 @@ class TestHardenCommand:
             "hardening-frontier-yield-vs-energy-overhead"
             in capsys.readouterr().out
         )
+
+
+class TestResume:
+    """``resume`` replays the ``run`` recorded in ``session.json``; a
+    file that ``run`` could not have written stops with ``cannot
+    resume:``, never a traceback."""
+
+    PAYLOAD = {
+        "command": "run",
+        "names": ["table-i-idempotency", "ablations"],
+        "events": "ev.jsonl",
+        "trace": None,
+        "manifest": "runs",
+        "seed": 7,
+        "jobs": 2,
+        "no_compiled": True,
+    }
+
+    @pytest.fixture
+    def replayed(self, monkeypatch):
+        """Stub out ``cmd_run``; the namespaces ``resume`` hands it."""
+        import repro.__main__ as cli
+
+        calls = []
+
+        def stub(args):
+            calls.append(args)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_run", stub)
+        return calls
+
+    def test_run_then_resume(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "ckpt")
+        assert main(["run", "table-i-idempotency", "--checkpoint-dir", ckpt]) == 0
+        first = capsys.readouterr().out
+        assert "Table I" in first
+        assert main(["resume", ckpt]) == 0
+        assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("names", 5),
+            ("names", [3]),
+            ("jobs", "x"),
+            ("seed", [1]),
+            ("events", 7),
+        ],
+        ids=["names-int", "names-ints", "jobs-str", "seed-list", "events-int"],
+    )
+    def test_malformed_field_names_it(self, tmp_path, replayed, field, value):
+        from repro.__main__ import _write_session
+
+        _write_session(str(tmp_path), {**self.PAYLOAD, field: value})
+        with pytest.raises(SystemExit) as exc:
+            main(["resume", str(tmp_path)])
+        assert str(exc.value).startswith("cannot resume:")
+        assert repr(field) in str(exc.value)
+        assert not replayed
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fuzzed_sessions_replay_or_refuse(
+        self, tmp_path, replayed, seed
+    ):
+        """Truncations, byte flips, dropped and retyped fields of a
+        valid session: each reaches ``cmd_run`` with the values
+        ``run``'s parser produces, or exits with ``cannot resume:``."""
+        import numpy as np
+
+        from repro.__main__ import SESSION_KEYS, _write_session
+
+        _write_session(str(tmp_path), self.PAYLOAD)
+        path = tmp_path / "session.json"
+        base = path.read_bytes()
+        session = json.loads(base)
+        retypes = [None, True, False, 0, -1, 3, 1.5, "", "x", [], ["x"], [1], {}]
+        rng = np.random.default_rng([seed, 23])
+        refused = 0
+        for _ in range(150):
+            kind = int(rng.integers(4))
+            if kind == 0:
+                data = base[: int(rng.integers(len(base)))]
+            elif kind == 1:
+                flipped = bytearray(base)
+                flipped[int(rng.integers(len(base)))] ^= 1 << int(rng.integers(8))
+                data = bytes(flipped)
+            else:
+                keys = sorted(session)
+                key = keys[int(rng.integers(len(keys)))]
+                mutated = dict(session)
+                if kind == 2:
+                    del mutated[key]
+                else:
+                    mutated[key] = retypes[int(rng.integers(len(retypes)))]
+                data = json.dumps(mutated).encode()
+            path.write_bytes(data)
+            calls = len(replayed)
+            try:
+                assert main(["resume", str(tmp_path)]) == 0
+            except SystemExit as exc:
+                assert str(exc).startswith("cannot resume:"), data
+                assert len(replayed) == calls
+                refused += 1
+                continue
+            args = replayed[-1]
+            assert args.resume and args.checkpoint_dir == str(tmp_path)
+            assert args.names and all(isinstance(n, str) for n in args.names)
+            assert isinstance(args.no_compiled, bool)
+            for key in ("seed", "jobs"):
+                value = getattr(args, key)
+                assert value is None or type(value) is int
+            assert args.jobs is None or args.jobs >= 0
+            assert set(SESSION_KEYS) <= set(vars(args))
+        assert 0 < refused < 150

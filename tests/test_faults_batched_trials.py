@@ -11,9 +11,9 @@ of 0-3:
 
 * gate flips only, at random per-gate rates that include 0 and 1;
 * no gate flips: random outage, NV and array rates up to 0.2, alone or
-  together, and an outage trace whose dropouts land inside the run.
-  Power cycles batch only on replay-stable plans, so here the broadcast
-  case is the first generated broadcast program whose plan is one.
+  together.  Power cycles batch only on replay-stable plans, so here
+  the broadcast case is the first generated broadcast program whose
+  plan is one.
 
 The batched report must serialise to the bytes of the same campaign
 under ``compilejit.set_enabled(False)``, with ``_run_trial`` patched to
@@ -37,7 +37,6 @@ from repro.core.accelerator import Mouse
 from repro.core.controller import InstructionBudgetExceeded, Phase
 from repro.core.program import Program
 from repro.devices.parameters import ALL_TECHNOLOGIES, MODERN_STT
-from repro.env.trace import rf_burst
 from repro.faults import FaultCampaign, FaultPlan, WORKLOADS
 from repro.faults.campaign import INTERPRETER_REASONS, Workload
 from repro.faults.injectors import WalkDraws
@@ -202,25 +201,14 @@ def _log_rate(rng) -> float:
     return float(np.exp(rng.uniform(np.log(1e-3), np.log(0.2))))
 
 
-def _random_walk_plan(rng, workload: Workload):
-    """Outage, NV and array rates from :func:`_log_rate`, and an outage
-    trace a third of the time, whose RF-burst dropouts land inside the
-    run; at least one is set.  Both verify switches, a budget of 0-3."""
-    machine = workload.build()
-    run_s = machine.cost.cycle_time * len(machine.program)
+def _random_walk_plan(rng) -> FaultPlan:
+    """Outage, NV and array rates from :func:`_log_rate`, at least one
+    of them set; both verify switches and a budget of 0-3."""
     while True:
         outage, nv, array = (_log_rate(rng) for _ in range(3))
-        trace = None
-        if rng.random() < 1 / 3:
-            trace = rf_burst(
-                seed=int(rng.integers(2**31)),
-                burst_duration=run_s / 10,
-                burst_period=run_s / 4,
-                n_bursts=8,
-            )
-        if outage or nv or array or trace is not None:
+        if outage or nv or array:
             break
-    plan = FaultPlan(
+    return FaultPlan(
         outage_rate=outage,
         nv_corruption_rate=nv,
         array_flip_rate=array,
@@ -228,7 +216,6 @@ def _random_walk_plan(rng, workload: Workload):
         verify_marked=bool(rng.integers(2)),
         retry_budget=int(rng.integers(4)),
     )
-    return plan, trace
 
 
 @lru_cache(maxsize=None)
@@ -246,13 +233,12 @@ def _non_flip_seed(seed: int) -> tuple:
             _stable_broadcast(tech) if case == "broadcast"
             else _workload(case, tech)
         )
-        plan, trace = _random_walk_plan(rng, workload)
+        plan = _random_walk_plan(rng)
         campaign = FaultCampaign(
             workload,
             plan,
             trials=int(rng.integers(1, 9)),
             seed=int(rng.integers(2**31)),
-            outage_trace=trace,
         )
         ref = _interpreted(campaign, jobs=1)
         drawn = []
@@ -421,21 +407,15 @@ def test_telemetry_runs_the_interpreter(monkeypatch):
         {"array_flip_rate": 0.05},
         {"nv_corruption_rate": 0.05},
         {"outage_rate": 0.01},
-        {"outage_trace": True},
     ],
-    ids=["array", "nv", "outage", "outage-trace"],
+    ids=["array", "nv", "outage"],
 )
 def test_non_flip_faults_run_the_interpreter(extra, monkeypatch):
     """Gate flips together with any other fault site."""
-    kwargs = {}
-    if extra.pop("outage_trace", False):
-        from repro.env.trace import rf_burst
-
-        kwargs["outage_trace"] = rf_burst(seed=1, n_bursts=2)
     campaign = FaultCampaign(
         WORKLOADS["adder"](MODERN_STT),
         FaultPlan(gate_flip_rates=FLIPS, **extra),
-        trials=2, seed=4, **kwargs,
+        trials=2, seed=4,
     )
     assert _reason(campaign) == "mixed_faults"
     _assert_interpreted(campaign, monkeypatch, "mixed_faults")

@@ -172,6 +172,39 @@ def test_verify_golden_diagnostics(name):
     assert got == EXPECTED["verify"][name]["diagnostics"]
 
 
+@pytest.mark.parametrize(
+    "name", ["reex_war_window.asm", "reex_sensor_replay.asm"]
+)
+def test_reexec_structural_fallback_matches_the_proof(name, monkeypatch):
+    """With a one-variable truth-table budget the window proof
+    overflows and the pass falls back to its structural scan, which
+    gives the pinned diagnostics, each equal to the proof's."""
+    case = EXPECTED["verify"][name]
+    program = _program(name)
+    real = ReExecutionPass._run_windows_structural
+    fallbacks = []
+
+    def spy(self, *args):
+        fallbacks.append(self.max_vars)
+        return real(self, *args)
+
+    monkeypatch.setattr(ReExecutionPass, "_run_windows_structural", spy)
+    proved = ReExecutionPass(period=case["period"]).run(program, CONFIG)
+    assert fallbacks == []
+    scanned = ReExecutionPass(period=case["period"], max_vars=1).run(
+        program, CONFIG
+    )
+    assert fallbacks == [1]
+    got = [
+        {k: v for k, v in d.to_json_obj().items() if k in PINNED_KEYS}
+        for d in scanned
+    ]
+    assert got == case["diagnostics"]
+    assert [d.to_json_obj() for d in scanned] == [
+        d.to_json_obj() for d in proved
+    ]
+
+
 @pytest.mark.parametrize("name", verify_case_names())
 def test_verify_cases_are_structurally_green(name):
     """The whole point of the SEM/REEX corpus: each violation is
