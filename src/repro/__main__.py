@@ -154,6 +154,11 @@ def _is_optional_str(value: Any) -> bool:
     return value is None or isinstance(value, str)
 
 
+def _is_run_seed(value: int) -> bool:
+    """Whether ``np.random.seed`` (``run --seed``) takes ``value``."""
+    return 0 <= value < 2**32
+
+
 #: The ``run`` arguments ``session.json`` records for ``resume``, each
 #: with a test that its value is one ``run``'s parser can produce, and
 #: what such a value is.
@@ -167,7 +172,10 @@ SESSION_FIELDS: dict[str, tuple[Callable[[Any], bool], str]] = {
     "events": (_is_optional_str, "a string or null"),
     "trace": (_is_optional_str, "a string or null"),
     "manifest": (_is_optional_str, "a string or null"),
-    "seed": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "seed": (
+        lambda v: v is None or (_is_int(v) and _is_run_seed(v)),
+        "an integer in [0, 2**32) or null",
+    ),
     "jobs": (
         lambda v: v is None or (_is_int(v) and v >= 0),
         "an integer >= 0 or null",
@@ -1009,6 +1017,11 @@ def _at_least(low: int):
 
 
 _PROBABILITY = _bounded(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+#: ``run --seed`` goes to ``np.random.seed``, which takes [0, 2**32);
+#: every other ``--seed`` goes to ``np.random.default_rng``, which takes
+#: any integer >= 0.
+_RUN_SEED = _bounded(int, _is_run_seed, "in [0, 2**32)")
+_SEED = _at_least(0)
 _POSITIVE = _bounded(float, lambda x: x > 0.0, "> 0")
 _NON_NEGATIVE = _bounded(float, lambda x: x >= 0.0, ">= 0")
 
@@ -1059,7 +1072,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     trace_flags = _flags()
     trace_flags.add_argument(
-        "--seed", type=int, default=0, help="generator seed (default 0)"
+        "--seed", type=_SEED, default=0, help="generator seed (default 0)"
     )
     trace_flags.add_argument(
         "--watts",
@@ -1114,7 +1127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("names", nargs="+")
     run_p.add_argument(
         "--seed",
-        type=int,
+        type=_RUN_SEED,
         default=None,
         help="seed the stdlib/numpy RNGs and record it in the manifest",
     )
@@ -1159,7 +1172,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workload", choices=("svm", "adder", "bnn"), default="svm"
     )
     faults_p.add_argument("--trials", type=_at_least(1), default=16)
-    faults_p.add_argument("--seed", type=int, default=0)
+    faults_p.add_argument("--seed", type=_SEED, default=0)
     faults_p.add_argument(
         "--sigma",
         type=_NON_NEGATIVE,
@@ -1218,7 +1231,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="protection levels to sweep (fraction of critical gates)",
     )
     harden_p.add_argument("--trials", type=_at_least(1), default=32)
-    harden_p.add_argument("--seed", type=int, default=11)
+    harden_p.add_argument("--seed", type=_SEED, default=11)
     harden_p.add_argument(
         "--target-flips",
         type=_NON_NEGATIVE,

@@ -1,9 +1,13 @@
 """Ahead-of-time compiled execution plans for CRAM programs.
 
 ``repro.compilejit`` compiles a linted :class:`~repro.core.program.
-Program` into a fused NumPy plan — per-instruction kernel tables,
+Program` into a fused plan — per-instruction kernel tables,
 precomputed column-index gathers, and closed-form energy terms — and
-executes whole commit windows without per-instruction Python dispatch.
+executes whole runs through one op switch without the interpreter's
+microstep machine.  Every op has a NumPy form; a gate or preset on at
+most ``plan.CELL_COLUMNS`` columns also has a per-cell form, which an
+executor holding one sample applies one cell at a time with Python
+ints.
 
 The scalar :class:`~repro.core.controller.MemoryController` microstep
 machine is kept verbatim as the referee: every compiled path reproduces
@@ -28,7 +32,8 @@ Execution tiers (see docs/PERFORMANCE.md):
    lock-step ``BatchedMouse`` batches (fault campaign trials
    included); every executor applies its ops through
    :func:`repro.compilejit.exec.apply_op` on ``(rows, cols)`` or
-   ``(batch, rows, cols)`` tile states.
+   ``(batch, rows, cols)`` tile states, per cell where it holds one
+   sample and the op has that form.
 
 Harvest profiles (:class:`~repro.harvest.intermittent.ProfileRun`) are
 not CRAM programs and have one engine of their own: the switch and the

@@ -15,6 +15,16 @@ a single bit.  Static energies in the chains were computed through the
 very same cost-model methods the interpreter calls; dynamic logic
 energies are produced by the same kernel-table gathers `Tile.logic_op`
 performs, in the same dtype and reduction order.
+
+An executor that holds one sample (a continuous ``Mouse`` run, the
+fused intermittent loop, a ``BatchedMouse`` of batch 1) also hands
+:func:`apply_op` one flat byte ``memoryview`` per tile state, and ops
+with a per-cell form (see :mod:`repro.compilejit.plan`) then run one
+cell at a time with Python ints.  A per-cell energy is summed left to
+right from 0.0 in column order over at most ``CELL_COLUMNS`` columns,
+which is how NumPy sums that many float64 values, so both forms give
+the same bits.  The views write straight into the NumPy states and are
+released when the run returns or raises.
 """
 
 from __future__ import annotations
@@ -73,7 +83,8 @@ def _slice_gate(op, states, views):
     store is idempotent on cells already at the target), and the energy
     gather never depends on which cells switched.
     """
-    _, _, _, ti, rows_t, orow, sl, ws, en, tgt = op
+    ti, rows_t, orow, sl, kern = op[3], op[4], op[5], op[6], op[7]
+    ws, en, tgt = kern[0], kern[1], kern[2]
     vu = views[ti]
     if len(rows_t) == 1:
         n1 = vu[..., rows_t[0], sl]
@@ -88,7 +99,8 @@ def _slice_gate(op, states, views):
 def _index_gate(op, states):
     """A K_L1P gate over a non-contiguous active set; returns its array
     energy."""
-    _, _, _, ti, mesh, aidx, orow, ws, en, tgt = op
+    ti, mesh, orow, aidx, kern = op[3], op[4], op[5], op[6], op[7]
+    ws, en, tgt = kern[0], kern[1], kern[2]
     st = states[ti]
     n1 = st[mesh].sum(axis=-2)
     out = st[..., orow, :]
@@ -98,7 +110,46 @@ def _index_gate(op, states):
     return en.take(n1).sum(axis=-1)
 
 
-def apply_op(op, states, views, tiles, cbuf, actreg, share, oms):
+def _cell_gate(op, mv):
+    """The per-cell form of a single-tile gate on one machine's flat
+    tile view ``mv``; returns its array energy as a Python float, summed
+    in column order as NumPy sums at most ``CELL_COLUMNS`` values."""
+    kern, cols, bases, o = op[7], op[8], op[9], op[10]
+    ws, en, tgt = kern[3], kern[4], kern[2]
+    e = 0.0
+    if len(bases) == 2:
+        a, b = bases
+        for c in cols:
+            n = mv[a + c] + mv[b + c]
+            if ws[n]:
+                mv[o + c] = tgt
+            e += en[n]
+    elif len(bases) == 1:
+        (a,) = bases
+        for c in cols:
+            n = mv[a + c]
+            if ws[n]:
+                mv[o + c] = tgt
+            e += en[n]
+    else:
+        for c in cols:
+            n = 0
+            for a in bases:
+                n += mv[a + c]
+            if ws[n]:
+                mv[o + c] = tgt
+            e += en[n]
+    return e
+
+
+def _cell_preset(mv, base, cols, value) -> None:
+    """The per-cell form of one tile's preset on one machine's flat tile
+    view ``mv``."""
+    for c in cols:
+        mv[base + c] = value
+
+
+def apply_op(op, states, views, tiles, cbuf, actreg, share, oms, flat=None):
     """Apply one plan op to a machine and return its EXECUTE energy.
 
     ``states`` / ``views`` are the data tiles' bool arrays and their
@@ -107,20 +158,31 @@ def apply_op(op, states, views, tiles, cbuf, actreg, share, oms):
     a leading ``...`` and every reduction runs along ``axis=-1``, so
     each sample sees the serial machine's gathers and pairwise sums);
     ``cbuf`` is the transfer buffer, ``(cols,)`` or ``(batch, cols)``.
-    ``actreg`` is the activate register, or None for a batch.  A logic
-    op's energy comes back per sample; every other op returns the
-    plan's constant.  ``share`` / ``oms`` are the plan's inlined
-    peripheral-share terms.
+    ``actreg`` is the activate register, or None for a batch.  ``flat``
+    is None, or, for an executor holding one sample, one flat byte
+    memoryview per tile state (:func:`flat_views`): a single-tile gate
+    or a preset set with a per-cell form then runs one cell at a time
+    through it, and every other op keeps its NumPy form.  A logic op's
+    energy comes back per sample (a Python float from the per-cell
+    form); every other op returns the plan's constant.  ``share`` /
+    ``oms`` are the plan's inlined peripheral-share terms.
     """
     k = op[0]
-    if k == K_L1S:
-        arr = _slice_gate(op, states, views)
+    if k == K_L1S or k == K_L1P:
+        if flat is not None and op[8] is not None:
+            arr = _cell_gate(op, flat[op[3]])
+        elif k == K_L1S:
+            arr = _slice_gate(op, states, views)
+        else:
+            arr = _index_gate(op, states)
     elif k == K_PRESET:
-        for ti, row, sel in op[2]:
-            states[ti][..., row, sel] = op[3]
+        value = op[3]
+        for ti, row, sel, cols, base in op[2]:
+            if flat is not None and cols is not None:
+                _cell_preset(flat[ti], base, cols, value)
+            else:
+                states[ti][..., row, sel] = value
         return op[1]
-    elif k == K_L1P:
-        arr = _index_gate(op, states)
     elif k == K_READ:
         cbuf[...] = states[op[2]][..., op[3], :]
         return op[1]
@@ -148,6 +210,21 @@ def apply_op(op, states, views, tiles, cbuf, actreg, share, oms):
     else:  # K_HALT: no array work
         return op[1]
     return arr + (arr * share / oms + op[2])
+
+
+def flat_views(states) -> Optional[list]:
+    """One flat byte memoryview per tile state, for :func:`apply_op`'s
+    per-cell forms; None when a state is not C-contiguous.  The caller
+    releases them (:func:`release_views`) when its run returns or
+    raises, so no view outlives the run."""
+    if not all(st.flags.c_contiguous for st in states):
+        return None
+    return [memoryview(st).cast("B") for st in states]
+
+
+def release_views(flat: Optional[list]) -> None:
+    for mv in flat or ():
+        mv.release()
 
 
 # ----------------------------------------------------------------------
@@ -220,10 +297,14 @@ def _run_continuous(mouse, plan: CompiledPlan, prof) -> None:
     oms = plan.oms
 
     # --- semantic pass: array effects + dynamic logic energies --------
-    for op in plan.ops:
-        e = apply_op(op, states, views, tiles, cbuf, actreg, share, oms)
-        if op[0] >= K_L1S:
-            vals[op[1]] = e
+    flat = flat_views(states)
+    try:
+        for op in plan.ops:
+            e = apply_op(op, states, views, tiles, cbuf, actreg, share, oms, flat)
+            if op[0] >= K_L1S:
+                vals[op[1]] = e
+    finally:
+        release_views(flat)
 
     # --- accounting: reduce the charge table -------------------------
     n = plan.n_instructions
@@ -458,6 +539,7 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
         phase, eu = FETCH, False
         live = True
 
+    flat = flat_views(states)
     try:
         while True:
             if executed >= max_instructions:
@@ -515,7 +597,7 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
                 break
 
             e_exec = float(
-                apply_op(op, states, views, tiles, cbuf, actreg, share, oms)
+                apply_op(op, states, views, tiles, cbuf, actreg, share, oms, flat)
             )
             te = ce + be + de + re_
             if dead:
@@ -577,6 +659,8 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
         if live:
             flush()
         raise
+    finally:
+        release_views(flat)
     compilejit.STATS["compiled_runs"] += 1
     return b
 
@@ -642,9 +726,12 @@ def run_batched(machine, plan: CompiledPlan, hooks=None) -> None:
     ce[0] = ledger.compute_energy
     ce[1:] = vals[plan.ce_idx, None]
 
+    # A batch of one sample takes the per-cell forms as a Mouse does.
+    flat = flat_views(states) if machine.batch == 1 else None
+
     def apply(lo: int, hi: int) -> None:
         for op in ops[lo:hi]:
-            e = apply_op(op, states, views, tiles, cbuf, None, share, oms)
+            e = apply_op(op, states, views, tiles, cbuf, None, share, oms, flat)
             if op[0] >= K_L1S:
                 ce[ce_row[op[1]]] = e
 
@@ -655,12 +742,15 @@ def run_batched(machine, plan: CompiledPlan, hooks=None) -> None:
                 cbuf[r], None, share, oms,
             )
 
-    lo = 0
-    for pc in sorted(hooks or ()):
-        apply(lo, pc + 1)
-        hooks[pc](states, lambda rows, op=ops[pc]: redo(op, rows))
-        lo = pc + 1
-    apply(lo, len(ops))
+    try:
+        lo = 0
+        for pc in sorted(hooks or ()):
+            apply(lo, pc + 1)
+            hooks[pc](states, lambda rows, op=ops[pc]: redo(op, rows))
+            lo = pc + 1
+        apply(lo, len(ops))
+    finally:
+        release_views(flat)
     np.add.accumulate(ce, axis=0, out=ce)
 
     n = plan.n_instructions

@@ -7,11 +7,20 @@ energy terms evaluated through the same cost-model code paths the
 interpreter uses, and a flat **charge table** mirroring the exact
 per-microstep ledger charges the scalar controller would make.  The
 executors in :mod:`repro.compilejit.exec` then replay a whole commit
-window with a handful of NumPy passes and reduce the charge table with
+window op by op and reduce the charge table with
 ``np.add.accumulate`` — which is bit-identical to the interpreter's
 sequential ``+=`` chain, so `Breakdown`s match to the last ulp.
 
-Plan construction is **gated by the PR 3 linter**: a program that lints
+Every op has a NumPy form, which serves one machine or a lock-step
+batch.  A single-tile gate or a preset set whose active set holds at
+most :data:`CELL_COLUMNS` columns also has a *per-cell* form: the
+sorted active columns as one tuple shared by every op on that set, the
+flat byte offsets of its rows, and the gate kernel's ladders as Python
+tuples shared per kernel, so an executor holding one sample applies it
+one cell at a time with Python ints (see :func:`repro.compilejit.exec.
+apply_op`).
+
+Plan construction is **gated by the linter**: a program that lints
 with errors raises :class:`PlanUnsupported` and the engines silently
 stay on the scalar interpreter.  Sensor reads (run-time data arrival)
 and fault hooks are likewise unsupported by construction.
@@ -19,6 +28,7 @@ and fault hooks are likewise unsupported by construction.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -47,9 +57,47 @@ K_L1S = 5  # logic, single tile, contiguous active range (slice views)
 K_L1P = 6  # logic, single tile, non-contiguous active set (index mesh)
 K_LN = 7  # logic, broadcast across several tiles
 
+# Op layouts:
+#   (K_HALT, 0.0)
+#   (K_ACT, energy, word, ((tile, bulk, columns), ...))
+#   (K_PRESET, energy, ((tile, row, sel, cells, base), ...), value)
+#   (K_READ, energy, tile, row)
+#   (K_WRITE, energy, tiles, row)
+#   (K_L1S, slot, aterm, tile, rows, orow, slice, kern, cells, bases, obase)
+#   (K_L1P, slot, aterm, tile, mesh, orow, aidx, kern, cells, bases, obase)
+#   (K_LN, slot, aterm, (gate, ...))  # K_L1S / K_L1P gates, slot None
+# ``kern`` is :func:`gate_kernel`'s record.  ``cells`` is the per-cell
+# form's sorted active-column tuple and ``base`` / ``bases`` / ``obase``
+# the flat offsets of the rows it touches.  ``cells`` is None when the
+# set is wider than CELL_COLUMNS or the gate is one of a K_LN's, and a
+# gate's ``bases`` and ``obase`` are then None too.
+
+#: Widest active set with a per-cell form.  NumPy sums fewer than 8
+#: float64 values left to right from 0.0 and pairwise from 8 on, so a
+#: per-cell energy sum in column order equals the NumPy form's
+#: ``en.take(n1).sum(axis=-1)`` (and ``Tile.logic_op``'s) bit for bit
+#: only up to 7 columns.
+CELL_COLUMNS = 7
+
 # Charge-table categories (matching EnergyLedger routing).
 _CAT_CE = 0  # Category.COMPUTE energy (fetch + execute)
 _CAT_BE = 1  # Category.BACKUP energy (pc checkpoint, activate register)
+
+
+@lru_cache(maxsize=None)
+def gate_kernel(params, spec) -> tuple:
+    """``(will_switch, energy, target, will_switch_t, energy_t)`` of one
+    technology/gate pair: the electrical kernel's ladders as arrays for
+    the NumPy form and as Python tuples for the per-cell form, built
+    once per pair and shared by every plan."""
+    kern = electrical_kernel(params, spec)
+    return (
+        kern.will_switch,
+        kern.energy,
+        kern.target,
+        tuple(bool(x) for x in kern.will_switch),
+        tuple(float(x) for x in kern.energy),
+    )
 
 
 class PlanUnsupported(Exception):
@@ -187,16 +235,42 @@ class CompiledPlan:
         # `replay_stable` goes False (continuous runs stay fine).
         full: list = [None] * self.n_data_tiles
         last_only: list = [None] * self.n_data_tiles
-        # One selector / index mesh object per distinct active set (and
-        # input rows), shared by every op that uses it.
+        # One selector / index mesh / column tuple / row-offset object
+        # per distinct active set (and input rows), shared by every op
+        # that uses it.
         sel_cache: dict = {}
         mesh_cache: dict = {}
+        cells_cache: dict = {}
+        offset_cache: dict = {}
 
         def selector(spec):
             sel = sel_cache.get(spec)
             if sel is None:
                 sel = sel_cache[spec] = _spec_sel(spec)
             return sel
+
+        def cells(spec) -> Optional[tuple[int, ...]]:
+            """The per-cell form's sorted active columns, or None when
+            the set is wider than CELL_COLUMNS."""
+            if spec not in cells_cache:
+                cells_cache[spec] = (
+                    tuple(int(c) for c in _spec_index(spec))
+                    if _spec_count(spec) <= CELL_COLUMNS
+                    else None
+                )
+            return cells_cache[spec]
+
+        def offset(rows):
+            """The flat offset in a C-ordered ``(rows, cols)`` state of
+            a row (an int), or of each row of a tuple."""
+            off = offset_cache.get(rows)
+            if off is None:
+                off = offset_cache[rows] = (
+                    rows * cols
+                    if isinstance(rows, int)
+                    else tuple(r * cols for r in rows)
+                )
+            return off
 
         def resolve_tiles(tile: int) -> tuple[int, ...]:
             if tile == BROADCAST_TILE:
@@ -267,7 +341,9 @@ class CompiledPlan:
                     n_columns = sum(_spec_count(full[t]) for t in tiles)
                     e = prices.preset[max(n_columns, 1)]
                     sets = tuple(
-                        (t, instr.row, selector(full[t])) for t in tiles
+                        (t, instr.row, selector(full[t]), cells(full[t]),
+                         offset(instr.row))
+                        for t in tiles
                     )
                     self.ops.append((K_PRESET, e, sets, op == "PRESET1"))
                 charge(_CAT_CE, e, pc)
@@ -280,8 +356,7 @@ class CompiledPlan:
                 spec = instr.spec
                 rows_t = tuple(instr.input_rows)
                 orow = instr.output_row
-                kern = electrical_kernel(cost.params, spec)
-                kern_t = (kern.will_switch, kern.energy, kern.target)
+                kern = gate_kernel(cost.params, spec)
                 aterm = (
                     (spec.n_inputs + 1)
                     * cost.peripheral.address_energy
@@ -293,22 +368,26 @@ class CompiledPlan:
                 # and all columns included) gathers through row-slice
                 # views, any other set through an ``np.ix_`` mesh with a
                 # leading Ellipsis so it also indexes (batch, rows, cols)
-                # states.
+                # states.  Only a single-tile gate gets a per-cell form.
+                single = len(tiles) == 1
                 gates = []
                 for t in tiles:
                     sel = selector(full[t])
+                    col_t = cells(full[t]) if single else None
+                    if col_t is None:
+                        tail = (kern, None, None, None)
+                    else:
+                        tail = (kern, col_t, offset(rows_t), offset(orow))
                     if isinstance(sel, slice):
                         gates.append(
-                            (K_L1S, None, None, t, rows_t, orow, sel, *kern_t)
+                            (K_L1S, None, None, t, rows_t, orow, sel) + tail
                         )
                         continue
                     key = (rows_t, full[t])
                     mesh = mesh_cache.get(key)
                     if mesh is None:
                         mesh = mesh_cache[key] = (Ellipsis, *np.ix_(rows_t, sel))
-                    gates.append(
-                        (K_L1P, None, None, t, mesh, sel, orow, *kern_t)
-                    )
+                    gates.append((K_L1P, None, None, t, mesh, orow, sel) + tail)
                 self.n_logic_dynamic += 1
                 slot = charge(_CAT_CE, 0.0, pc)
                 if len(gates) == 1:
@@ -386,11 +465,10 @@ class CompiledPlan:
         op = self.ops[pc]
         out = []
         for gate in op[3] if op[0] == K_LN else (op,):
+            sel = gate[6]
             if gate[0] == K_L1S:
-                sl = gate[6]
-                out.append((gate[3], gate[5], np.arange(sl.start, sl.stop)))
-            else:
-                out.append((gate[3], gate[6], gate[5]))
+                sel = np.arange(sel.start, sel.stop)
+            out.append((gate[3], gate[5], sel))
         return tuple(out)
 
     def stats(self) -> dict:

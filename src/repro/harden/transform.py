@@ -487,11 +487,11 @@ def overhead_summary(
 ) -> dict:
     """Instruction-count and worst-case-energy overhead of a rewrite."""
     from repro.energy.model import InstructionCostModel
-    from repro.lint.cost import program_bounds
+    from repro.lint.cost import program_energy_bound
 
     cost = InstructionCostModel(params)
-    base = sum(b.total for b in program_bounds(original, config, cost))
-    hard = sum(b.total for b in program_bounds(hardened, config, cost))
+    base = program_energy_bound(original, config, cost)
+    hard = program_energy_bound(hardened, config, cost)
     return {
         "technology": params.name,
         "instructions": {

@@ -223,6 +223,18 @@ def program_bounds(
     ]
 
 
+def program_energy_bound(
+    program: Program, config: LintConfig, cost: InstructionCostModel
+) -> float:
+    """``sum(b.total for b in program_bounds(...))`` without building an
+    :class:`InstructionBound` per instruction: each distinct key's
+    ``energy + backup`` is priced once and the totals are summed in
+    program order, so the float is the same."""
+    keys = pricing_keys(program, config)
+    totals = [e + b for e, b in (key_bound(cost, key) for key in keys.distinct)]
+    return sum(totals[slot] for slot in keys.slots)
+
+
 class CostPass(LintPass):
     """Reject programs whose worst-case single instruction cannot fit
     the capacitor's charge window at any configured technology."""

@@ -5,8 +5,10 @@ fast path it praises: ``logic_op`` is timed against
 :func:`repro.perf.baseline.logic_op_reference` (the pre-cache scalar
 implementation, kept verbatim as the referee), ``ProfileRun`` against
 :func:`repro.perf.baseline.profile_run_reference` (its method-call
-loop), and the batch-64 classifiers against the serial per-sample
-Python loop from :mod:`repro.perf.inference`.  Absolute ns/op numbers
+loop), and the compiled plans — the adder, the campaign trials and the
+batch-64 classifiers — against the scalar microstep interpreter, which
+is live code.  Every row with a referee alternates its two sides
+(:func:`_time_pair_ns`).  Absolute ns/op numbers
 are machine-dependent; the speedup ratios are not, which is why the
 hot-path tests (``benchmarks/test_bench_hotpath.py``, part of ``make
 test``) gate on ratios: the :data:`FLOORS` and half of each speedup
@@ -103,13 +105,17 @@ def _time_ns(fn, reps: int, warmup: bool = True) -> float:
     return best
 
 
-def _time_pair_ns(fast, ref, reps: int, ref_reps: int) -> tuple[float, float]:
+def _time_pair_ns(
+    fast, ref, reps: int, ref_reps: int, warmup: bool = True
+) -> tuple[float, float]:
     """ns per call of ``fast`` and of ``ref``, each the best of 5 batch
     means as in :func:`_time_ns`, but with the two sides' batches
     alternating: a host that changes speed mid-measurement then slows
-    or speeds both sides, not only the one timed second."""
-    fast()
-    ref()
+    or speeds both sides, not only the one timed second.  Both rep
+    counts must be at least 5; ``warmup=False`` as in :func:`_time_ns`."""
+    if warmup:
+        fast()
+        ref()
     best = [float("inf"), float("inf")]
     for _ in range(5):
         for side, fn, n in ((0, fast, reps // 5), (1, ref, ref_reps // 5)):
@@ -153,9 +159,11 @@ def bench_logic_op(quick: bool) -> BenchResult:
         raise AssertionError(f"logic_op disagrees with reference: {fast} != {ref}")
 
     reps, ref_reps = (200, 50) if quick else (2000, 200)
-    ns = _time_ns(lambda: fast_tile.logic_op(MAJ3, input_rows, output_row), reps)
-    ref_ns = _time_ns(
-        lambda: logic_op_reference(ref_tile, MAJ3, input_rows, output_row), ref_reps
+    ns, ref_ns = _time_pair_ns(
+        lambda: fast_tile.logic_op(MAJ3, input_rows, output_row),
+        lambda: logic_op_reference(ref_tile, MAJ3, input_rows, output_row),
+        reps,
+        ref_reps,
     )
     return BenchResult(
         op="logic_op",
@@ -208,7 +216,9 @@ def bench_compiled_step_instruction(quick: bool) -> BenchResult:
     """Adder workload under the AOT-compiled plan executor vs the scalar
     microstep interpreter; ns per executed instruction.  The compiled
     side's ledger is asserted byte-identical to the interpreter's before
-    anything is timed."""
+    anything is timed.  Every timed run gets a machine built before the
+    timing starts, and the two sides' batches alternate
+    (:func:`_time_pair_ns`)."""
     from repro.faults.campaign import adder_workload
 
     workload = adder_workload()
@@ -220,28 +230,23 @@ def bench_compiled_step_instruction(quick: bool) -> BenchResult:
         raise AssertionError(
             "compiled plan ledger diverges from the scalar interpreter"
         )
+    n_instr = fast_mouse.ledger.breakdown.instructions
 
-    def per_instruction(reps: int, compiled) -> tuple[float, int]:
-        total_ns = 0
-        instructions = 0
-        for _ in range(reps):
-            mouse = workload.build()
-            start = time.perf_counter_ns()
-            mouse.run(compiled=compiled)
-            total_ns += time.perf_counter_ns() - start
-            instructions += mouse.ledger.breakdown.instructions
-        return total_ns / instructions, instructions // reps
+    def runs(n: int, compiled):
+        mice = [workload.build() for _ in range(n)]
+        return lambda: mice.pop().run(compiled=compiled)
 
-    reps, ref_reps = (10, 3) if quick else (50, 10)
-    ns, n_instr = per_instruction(reps, None)
-    ref_ns, _ = per_instruction(ref_reps, False)
+    reps, ref_reps = (25, 5) if quick else (50, 10)
+    ns, ref_ns = _time_pair_ns(
+        runs(reps, None), runs(ref_reps, False), reps, ref_reps, warmup=False
+    )
     return BenchResult(
         op="compiled_step_instruction",
         config={"workload": workload.name, "instructions": n_instr},
         reps=reps,
-        ns_per_op=ns,
+        ns_per_op=ns / n_instr,
         baseline="scalar_interpreter",
-        baseline_ns_per_op=ref_ns,
+        baseline_ns_per_op=ref_ns / n_instr,
     )
 
 
@@ -297,13 +302,25 @@ def bench_compiled_intermittent_replay(quick: bool) -> BenchResult:
     )
 
 
+def _interpreted(fn):
+    """``fn()`` with compiled plans off, so every run it makes steps the
+    scalar interpreter."""
+    from repro import compilejit
+
+    was = compilejit.enabled()
+    compilejit.set_enabled(False)
+    try:
+        return fn()
+    finally:
+        compilejit.set_enabled(was)
+
+
 def _bench_campaign(op: str, plan, quick: bool) -> BenchResult:
     """An 8-trial campaign on the adder under ``plan``: trials as rows
     of one compiled batch vs the same campaign with compiled plans off,
     where every trial steps the interpreter referee.  ns per campaign;
     the two reports are asserted byte-identical before timing, and the
     two sides' batches alternate (:func:`_time_pair_ns`)."""
-    from repro import compilejit
     from repro.devices.parameters import MODERN_STT
     from repro.faults import FaultCampaign, adder_workload
 
@@ -311,11 +328,7 @@ def _bench_campaign(op: str, plan, quick: bool) -> BenchResult:
     campaign = FaultCampaign(workload, plan, trials=8, seed=3)
 
     def referee():
-        compilejit.set_enabled(False)
-        try:
-            return campaign.run(jobs=1)
-        finally:
-            compilejit.set_enabled(True)
+        return _interpreted(lambda: campaign.run(jobs=1))
 
     if campaign.run(jobs=1).to_json() != referee().to_json():
         raise AssertionError(f"{op}: batched trials diverge from the interpreter")
@@ -357,14 +370,66 @@ def bench_compiled_outage_trials(quick: bool) -> BenchResult:
 
 
 # ----------------------------------------------------------------------
-# Batch-64 classification: lock-step engine vs serial Python loop
+# Batch-64 classification: lock-step engine vs the serial interpreter
 # ----------------------------------------------------------------------
 
 _BATCH = 64
+#: The inputs the classify rows' referee runs on the interpreter: a
+#: fixed subset, since one interpreted sample costs about 400 batched
+#: ones, and all 64 would take 4–13 s per timed call.
+_REFEREE_SAMPLES = slice(0, _BATCH, 32)
+
+
+def _bench_classify(op: str, batch, serial, compiled, quick: bool) -> BenchResult:
+    """A batch-64 classifier, ns per sample: one lock-step pass against
+    the serial loop on :data:`_REFEREE_SAMPLES` with compiled plans off
+    (``Mouse.run`` on the interpreter).  ``batch(samples)`` and
+    ``serial(samples)`` run the two drivers of
+    :mod:`repro.perf.inference` on the given inputs.  The batch must
+    equal the full 64-sample compiled serial loop, and the referee's
+    subset the same samples of the batch, in every prediction and
+    ledger, before anything is timed; the two sides' batches alternate
+    (:func:`_time_pair_ns`)."""
+    every = slice(None)
+
+    def referee():
+        return _interpreted(lambda: serial(_REFEREE_SAMPLES))
+
+    result = batch(every)
+    loop = serial(every)
+    if not np.array_equal(result.predictions, loop.predictions):
+        raise AssertionError(f"{op}: batched predictions diverge from serial loop")
+    if result.breakdowns != loop.breakdowns:
+        raise AssertionError(f"{op}: batched ledgers diverge from serial loop")
+    interpreted = referee()
+    picked = range(_BATCH)[_REFEREE_SAMPLES]
+    if not np.array_equal(
+        interpreted.predictions, result.predictions[_REFEREE_SAMPLES]
+    ) or interpreted.breakdowns != tuple(result.breakdowns[i] for i in picked):
+        raise AssertionError(f"{op}: batched results diverge from the interpreter")
+
+    reps = 10 if quick else 30
+    ns, ref_ns = _time_pair_ns(
+        lambda: batch(every), referee, reps, 5, warmup=False
+    )
+    return BenchResult(
+        op=op,
+        config={
+            "batch": _BATCH,
+            "instructions": len(compiled.program),
+            "rows": compiled.rows,
+            "referee_samples": len(picked),
+        },
+        reps=reps,
+        ns_per_op=ns / _BATCH,
+        baseline="serial_interpreter",
+        baseline_ns_per_op=ref_ns / len(picked),
+    )
 
 
 def bench_classify_svm(quick: bool) -> BenchResult:
-    """Batch-64 SVM decisions: one lock-step pass vs 64 serial runs."""
+    """Batch-64 SVM decisions: one lock-step pass vs interpreted runs
+    (:func:`_bench_classify`)."""
     from repro.compile.classifier import compile_svm_decision
     from repro.perf.inference import svm_classify_batch, svm_classify_serial
 
@@ -383,42 +448,18 @@ def bench_classify_svm(quick: bool) -> BenchResult:
     coef_int = np.array([2])
     offset = 1
     X = rng.integers(0, 8, size=(_BATCH, 2))
-
-    batch = svm_classify_batch(compiled, sv_int, coef_int, offset, X)
-    serial = svm_classify_serial(compiled, sv_int, coef_int, offset, X)
-    if not np.array_equal(batch.predictions, serial.predictions):
-        raise AssertionError("batched SVM predictions diverge from serial loop")
-    if batch.breakdowns != serial.breakdowns:
-        raise AssertionError("batched SVM ledgers diverge from serial loop")
-
-    # The batched pass is cheap (~1 ms) while the serial referee is ~100x
-    # that, so give the fast side enough reps for the min-of-batches
-    # estimator to filter scheduler noise; one serial pass is plenty.
-    reps = 10 if quick else 30
-    ns = _time_ns(
-        lambda: svm_classify_batch(compiled, sv_int, coef_int, offset, X), reps
-    ) / _BATCH
-    ref_ns = _time_ns(
-        lambda: svm_classify_serial(compiled, sv_int, coef_int, offset, X),
-        1,
-        warmup=False,
-    ) / _BATCH
-    return BenchResult(
-        op="classify_svm_batch64",
-        config={
-            "batch": _BATCH,
-            "instructions": len(compiled.program),
-            "rows": compiled.rows,
-        },
-        reps=reps,
-        ns_per_op=ns,
-        baseline="serial_loop",
-        baseline_ns_per_op=ref_ns,
+    return _bench_classify(
+        "classify_svm_batch64",
+        lambda at: svm_classify_batch(compiled, sv_int, coef_int, offset, X[at]),
+        lambda at: svm_classify_serial(compiled, sv_int, coef_int, offset, X[at]),
+        compiled,
+        quick,
     )
 
 
 def bench_classify_bnn(quick: bool) -> BenchResult:
-    """Batch-64 BNN output-layer argmax: lock-step vs 64 serial runs."""
+    """Batch-64 BNN output-layer argmax: one lock-step pass vs
+    interpreted runs (:func:`_bench_classify`)."""
     from repro.compile.classifier import compile_bnn_output
     from repro.perf.inference import (
         bnn_output_predict_batch,
@@ -430,34 +471,12 @@ def bench_classify_bnn(quick: bool) -> BenchResult:
     weights01 = rng.integers(0, 2, size=(8, 3))
     biases = rng.integers(0, 8, size=3)
     X_bits = rng.integers(0, 2, size=(_BATCH, 8))
-
-    batch = bnn_output_predict_batch(compiled, weights01, biases, X_bits)
-    serial = bnn_output_predict_serial(compiled, weights01, biases, X_bits)
-    if not np.array_equal(batch.predictions, serial.predictions):
-        raise AssertionError("batched BNN predictions diverge from serial loop")
-    if batch.breakdowns != serial.breakdowns:
-        raise AssertionError("batched BNN ledgers diverge from serial loop")
-
-    reps = 10 if quick else 30  # cheap fast side, see bench_classify_svm
-    ns = _time_ns(
-        lambda: bnn_output_predict_batch(compiled, weights01, biases, X_bits), reps
-    ) / _BATCH
-    ref_ns = _time_ns(
-        lambda: bnn_output_predict_serial(compiled, weights01, biases, X_bits),
-        1,
-        warmup=False,
-    ) / _BATCH
-    return BenchResult(
-        op="classify_bnn_batch64",
-        config={
-            "batch": _BATCH,
-            "instructions": len(compiled.program),
-            "rows": compiled.rows,
-        },
-        reps=reps,
-        ns_per_op=ns,
-        baseline="serial_loop",
-        baseline_ns_per_op=ref_ns,
+    return _bench_classify(
+        "classify_bnn_batch64",
+        lambda at: bnn_output_predict_batch(compiled, weights01, biases, X_bits[at]),
+        lambda at: bnn_output_predict_serial(compiled, weights01, biases, X_bits[at]),
+        compiled,
+        quick,
     )
 
 

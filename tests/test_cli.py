@@ -354,9 +354,14 @@ class TestResume:
             ("names", [3]),
             ("jobs", "x"),
             ("seed", [1]),
+            ("seed", -1),
+            ("seed", 2**32),
             ("events", 7),
         ],
-        ids=["names-int", "names-ints", "jobs-str", "seed-list", "events-int"],
+        ids=[
+            "names-int", "names-ints", "jobs-str", "seed-list",
+            "seed-negative", "seed-past-2**32", "events-int",
+        ],
     )
     def test_malformed_field_names_it(self, tmp_path, replayed, field, value):
         from repro.__main__ import _write_session
@@ -420,5 +425,6 @@ class TestResume:
                 value = getattr(args, key)
                 assert value is None or type(value) is int
             assert args.jobs is None or args.jobs >= 0
+            assert args.seed is None or 0 <= args.seed < 2**32
             assert set(SESSION_KEYS) <= set(vars(args))
         assert 0 < refused < 150

@@ -217,6 +217,14 @@ OUT_OF_RANGE = [
     (REPLAY + ["--budget", "-1"], "--budget"),
     (["bench", "--compare", BENCH_REPORT, BENCH_REPORT, "--threshold", "-1"],
      "--threshold"),
+    (["run", "table-i-idempotency", "--seed", "-1"], "--seed"),
+    (["run", "table-i-idempotency", "--seed", str(2**32)], "--seed"),
+    (["faults", "--workload", "adder", "--trials", "2", "--seed", "-1"],
+     "--seed"),
+    (["harden", "--workloads", "bnn", "--levels", "0", "1", "--seed", "-1"],
+     "--seed"),
+    (["env", "describe", "solar", "--seed", "-5"], "--seed"),
+    (REPLAY + ["--seed", "-1"], "--seed"),
 ]
 
 
@@ -285,6 +293,13 @@ class TestArgumentBounds:
                 },
             ),
             (["bench", "--threshold", "0"], {"threshold": 0.0}),
+            (["run", "x", "--seed", "0"], {"seed": 0}),
+            (["run", "x", "--seed", str(2**32 - 1)], {"seed": 2**32 - 1}),
+            (["faults", "--seed", "0"], {"seed": 0}),
+            (["faults", "--seed", str(2**40)], {"seed": 2**40}),
+            (["harden", "--seed", "0"], {"seed": 0}),
+            (["env", "describe", "solar", "--seed", "0"], {"seed": 0}),
+            (REPLAY + ["--seed", str(2**40)], {"seed": 2**40}),
         ]
         for argv, expected in cases:
             args = _parse_args(parser, argv)

@@ -9,13 +9,22 @@ accepts runs on all three technologies through each compiled executor
 and is compared with its referee:
 
 * ``Mouse.run()`` against ``Mouse.run(compiled=False)``;
-* ``BatchedMouse`` against the per-sample serial interpreter;
+* ``BatchedMouse`` of 4 samples and of 1 against the per-sample serial
+  interpreter;
 * the fused intermittent loop against the scalar ``IntermittentRun``,
   at capacitances small enough to force outages, under a constant, a
   sinusoidal and two burst-trace harvesters, one of them with a dead
   tail (only replay-stable plans take the fused path); a subset also
   runs on leaky and ESR buffers and under host checkpointers, whose
   NVImages must match byte for byte.
+
+A second generator draws programs for a wider bank whose active sets
+are ranges of 7 or 8 columns or sets of 5 with a gap (an ACTIVATE
+names at most 5 columns), so gates and presets sit on both sides of
+the per-cell limit (``plan.CELL_COLUMNS``).  Spies on the
+executor's gate and preset helpers show which form ran where: per cell
+in the continuous, fused intermittent and batch-of-1 executors, NumPy
+in batches of 4, on sets of 8 or more columns and in broadcast gates.
 
 Breakdowns are compared with float ``==`` and tile states with array
 equality, never a tolerance.
@@ -30,8 +39,17 @@ import pytest
 
 from repro import compilejit
 from repro.array.bank import BROADCAST_TILE
+from repro.compilejit import exec as exec_module
 from repro.compilejit import plan as plan_module
-from repro.compilejit.plan import PlanUnsupported, compile_program
+from repro.compilejit.plan import (
+    CELL_COLUMNS,
+    K_L1P,
+    K_L1S,
+    K_LN,
+    K_PRESET,
+    PlanUnsupported,
+    compile_program,
+)
 from repro.core.accelerator import Mouse
 from repro.core.program import Program
 from repro.devices import ALL_TECHNOLOGIES
@@ -53,11 +71,17 @@ from repro.isa.instruction import (
     LogicInstruction,
     MemoryInstruction,
 )
+from repro.isa.encoding import MAX_ACTIVATE_COLUMNS
 from repro.isa.opcodes import Opcode
 from repro.logic.library import GATE_LIBRARY
 from repro.perf.batched import BatchedMouse
 
 ROWS, COLS, N_TILES = 16, 8, 2
+#: The bank of the boundary programs: wide enough to place ranges of
+#: CELL_COLUMNS and CELL_COLUMNS + 1 columns at several offsets.
+WIDE_COLS = 12
+#: Boundary programs drawn per seed.
+WIDE_PROGRAMS_PER_SEED = 8
 #: Seeds, and compilable programs drawn per seed.  The generator is
 #: lint-clean by construction (400 of 400 candidates compiled at seed
 #: 123, 256 of them replay-stable); the compile filter stays as a guard.
@@ -147,23 +171,41 @@ def _gate(rng, tile: int) -> list:
     ]
 
 
-def _candidate(rng) -> Program:
+def _boundary_activate(rng, tile: int) -> ActivateColumnsInstruction:
+    """An activation on the wide bank: a bulk range of CELL_COLUMNS or
+    CELL_COLUMNS + 1 columns, or a set of MAX_ACTIVATE_COLUMNS columns
+    with a gap.  An ACTIVATE names at most MAX_ACTIVATE_COLUMNS
+    addresses, fewer than CELL_COLUMNS, so every non-contiguous set has
+    a per-cell form and only ranges reach the limit."""
+    shape = int(rng.integers(3))
+    if shape < 2:
+        n = CELL_COLUMNS + shape
+        first = int(rng.integers(WIDE_COLS - n + 1))
+        return ActivateColumnsInstruction(tile, (first, first + n - 1), bulk=True)
+    n = MAX_ACTIVATE_COLUMNS
+    first = int(rng.integers(WIDE_COLS - n))
+    gap = first + int(rng.integers(1, n))
+    cols = tuple(c for c in range(first, first + n + 1) if c != gap)
+    return ActivateColumnsInstruction(tile, cols)
+
+
+def _candidate(rng, activate=_activate) -> Program:
     """One random program.  In *stable* programs every masked
     instruction targets only the tiles the latest ACTIVATE latched, so
     an outage's single-register re-issue restores the same masks and
     the plan is replay-stable; the others keep earlier latches live."""
     stable = bool(rng.integers(2))
     first = int(rng.choice([0, 1, BROADCAST_TILE]))
-    instructions = [_activate(rng, first)]
+    instructions = [activate(rng, first)]
     live = set(_covered(first))
     if not stable and first != BROADCAST_TILE:
-        instructions.append(_activate(rng, 1 - first))
+        instructions.append(activate(rng, 1 - first))
         live = {0, 1}
     for _ in range(int(rng.integers(4, 12))):
         kind = int(rng.integers(5))
         if kind == 0:
             tile = int(rng.choice([0, 1, BROADCAST_TILE]))
-            instructions.append(_activate(rng, tile))
+            instructions.append(activate(rng, tile))
             live = set(_covered(tile)) if stable else live | set(_covered(tile))
         elif kind == 1:
             source = int(rng.integers(N_TILES))
@@ -184,22 +226,35 @@ def _candidate(rng) -> Program:
 @lru_cache(maxsize=None)
 def _programs(seed: int) -> tuple:
     """``PROGRAMS_PER_SEED`` compilable programs and their tile contents."""
+    return _draw(seed, PROGRAMS_PER_SEED, COLS, _activate)
+
+
+@lru_cache(maxsize=None)
+def _wide_programs(seed: int) -> tuple:
+    """``WIDE_PROGRAMS_PER_SEED`` compilable boundary programs for the
+    ``WIDE_COLS`` bank and their tile contents."""
+    return _draw(seed, WIDE_PROGRAMS_PER_SEED, WIDE_COLS, _boundary_activate)
+
+
+def _draw(seed: int, count: int, cols: int, activate) -> tuple:
     rng = np.random.default_rng(seed)
     cost = InstructionCostModel(ALL_TECHNOLOGIES[0])
     accepted = []
-    while len(accepted) < PROGRAMS_PER_SEED:
-        program = _candidate(rng)
+    while len(accepted) < count:
+        program = _candidate(rng, activate)
         try:
-            plan = compile_program(program, cost, N_TILES, ROWS, COLS)
+            plan = compile_program(program, cost, N_TILES, ROWS, cols)
         except PlanUnsupported:
             continue
-        states = rng.integers(0, 2, size=(BATCH, N_TILES, ROWS, COLS)).astype(bool)
+        states = rng.integers(0, 2, size=(BATCH, N_TILES, ROWS, cols)).astype(bool)
         accepted.append((program, plan, states))
     return tuple(accepted)
 
 
 def _mouse(tech, program: Program, states: np.ndarray) -> Mouse:
-    mouse = Mouse(tech, n_data_tiles=N_TILES, rows=ROWS, cols=COLS)
+    mouse = Mouse(
+        tech, n_data_tiles=N_TILES, rows=ROWS, cols=states.shape[-1]
+    )
     for tile, state in zip(mouse.bank.data_tiles, states):
         tile.state[...] = state
     mouse.load(program)
@@ -218,11 +273,10 @@ def _assert_tiles_equal(mice, key) -> None:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("tech", ALL_TECHNOLOGIES, ids=TECH_IDS)
-@pytest.mark.parametrize("seed", SEEDS)
-def test_continuous_plan_matches_interpreter(seed, tech):
-    for index, (program, _, states) in enumerate(_programs(seed)):
-        key = (seed, tech.name, index)
+def _continuous_matches(key0, tech, entries) -> None:
+    """``Mouse.run()`` of each program equals ``run(compiled=False)``."""
+    for index, (program, _, states) in enumerate(entries):
+        key = key0 + (index,)
         before = compilejit.stats_snapshot()["compiled_runs"]
         fast = _mouse(tech, program, states[0])
         fast.run()
@@ -239,26 +293,58 @@ def test_continuous_plan_matches_interpreter(seed, tech):
         ), key
 
 
-@pytest.mark.parametrize("tech", ALL_TECHNOLOGIES, ids=TECH_IDS)
-@pytest.mark.parametrize("seed", SEEDS)
-def test_batched_plan_matches_serial_interpreter(seed, tech):
-    for index, (program, _, states) in enumerate(_programs(seed)):
-        key = (seed, tech.name, index)
+def _batched_matches(key0, tech, entries, batch: int) -> None:
+    """A ``BatchedMouse`` of the first ``batch`` tile contents of each
+    program equals the serial interpreter on every sample."""
+    for index, (program, _, states) in enumerate(entries):
+        key = key0 + (index, batch)
+        cols = states.shape[-1]
         machine = BatchedMouse(
-            tech, batch=BATCH, n_data_tiles=N_TILES, rows=ROWS, cols=COLS
+            tech, batch=batch, n_data_tiles=N_TILES, rows=ROWS, cols=cols
         )
         for t, tile in enumerate(machine.tiles):
-            tile.state[...] = states[:, t]
+            tile.state[...] = states[:batch, t]
         machine.load(program)
         before = compilejit.stats_snapshot()["compiled_runs"]
         ledger = machine.run()
         assert compilejit.stats_snapshot()["compiled_runs"] == before + 1, key
-        for sample in range(BATCH):
+        for sample in range(batch):
             ref = _mouse(tech, program, states[sample])
             ref.run(compiled=False)
             assert ledger.breakdown(sample) == ref.ledger.breakdown, (key, sample)
             for tile, ref_tile in zip(machine.tiles, ref.bank.data_tiles):
                 assert np.array_equal(tile.state[sample], ref_tile.state), (key, sample)
+
+
+@pytest.mark.parametrize("tech", ALL_TECHNOLOGIES, ids=TECH_IDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_continuous_plan_matches_interpreter(seed, tech):
+    _continuous_matches((seed, tech.name), tech, _programs(seed))
+
+
+@pytest.mark.parametrize("tech", ALL_TECHNOLOGIES, ids=TECH_IDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batched_plan_matches_serial_interpreter(seed, tech):
+    _batched_matches((seed, tech.name), tech, _programs(seed), BATCH)
+
+
+@pytest.mark.parametrize("tech", ALL_TECHNOLOGIES, ids=TECH_IDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batch_of_one_matches_serial_interpreter(seed, tech):
+    """A batch of one sample runs the per-cell forms, as a Mouse does."""
+    _batched_matches((seed, tech.name), tech, _programs(seed), 1)
+
+
+@pytest.mark.parametrize("tech", ALL_TECHNOLOGIES, ids=TECH_IDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_boundary_programs_match_interpreter(seed, tech):
+    """Active sets of CELL_COLUMNS and CELL_COLUMNS + 1 columns,
+    contiguous or not, continuous and in batches of 1 and 4."""
+    key0 = (seed, tech.name, "wide")
+    entries = _wide_programs(seed)
+    _continuous_matches(key0, tech, entries)
+    for batch in (1, BATCH):
+        _batched_matches(key0, tech, entries, batch)
 
 
 def _source(kind: str, watts: float, charge_time: float, seed: int):
@@ -401,10 +487,7 @@ def test_fused_intermittent_matches_scalar_run(seed, tech):
     degraded = 0
     stable = [entry for entry in _programs(seed) if entry[1].replay_stable]
     for index, (program, _, states) in enumerate(stable):
-        continuous = _mouse(tech, program, states[0])
-        continuous.run(compiled=False)
-        b = continuous.ledger.breakdown
-        per_instruction = (b.compute_energy + b.backup_energy) / b.instructions
+        per_instruction = _per_instruction(tech, program, states[0])
         for n_window in WINDOW_INSTRUCTIONS:
             for kind in SOURCES:
                 key = (seed, tech.name, index, n_window, kind)
@@ -435,29 +518,303 @@ def test_fused_intermittent_matches_scalar_run(seed, tech):
     assert degraded > 0
 
 
+def _per_instruction(tech, program, states) -> float:
+    """Mean instruction energy of one interpreted run."""
+    continuous = _mouse(tech, program, states)
+    continuous.run(compiled=False)
+    b = continuous.ledger.breakdown
+    return (b.compute_energy + b.backup_energy) / b.instructions
+
+
+@pytest.mark.parametrize("tech", ALL_TECHNOLOGIES, ids=TECH_IDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_boundary_fused_intermittent_matches_scalar_run(seed, tech):
+    """The boundary programs' fused runs under every window and source."""
+    restarts = 0
+    for index, (program, plan, states) in enumerate(_wide_programs(seed)):
+        if not plan.replay_stable:
+            continue
+        per_instruction = _per_instruction(tech, program, states[0])
+        for n_window in WINDOW_INSTRUCTIONS:
+            for kind in SOURCES:
+                key = (seed, tech.name, "wide", index, n_window, kind)
+                args = (tech, program, states[0], per_instruction, n_window)
+                restarts += _fused_matches_scalar(key, *args, kind, seed)[2].restarts
+    assert restarts > 0
+
+
+# ----------------------------------------------------------------------
+# Per-cell and NumPy forms
+# ----------------------------------------------------------------------
+
+
+def test_numpy_sums_fewer_than_eight_float64_left_to_right():
+    """A per-cell gate energy equals the NumPy form's (and
+    ``Tile.logic_op``'s) only while NumPy sums up to CELL_COLUMNS
+    float64 values left to right from 0.0; from 8 values on it sums
+    pairwise.  A NumPy that changes either order fails here, naming
+    the cause."""
+    rng = np.random.default_rng(0)
+    for n in range(1, CELL_COLUMNS + 1):
+        for _ in range(2000):
+            vals = rng.random(n) * 10.0 ** rng.integers(-20, 5, n)
+            total = 0.0
+            for v in vals.tolist():
+                total += v
+            assert float(vals.sum(axis=-1)) == total, (n, vals.tolist())
+    wide = np.array([1.0] + [1e-16] * CELL_COLUMNS)
+    total = 0.0
+    for v in wide.tolist():
+        total += v
+    assert total == 1.0
+    assert float(wide.sum(axis=-1)) != total
+
+
+def _width(gate) -> int:
+    sel = gate[6]
+    return sel.stop - sel.start if gate[0] == K_L1S else len(sel)
+
+
+def _all_gates(plan) -> list:
+    """Every gate ``plan`` applies, in order: single-tile ops and the
+    gates of each broadcast op."""
+    gates = []
+    for op in plan.ops:
+        if op[0] in (K_L1S, K_L1P):
+            gates.append(op)
+        elif op[0] == K_LN:
+            gates.extend(op[3])
+    return gates
+
+
+def _gates(plan):
+    """``(per-cell, NumPy)`` gates one single-sample pass of ``plan``
+    applies, in order: single-tile gates with a per-cell form, and the
+    others with every gate of a broadcast op."""
+    gates = _all_gates(plan)
+    return (
+        [op for op in gates if op[8] is not None],
+        [op for op in gates if op[8] is None],
+    )
+
+
+def _preset_sets(plan) -> list:
+    """The column tuples of the preset sets with a per-cell form."""
+    return [
+        cols
+        for op in plan.ops
+        if op[0] == K_PRESET
+        for _, _, _, cols, _ in op[2]
+        if cols is not None
+    ]
+
+
+class _FormSpy:
+    """Records every gate and preset set the executors apply, by form:
+    the ops given to ``_cell_gate`` and to the NumPy ``_slice_gate`` /
+    ``_index_gate``, and the columns given to ``_cell_preset``."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.cell: list = []
+        self.numpy: list = []
+        self.presets: list = []
+        for name, log in (
+            ("_cell_gate", self.cell),
+            ("_slice_gate", self.numpy),
+            ("_index_gate", self.numpy),
+        ):
+            real = getattr(exec_module, name)
+
+            def spy(op, *args, _real=real, _log=log):
+                _log.append(op)
+                return _real(op, *args)
+
+            monkeypatch.setattr(exec_module, name, spy)
+        real_preset = exec_module._cell_preset
+
+        def preset(mv, base, cols, value):
+            self.presets.append(cols)
+            return real_preset(mv, base, cols, value)
+
+        monkeypatch.setattr(exec_module, "_cell_preset", preset)
+
+    def clear(self) -> None:
+        self.cell.clear()
+        self.numpy.clear()
+        self.presets.clear()
+
+
+def _ids(ops) -> list:
+    """Each gate as ``(kind, slot, tile, output row)``: equal across the
+    plans one program compiles to, one per cost model."""
+    return [(op[0], op[1], op[3], op[5]) for op in ops]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_forms_per_executor(seed, monkeypatch):
+    """Per cell in the continuous, batch-of-1 and fused intermittent
+    executors; NumPy in batches of 4, on single-tile sets of more than
+    CELL_COLUMNS columns and in broadcast gates."""
+    tech = ALL_TECHNOLOGIES[0]
+    spy = _FormSpy(monkeypatch)
+    wide_numpy = 0
+    for entries in (_programs(seed), _wide_programs(seed)):
+        for program, plan, states in entries:
+            cell, numpy_ = _gates(plan)
+            presets = _preset_sets(plan)
+            assert all(_width(op) <= CELL_COLUMNS for op in cell)
+            assert all(
+                op[1] is None or _width(op) > CELL_COLUMNS for op in numpy_
+            )
+            assert all(len(cols) <= CELL_COLUMNS for cols in presets)
+            wide_numpy += sum(op[1] is not None for op in numpy_)
+
+            spy.clear()
+            _mouse(tech, program, states[0]).run()
+            assert _ids(spy.cell) == _ids(cell)
+            assert _ids(spy.numpy) == _ids(numpy_)
+            assert spy.presets == presets
+
+            for batch in (1, BATCH):
+                spy.clear()
+                machine = BatchedMouse(
+                    tech, batch=batch, n_data_tiles=N_TILES, rows=ROWS,
+                    cols=states.shape[-1],
+                )
+                for t, tile in enumerate(machine.tiles):
+                    tile.state[...] = states[:batch, t]
+                machine.load(program)
+                machine.run()
+                if batch == 1:
+                    assert _ids(spy.cell) == _ids(cell)
+                    assert _ids(spy.numpy) == _ids(numpy_)
+                    assert spy.presets == presets
+                else:
+                    assert spy.cell == [] and spy.presets == []
+                    assert _ids(spy.numpy) == _ids(_all_gates(plan))
+
+            if not plan.replay_stable:
+                continue
+            per_instruction = _per_instruction(tech, program, states[0])
+            spy.clear()
+            _, run, b, err, _ = _intermittent(
+                tech, program, states[0], per_instruction,
+                WINDOW_INSTRUCTIONS[-1], "constant", seed,
+            )
+            # Replays after an outage apply an op again, in its form.
+            assert set(_ids(spy.cell)) == set(_ids(cell)), err
+            assert set(_ids(spy.numpy)) == set(_ids(numpy_)), err
+            assert set(spy.presets) == set(presets), err
+    assert wide_numpy > 0
+
+
+def test_flat_views_are_released_when_a_run_returns_or_raises(monkeypatch):
+    """The executors' flat views never outlive a continuous, fused or
+    batch-of-1 run, whether it returns or raises; a state that is not
+    C-contiguous gets none."""
+    tech = ALL_TECHNOLOGIES[0]
+    made = []
+    real_views = exec_module.flat_views
+
+    def views(states):
+        flat = real_views(states)
+        made.append(flat)
+        return flat
+
+    monkeypatch.setattr(exec_module, "flat_views", views)
+    program, plan, states = next(
+        entry for entry in _programs(0)
+        if entry[1].replay_stable and _gates(entry[1])[0]
+    )
+
+    def released() -> bool:
+        for flat in made:
+            for mv in flat:
+                with pytest.raises(ValueError):
+                    mv.tobytes()
+        return bool(made)
+
+    def batch_of_one():
+        machine = BatchedMouse(
+            tech, batch=1, n_data_tiles=N_TILES, rows=ROWS, cols=COLS
+        )
+        for t, tile in enumerate(machine.tiles):
+            tile.state[...] = states[:1, t]
+        machine.load(program)
+        machine.run()
+
+    per_instruction = _per_instruction(tech, program, states[0])
+    runs = (
+        lambda: _mouse(tech, program, states[0]).run(),
+        lambda: _intermittent(
+            tech, program, states[0], per_instruction,
+            WINDOW_INSTRUCTIONS[-1], "constant", 0,
+        ),
+        batch_of_one,
+    )
+    for run in runs:
+        made.clear()
+        run()
+        assert released()
+
+    def broken(op, mv):
+        raise RuntimeError("gate failed")
+
+    monkeypatch.setattr(exec_module, "_cell_gate", broken)
+    for run in runs:
+        made.clear()
+        with pytest.raises(RuntimeError, match="gate failed"):
+            run()
+        assert released()
+    assert real_views([np.zeros((ROWS, 2 * COLS), dtype=bool)[:, ::2]]) is None
+
+
 # ----------------------------------------------------------------------
 # Coverage
 # ----------------------------------------------------------------------
 
+#: Every (op kind, form) pair a plan can hold; a preset counts once per
+#: tile set.  A single-tile K_L1P always has a per-cell form: its set is
+#: non-contiguous, and an ACTIVATE names at most MAX_ACTIVATE_COLUMNS
+#: columns.
+ALL_FORMS = {(kind, "numpy") for kind in ALL_KINDS - {K_L1P}} | {
+    (K_L1S, "cell"),
+    (K_L1P, "cell"),
+    (K_PRESET, "cell"),
+}
 
-def _kinds(plan) -> set:
-    return {op[0] for op in plan.ops}
+
+def _forms(plan) -> set:
+    forms = set()
+    for op in plan.ops:
+        if op[0] in (K_L1S, K_L1P):
+            forms.add((op[0], "numpy" if op[8] is None else "cell"))
+        elif op[0] == K_PRESET:
+            forms |= {
+                (K_PRESET, "numpy" if cols is None else "cell")
+                for _, _, _, cols, _ in op[2]
+            }
+        else:
+            forms.add((op[0], "numpy"))
+    return forms
 
 
 def test_every_plan_op_kind_is_exercised():
-    """Every op kind reaches the continuous and batched executors
-    (every accepted program) and the fused intermittent executor (the
-    replay-stable ones)."""
+    """Every op kind, in each form it has, reaches the continuous and
+    batched executors (every accepted program) and the fused
+    intermittent executor (the replay-stable ones)."""
+    assert MAX_ACTIVATE_COLUMNS < CELL_COLUMNS
     every, stable = set(), set()
     n_stable = 0
     for seed in SEEDS:
         programs = _programs(seed)
         assert len(programs) == PROGRAMS_PER_SEED
-        for _, plan, _ in programs:
-            every |= _kinds(plan)
+        for _, plan, _ in programs + _wide_programs(seed):
+            every |= _forms(plan)
             if plan.replay_stable:
                 n_stable += 1
-                stable |= _kinds(plan)
-    assert every == ALL_KINDS, sorted(ALL_KINDS - every)
-    assert stable == ALL_KINDS, sorted(ALL_KINDS - stable)
+                stable |= _forms(plan)
+    assert every == ALL_FORMS, sorted(ALL_FORMS ^ every)
+    assert stable == ALL_FORMS, sorted(ALL_FORMS ^ stable)
+    assert {kind for kind, _ in every} == ALL_KINDS
     assert n_stable >= N_SEEDS, n_stable

@@ -40,7 +40,7 @@ from repro.lint import (
     worst_gate_energy,
 )
 from repro.lint import cost as cost_module
-from repro.lint.cost import pricing_keys
+from repro.lint.cost import pricing_keys, program_energy_bound
 from repro.lint.passes import _diag, _masked_column_count, iter_with_masks
 from repro.logic.gates import gate_energy
 from repro.logic.library import GATE_LIBRARY, gate_by_name
@@ -502,6 +502,9 @@ class TestMatchesPerInstructionLoop:
                 assert got.text == want.text
             # What harden.overhead_summary adds up.
             assert sum(b.total for b in fast) == sum(b.total for b in slow)
+            assert program_energy_bound(program, config, cost) == sum(
+                b.total for b in slow
+            )
 
     @pytest.mark.parametrize("case", subject_programs())
     def test_diagnostics_under_starved_and_snug_buffers(self, case):
