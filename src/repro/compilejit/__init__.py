@@ -3,11 +3,12 @@
 ``repro.compilejit`` compiles a linted :class:`~repro.core.program.
 Program` into a fused plan — per-instruction kernel tables,
 precomputed column-index gathers, and closed-form energy terms — and
-executes whole runs through one op switch without the interpreter's
-microstep machine.  Every op has a NumPy form; a gate or preset on at
-most ``plan.CELL_COLUMNS`` columns also has a per-cell form, which an
-executor holding one sample applies one cell at a time with Python
-ints.
+executes whole runs without the interpreter's microstep machine.  On
+one machine, every op has a NumPy form, and a gate or preset on at
+most ``plan.CELL_COLUMNS`` columns also has a per-cell form, applied
+one cell at a time with Python ints.  A lock-step batch holds each
+tile row as one Python int, one bit per (sample, column), so every op
+is a few bitwise ops whatever the batch size.
 
 The scalar :class:`~repro.core.controller.MemoryController` microstep
 machine is kept verbatim as the referee: every compiled path reproduces
@@ -19,8 +20,8 @@ sinks, lint-rejected programs — falls back to the interpreter; a host
 checkpointer rides the fused intermittent loop, which calls its hooks
 where the scalar loop does.  A fault campaign that does not mix gate
 flips with other faults keeps its trials on the plan: they run as the
-rows of one batch, with each trial's faults laid over its row after
-each op (:mod:`repro.faults.campaign`).
+samples of one batch, with each trial's faults laid over its bits of
+the packed rows after each op (:mod:`repro.faults.campaign`).
 
 Execution tiers (see docs/PERFORMANCE.md):
 
@@ -30,10 +31,11 @@ Execution tiers (see docs/PERFORMANCE.md):
    (program, technology, bank geometry), cached on the Program, drives
    continuous ``Mouse`` runs, the fused intermittent window loop and
    lock-step ``BatchedMouse`` batches (fault campaign trials
-   included); every executor applies its ops through
-   :func:`repro.compilejit.exec.apply_op` on ``(rows, cols)`` or
-   ``(batch, rows, cols)`` tile states, per cell where it holds one
-   sample and the op has that form.
+   included).  The executors holding one machine apply its ops through
+   :func:`repro.compilejit.exec.apply_op` on ``(rows, cols)`` tile
+   states, per cell where the op has that form; a batch runs the
+   plan's packed-row ops (:meth:`CompiledPlan.packed`) in
+   :func:`repro.compilejit.exec.run_batched`.
 
 Harvest profiles (:class:`~repro.harvest.intermittent.ProfileRun`) are
 not CRAM programs and have one engine of their own: the switch and the

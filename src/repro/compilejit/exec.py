@@ -1,9 +1,11 @@
 """Compiled-plan executors: continuous power, intermittent windows and
 lock-step batches.
 
-All three apply the plan's ops through one function, :func:`apply_op`,
-and reproduce the scalar interpreters' ledger arithmetic bit for bit.
-The key identity: for IEEE-754 doubles,
+The two executors holding one machine apply the plan's ops through one
+function, :func:`apply_op`; a lock-step batch runs the plan's
+packed-row ops (:func:`run_batched`).  All three reproduce the scalar
+interpreters' ledger arithmetic bit for bit.  The key identity: for
+IEEE-754 doubles,
 
     np.add.accumulate(np.concatenate(([c0], vals)))[-1]
 
@@ -16,8 +18,7 @@ very same cost-model methods the interpreter calls; dynamic logic
 energies are produced by the same kernel-table gathers `Tile.logic_op`
 performs, in the same dtype and reduction order.
 
-An executor that holds one sample (a continuous ``Mouse`` run, the
-fused intermittent loop, a ``BatchedMouse`` of batch 1) also hands
+A continuous ``Mouse`` run and the fused intermittent loop also hand
 :func:`apply_op` one flat byte ``memoryview`` per tile state, and ops
 with a per-cell form (see :mod:`repro.compilejit.plan`) then run one
 cell at a time with Python ints.  A per-cell energy is summed left to
@@ -42,7 +43,17 @@ from repro.compilejit.plan import (
     K_PRESET,
     K_READ,
     K_WRITE,
+    P_ACT,
+    P_CLR,
+    P_G1,
+    P_G2,
+    P_GATES,
+    P_PRESET,
+    P_READ,
+    P_SET,
+    P_WRITE,
     CompiledPlan,
+    packed_gates,
     plan_for,
 )
 from repro.core.controller import InstructionBudgetExceeded, Phase, _NONE
@@ -87,13 +98,13 @@ def _slice_gate(op, states, views):
     ws, en, tgt = kern[0], kern[1], kern[2]
     vu = views[ti]
     if len(rows_t) == 1:
-        n1 = vu[..., rows_t[0], sl]
+        n1 = vu[rows_t[0], sl]
     else:
-        n1 = vu[..., rows_t[0], sl] + vu[..., rows_t[1], sl]
+        n1 = vu[rows_t[0], sl] + vu[rows_t[1], sl]
         for r in rows_t[2:]:
-            n1 += vu[..., r, sl]
-    states[ti][..., orow, sl][ws.take(n1)] = tgt
-    return en.take(n1).sum(axis=-1)
+            n1 += vu[r, sl]
+    states[ti][orow, sl][ws.take(n1)] = tgt
+    return en.take(n1).sum()
 
 
 def _index_gate(op, states):
@@ -102,12 +113,12 @@ def _index_gate(op, states):
     ti, mesh, orow, aidx, kern = op[3], op[4], op[5], op[6], op[7]
     ws, en, tgt = kern[0], kern[1], kern[2]
     st = states[ti]
-    n1 = st[mesh].sum(axis=-2)
-    out = st[..., orow, :]
-    cells = out[..., aidx]
+    n1 = st[mesh].sum(axis=0)
+    out = st[orow]
+    cells = out[aidx]
     cells[ws.take(n1)] = tgt
-    out[..., aidx] = cells
-    return en.take(n1).sum(axis=-1)
+    out[aidx] = cells
+    return en.take(n1).sum()
 
 
 def _cell_gate(op, mv):
@@ -150,22 +161,18 @@ def _cell_preset(mv, base, cols, value) -> None:
 
 
 def apply_op(op, states, views, tiles, cbuf, actreg, share, oms, flat=None):
-    """Apply one plan op to a machine and return its EXECUTE energy.
+    """Apply one plan op to one machine and return its EXECUTE energy.
 
-    ``states`` / ``views`` are the data tiles' bool arrays and their
-    uint8 views, shaped ``(rows, cols)`` for one machine or
-    ``(batch, rows, cols)`` for a lock-step batch (every index carries
-    a leading ``...`` and every reduction runs along ``axis=-1``, so
-    each sample sees the serial machine's gathers and pairwise sums);
-    ``cbuf`` is the transfer buffer, ``(cols,)`` or ``(batch, cols)``.
-    ``actreg`` is the activate register, or None for a batch.  ``flat``
-    is None, or, for an executor holding one sample, one flat byte
-    memoryview per tile state (:func:`flat_views`): a single-tile gate
-    or a preset set with a per-cell form then runs one cell at a time
-    through it, and every other op keeps its NumPy form.  A logic op's
-    energy comes back per sample (a Python float from the per-cell
-    form); every other op returns the plan's constant.  ``share`` /
-    ``oms`` are the plan's inlined peripheral-share terms.
+    ``states`` / ``views`` are the data tiles' ``(rows, cols)`` bool
+    arrays and their uint8 views; ``cbuf`` is the ``(cols,)`` transfer
+    buffer and ``actreg`` the activate register.  ``flat`` is None
+    (a state is not C-contiguous) or one flat byte memoryview per tile
+    state (:func:`flat_views`): a single-tile gate or a preset set with
+    a per-cell form then runs one cell at a time through it, and every
+    other op keeps its NumPy form.  A logic op's energy is a NumPy
+    scalar, or a Python float from the per-cell form; every other op
+    returns the plan's constant.  ``share`` / ``oms`` are the plan's
+    inlined peripheral-share terms.
     """
     k = op[0]
     if k == K_L1S or k == K_L1P:
@@ -181,14 +188,14 @@ def apply_op(op, states, views, tiles, cbuf, actreg, share, oms, flat=None):
             if flat is not None and cols is not None:
                 _cell_preset(flat[ti], base, cols, value)
             else:
-                states[ti][..., row, sel] = value
+                states[ti][row, sel] = value
         return op[1]
     elif k == K_READ:
-        cbuf[...] = states[op[2]][..., op[3], :]
+        cbuf[...] = states[op[2]][op[3]]
         return op[1]
     elif k == K_WRITE:
         for ti in op[2]:
-            states[ti][..., op[3], :] = cbuf
+            states[ti][op[3]] = cbuf
         return op[1]
     elif k == K_ACT:
         for ti, bulk, cols_t in op[3]:
@@ -196,9 +203,8 @@ def apply_op(op, states, views, tiles, cbuf, actreg, share, oms, flat=None):
                 tiles[ti].activate_column_range(*cols_t)
             else:
                 tiles[ti].activate_columns(cols_t)
-        if actreg is not None:
-            actreg.stage(op[2])
-            actreg.commit()
+        actreg.stage(op[2])
+        actreg.commit()
         return op[1]
     elif k == K_LN:
         arr = 0.0
@@ -666,8 +672,16 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
 
 
 # ----------------------------------------------------------------------
-# Lock-step batches
+# Lock-step batches: packed rows
 # ----------------------------------------------------------------------
+
+
+#: Bytes of unpacked operand bits and gathered energies that one step
+#: of the logic-energy pass holds at most, and of the compute-energy
+#: chains one step of their fold holds: small enough to stay in cache
+#: (on a 2-core VM a batch-64 svm_decision run took 5.2 ms at 256 KiB
+#: and 6.5 ms at 1 MiB).
+_STEP_BYTES = 1 << 18
 
 
 def try_run_batched(machine) -> bool:
@@ -687,76 +701,282 @@ def try_run_batched(machine) -> bool:
     return True
 
 
-def _acc_each(starts: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """:func:`_acc` per sample of a chain every sample shares: one fold
-    per distinct starting value."""
-    uniq, inverse = np.unique(starts, return_inverse=True)
-    return np.array([_acc(float(s), vals) for s in uniq])[inverse]
+def pack_rows(state: np.ndarray) -> list:
+    """One Python int per row of a ``(batch, rows, cols)`` bool tile
+    state, its bit ``b * cols + c`` holding ``state[b, row, c]``."""
+    batch, rows, cols = state.shape
+    nbits = batch * cols
+    packed = np.packbits(
+        state.transpose(1, 0, 2).reshape(rows, nbits), axis=1, bitorder="little"
+    )
+    if nbits <= 64:
+        words = np.zeros((rows, 8), dtype=np.uint8)
+        words[:, : packed.shape[1]] = packed
+        return words.view("<u8").ravel().tolist()
+    data = packed.tobytes()
+    n = packed.shape[1]
+    return [int.from_bytes(data[i : i + n], "little") for i in range(0, rows * n, n)]
+
+
+def _bits(words: list, nbits: int) -> np.ndarray:
+    """The low ``nbits`` bits of each packed int, ``(len(words),
+    nbits)`` uint8, bit ``i`` of word ``j`` at ``[j, i]``."""
+    if nbits <= 64:
+        raw = np.array(words, dtype="<u8").view(np.uint8)
+    else:
+        n = (nbits + 7) // 8
+        raw = np.frombuffer(
+            b"".join([w.to_bytes(n, "little") for w in words]), dtype=np.uint8
+        )
+    return np.unpackbits(
+        raw.reshape(len(words), -1), axis=1, count=nbits, bitorder="little"
+    )
+
+
+def unpack_rows(words: list, state: np.ndarray) -> None:
+    """Write :func:`pack_rows`' ints back into ``state``."""
+    batch, rows, cols = state.shape
+    bits = _bits(words, batch * cols)
+    state[...] = bits.reshape(rows, batch, cols).transpose(1, 0, 2)
+
+
+def sample_state(words: list, sample: int, cols: int) -> np.ndarray:
+    """Sample ``sample``'s ``(rows, cols)`` bool state in one tile's
+    packed rows."""
+    shift = sample * cols
+    full = (1 << cols) - 1
+    return _bits([(w >> shift) & full for w in words], cols).view(bool)
+
+
+def switch_cells(xs, counts, mask: int) -> int:
+    """The cells of ``mask`` whose count of 1s across the packed input
+    rows ``xs`` is one of ``counts``."""
+    eq = [mask]  # eq[n]: the cells with n ones so far
+    for x in xs:
+        eq = [e & ~x | p & x for e, p in zip(eq + [0], [0] + eq)]
+    cells = 0
+    for n in counts:
+        cells |= eq[n]
+    return cells
+
+
+def _gate(r: list, ins, orow: int, mask: int, counts, target: bool, log) -> None:
+    """One gate on a tile's packed rows ``r`` under ``mask``, in its
+    general form; ``log`` appends each input row, or is None."""
+    xs = [r[i] for i in ins]
+    if log is not None:
+        for x in xs:
+            log(x)
+    cells = switch_cells(xs, counts, mask)
+    if target:
+        r[orow] |= cells
+    else:
+        r[orow] &= ~cells
+
+
+def _run_packed(ops, rows, masks, nmasks, tiles, cbuf, log):
+    """Apply packed ops to a batch's packed ``rows``; returns the
+    transfer buffer.  ``masks`` / ``nmasks`` are the plan's row masks
+    spread over the batch and their complements; ``log`` appends each
+    gate input row as read."""
+    for op in ops:
+        k = op[0]
+        if k == P_SET:
+            _, t, row, m = op
+            rows[t][row] |= masks[m]
+        elif k == P_CLR:
+            _, t, row, m = op
+            rows[t][row] &= nmasks[m]
+        elif k == P_G2:
+            _, t, i0, i1, o, m, both, target = op
+            r = rows[t]
+            a = r[i0]
+            b = r[i1]
+            log(a)
+            log(b)
+            g = a & b if both else a | b
+            if target:
+                r[o] |= masks[m] & ~g
+            else:
+                r[o] &= g | nmasks[m]
+        elif k == P_G1:
+            _, t, i0, o, m, target = op
+            r = rows[t]
+            a = r[i0]
+            log(a)
+            if target:
+                r[o] |= masks[m] & ~a
+            else:
+                r[o] &= a | nmasks[m]
+        elif k == P_READ:
+            cbuf = rows[op[1]][op[2]]
+        elif k == P_WRITE:
+            for t in op[1]:
+                rows[t][op[2]] = cbuf
+        elif k == P_GATES:
+            for t, ins, o, m, counts, target in op[1]:
+                _gate(rows[t], ins, o, masks[m], counts, target, log)
+        elif k == P_PRESET:
+            for t, row, m in op[1]:
+                if op[2]:
+                    rows[t][row] |= masks[m]
+                else:
+                    rows[t][row] &= nmasks[m]
+        elif k == P_ACT:
+            for t, bulk, cols_t in op[1]:
+                if bulk:
+                    tiles[t].activate_column_range(*cols_t)
+                else:
+                    tiles[t].activate_columns(cols_t)
+        # P_HALT: no array work
+    return cbuf
 
 
 def run_batched(machine, plan: CompiledPlan, hooks=None) -> None:
     """Run ``plan`` on a BatchedMouse, ledgers bit-identical to the
-    scalar batched loop.  Only the compute-energy chain differs between
-    samples (each logic op's slot holds that sample's energy), so it
-    alone is built per sample; the backup and latency chains are the
-    plan's constants.
+    scalar batched loop.
+
+    Each data tile is packed once, one Python int per row
+    (:func:`pack_rows`), and unpacked once when the run returns or
+    raises; in between every op is a few bitwise ops on those ints
+    (:meth:`CompiledPlan.packed`), whatever the batch size.  The gates
+    log their input rows, and the logic energies are computed from the
+    log after the pass (:func:`_logic_energies`).  Only the
+    compute-energy chain differs between samples (each logic op's slot
+    holds that sample's energy), so it alone is built per sample; the
+    backup and latency chains are the plan's constants.
 
     ``hooks`` maps a pc to a callable run right after that pc's op is
-    applied to every row: ``hook(states, redo)`` receives the
-    ``(batch, rows, cols)`` data-tile states and ``redo(rows)``, which
-    applies the op once more to each listed row.  A fault campaign lays
-    each trial's faults over its row this way and re-issues a verified
-    gate on the rows whose re-read fails (:mod:`repro.faults.campaign`);
-    a re-issue is not charged to the ledgers.  The ops between two
-    hooked pcs run with no per-op check."""
+    applied to every sample: ``hook(rows, redo)`` receives the packed
+    rows, ``rows[tile][row]``, which it may rewrite, and
+    ``redo(samples)``, which applies the pc's gates once more to each
+    listed sample's active cells.  A fault campaign lays each trial's
+    faults over its sample this way and re-issues a verified gate on
+    the samples whose re-read fails (:mod:`repro.faults.campaign`); a
+    re-issue is not charged to the ledgers.  The ops between two hooked
+    pcs run with no per-op check."""
+    packed = plan.packed()
     ledger = machine.ledger
     tiles = machine.tiles
-    states = [t.state for t in tiles]
-    views = [st.view(np.uint8) for st in states]
-    cbuf = np.zeros((machine.batch, machine.cols), dtype=bool)
-    vals = plan.chg_vals
-    # Row of each compute charge in ``ce``; row 0 holds the start value.
-    ce_row = np.zeros(vals.size, dtype=np.intp)
-    ce_row[plan.ce_idx] = np.arange(1, plan.ce_idx.size + 1)
-    share = plan.share
-    oms = plan.oms
-    ops = plan.ops
-
-    ce = np.empty((plan.ce_idx.size + 1, machine.batch), dtype=np.float64)
-    ce[0] = ledger.compute_energy
-    ce[1:] = vals[plan.ce_idx, None]
-
-    # A batch of one sample takes the per-cell forms as a Mouse does.
-    flat = flat_views(states) if machine.batch == 1 else None
-
-    def apply(lo: int, hi: int) -> None:
-        for op in ops[lo:hi]:
-            e = apply_op(op, states, views, tiles, cbuf, None, share, oms, flat)
-            if op[0] >= K_L1S:
-                ce[ce_row[op[1]]] = e
-
-    def redo(op, rows) -> None:
-        for r in rows:
-            apply_op(
-                op, [st[r] for st in states], [v[r] for v in views], tiles,
-                cbuf[r], None, share, oms,
-            )
-
+    batch, cols = machine.batch, machine.cols
+    # Σ_b 2^(b·cols): a one-row mask times this covers every sample.
+    spread = ((1 << (batch * cols)) - 1) // ((1 << cols) - 1)
+    masks = [mask * spread for mask in packed.row_masks]
+    nmasks = [~mask for mask in masks]
+    ops = packed.ops
+    log: list[int] = []
+    rows = [pack_rows(t.state) for t in tiles]
     try:
+        cbuf = 0
         lo = 0
         for pc in sorted(hooks or ()):
-            apply(lo, pc + 1)
-            hooks[pc](states, lambda rows, op=ops[pc]: redo(op, rows))
+            cbuf = _run_packed(
+                ops[lo:pc + 1], rows, masks, nmasks, tiles, cbuf, log.append
+            )
+            hooks[pc](rows, lambda samples, op=plan.ops[pc]: _reissue(
+                op, rows, samples, cols
+            ))
             lo = pc + 1
-        apply(lo, len(ops))
+        _run_packed(ops[lo:], rows, masks, nmasks, tiles, cbuf, log.append)
     finally:
-        release_views(flat)
-    np.add.accumulate(ce, axis=0, out=ce)
+        for tile, words in zip(tiles, rows):
+            unpack_rows(words, tile.state)
 
+    energies = _logic_energies(packed, log, batch, cols, plan.share, plan.oms)
+    vals = plan.chg_vals
     n = plan.n_instructions
-    ledger.compute_energy = ce[-1].copy()
+    ledger.compute_energy = _fold_compute(
+        ledger.compute_energy, vals[plan.ce_idx], packed.logic_at, energies
+    )
     ledger.compute_latency = _acc_each(
         ledger.compute_latency, _cycle_chain(plan, n)
     )
     ledger.backup_energy = _acc_each(ledger.backup_energy, vals[plan.be_idx])
     ledger.instructions += n
+
+
+def _reissue(op, rows, samples, cols: int) -> None:
+    """Apply the gates of logic op ``op`` once more to each of
+    ``samples``' active cells, unlogged."""
+    for tile, ins, orow, mask, counts, target in packed_gates(op):
+        for s in samples:
+            _gate(rows[tile], ins, orow, mask << (s * cols), counts, target, None)
+
+
+def _logic_energies(packed, log, batch, cols, share, oms) -> np.ndarray:
+    """Each logic op's EXECUTE energy per sample, ``(logic ops, batch)``
+    in pc order, from the gates' logged input rows.
+
+    Per energy group, the logged rows are unpacked, their 1s counted
+    per cell, and the kernel's energies gathered by count and summed
+    over the active columns: one contiguous row of ``width`` values per
+    (op, sample), so each sum is NumPy's over the 1-D gather
+    ``Tile.logic_op`` sums.  A broadcast op adds its gates' energies
+    from 0.0 in gate order, as the NumPy form did."""
+    nbits = batch * cols
+    get = log.__getitem__
+    out = np.empty((packed.logic_at.size, batch), dtype=np.float64)
+    gates = {}  # group -> its broadcast gates' energies
+    for g, (energy, aterm, sel, width, k, positions, members) in enumerate(
+        packed.groups
+    ):
+        n = len(positions) // k
+        if aterm is None:
+            gates[g] = np.empty((n, batch), dtype=np.float64)
+        step = max(1, _STEP_BYTES // (k * nbits + 9 * batch * width))
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
+            bits = _bits(list(map(get, positions[lo * k : hi * k])), nbits)
+            bits = bits.reshape(hi - lo, k, batch, cols)
+            if sel is not None:
+                bits = bits[..., sel]
+            ones = bits[:, 0] if k == 1 else bits.sum(axis=1, dtype=np.uint8)
+            arr = energy.take(ones).reshape(-1, width).sum(axis=-1)
+            arr = arr.reshape(hi - lo, batch)
+            if aterm is None:
+                gates[g][lo:hi] = arr
+            else:
+                # arr + (arr * share / oms + aterm), in place (IEEE
+                # addition commutes).
+                e = arr * share
+                e /= oms
+                e += aterm
+                e += arr
+                out[members[lo:hi]] = e
+    for j, aterm, parts in packed.ln:
+        arr = 0.0
+        for g, i in parts:
+            arr = arr + gates[g][i]
+        out[j] = arr + (arr * share / oms + aterm)
+    return out
+
+
+def _fold_compute(starts, chain, logic_at, energies) -> np.ndarray:
+    """Each sample's compute-energy total: ``starts`` plus the plan's
+    compute ``chain``, whose logic slots (at ``logic_at``) hold the
+    sample's ``energies``, added one charge at a time as the serial
+    ledger adds them.  The chains are folded in steps of a bounded
+    number of charges, one row per sample, so each fold runs over
+    contiguous memory and carries its last column into the next."""
+    batch = starts.size
+    step = max(1, _STEP_BYTES // (8 * batch))
+    carry = starts
+    j = 0
+    for lo in range(0, chain.size, step):
+        hi = min(chain.size, lo + step)
+        block = np.empty((batch, hi - lo + 1), dtype=np.float64)
+        block[:, 0] = carry
+        block[:, 1:] = chain[lo:hi]
+        k = j + int(np.searchsorted(logic_at[j:], hi))
+        block[:, logic_at[j:k] - lo + 1] = energies[j:k].T
+        j = k
+        np.add.accumulate(block, axis=1, out=block)
+        carry = block[:, -1].copy()
+    return carry
+
+
+def _acc_each(starts: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """:func:`_acc` per sample of a chain every sample shares: one fold
+    per distinct starting value."""
+    uniq, inverse = np.unique(starts, return_inverse=True)
+    return np.array([_acc(float(s), vals) for s in uniq])[inverse]

@@ -11,14 +11,15 @@ window op by op and reduce the charge table with
 ``np.add.accumulate`` — which is bit-identical to the interpreter's
 sequential ``+=`` chain, so `Breakdown`s match to the last ulp.
 
-Every op has a NumPy form, which serves one machine or a lock-step
-batch.  A single-tile gate or a preset set whose active set holds at
-most :data:`CELL_COLUMNS` columns also has a *per-cell* form: the
-sorted active columns as one tuple shared by every op on that set, the
-flat byte offsets of its rows, and the gate kernel's ladders as Python
-tuples shared per kernel, so an executor holding one sample applies it
-one cell at a time with Python ints (see :func:`repro.compilejit.exec.
-apply_op`).
+Every op has a NumPy form, which serves one machine.  A single-tile
+gate or a preset set whose active set holds at most
+:data:`CELL_COLUMNS` columns also has a *per-cell* form: the sorted
+active columns as one tuple shared by every op on that set, the flat
+byte offsets of its rows, and the gate kernel's ladders as Python
+tuples shared per kernel, so the machine's executor applies it one
+cell at a time with Python ints (see :func:`repro.compilejit.exec.
+apply_op`).  A lock-step batch runs the plan's packed-row ops instead
+(:meth:`CompiledPlan.packed`), built on its first batched run.
 
 Plan construction is **gated by the linter**: a program that lints
 with errors raises :class:`PlanUnsupported` and the engines silently
@@ -28,8 +29,9 @@ and fault hooks are likewise unsupported by construction.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -75,9 +77,39 @@ K_LN = 7  # logic, broadcast across several tiles
 #: Widest active set with a per-cell form.  NumPy sums fewer than 8
 #: float64 values left to right from 0.0 and pairwise from 8 on, so a
 #: per-cell energy sum in column order equals the NumPy form's
-#: ``en.take(n1).sum(axis=-1)`` (and ``Tile.logic_op``'s) bit for bit
+#: ``en.take(n1).sum()`` (and ``Tile.logic_op``'s) bit for bit
 #: only up to 7 columns.
 CELL_COLUMNS = 7
+
+# Packed-row op codes: the lock-step batch executor's table
+# (:meth:`CompiledPlan.packed`).  A batch holds each tile row as one
+# Python int whose bit ``b * cols + c`` is sample ``b``'s column ``c``.
+# ``mask`` indexes ``PackedPlan.row_masks``, the one-row masks of the
+# plan's active sets, which the executor spreads over the batch.  A
+# gate switches an active cell when its count of 1 inputs is one of
+# ``counts``; a single-tile gate of one or two inputs that switches
+# when fewer than ``t`` of them are 1 (every such library gate) is
+# unrolled.
+#   (P_SET, tile, row, mask)      preset one tile's active cells to 1
+#   (P_CLR, tile, row, mask)      ... to 0
+#   (P_G1, tile, in0, orow, mask, target)                 t = 1
+#   (P_G2, tile, in0, in1, orow, mask, both, target)      t = 2 if both else 1
+#   (P_GATES, ((tile, ins, orow, mask, counts, target), ...))
+#   (P_PRESET, ((tile, row, mask), ...), value)
+#   (P_READ, tile, row)
+#   (P_WRITE, tiles, row)
+#   (P_ACT, ((tile, bulk, columns), ...))
+#   (P_HALT,)
+P_SET = 0
+P_CLR = 1
+P_G1 = 2
+P_G2 = 3
+P_GATES = 4
+P_PRESET = 5
+P_READ = 6
+P_WRITE = 7
+P_ACT = 8
+P_HALT = 9
 
 # Charge-table categories (matching EnergyLedger routing).
 _CAT_CE = 0  # Category.COMPUTE energy (fetch + execute)
@@ -86,10 +118,11 @@ _CAT_BE = 1  # Category.BACKUP energy (pc checkpoint, activate register)
 
 @lru_cache(maxsize=None)
 def gate_kernel(params, spec) -> tuple:
-    """``(will_switch, energy, target, will_switch_t, energy_t)`` of one
-    technology/gate pair: the electrical kernel's ladders as arrays for
-    the NumPy form and as Python tuples for the per-cell form, built
-    once per pair and shared by every plan."""
+    """``(will_switch, energy, target, will_switch_t, energy_t,
+    counts)`` of one technology/gate pair: the electrical kernel's
+    ladders as arrays for the NumPy form and as Python tuples for the
+    per-cell form, and the counts of 1 inputs that switch a cell for
+    the packed form, built once per pair and shared by every plan."""
     kern = electrical_kernel(params, spec)
     return (
         kern.will_switch,
@@ -97,11 +130,69 @@ def gate_kernel(params, spec) -> tuple:
         kern.target,
         tuple(bool(x) for x in kern.will_switch),
         tuple(float(x) for x in kern.energy),
+        tuple(n for n, switch in enumerate(kern.will_switch) if switch),
     )
 
 
 class PlanUnsupported(Exception):
     """The program cannot be compiled; run it on the interpreter."""
+
+
+class PackedPlan(NamedTuple):
+    """The packed-row tables of a plan (:meth:`CompiledPlan.packed`).
+
+    Every gate appends its input rows, as read, to the executor's log:
+    op after op, gate after gate, input after input.  ``groups`` gather
+    those entries back for the logic energies, one group per kernel,
+    address term and active set: ``(energy, aterm, sel, width,
+    n_inputs, positions, members)``, where ``energy`` is the kernel's
+    per-count energy table, ``sel`` picks the active columns of a row
+    (None for all), ``width`` counts them, ``positions`` are the log
+    entries of the members' inputs, member after member, and
+    ``members`` number the members' logic ops in pc order.  A group of
+    the gates of broadcast ops has no ``aterm`` or ``members``: ``ln``
+    combines them per op as ``(logic op, aterm, ((group, member),
+    ...))``.  ``logic_at`` is each logic op's position in the plan's
+    compute-energy chain (``chg_vals[ce_idx]``), in pc order."""
+
+    ops: list
+    row_masks: tuple
+    groups: tuple
+    ln: tuple
+    logic_at: np.ndarray
+
+
+def _row_mask(sel) -> int:
+    """The one-row mask of an active-column selector."""
+    if isinstance(sel, slice):
+        return ((1 << (sel.stop - sel.start)) - 1) << sel.start
+    mask = 0
+    for c in sel.tolist():
+        mask |= 1 << c
+    return mask
+
+
+def packed_gates(op) -> tuple:
+    """``(tile, input rows, output row, one-row mask, counts, target)``
+    of each gate the logic op ``op`` fires, in order: a gate switches
+    an active cell to ``target`` when its count of 1 inputs is one of
+    ``counts``."""
+    return tuple(
+        (
+            gate[3],
+            _inputs(gate),
+            gate[5],
+            _row_mask(gate[6]),
+            gate[7][5],
+            bool(gate[7][2]),
+        )
+        for gate in (op[3] if op[0] == K_LN else (op,))
+    )
+
+
+def _inputs(gate) -> tuple:
+    """A single-tile gate's input rows."""
+    return gate[4] if gate[0] == K_L1S else tuple(gate[4][0].ravel().tolist())
 
 
 def _act_spec(instr: ActivateColumnsInstruction):
@@ -197,6 +288,7 @@ class CompiledPlan:
 
         self._build()
         self._prof_tables: Optional[dict] = None
+        self._packed: Optional[PackedPlan] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -366,9 +458,8 @@ class CompiledPlan:
                 # whose slot and address term stay None until the op is
                 # known to be single-tile.  A contiguous set (one column
                 # and all columns included) gathers through row-slice
-                # views, any other set through an ``np.ix_`` mesh with a
-                # leading Ellipsis so it also indexes (batch, rows, cols)
-                # states.  Only a single-tile gate gets a per-cell form.
+                # views, any other set through an ``np.ix_`` mesh.  Only
+                # a single-tile gate gets a per-cell form.
                 single = len(tiles) == 1
                 gates = []
                 for t in tiles:
@@ -386,7 +477,7 @@ class CompiledPlan:
                     key = (rows_t, full[t])
                     mesh = mesh_cache.get(key)
                     if mesh is None:
-                        mesh = mesh_cache[key] = (Ellipsis, *np.ix_(rows_t, sel))
+                        mesh = mesh_cache[key] = np.ix_(rows_t, sel)
                     gates.append((K_L1P, None, None, t, mesh, orow, sel) + tail)
                 self.n_logic_dynamic += 1
                 slot = charge(_CAT_CE, 0.0, pc)
@@ -453,6 +544,127 @@ class CompiledPlan:
     def chg_pc_sorted_idx(self, pc_mask: np.ndarray) -> np.ndarray:
         """Charge indices (in table order) whose pc satisfies the mask."""
         return np.flatnonzero(pc_mask[self.chg_pc])
+
+    # ------------------------------------------------------------------
+    # Packed-row tables (built on first batched run)
+    # ------------------------------------------------------------------
+
+    def packed(self) -> PackedPlan:
+        """The plan's ops on packed rows and its logic-energy groups
+        (:class:`PackedPlan`); nothing in them depends on the batch
+        size."""
+        if self._packed is None:
+            self._packed = self._build_packed()
+        return self._packed
+
+    def _build_packed(self) -> PackedPlan:
+        cols = self.cols
+        # Position of each charge slot in the compute-energy chain.
+        chain_at = np.zeros(self.chg_vals.size, dtype=np.intp)
+        chain_at[self.ce_idx] = np.arange(self.ce_idx.size)
+        mask_ids: dict[int, int] = {}
+        active_sets: dict[int, tuple] = {}
+        groups: dict[tuple, tuple] = {}
+        shared: dict[tuple, tuple] = {}
+        logic_at: list[int] = []
+        ln = []
+        ops: list[tuple] = []
+        logged = 0
+
+        def active(sel) -> tuple:
+            """``(row mask, mask id, width, energy selector)`` of an
+            active-column selector; the plan shares one selector object
+            per active set, so each is worked out once."""
+            entry = active_sets.get(id(sel))
+            if entry is None:
+                mask = _row_mask(sel)
+                if isinstance(sel, slice):
+                    width = sel.stop - sel.start
+                else:
+                    width = len(sel)
+                entry = active_sets[id(sel)] = (
+                    mask,
+                    mask_ids.setdefault(mask, len(mask_ids)),
+                    width,
+                    None if width == cols else sel,
+                )
+            return entry
+
+        def member(gate, ins, aterm, logic) -> tuple[int, int]:
+            """Add a gate's logged inputs to its energy group (one per
+            kernel, address term and active set, which its row mask
+            names whatever the selector's form); returns ``(group,
+            member)``."""
+            nonlocal logged
+            kern = gate[7]
+            mask, _, width, sel = active(gate[6])
+            key = (id(kern), aterm, mask)
+            entry = groups.get(key)
+            if entry is None:
+                entry = groups[key] = (
+                    len(groups), kern[1], aterm, sel, width, len(ins), [], []
+                )
+            entry[6].extend(range(logged, logged + len(ins)))
+            entry[7].append(logic)
+            logged += len(ins)
+            return entry[0], len(entry[7]) - 1
+
+        def add(op: tuple) -> None:
+            """Append a packed op, sharing one tuple per distinct op."""
+            ops.append(shared.setdefault(op, op))
+
+        for op in self.ops:
+            k = op[0]
+            if k == K_PRESET:
+                sets = tuple((t, row, active(sel)[1]) for t, row, sel, _, _ in op[2])
+                if len(sets) == 1:
+                    add((P_SET if op[3] else P_CLR,) + sets[0])
+                else:
+                    add((P_PRESET, sets, op[3]))
+            elif k == K_L1S or k == K_L1P:
+                ins = _inputs(op)
+                member(op, ins, op[2], len(logic_at))
+                logic_at.append(int(chain_at[op[1]]))
+                tile, orow, kern = op[3], op[5], op[7]
+                m = active(op[6])[1]
+                counts, target = kern[5], bool(kern[2])
+                t = len(counts)
+                if counts != tuple(range(t)) or not 0 < t <= len(ins) <= 2:
+                    add((P_GATES, ((tile, ins, orow, m, counts, target),)))
+                elif len(ins) == 1:
+                    add((P_G1, tile, ins[0], orow, m, target))
+                else:
+                    add((P_G2, tile, *ins, orow, m, t == 2, target))
+            elif k == K_LN:
+                parts = tuple(
+                    member(gate, _inputs(gate), None, None) for gate in op[3]
+                )
+                ln.append((len(logic_at), op[2], parts))
+                logic_at.append(int(chain_at[op[1]]))
+                add((P_GATES, tuple(
+                    (tile, ins, orow, mask_ids[mask], counts, target)
+                    for tile, ins, orow, mask, counts, target in packed_gates(op)
+                )))
+            elif k == K_READ:
+                add((P_READ, op[2], op[3]))
+            elif k == K_WRITE:
+                add((P_WRITE, op[2], op[3]))
+            elif k == K_ACT:
+                add((P_ACT, op[3]))
+            else:
+                add((P_HALT,))
+        return PackedPlan(
+            ops=ops,
+            row_masks=tuple(mask_ids),
+            groups=tuple(
+                (energy, aterm, sel, width, k, array("q", positions),
+                 None if aterm is None else np.asarray(members, dtype=np.intp))
+                for _, energy, aterm, sel, width, k, positions, members
+                in groups.values()
+            ),
+            ln=tuple(ln),
+            logic_at=np.asarray(logic_at, dtype=np.intp),
+        )
 
     # ------------------------------------------------------------------
     # Introspection

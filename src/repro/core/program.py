@@ -112,8 +112,10 @@ class Program:
     A program is encoded, validated and analysed once: :meth:`words`
     memoises the encoded words, :meth:`validate` the bank geometries it
     has accepted, :attr:`verify_pcs` its verify marks,
-    :func:`repro.lint.lint_program` its default-pass reports, and
-    :func:`repro.lint.cost.pricing_keys` its cost-pass pricing keys, so
+    :func:`repro.lint.lint_program` its default-pass reports,
+    :func:`repro.lint.cost.pricing_keys` its cost-pass pricing keys, and
+    :func:`repro.harden.criticality.analyse` its def-use pass per lint
+    config, so
     loading one program into many machines pays for none of them
     again.  The memos rest on two rules: instructions are added only
     through :meth:`append` / :meth:`extend` (which drop every memo, and
@@ -147,8 +149,9 @@ class Program:
     def _forget(self) -> None:
         """Drop everything memoised from the instructions: the encoded
         words, the accepted geometries, any compiled plans, the verify
-        marks, the lint reports and the pricing keys.  (Written through
-        ``__dict__``: :meth:`append` calls it once per instruction.)"""
+        marks, the lint reports, the pricing keys and the criticality
+        def-use passes.  (Written through ``__dict__``: :meth:`append`
+        calls it once per instruction.)"""
         memo = self.__dict__
         memo["_words"] = None
         memo["_valid_shapes"] = set()
@@ -156,6 +159,7 @@ class Program:
         memo.pop("_verify_pcs", None)
         memo.pop("_lint_reports", None)
         memo.pop("_cost_keys", None)
+        memo.pop("_criticality", None)
 
     def __setattr__(self, name: str, value: Any) -> None:
         object.__setattr__(self, name, value)

@@ -15,6 +15,7 @@ the degraded-mode tallies per policy; the acceptance property is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from repro.devices.parameters import DeviceParameters
@@ -59,6 +60,26 @@ class ReplayResult:
         }
 
 
+@lru_cache(maxsize=64)
+def _memo_profile(workload, params: DeviceParameters):
+    cost = InstructionCostModel(params)
+    return cost, workload.profile(cost)
+
+
+def _costed_profile(workload, params: DeviceParameters):
+    """``(cost model, instruction profile)`` of ``workload`` on
+    ``params``, built once per hashable ``(workload, params)`` pair:
+    :func:`compare` replays one workload twice, and an env sweep many
+    times.  Replays only read the profile, and it never leaves
+    :func:`replay`."""
+    try:
+        hash((workload, params))
+    except TypeError:
+        cost = InstructionCostModel(params)
+        return cost, workload.profile(cost)
+    return _memo_profile(workload, params)
+
+
 def _default_budget(trace: HarvestTrace) -> Optional[float]:
     # Four spans covers several day/burst cycles; a constant trace has
     # no span, so the inference cap bounds the replay instead.
@@ -94,8 +115,7 @@ def replay(
         raise ValueError("time_budget must be positive")
     if time_budget is None:
         time_budget = _default_budget(trace)
-    cost = InstructionCostModel(params)
-    profile = workload.profile(cost)
+    cost, profile = _costed_profile(workload, params)
     config = HarvestingConfig.from_trace(
         params, trace, leakage_amps=leakage_amps, esr_ohms=esr_ohms
     )

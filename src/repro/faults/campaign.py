@@ -57,7 +57,6 @@ from repro.faults.injectors import (
     RetryBudgetExhausted,
     TrialInjector,
     WalkDraws,
-    verify_mismatches,
 )
 from repro.faults.plan import FaultPlan
 from repro.faults.report import CampaignReport
@@ -95,6 +94,38 @@ _BEFORE_EXECUTE = (Phase.FETCH, Phase.DECODE)
 
 def _injects_flips(plan: FaultPlan) -> bool:
     return any(rate > 0 for rate in plan.gate_flip_rates.values())
+
+
+def _flip_draws(compiled, plan: FaultPlan) -> GateFlipDraws:
+    """The :class:`GateFlipDraws` of ``plan``'s gate flips on the
+    ``compiled`` plan's program: one flip site per logic instruction
+    with a non-zero rate.  Built once per compiled plan and ``(gate
+    rates, verify switches, retry budget)``, and kept on the plan."""
+    key = (
+        tuple(sorted(plan.gate_flip_rates.items())),
+        plan.verify_retry,
+        plan.verify_marked,
+        plan.retry_budget,
+    )
+    memo = compiled.__dict__.setdefault("_flip_draws", {})
+    flips = memo.get(key)
+    if flips is None:
+        program = compiled.program
+        marked = program.verify_pcs if plan.verify_marked else frozenset()
+        rates = {name: plan.rate_for(name) for name in plan.gate_flip_rates}
+        sites = []
+        for pc, instr in enumerate(program.instructions):
+            if not isinstance(instr, LogicInstruction):
+                continue
+            rate = rates.get(instr.spec.name, 0.0)
+            if rate > 0.0:
+                sites.append(FlipSite(
+                    pc, instr.spec.name, rate,
+                    plan.verify_retry or pc in marked,
+                    sum(cols.size for _, _, cols in compiled.flip_targets(pc)),
+                ))
+        flips = memo[key] = GateFlipDraws(plan, sites)
+    return flips
 
 
 def _events_before(events: Sequence[tuple], pc: int) -> int:
@@ -455,22 +486,9 @@ class FaultCampaign:
         (:class:`WalkDraws`).  None when a trial's walk would reach
         ``max_microsteps``."""
         plan = self.plan
-        program = golden.program
         rngs = [np.random.default_rng([self.seed, trial]) for trial in trials]
         if _injects_flips(plan):
-            marked = program.verify_pcs if plan.verify_marked else frozenset()
-            sites = []
-            for pc, instr in enumerate(program.instructions):
-                if not isinstance(instr, LogicInstruction):
-                    continue
-                rate = plan.rate_for(instr.spec.name)
-                if rate > 0.0:
-                    sites.append(FlipSite(
-                        pc, instr.spec.name, rate,
-                        plan.verify_retry or pc in marked,
-                        sum(cols.size for _, _, cols in compiled.flip_targets(pc)),
-                    ))
-            flips = GateFlipDraws(plan, sites)
+            flips = _flip_draws(compiled, plan)
             draws = []
             for rng in rngs:
                 counters = FaultCounters()
@@ -501,30 +519,34 @@ class FaultCampaign:
         golden_memory: Sequence[np.ndarray],
         golden_values: list[int],
     ) -> list[dict]:
-        """``trials`` as the rows of one lock-step pass of the
+        """``trials`` as the samples of one lock-step pass of the
         ``compiled`` plan, under their :meth:`_draw` ``draws``.
 
-        Each row starts from the built machine's ``initial`` tiles, and
-        after each pc's op its faults land where the interpreter lays
-        them: surviving gate flips are XORed into the op's output row
-        and an array flip is XORed in after the commit.  A verified gate
-        re-reads its output on each row an array flip has touched and
-        re-issues or aborts as :meth:`ControllerFaultHook.after_logic`
-        does; every other row holds the golden run's data, which the
-        re-read always passes.  A power cut needs no work: the op it
-        replays writes what the op's first application wrote, since a
-        plan's gates never read their own output row (IDEM001), array
-        flips land only after every replay of their pc, and power
-        cycles batch only on ``replay_stable`` plans.  A row whose retry
-        budget runs out has its tiles copied, as the interpreter leaves
+        Each sample starts from the built machine's ``initial`` tiles,
+        and after each pc's op its faults land on its bits of the
+        batch's packed rows (:func:`~repro.compilejit.exec.run_batched`)
+        where the interpreter lays them: surviving gate flips are XORed
+        into the op's output row and an array flip is XORed in after
+        the commit.  A verified gate re-reads its output on each sample
+        an array flip has touched and re-issues or aborts as
+        :meth:`ControllerFaultHook.after_logic` does; every other
+        sample holds the golden run's data, which the re-read always
+        passes.  A power cut needs no work: the op it replays writes
+        what the op's first application wrote, since a plan's gates
+        never read their own output row (IDEM001), array flips land
+        only after every replay of their pc, and power cycles batch
+        only on ``replay_stable`` plans.  A sample whose retry budget
+        runs out has its tiles' rows copied, as the interpreter leaves
         them when it stops.  ``golden`` serves as the machine each
-        finished row is read out on.
+        finished sample is read out on.
         """
-        from repro.compilejit.exec import run_batched
+        from repro.compilejit.exec import run_batched, sample_state, switch_cells
+        from repro.compilejit.plan import packed_gates
         from repro.perf.batched import BatchedMouse
 
         program = golden.program
         plan = self.plan
+        cols = golden.bank.cols
         counters = [draw.counters for draw in draws]
         aborts = [draw.abort for draw in draws]
         flips_at: dict[int, list] = {}
@@ -550,26 +572,51 @@ class FaultCampaign:
                 and isinstance(instr, LogicInstruction)
                 and (plan.verify_retry or pc in marked)
             }
-        targets = {
-            pc: compiled.flip_targets(pc) for pc in flips_at.keys() | checks
+        gates = {
+            pc: packed_gates(compiled.ops[pc]) for pc in flips_at.keys() | checks
         }
-        stopped: dict[int, list[np.ndarray]] = {}
-        flipped: set[int] = set()  # rows an array flip has touched
-        kept: dict[int, int] = {}  # events an aborted row got to
+        # The cell a flip mask's entries name, target after target.
+        cells_of = {
+            pc: [
+                (tile, orow, c)
+                for tile, _, orow, mask, _, _ in gates[pc]
+                for c in range(mask.bit_length())
+                if mask >> c & 1
+            ]
+            for pc in flips_at
+        }
+        stopped: dict[int, list[list[int]]] = {}
+        flipped: set[int] = set()  # samples an array flip has touched
+        kept: dict[int, int] = {}  # events an aborted sample got to
 
-        def verify(states, redo, pc: int, row: int) -> None:
-            """``after_logic``'s verify loop on one row (no gate flips,
-            so no draws)."""
+        def verify(rows, redo, pc: int, row: int) -> None:
+            """``after_logic``'s verify loop on one sample (no gate
+            flips, so no draws), its re-read as
+            :func:`~repro.faults.injectors.verify_mismatches`'."""
             instr = program.instructions[pc]
-            tiles = [state[row] for state in states]
+            spec = instr.spec
+            counts = [n for n in range(spec.n_inputs + 1) if spec.switches(n)]
+            target = bool(spec.direction.target_state)
+            preset = bool(spec.preset)
+            shift = row * cols
+
+            def mismatched() -> bool:
+                for tile, ins, orow, mask, _, _ in gates[pc]:
+                    words = rows[tile]
+                    active = mask << shift
+                    switch = switch_cells([words[i] for i in ins], counts, active)
+                    expected = (switch if target else 0) | (
+                        active & ~switch if preset else 0
+                    )
+                    if (words[orow] ^ expected) & active:
+                        return True
+                return False
+
             retries = 0
-            while any(
-                verify_mismatches(tiles[t], instr, cols)
-                for t, _, cols in targets[pc]
-            ):
+            while mismatched():
                 counters[row].detected += 1
                 if retries >= plan.retry_budget:
-                    stopped[row] = [tile.copy() for tile in tiles]
+                    stopped[row] = [list(words) for words in rows]
                     aborts[row] = RetryBudgetExhausted.at(
                         pc, instr.spec.name, retries, plan.retry_budget
                     )
@@ -577,8 +624,13 @@ class FaultCampaign:
                     return
                 retries += 1
                 counters[row].retries += 1
-                for t, out_row, cols in targets[pc]:
-                    tiles[t][out_row, cols] = instr.spec.preset
+                for tile, _, orow, mask, _, _ in gates[pc]:
+                    words = rows[tile]
+                    active = mask << shift
+                    if preset:
+                        words[orow] |= active
+                    else:
+                        words[orow] &= ~active
                 redo((row,))
             if retries:
                 counters[row].recovered += 1
@@ -589,22 +641,20 @@ class FaultCampaign:
             cells = cells_at.get(pc, ())
             check = pc in checks
 
-            def after(states, redo) -> None:
+            def after(rows, redo) -> None:
                 for row, mask in flips:
-                    start = 0
-                    for tile, out_row, cols in targets[pc]:
-                        stop = start + cols.size
-                        hit = cols[mask[start:stop]]
-                        states[tile][row, out_row, hit] ^= True
-                        start = stop
+                    shift = row * cols
+                    for i in np.flatnonzero(mask).tolist():
+                        tile, orow, c = cells_of[pc][i]
+                        rows[tile][orow] ^= 1 << (shift + c)
                 if check:
                     for row in sorted(flipped - stopped.keys()):
-                        verify(states, redo, pc, row)
+                        verify(rows, redo, pc, row)
                 for row in stops:
-                    stopped[row] = [state[row].copy() for state in states]
+                    stopped[row] = [list(words) for words in rows]
                 for row, (tile, r, c) in cells:
                     if row not in stopped:
-                        states[tile][row, r, c] ^= True
+                        rows[tile][r] ^= 1 << (row * cols + c)
                         flipped.add(row)
 
             return after
@@ -624,7 +674,10 @@ class FaultCampaign:
             events = draws[row].events
             for _, _, site, _ in events[:kept.get(row, len(events))]:
                 counters[row].injected[site] += 1
-            memory = stopped.get(row) or [t.state[row] for t in machine.tiles]
+            if row in stopped:
+                memory = [sample_state(words, row, cols) for words in stopped[row]]
+            else:
+                memory = [t.state[row] for t in machine.tiles]
             memory_match = all(
                 np.array_equal(a, b) for a, b in zip(memory, golden_memory)
             )

@@ -35,7 +35,7 @@ exactly the silent-data-corruption channel the campaign quantifies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -245,11 +245,12 @@ def verify_mismatches(state: np.ndarray, instr: LogicInstruction, active) -> int
     return int((state[instr.output_row][active] != expected).sum())
 
 
-@dataclass(frozen=True)
-class FlipSite:
+class FlipSite(NamedTuple):
     """A logic instruction with a non-zero flip rate: its pc and gate,
     whether it is verified, and how many active columns its target
-    tiles hold together (the length of one draw)."""
+    tiles hold together (the length of one draw).  A tuple, since a
+    compiled plan keeps one per logic instruction for every fault plan
+    its campaigns run (:func:`repro.faults.campaign._flip_draws`)."""
 
     pc: int
     gate: str

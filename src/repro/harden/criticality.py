@@ -113,9 +113,42 @@ def analyse(
 
     ``flip_rates`` maps gate names to per-column flip probabilities
     (missing gates count as rate 0 — the masked/critical classification
-    is rate-independent, only scores and ``p_flip`` change).
+    is rate-independent, only scores and ``p_flip`` change).  The
+    def-use and fan-out pass depends on the program and ``config``
+    alone, so it runs once per lint config and is memoised on the
+    program (see ``Program``); the rates are applied per call.
     """
-    n_instrs = len(program.instructions)
+    memo = program.__dict__.setdefault("_criticality", {})
+    try:
+        flow = memo.get(config)
+    except TypeError:  # unhashable config (a custom EnergyBuffer)
+        memo = flow = None
+    if flow is None:
+        flow = _def_use(program, config)
+        if memo is not None:
+            memo[config] = flow
+    records = []
+    for pc, gate, tile, output_row, n_columns, consumers, redefined, fanout in flow:
+        flip_rate = float(flip_rates.get(gate, 0.0))
+        records.append(GateRecord(
+            index=pc,
+            gate=gate,
+            tile=tile,
+            output_row=output_row,
+            n_columns=n_columns,
+            flip_rate=flip_rate,
+            p_flip=min(1.0, n_columns * flip_rate),
+            consumers=consumers,
+            redefined=redefined,
+            fanout=fanout,
+        ))
+    return CriticalityReport(program=program.name, records=tuple(records))
+
+
+def _def_use(program: Program, config: LintConfig) -> tuple:
+    """The rate-independent facts of each logic instruction, in pc
+    order: ``(pc, gate, tile, output row, active columns, consumers,
+    redefined, fan-out)``, as :class:`GateRecord` names them."""
     gate_pcs: list[int] = []
     consumers: dict[int, set[int]] = {}
     redefined: dict[int, bool] = {}
@@ -173,26 +206,17 @@ def analyse(
         downstream[pc] = mask
         fanout[pc] = mask.bit_count()
 
-    records = tuple(
-        GateRecord(
-            index=pc,
-            gate=program.instructions[pc].gate,
-            tile=program.instructions[pc].tile,
-            output_row=program.instructions[pc].output_row,
-            n_columns=n_cols[pc],
-            flip_rate=float(flip_rates.get(program.instructions[pc].gate, 0.0)),
-            p_flip=min(
-                1.0,
-                n_cols[pc]
-                * float(flip_rates.get(program.instructions[pc].gate, 0.0)),
-            ),
-            consumers=tuple(sorted(consumers[pc])),
-            redefined=redefined[pc],
-            fanout=fanout[pc],
+    instructions = program.instructions
+    return tuple(
+        (
+            pc,
+            instructions[pc].gate,
+            instructions[pc].tile,
+            instructions[pc].output_row,
+            n_cols[pc],
+            tuple(sorted(consumers[pc])),
+            redefined[pc],
+            fanout[pc],
         )
         for pc in gate_pcs
     )
-    if n_instrs and not records:
-        # Programs without logic instructions are trivially safe.
-        pass
-    return CriticalityReport(program=program.name, records=records)

@@ -34,17 +34,19 @@ exactly).
 That scalar loop is the referee.  By default :meth:`BatchedMouse.run`
 executes the compiled plan :class:`~repro.core.accelerator.Mouse`
 runs — the same ``CompiledPlan``, from the same per-Program cache —
-applying each op to the ``(batch, rows, cols)`` states
-(:mod:`repro.compilejit.exec`); the loop runs when compiled execution
-is switched off or the program does not compile.
+on packed rows: each tile row of the batch becomes one Python int, one
+bit per (sample, column), for the length of the run, and every op a
+few bitwise ops on those ints (:func:`repro.compilejit.exec.
+run_batched`); the loop runs when compiled execution is switched off
+or the program does not compile.
 
 Scope: continuous power only.  Intermittent execution and sensor
 reads are inherently per-sample/per-outage serial semantics — use the
 serial machine for those (see ``docs/PERFORMANCE.md``).  A fault
 campaign that does not mix gate flips with other faults draws every
 trial's faults up front and runs its trials as the samples of one
-compiled batch (:mod:`repro.faults.campaign`); a mixed campaign is
-serial.
+compiled batch, its hooks working on the packed rows
+(:mod:`repro.faults.campaign`); a mixed campaign is serial.
 """
 
 from __future__ import annotations

@@ -155,6 +155,13 @@ def parallel_tasks(
             initargs=(worker_counter, events_path),
         ) as pool:
             results = pool.map(_run_thunk, range(len(thunks)))
+            # Let the idle workers take their stop sentinels and exit
+            # before the pool's exit terminates it: a SIGTERM that lands
+            # just as a worker blocks on the task queue's lock runs its
+            # handler only after a wait that never ends, and the join
+            # after it hangs.
+            pool.close()
+            pool.join()
     except (OSError, AssertionError):  # pragma: no cover - no fork/daemon
         return [t() for t in thunks]
     finally:

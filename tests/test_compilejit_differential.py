@@ -10,7 +10,8 @@ and is compared with its referee:
 
 * ``Mouse.run()`` against ``Mouse.run(compiled=False)``;
 * ``BatchedMouse`` of 4 samples and of 1 against the per-sample serial
-  interpreter;
+  interpreter, and of 2 and 65 samples on a bank of more than 128
+  columns, where the logic energies sum past NumPy's pairwise blocks;
 * the fused intermittent loop against the scalar ``IntermittentRun``,
   at capacitances small enough to force outages, under a constant, a
   sinusoidal and two burst-trace harvesters, one of them with a dead
@@ -23,8 +24,9 @@ are ranges of 7 or 8 columns or sets of 5 with a gap (an ACTIVATE
 names at most 5 columns), so gates and presets sit on both sides of
 the per-cell limit (``plan.CELL_COLUMNS``).  Spies on the
 executor's gate and preset helpers show which form ran where: per cell
-in the continuous, fused intermittent and batch-of-1 executors, NumPy
-in batches of 4, on sets of 8 or more columns and in broadcast gates.
+in the continuous and fused intermittent executors, NumPy on sets of 8
+or more columns and in broadcast gates, and neither in a batch, whose
+ops all run on packed rows.
 
 Breakdowns are compared with float ``==`` and tile states with array
 equality, never a tolerance.
@@ -47,6 +49,8 @@ from repro.compilejit.plan import (
     K_L1S,
     K_LN,
     K_PRESET,
+    K_READ,
+    K_WRITE,
     PlanUnsupported,
     compile_program,
 )
@@ -82,6 +86,13 @@ ROWS, COLS, N_TILES = 16, 8, 2
 WIDE_COLS = 12
 #: Boundary programs drawn per seed.
 WIDE_PROGRAMS_PER_SEED = 8
+#: The bank of the packed-batch programs: wider than 128 columns, so an
+#: all-columns gate sums its energies past NumPy's 128-value pairwise
+#: block, and its packed rows hold more than 64 bits at any batch.
+WIDEST_COLS = 130
+#: Packed-batch programs drawn, and the batch sizes they run at.
+WIDEST_PROGRAMS = 6
+PACKED_BATCHES = (2, 65)
 #: Seeds, and compilable programs drawn per seed.  The generator is
 #: lint-clean by construction (400 of 400 candidates compiled at seed
 #: 123, 256 of them replay-stable); the compile filter stays as a guard.
@@ -189,6 +200,16 @@ def _boundary_activate(rng, tile: int) -> ActivateColumnsInstruction:
     return ActivateColumnsInstruction(tile, cols)
 
 
+def _widest_activate(rng, tile: int) -> ActivateColumnsInstruction:
+    """A bulk activation on the widest bank: all its columns, or a
+    range of 8, 128 or 129 columns (the shortest sum NumPy unrolls in
+    blocks of 8, the longest it sums in one block, and the shortest it
+    splits in two)."""
+    n = int(rng.choice([WIDEST_COLS, WIDEST_COLS, 8, 128, 129]))
+    first = int(rng.integers(WIDEST_COLS - n + 1))
+    return ActivateColumnsInstruction(tile, (first, first + n - 1), bulk=True)
+
+
 def _candidate(rng, activate=_activate) -> Program:
     """One random program.  In *stable* programs every masked
     instruction targets only the tiles the latest ACTIVATE latched, so
@@ -236,7 +257,16 @@ def _wide_programs(seed: int) -> tuple:
     return _draw(seed, WIDE_PROGRAMS_PER_SEED, WIDE_COLS, _boundary_activate)
 
 
-def _draw(seed: int, count: int, cols: int, activate) -> tuple:
+@lru_cache(maxsize=None)
+def _widest_programs() -> tuple:
+    """``WIDEST_PROGRAMS`` compilable programs for the ``WIDEST_COLS``
+    bank and the tile contents of ``max(PACKED_BATCHES)`` samples."""
+    return _draw(
+        0, WIDEST_PROGRAMS, WIDEST_COLS, _widest_activate, max(PACKED_BATCHES)
+    )
+
+
+def _draw(seed: int, count: int, cols: int, activate, samples=BATCH) -> tuple:
     rng = np.random.default_rng(seed)
     cost = InstructionCostModel(ALL_TECHNOLOGIES[0])
     accepted = []
@@ -246,7 +276,7 @@ def _draw(seed: int, count: int, cols: int, activate) -> tuple:
             plan = compile_program(program, cost, N_TILES, ROWS, cols)
         except PlanUnsupported:
             continue
-        states = rng.integers(0, 2, size=(BATCH, N_TILES, ROWS, cols)).astype(bool)
+        states = rng.integers(0, 2, size=(samples, N_TILES, ROWS, cols)).astype(bool)
         accepted.append((program, plan, states))
     return tuple(accepted)
 
@@ -331,7 +361,7 @@ def test_batched_plan_matches_serial_interpreter(seed, tech):
 @pytest.mark.parametrize("tech", ALL_TECHNOLOGIES, ids=TECH_IDS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batch_of_one_matches_serial_interpreter(seed, tech):
-    """A batch of one sample runs the per-cell forms, as a Mouse does."""
+    """A batch of one sample runs on packed rows too."""
     _batched_matches((seed, tech.name), tech, _programs(seed), 1)
 
 
@@ -345,6 +375,52 @@ def test_boundary_programs_match_interpreter(seed, tech):
     _continuous_matches(key0, tech, entries)
     for batch in (1, BATCH):
         _batched_matches(key0, tech, entries, batch)
+
+
+@pytest.mark.parametrize("tech", ALL_TECHNOLOGIES, ids=TECH_IDS)
+def test_packed_batches_past_128_columns_match_interpreter(tech):
+    """Batches of 2 and 65 samples on a 130-column bank, with
+    all-columns ACTIVATEs, broadcast gates, READ and WRITE: each
+    sample's energies are gathered from the log and summed over 8, 128,
+    129 and 130 columns as ``Tile.logic_op`` sums them."""
+    entries = _widest_programs()
+    kinds = {op[0] for _, plan, _ in entries for op in plan.ops}
+    assert {K_LN, K_READ, K_WRITE} <= kinds, kinds
+    widths = {_width(gate) for _, plan, _ in entries for gate in _all_gates(plan)}
+    assert {8, 128, 129, WIDEST_COLS} <= widths, widths
+    for batch in PACKED_BATCHES:
+        _batched_matches((tech.name, "widest"), tech, entries, batch)
+
+
+@pytest.mark.parametrize("tech", ALL_TECHNOLOGIES, ids=TECH_IDS)
+def test_a_range_and_a_set_with_the_same_ends_gather_their_own_columns(tech):
+    """Columns 3..4 and the set {3, 5} under one gate kernel: two
+    energy groups, each summing its own columns."""
+    program = Program([
+        ActivateColumnsInstruction(0, (3, 4), bulk=True),
+        MemoryInstruction("PRESET0", 0, 1),
+        LogicInstruction("NAND", 0, (0, 2), 1),
+        ActivateColumnsInstruction(0, (3, 5)),
+        MemoryInstruction("PRESET0", 0, 3),
+        LogicInstruction("NAND", 0, (0, 2), 3),
+        HaltInstruction(),
+    ])
+    cost = InstructionCostModel(tech)
+    plan = compile_program(program, cost, N_TILES, ROWS, COLS)
+    assert [op[0] for op in plan.ops if op[0] >= K_L1S] == [K_L1S, K_L1P]
+    assert len(plan.packed().groups) == 2
+    rng = np.random.default_rng(7)
+    states = rng.integers(0, 2, size=(BATCH, N_TILES, ROWS, COLS)).astype(bool)
+    _batched_matches((tech.name, "range-and-set"), tech, [(program, plan, states)], BATCH)
+
+
+def test_packed_batches_in_one_charge_steps_match_interpreter(monkeypatch):
+    """The logic-energy pass and the compute-energy fold, stepped one
+    gate and one charge at a time, give the bits of one step each."""
+    monkeypatch.setattr(exec_module, "_STEP_BYTES", 1)
+    tech = ALL_TECHNOLOGIES[0]
+    _batched_matches((tech.name, "steps"), tech, _programs(0), BATCH)
+    _batched_matches((tech.name, "steps"), tech, _widest_programs(), 2)
 
 
 def _source(kind: str, watts: float, charge_time: float, seed: int):
@@ -612,12 +688,14 @@ def _preset_sets(plan) -> list:
 class _FormSpy:
     """Records every gate and preset set the executors apply, by form:
     the ops given to ``_cell_gate`` and to the NumPy ``_slice_gate`` /
-    ``_index_gate``, and the columns given to ``_cell_preset``."""
+    ``_index_gate``, the columns given to ``_cell_preset``, and the
+    number of ops each call of the packed loop ``_run_packed`` got."""
 
     def __init__(self, monkeypatch) -> None:
         self.cell: list = []
         self.numpy: list = []
         self.presets: list = []
+        self.packed: list = []
         for name, log in (
             ("_cell_gate", self.cell),
             ("_slice_gate", self.numpy),
@@ -637,11 +715,19 @@ class _FormSpy:
             return real_preset(mv, base, cols, value)
 
         monkeypatch.setattr(exec_module, "_cell_preset", preset)
+        real_packed = exec_module._run_packed
+
+        def packed(ops, *args):
+            self.packed.append(len(ops))
+            return real_packed(ops, *args)
+
+        monkeypatch.setattr(exec_module, "_run_packed", packed)
 
     def clear(self) -> None:
         self.cell.clear()
         self.numpy.clear()
         self.presets.clear()
+        self.packed.clear()
 
 
 def _ids(ops) -> list:
@@ -652,9 +738,10 @@ def _ids(ops) -> list:
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_forms_per_executor(seed, monkeypatch):
-    """Per cell in the continuous, batch-of-1 and fused intermittent
-    executors; NumPy in batches of 4, on single-tile sets of more than
-    CELL_COLUMNS columns and in broadcast gates."""
+    """Per cell in the continuous and fused intermittent executors;
+    NumPy on single-tile sets of more than CELL_COLUMNS columns and in
+    broadcast gates; in batches of 1 and 4, no ``apply_op`` form at
+    all: one pass of the packed loop over every op."""
     tech = ALL_TECHNOLOGIES[0]
     spy = _FormSpy(monkeypatch)
     wide_numpy = 0
@@ -685,13 +772,8 @@ def test_forms_per_executor(seed, monkeypatch):
                     tile.state[...] = states[:batch, t]
                 machine.load(program)
                 machine.run()
-                if batch == 1:
-                    assert _ids(spy.cell) == _ids(cell)
-                    assert _ids(spy.numpy) == _ids(numpy_)
-                    assert spy.presets == presets
-                else:
-                    assert spy.cell == [] and spy.presets == []
-                    assert _ids(spy.numpy) == _ids(_all_gates(plan))
+                assert spy.cell == [] and spy.numpy == [] and spy.presets == []
+                assert spy.packed == [len(plan.ops)]
 
             if not plan.replay_stable:
                 continue
@@ -709,9 +791,9 @@ def test_forms_per_executor(seed, monkeypatch):
 
 
 def test_flat_views_are_released_when_a_run_returns_or_raises(monkeypatch):
-    """The executors' flat views never outlive a continuous, fused or
-    batch-of-1 run, whether it returns or raises; a state that is not
-    C-contiguous gets none."""
+    """The executors' flat views never outlive a continuous or fused
+    run, whether it returns or raises; a state that is not C-contiguous
+    gets none."""
     tech = ALL_TECHNOLOGIES[0]
     made = []
     real_views = exec_module.flat_views
@@ -734,15 +816,6 @@ def test_flat_views_are_released_when_a_run_returns_or_raises(monkeypatch):
                     mv.tobytes()
         return bool(made)
 
-    def batch_of_one():
-        machine = BatchedMouse(
-            tech, batch=1, n_data_tiles=N_TILES, rows=ROWS, cols=COLS
-        )
-        for t, tile in enumerate(machine.tiles):
-            tile.state[...] = states[:1, t]
-        machine.load(program)
-        machine.run()
-
     per_instruction = _per_instruction(tech, program, states[0])
     runs = (
         lambda: _mouse(tech, program, states[0]).run(),
@@ -750,7 +823,6 @@ def test_flat_views_are_released_when_a_run_returns_or_raises(monkeypatch):
             tech, program, states[0], per_instruction,
             WINDOW_INSTRUCTIONS[-1], "constant", 0,
         ),
-        batch_of_one,
     )
     for run in runs:
         made.clear()
@@ -818,3 +890,24 @@ def test_every_plan_op_kind_is_exercised():
     assert stable == ALL_FORMS, sorted(ALL_FORMS ^ stable)
     assert {kind for kind, _ in every} == ALL_KINDS
     assert n_stable >= N_SEEDS, n_stable
+
+
+def test_every_packed_op_code_is_exercised():
+    """Every packed-row op code, and both targets and thresholds of the
+    unrolled gates, reach the batched executor."""
+    codes = {
+        value for name, value in vars(plan_module).items() if name.startswith("P_")
+    }
+    seen, unrolled = set(), set()
+    for seed in SEEDS:
+        for _, plan, _ in _programs(seed) + _wide_programs(seed):
+            for op in plan.packed().ops:
+                seen.add(op[0])
+                if op[0] == plan_module.P_G1:
+                    unrolled.add((1, op[-1]))
+                elif op[0] == plan_module.P_G2:
+                    unrolled.add((2, op[-2], op[-1]))
+    assert seen == codes, sorted(codes - seen)
+    assert unrolled == {(1, False), (1, True)} | {
+        (2, both, target) for both in (False, True) for target in (False, True)
+    }

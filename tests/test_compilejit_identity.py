@@ -362,8 +362,8 @@ BATCH_CLASSIFIERS = ("svm", "multiclass_svm", "bnn_output")
 
 
 def test_batched_fused_byte_identity():
-    """The compiled plan executed on (batch, rows, cols) states matches
-    the scalar batched loop for every ``*_batch`` function on every
+    """The compiled plan executed on a batch's packed rows matches the
+    scalar batched loop for every ``*_batch`` function on every
     technology."""
     for name in BATCH_CLASSIFIERS:
         for tech in ALL_TECHNOLOGIES:

@@ -1,6 +1,7 @@
 """Trace-driven replay: constant-trace byte-identity, graceful degradation."""
 
 import dataclasses
+import importlib
 import math
 
 import pytest
@@ -300,3 +301,60 @@ class TestNonTerminationDiagnosis:
             ProfileRun(profile, cost, config).run()
         assert info.value.trace_position is None
         assert "trace sample" not in str(info.value)
+
+
+@dataclasses.dataclass(eq=True)
+class _Unhashable:
+    """``SVM_ADULT`` behind an unhashable workload: replays of it build
+    their cost model and profile afresh every time."""
+
+    name: str = SVM_ADULT.name
+
+    def profile(self, cost):
+        return SVM_ADULT.profile(cost)
+
+
+class TestProfileMemo:
+    """A replay builds its workload's cost model and profile once per
+    (workload, technology): the second replay reuses them and returns
+    the result of a replay with nothing remembered."""
+
+    @staticmethod
+    def _replays(params=MODERN_STT):
+        trace = solar_diurnal(
+            seed=1, peak_watts=2e-4, floor_watts=3e-5, day_length=0.2
+        )
+        kwargs = {"time_budget": 0.5, "max_inferences": 100_000,
+                  "checkpoint_period": 2}
+        return (
+            lambda workload: replay(workload, params, trace, **kwargs),
+            lambda workload: replay(
+                workload, params, trace, adaptive=AdaptivePolicy(), **kwargs
+            ),
+        )
+
+    @staticmethod
+    def _count_profiles(monkeypatch) -> list:
+        calls = []
+        real = type(SVM_ADULT).profile
+
+        def spy(self, cost, *args, **kwargs):
+            calls.append(self.name)
+            return real(self, cost, *args, **kwargs)
+
+        monkeypatch.setattr(type(SVM_ADULT), "profile", spy)
+        return calls
+
+    def test_two_replays_build_one_profile(self, monkeypatch):
+        importlib.import_module("repro.env.replay")._memo_profile.cache_clear()
+        calls = self._count_profiles(monkeypatch)
+        results = [run(SVM_ADULT).to_json_obj() for run in self._replays()]
+        assert calls == [SVM_ADULT.name]
+        fresh = [run(_Unhashable()).to_json_obj() for run in self._replays()]
+        assert results == fresh
+        assert len(calls) == 3
+
+    def test_each_technology_gets_its_own_profile(self):
+        for params in ALL_TECHNOLOGIES:
+            for run in self._replays(params):
+                assert run(SVM_ADULT) == run(_Unhashable()), params.name

@@ -32,7 +32,8 @@ import numpy as np
 import pytest
 
 from repro import compilejit
-from repro.compilejit.plan import K_LN
+from repro.compilejit import exec as exec_module
+from repro.compilejit.plan import K_LN, CompiledPlan
 from repro.core.accelerator import Mouse
 from repro.core.controller import InstructionBudgetExceeded, Phase
 from repro.core.program import Program
@@ -335,6 +336,112 @@ def test_verified_gate_rereads_array_flips(budget, monkeypatch):
         assert fast.totals["recovered"] > 0
     else:
         assert fast.outcomes["detected_aborted"] > 0
+
+
+def test_hooks_work_on_packed_rows(monkeypatch):
+    """Each ``run_batched`` of a campaign packs and unpacks each tile
+    once, however many hooks lay flips, re-read and re-issue verified
+    gates, stop aborted trials and flip array cells: the hooks read
+    and write the packed rows themselves."""
+    runs = []  # per run: [packs, unpacks, tiles, hooks]
+    real_run = exec_module.run_batched
+
+    def run(machine, plan, hooks=None):
+        runs.append([0, 0, len(machine.tiles), len(hooks or ())])
+        return real_run(machine, plan, hooks)
+
+    def counting(real, slot):
+        def spy(*args):
+            runs[-1][slot] += 1
+            return real(*args)
+
+        return spy
+
+    monkeypatch.setattr(exec_module, "run_batched", run)
+    monkeypatch.setattr(exec_module, "pack_rows", counting(exec_module.pack_rows, 0))
+    monkeypatch.setattr(
+        exec_module, "unpack_rows", counting(exec_module.unpack_rows, 1)
+    )
+    tech = ALL_TECHNOLOGIES[0]
+    flips = {name: 0.2 for name in GATE_LIBRARY}
+    campaigns = (
+        FaultCampaign(
+            _broadcast(tech),
+            FaultPlan(gate_flip_rates=flips, verify_retry=True, retry_budget=1),
+            trials=8, seed=3,
+        ),
+        FaultCampaign(
+            _exposed_gate(),
+            FaultPlan(array_flip_rate=0.5, retry_budget=0),
+            trials=8, seed=5,
+        ),
+        FaultCampaign(
+            _exposed_gate(),
+            FaultPlan(array_flip_rate=0.5, retry_budget=2),
+            trials=8, seed=5,
+        ),
+    )
+    totals = dict.fromkeys(("gate", "array", "retries", "aborted"), 0)
+    for campaign in campaigns:
+        ref = _interpreted(campaign, jobs=1)
+        with monkeypatch.context() as m:
+            m.setattr(FaultCampaign, "_run_trial", _refuse)
+            fast = campaign.run(jobs=1)
+        assert fast.to_json() == ref.to_json()
+        for site in ("gate", "array"):
+            totals[site] += fast.totals["injected"].get(site, 0)
+        totals["retries"] += fast.totals["retries"]
+        totals["aborted"] += fast.outcomes["detected_aborted"]
+    assert all(totals.values()), totals
+    assert len(runs) == len(campaigns)
+    assert {tiles for _, _, tiles, _ in runs} == {1, 2}
+    for packs, unpacks, tiles, hooks in runs:
+        assert hooks > 0
+        assert packs == unpacks == tiles
+
+
+def test_flip_sites_are_built_once_per_plan(monkeypatch):
+    """A second campaign of the same program and fault rates reuses the
+    first one's flip sites: it asks the plan for no flip targets, and
+    its report is the bytes of a campaign on a freshly built plan."""
+    plan = FaultPlan(gate_flip_rates=FLIPS, verify_retry=True, retry_budget=1)
+    workload = WORKLOADS["bnn"](MODERN_STT)
+    calls = []
+    real = CompiledPlan.flip_targets
+
+    def spy(self, pc):
+        calls.append(pc)
+        return real(self, pc)
+
+    monkeypatch.setattr(CompiledPlan, "flip_targets", spy)
+    first = FaultCampaign(workload, plan, trials=6, seed=2).run(jobs=1)
+    assert calls
+    calls.clear()
+    again = FaultCampaign(workload, plan, trials=6, seed=2).run(jobs=1)
+    assert calls == []
+    fresh = FaultCampaign(WORKLOADS["bnn"](MODERN_STT), plan, trials=6, seed=2)
+    assert again.to_json() == fresh.run(jobs=1).to_json() == first.to_json()
+    assert calls
+
+
+@pytest.mark.parametrize("tech", ALL_TECHNOLOGIES, ids=lambda tech: tech.name)
+def test_flip_sites_follow_the_verify_switches_and_budget(tech):
+    """Campaigns of one program that differ only in a verify switch or
+    the retry budget each draw with their own sites: every report is
+    the interpreter's."""
+    workload = WORKLOADS["bnn"](tech)
+    aborted = 0
+    for retry, marked, budget in ((True, True, 2), (True, True, 0), (False, True, 0)):
+        plan = FaultPlan(
+            gate_flip_rates=FLIPS, verify_retry=retry, verify_marked=marked,
+            retry_budget=budget,
+        )
+        campaign = FaultCampaign(workload, plan, trials=6, seed=2)
+        fast = campaign.run(jobs=1)
+        assert campaign.trial_tier == {"tier": "batched"}
+        assert fast.to_json() == _interpreted(campaign, jobs=1).to_json()
+        aborted += fast.outcomes["detected_aborted"]
+    assert aborted > 0
 
 
 # ----------------------------------------------------------------------

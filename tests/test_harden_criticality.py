@@ -1,7 +1,7 @@
 """Criticality analysis: masking, fan-out, scores, determinism."""
 
 from repro.compile.builder import ProgramBuilder
-from repro.harden import analyse
+from repro.harden import analyse, criticality
 from repro.lint import LintConfig
 
 CONFIG = LintConfig(n_data_tiles=1, rows=64, cols=4)
@@ -130,3 +130,63 @@ class TestScores:
         program = b.finish()
         report = analyse(program, {"NAND": 0.05}, CONFIG)
         assert report.total_flip_mass == report.critical()[0].p_flip
+
+
+class TestMemo:
+    """The def-use and fan-out pass runs once per program and lint
+    config; the flip rates are applied on every call."""
+
+    @staticmethod
+    def _program():
+        b = builder(cols=4)
+        word = b.word_at([0, 2])
+        g1 = b.gate("NAND", word.bits[0], word.bits[1])
+        b.gate("NOT", g1)
+        return b.finish()
+
+    def test_keyed_by_lint_config(self, monkeypatch):
+        calls = []
+        real = criticality._def_use
+
+        def spy(program, config):
+            calls.append(config)
+            return real(program, config)
+
+        monkeypatch.setattr(criticality, "_def_use", spy)
+        program = self._program()
+        narrow = LintConfig(n_data_tiles=1, rows=64, cols=2)
+        rates = {"NAND": 0.1, "NOT": 0.1}
+        reports = [analyse(program, rates, config) for config in (CONFIG, narrow)]
+        again = [analyse(program, rates, config) for config in (CONFIG, narrow)]
+        assert calls == [CONFIG, narrow]
+        assert again == reports
+        assert [r.n_columns for r in reports[0].records] == [4, 4]
+        assert [r.n_columns for r in reports[1].records] == [2, 2]
+        assert set(program.__dict__["_criticality"]) == {CONFIG, narrow}
+
+    def test_rate_dependent_fields_are_recomputed(self):
+        program = self._program()
+        low = analyse(program, {"NAND": 0.01, "NOT": 0.02}, CONFIG)
+        high = analyse(program, {"NAND": 0.3, "NOT": 0.05}, CONFIG)
+        assert high == analyse(self._program(), {"NAND": 0.3, "NOT": 0.05}, CONFIG)
+        assert [r.flip_rate for r in low.records] == [0.01, 0.02]
+        assert [r.flip_rate for r in high.records] == [0.3, 0.05]
+        assert [r.p_flip for r in low.records] == [4 * 0.01, 4 * 0.02]
+        assert [r.p_flip for r in high.records] == [1.0, 4 * 0.05]
+        assert [r.score for r in high.records] == [2.0, 4 * 0.05]
+        assert [r.fanout for r in low.records] == [r.fanout for r in high.records]
+
+    def test_append_drops_the_memo(self):
+        from repro.isa.instruction import MemoryInstruction
+
+        program = self._program()
+        before = analyse(program, {}, CONFIG)
+        assert CONFIG in program.__dict__["_criticality"]
+        halt = program.instructions.pop()
+        program.scope_ids.pop()
+        program.append(MemoryInstruction(op="READ", tile=0, row=before.records[1].output_row))
+        program.append(halt)
+        assert "_criticality" not in program.__dict__
+        after = analyse(program, {}, CONFIG)
+        assert before.records[1].consumers == ()
+        assert after.records[1].consumers == (len(program) - 2,)

@@ -9,7 +9,15 @@ run the same work at ``jobs=1`` and ``jobs=2`` and compare with ``==``
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.perf.parallel import (
     cpu_count,
@@ -53,6 +61,38 @@ def test_nested_fanout_degrades_to_serial():
         return parallel_tasks([lambda: 1, lambda: 2], jobs=2)
 
     assert parallel_tasks([outer, outer], jobs=2) == [[1, 2], [1, 2]]
+
+
+#: A child process that fans out nested tasks 400 times in a row.
+_REPEATED_FANOUTS = """
+from repro.perf.parallel import parallel_tasks
+
+def outer():
+    return parallel_tasks([lambda: 1, lambda: 2], jobs=2)
+
+for _ in range(400):
+    assert parallel_tasks([outer, outer], jobs=2) == [[1, 2], [1, 2]]
+"""
+
+
+def test_repeated_fanouts_end_without_hanging():
+    """Hundreds of fan-outs in a row finish: each pool lets its idle
+    workers exit before it is torn down, so no worker gets a SIGTERM
+    while it waits on the task queue.  Terminating at once hung such a
+    run in 2 of 3 tries on a 2-core VM.  The child runs in its own
+    session, so a hang kills its whole process tree."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    child = subprocess.Popen(
+        [sys.executable, "-c", _REPEATED_FANOUTS],
+        env=dict(os.environ, PYTHONPATH=src),
+        start_new_session=True,
+    )
+    try:
+        assert child.wait(timeout=120) == 0
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.wait()
+        pytest.fail("400 fan-outs did not finish within 120 s")
 
 
 def test_default_jobs_round_trip():
