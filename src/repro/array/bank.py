@@ -213,10 +213,13 @@ class Bank:
     def power_off(self) -> None:
         """Drop everything volatile: the column-activation latches.
 
-        Array contents (MTJ states) are non-volatile and survive.
+        Array contents (MTJ states) are non-volatile and survive.  A
+        tile with no latched column has nothing to drop.
         """
-        for tile in self.data_tiles + self.instruction_tiles:
-            tile.deactivate_all()
+        for tiles in (self.data_tiles, self.instruction_tiles):
+            for tile in tiles:
+                if tile.n_active:
+                    tile.deactivate_all()
 
     def snapshot(self) -> list[np.ndarray]:
         """Copies of every data tile's state, for equivalence checks."""

@@ -1,11 +1,13 @@
 """Compiled-plan executors: continuous power, intermittent windows and
 lock-step batches.
 
-The two executors holding one machine apply the plan's ops through one
-function, :func:`apply_op`; a lock-step batch runs the plan's
-packed-row ops (:func:`run_batched`).  All three reproduce the scalar
-interpreters' ledger arithmetic bit for bit.  The key identity: for
-IEEE-754 doubles,
+A continuous ``Mouse`` run and a lock-step batch run the plan's
+packed-row ops (:meth:`~repro.compilejit.plan.CompiledPlan.packed`)
+in one pass, a continuous run as a batch of one; the fused
+intermittent loop, which needs each op's energy before its next draw,
+applies the plan's ops one at a time through :func:`apply_op`.  All
+three reproduce the scalar interpreters' ledger arithmetic bit for
+bit.  The key identity: for IEEE-754 doubles,
 
     np.add.accumulate(np.concatenate(([c0], vals)))[-1]
 
@@ -18,18 +20,19 @@ very same cost-model methods the interpreter calls; dynamic logic
 energies are produced by the same kernel-table gathers `Tile.logic_op`
 performs, in the same dtype and reduction order.
 
-A continuous ``Mouse`` run and the fused intermittent loop also hand
-:func:`apply_op` one flat byte ``memoryview`` per tile state, and ops
-with a per-cell form (see :mod:`repro.compilejit.plan`) then run one
-cell at a time with Python ints.  A per-cell energy is summed left to
-right from 0.0 in column order over at most ``CELL_COLUMNS`` columns,
-which is how NumPy sums that many float64 values, so both forms give
-the same bits.  The views write straight into the NumPy states and are
-released when the run returns or raises.
+The fused intermittent loop also hands :func:`apply_op` one flat byte
+``memoryview`` per tile state, and ops with a per-cell form (see
+:mod:`repro.compilejit.plan`) then run one cell at a time with Python
+ints.  A per-cell energy is summed left to right from 0.0 in column
+order over at most ``CELL_COLUMNS`` columns, which is how NumPy sums
+that many float64 values, so both forms give the same bits.  The
+views write straight into the NumPy states and are released when the
+run returns or raises.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Optional
 
 import numpy as np
@@ -161,7 +164,8 @@ def _cell_preset(mv, base, cols, value) -> None:
 
 
 def apply_op(op, states, views, tiles, cbuf, actreg, share, oms, flat=None):
-    """Apply one plan op to one machine and return its EXECUTE energy.
+    """Apply one plan op to one machine and return its EXECUTE energy:
+    the fused intermittent loop's op switch.
 
     ``states`` / ``views`` are the data tiles' ``(rows, cols)`` bool
     arrays and their uint8 views; ``cbuf`` is the ``(cols,)`` transfer
@@ -292,25 +296,27 @@ def mouse_plan(mouse) -> Optional[CompiledPlan]:
 
 
 def _run_continuous(mouse, plan: CompiledPlan, prof) -> None:
+    """One machine's run as a batch of one: the packed pass from the
+    transfer buffer's bits, the logic energies written into the plan's
+    charge table, then the scalar chains folded over it."""
     controller = mouse.controller
     tiles = mouse.bank.data_tiles
-    states = [t.state for t in tiles]
-    views = [st.view(np.uint8) for st in states]
-    cbuf = controller.buffer
-    actreg = controller.activate_register
-    vals = plan.chg_vals
-    share = plan.share
-    oms = plan.oms
+    packed = plan.packed()
+    buf = controller.buffer[None, None]
 
-    # --- semantic pass: array effects + dynamic logic energies --------
-    flat = flat_views(states)
-    try:
-        for op in plan.ops:
-            e = apply_op(op, states, views, tiles, cbuf, actreg, share, oms, flat)
-            if op[0] >= K_L1S:
-                vals[op[1]] = e
-    finally:
-        release_views(flat)
+    # --- semantic pass: array effects, gate log, transfer buffer ------
+    log, cbuf = _packed_pass(
+        plan, tiles, [t.state[None] for t in tiles], 1, pack_rows(buf)[0]
+    )
+    unpack_rows([cbuf], buf)
+    actreg = controller.activate_register
+    for _, word in plan.activates:
+        actreg.stage(word)
+        actreg.commit()
+    vals = plan.chg_vals
+    vals[plan.ce_idx[packed.logic_at]] = _logic_energies(
+        packed, log, 1, plan.cols, plan.share, plan.oms
+    ).ravel()
 
     # --- accounting: reduce the charge table -------------------------
     n = plan.n_instructions
@@ -418,27 +424,33 @@ def intermittent_eligible(run, obs) -> Optional[CompiledPlan]:
 def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
     """The IntermittentRun while-loop, fused per instruction.
 
-    Keeps the voltage in a local and makes the interpreter's exact
-    per-microstep buffer calls through the buffer's
+    Keeps the voltage, the ledger's categories and running total, the
+    dual PC's copies, parity bit and staged flag, and the phase in
+    locals, and makes the interpreter's exact per-microstep buffer
+    calls through the buffer's
     :meth:`~repro.harvest.capacitor.EnergyBuffer.stepper` closures —
     every draw priced over one cycle (the ESR term), including the
     zero draws at DECODE and PC_STAGE, and every commit's harvest
-    checked and leaked — and hands outages to the referee's own stall
-    check, ``power_off``, ``charge_until_ready`` and ``power_on``, so
-    restore/charging accounting, activation re-issue, and the dual-PC
-    protocol are the scalar engine's code.  A checkpointer gets the
-    scalar loop's hook calls in its order: ``on_outage`` right after
-    ``power_off``, ``on_commit`` after every committed instruction
-    (HALT included, and after the outage a commit ends in).  The
-    locals are written back onto the run, ledger, buffer and controller
-    before every hook and interpreter call and on every exit, a raise
-    included.  One instruction is applied at a time: speculating across
-    an outage boundary is unsound (the ``repro.verify`` re-execution
-    analysis refuted window-level replay for programs with WAR hazards,
-    and energy arrival decides where the window ends).
+    checked and leaked; a constant source's harvest per cycle is its
+    ``energy`` over one cycle, computed once.  Outages go to the
+    referee's own stall check, ``power_off``, ``charge_until_ready``
+    and ``power_on``, so restore/charging accounting, activation
+    re-issue, and the dual-PC protocol are the scalar engine's code.
+    A checkpointer gets the scalar loop's hook calls in its order:
+    ``on_outage`` right after ``power_off``, ``on_commit`` after every
+    committed instruction (HALT included, and after the outage a
+    commit ends in).  The locals are written back onto the run,
+    ledger, buffer, PC register and controller before every hook and
+    interpreter call and on every exit, a raise included; the fetched
+    word and its decode are built only then.  One instruction is
+    applied at a time: speculating across an outage boundary is
+    unsound (the ``repro.verify`` re-execution analysis refuted
+    window-level replay for programs with WAR hazards, and energy
+    arrival decides where the window ends).
     """
     from repro import compilejit
     from repro.harvest.intermittent import charge_until_ready
+    from repro.harvest.source import is_constant
 
     mouse = run.mouse
     controller = mouse.controller
@@ -466,17 +478,22 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
     steps = buffer.stepper()
     add, draw, leak, off_at = steps.add, steps.draw, steps.leak, steps.off_at
     source_energy = source.energy
+    # A constant source's harvest over a cycle never depends on when.
+    h_cycle = source_energy(run.time, cycle) if is_constant(source) else None
     DECODE, EXECUTE = Phase.DECODE, Phase.EXECUTE
     PC_STAGE, COMMIT, FETCH = Phase.PC_STAGE, Phase.COMMIT, Phase.FETCH
 
-    # Locals mirrored from the ledger breakdown / run cursor; written
-    # back before every hook and interpreter call and on every exit.
+    # Locals mirrored from the ledger breakdown / run cursor / PC
+    # register; written back before every hook and interpreter call and
+    # on every exit.  `tot` is the breakdown's total energy, ((ce + be)
+    # + de) + re, as the scalar loop reads it around each microstep.
     ce = b.compute_energy
     cl = b.compute_latency
     be = b.backup_energy
     de = b.dead_energy
     dl = b.dead_latency
     re_ = b.restore_energy  # read-only here; power paths update it
+    tot = ce + be + de + re_
     ninstr = b.instructions
     v = buffer.voltage
     t = run.time
@@ -484,10 +501,17 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
     commits_w = run._commits_in_window
     drawn_w = run._drawn_in_window
     dead = controller._dead_replay
-    # _word lives FETCH..COMMIT, _instr lives DECODE..COMMIT; power_off
-    # clears both.  `phase` and `eu` are the controller's phase and
+    p0, p1 = pcreg._values
+    par = pcreg.parity.value
+    staged = pcreg._staged
+    pc = pcreg.read()
+    # `phase` and `eu` are the controller's phase and
     # executed-uncommitted flag after the last microstep the locals
     # hold, so a raise anywhere leaves the scalar loop's machine state.
+    # `word` / `instr` are the controller's fetched word and decode at
+    # the last instruction boundary (power_off and COMMIT clear both,
+    # HALT leaves its own); mid-instruction, flush() rebuilds them from
+    # `pc`, as FETCH and DECODE set them.
     word = controller._word
     instr = controller._instr
     phase, eu = FETCH, False
@@ -510,12 +534,20 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
         controller._dead_replay = dead
         controller._executed_uncommitted = eu
         controller.phase = phase
-        controller._word = word
-        controller._instr = instr
+        if phase is FETCH:
+            controller._word = word
+            controller._instr = instr
+        else:
+            controller._word = w = words[pc]
+            controller._instr = instr if phase is DECODE else decode_cached(w)
+        pcreg._values = [p0, p1]
+        pcreg.parity.value = par
+        pcreg._staged = staged
 
     def outage() -> None:
-        nonlocal ce, cl, be, de, dl, re_, ninstr, v, t, live
+        nonlocal ce, cl, be, de, dl, re_, tot, ninstr, v, t, live
         nonlocal executed, commits_w, drawn_w, dead, word, instr, phase, eu
+        nonlocal p0, p1, par, staged, pc
         flush()
         live = False
         run._check_progress()
@@ -534,12 +566,17 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
         de = b.dead_energy
         dl = b.dead_latency
         re_ = b.restore_energy
+        tot = ce + be + de + re_
         ninstr = b.instructions
         v = buffer.voltage
         t = run.time
         commits_w = 0
         drawn_w = 0.0
         dead = controller._dead_replay
+        p0, p1 = pcreg._values
+        par = pcreg.parity.value
+        staged = pcreg._staged
+        pc = pcreg.read()
         word = None  # power_off cleared them
         instr = None
         phase, eu = FETCH, False
@@ -553,7 +590,6 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
                     f"instruction budget exhausted: program did not halt "
                     f"within {max_instructions} instructions"
                 )
-            pc = pcreg.read()
             op = ops[pc]
             k = op[0]
 
@@ -563,13 +599,13 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
             # left-associated sum ((ce + be) + de) + re — NOT the raw
             # charge value.  The delta differs from the charge by ulps,
             # so replicate it exactly.
-            word = words[pc]
-            te = ce + be + de + re_
+            te = tot
             if dead:
                 de += fetch_e
             else:
                 ce += fetch_e
-            consumed = ce + be + de + re_ - te
+            tot = ce + be + de + re_
+            consumed = tot - te
             phase = DECODE
             v = draw(v, consumed, cycle)
             drawn_w += consumed
@@ -578,7 +614,6 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
                 continue
 
             # ---- DECODE: zero draw (square-root round-trip) ----
-            instr = decode_cached(word)
             phase = EXECUTE
             v = draw(v, 0.0, cycle)
             if v <= off_at:
@@ -593,10 +628,13 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
                     cl += cycle
                 ninstr += 1
                 controller.halted = True
+                # HALT leaves its fetched word and decode in place.
+                word = words[pc]
+                instr = decode_cached(word)
                 phase = FETCH
                 executed += 1
                 commits_w += 1
-                harvested = source_energy(t, cycle)
+                harvested = source_energy(t, cycle) if h_cycle is None else h_cycle
                 t += cycle
                 v = leak(add(v, harvested), cycle)
                 v = draw(v, 0.0, cycle)
@@ -605,14 +643,15 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
             e_exec = float(
                 apply_op(op, states, views, tiles, cbuf, actreg, share, oms, flat)
             )
-            te = ce + be + de + re_
+            te = tot
             if dead:
                 de += e_exec
             else:
                 ce += e_exec
             if k == K_ACT:
                 be += act_backup_e
-            consumed = ce + be + de + re_ - te
+            tot = ce + be + de + re_
+            consumed = tot - te
             phase, eu = PC_STAGE, True
             v = draw(v, consumed, cycle)
             drawn_w += consumed
@@ -620,21 +659,28 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
                 outage()
                 continue
 
-            # ---- PC_STAGE: stage pc+1, zero draw ----
-            pcreg.stage(pc + 1)
+            # ---- PC_STAGE: stage pc+1 in the invalid copy, zero draw ----
+            if par:
+                p0 = pc + 1
+            else:
+                p1 = pc + 1
+            staged = True
             phase = COMMIT
             v = draw(v, 0.0, cycle)
             if v <= off_at:
                 outage()
                 continue
 
-            # ---- COMMIT: publish pc, charge backup, count, harvest ----
-            pcreg.commit()
+            # ---- COMMIT: flip the parity, charge backup, count, harvest ----
+            par = not par
+            staged = False
+            pc += 1
             word = None
             instr = None
-            te = ce + be + de + re_
+            te = tot
             be += backup_e
-            consumed = ce + be + de + re_ - te
+            tot = ce + be + de + re_
+            consumed = tot - te
             if dead:
                 dl += cycle
             else:
@@ -644,7 +690,7 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
             phase, eu = FETCH, False
             executed += 1
             commits_w += 1
-            harvested = source_energy(t, cycle)
+            harvested = source_energy(t, cycle) if h_cycle is None else h_cycle
             t += cycle
             v = leak(add(v, harvested), cycle)
             v = draw(v, consumed, cycle)
@@ -655,9 +701,7 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
                 flush()
                 checkpointer.on_commit(run)
 
-        # HALT: final state (scalar HALT leaves the fetched word in
-        # place; `word`/`instr` still hold it, and flush writes them
-        # back).
+        # HALT: final state.
         flush()
         if checkpointer is not None:
             checkpointer.on_commit(run)
@@ -672,7 +716,7 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
 
 
 # ----------------------------------------------------------------------
-# Lock-step batches: packed rows
+# Packed rows: lock-step batches, and continuous runs as a batch of one
 # ----------------------------------------------------------------------
 
 
@@ -706,9 +750,11 @@ def pack_rows(state: np.ndarray) -> list:
     state, its bit ``b * cols + c`` holding ``state[b, row, c]``."""
     batch, rows, cols = state.shape
     nbits = batch * cols
-    packed = np.packbits(
-        state.transpose(1, 0, 2).reshape(rows, nbits), axis=1, bitorder="little"
-    )
+    if batch == 1:
+        state = state[0]
+    else:
+        state = state.transpose(1, 0, 2).reshape(rows, nbits)
+    packed = np.packbits(state, axis=1, bitorder="little")
     if nbits <= 64:
         words = np.zeros((rows, 8), dtype=np.uint8)
         words[:, : packed.shape[1]] = packed
@@ -721,10 +767,13 @@ def pack_rows(state: np.ndarray) -> list:
 def _bits(words: list, nbits: int) -> np.ndarray:
     """The low ``nbits`` bits of each packed int, ``(len(words),
     nbits)`` uint8, bit ``i`` of word ``j`` at ``[j, i]``."""
-    if nbits <= 64:
-        raw = np.array(words, dtype="<u8").view(np.uint8)
+    n = (nbits + 7) // 8
+    if n == 1:
+        raw = np.frombuffer(bytes(words), dtype=np.uint8)
+    elif n <= 8:
+        raw = np.frombuffer(array("Q", words), dtype=np.uint64)
+        raw = raw.astype("<u8", copy=False).view(np.uint8)
     else:
-        n = (nbits + 7) // 8
         raw = np.frombuffer(
             b"".join([w.to_bytes(n, "little") for w in words]), dtype=np.uint8
         )
@@ -737,7 +786,10 @@ def unpack_rows(words: list, state: np.ndarray) -> None:
     """Write :func:`pack_rows`' ints back into ``state``."""
     batch, rows, cols = state.shape
     bits = _bits(words, batch * cols)
-    state[...] = bits.reshape(rows, batch, cols).transpose(1, 0, 2)
+    if batch == 1:
+        state[0] = bits
+    else:
+        state[...] = bits.reshape(rows, batch, cols).transpose(1, 0, 2)
 
 
 def sample_state(words: list, sample: int, cols: int) -> np.ndarray:
@@ -832,6 +884,40 @@ def _run_packed(ops, rows, masks, nmasks, tiles, cbuf, log):
     return cbuf
 
 
+def _packed_pass(plan, tiles, states, batch, cbuf, hooks=None):
+    """Run ``plan``'s packed-row ops on the ``(batch, rows, cols)`` tile
+    ``states``: each is packed once (:func:`pack_rows`) and unpacked
+    once when the pass returns or raises.  ``cbuf`` is the transfer
+    buffer's packed row when the pass starts; returns the gate log and
+    the buffer when it ends.  ``hooks`` are :func:`run_batched`'s."""
+    packed = plan.packed()
+    cols = plan.cols
+    # Σ_b 2^(b·cols): a one-row mask times this covers every sample.
+    spread = ((1 << (batch * cols)) - 1) // ((1 << cols) - 1)
+    masks = [mask * spread for mask in packed.row_masks]
+    nmasks = [~mask for mask in masks]
+    ops = packed.ops
+    log: list[int] = []
+    rows = [pack_rows(st) for st in states]
+    try:
+        lo = 0
+        for pc in sorted(hooks or ()):
+            cbuf = _run_packed(
+                ops[lo:pc + 1], rows, masks, nmasks, tiles, cbuf, log.append
+            )
+            hooks[pc](rows, lambda samples, op=plan.ops[pc]: _reissue(
+                op, rows, samples, cols
+            ))
+            lo = pc + 1
+        cbuf = _run_packed(
+            ops[lo:] if lo else ops, rows, masks, nmasks, tiles, cbuf, log.append
+        )
+    finally:
+        for st, words in zip(states, rows):
+            unpack_rows(words, st)
+    return log, cbuf
+
+
 def run_batched(machine, plan: CompiledPlan, hooks=None) -> None:
     """Run ``plan`` on a BatchedMouse, ledgers bit-identical to the
     scalar batched loop.
@@ -859,29 +945,7 @@ def run_batched(machine, plan: CompiledPlan, hooks=None) -> None:
     ledger = machine.ledger
     tiles = machine.tiles
     batch, cols = machine.batch, machine.cols
-    # Σ_b 2^(b·cols): a one-row mask times this covers every sample.
-    spread = ((1 << (batch * cols)) - 1) // ((1 << cols) - 1)
-    masks = [mask * spread for mask in packed.row_masks]
-    nmasks = [~mask for mask in masks]
-    ops = packed.ops
-    log: list[int] = []
-    rows = [pack_rows(t.state) for t in tiles]
-    try:
-        cbuf = 0
-        lo = 0
-        for pc in sorted(hooks or ()):
-            cbuf = _run_packed(
-                ops[lo:pc + 1], rows, masks, nmasks, tiles, cbuf, log.append
-            )
-            hooks[pc](rows, lambda samples, op=plan.ops[pc]: _reissue(
-                op, rows, samples, cols
-            ))
-            lo = pc + 1
-        _run_packed(ops[lo:], rows, masks, nmasks, tiles, cbuf, log.append)
-    finally:
-        for tile, words in zip(tiles, rows):
-            unpack_rows(words, tile.state)
-
+    log, _ = _packed_pass(plan, tiles, [t.state for t in tiles], batch, 0, hooks)
     energies = _logic_energies(packed, log, batch, cols, plan.share, plan.oms)
     vals = plan.chg_vals
     n = plan.n_instructions
@@ -912,42 +976,52 @@ def _logic_energies(packed, log, batch, cols, share, oms) -> np.ndarray:
     over the active columns: one contiguous row of ``width`` values per
     (op, sample), so each sum is NumPy's over the 1-D gather
     ``Tile.logic_op`` sums.  A broadcast op adds its gates' energies
-    from 0.0 in gate order, as the NumPy form did."""
+    from 0.0 in gate order, as the NumPy form did.  Each op's array
+    energy ``arr`` then becomes ``arr + (arr * share / oms + aterm)``
+    in one elementwise pass over every op (IEEE addition commutes).  A
+    log that fits in ``_STEP_BYTES`` unpacked is unpacked once, and
+    each group gathers its rows from it; a longer one is unpacked a
+    group's step at a time."""
     nbits = batch * cols
+    whole = _bits(log, nbits) if log and len(log) * nbits <= _STEP_BYTES else None
     get = log.__getitem__
-    out = np.empty((packed.logic_at.size, batch), dtype=np.float64)
+    arrs = np.empty((packed.logic_at.size, batch), dtype=np.float64)
     gates = {}  # group -> its broadcast gates' energies
-    for g, (energy, aterm, sel, width, k, positions, members) in enumerate(
-        packed.groups
-    ):
+    for g, (energy, sel, width, k, positions, members) in enumerate(packed.groups):
         n = len(positions) // k
-        if aterm is None:
+        if members is None:
             gates[g] = np.empty((n, batch), dtype=np.float64)
         step = max(1, _STEP_BYTES // (k * nbits + 9 * batch * width))
         for lo in range(0, n, step):
             hi = min(n, lo + step)
-            bits = _bits(list(map(get, positions[lo * k : hi * k])), nbits)
+            at = positions[lo * k : hi * k]
+            if whole is not None:
+                bits = whole[at]
+            else:
+                bits = _bits(list(map(get, at.tolist())), nbits)
             bits = bits.reshape(hi - lo, k, batch, cols)
             if sel is not None:
                 bits = bits[..., sel]
-            ones = bits[:, 0] if k == 1 else bits.sum(axis=1, dtype=np.uint8)
-            arr = energy.take(ones).reshape(-1, width).sum(axis=-1)
+            ones = bits[:, 0]
+            for i in range(1, k):
+                ones = ones + bits[:, i]
+            arr = energy.take(ones)
+            if width > 1:
+                arr = arr.reshape(-1, width).sum(axis=-1)
             arr = arr.reshape(hi - lo, batch)
-            if aterm is None:
+            if members is None:
                 gates[g][lo:hi] = arr
             else:
-                # arr + (arr * share / oms + aterm), in place (IEEE
-                # addition commutes).
-                e = arr * share
-                e /= oms
-                e += aterm
-                e += arr
-                out[members[lo:hi]] = e
-    for j, aterm, parts in packed.ln:
+                arrs[members[lo:hi]] = arr
+    for j, parts in packed.ln:
         arr = 0.0
         for g, i in parts:
             arr = arr + gates[g][i]
-        out[j] = arr + (arr * share / oms + aterm)
+        arrs[j] = arr
+    out = arrs * share
+    out /= oms
+    out += packed.aterms[:, None]
+    out += arrs
     return out
 
 
@@ -956,22 +1030,27 @@ def _fold_compute(starts, chain, logic_at, energies) -> np.ndarray:
     compute ``chain``, whose logic slots (at ``logic_at``) hold the
     sample's ``energies``, added one charge at a time as the serial
     ledger adds them.  The chains are folded in steps of a bounded
-    number of charges, one row per sample, so each fold runs over
-    contiguous memory and carries its last column into the next."""
+    number of charges as ``(charges, batch)`` blocks carrying their sum
+    into the next; ``np.add.reduce`` over the first axis of a block of 2
+    or more columns adds it row by row.  Over one column it sums
+    pairwise, so a batch of one folds its chain with :func:`_acc`."""
     batch = starts.size
+    if batch == 1:
+        chain = chain.copy()
+        chain[logic_at] = energies[:, 0]
+        return np.array([_acc(float(starts[0]), chain)])
     step = max(1, _STEP_BYTES // (8 * batch))
     carry = starts
     j = 0
     for lo in range(0, chain.size, step):
         hi = min(chain.size, lo + step)
-        block = np.empty((batch, hi - lo + 1), dtype=np.float64)
-        block[:, 0] = carry
-        block[:, 1:] = chain[lo:hi]
+        block = np.empty((hi - lo + 1, batch), dtype=np.float64)
+        block[0] = carry
+        block[1:] = chain[lo:hi, None]
         k = j + int(np.searchsorted(logic_at[j:], hi))
-        block[:, logic_at[j:k] - lo + 1] = energies[j:k].T
+        block[logic_at[j:k] - lo + 1] = energies[j:k]
         j = k
-        np.add.accumulate(block, axis=1, out=block)
-        carry = block[:, -1].copy()
+        carry = np.add.reduce(block, axis=0)
     return carry
 
 

@@ -11,15 +11,16 @@ window op by op and reduce the charge table with
 ``np.add.accumulate`` — which is bit-identical to the interpreter's
 sequential ``+=`` chain, so `Breakdown`s match to the last ulp.
 
-Every op has a NumPy form, which serves one machine.  A single-tile
-gate or a preset set whose active set holds at most
-:data:`CELL_COLUMNS` columns also has a *per-cell* form: the sorted
-active columns as one tuple shared by every op on that set, the flat
-byte offsets of its rows, and the gate kernel's ladders as Python
-tuples shared per kernel, so the machine's executor applies it one
-cell at a time with Python ints (see :func:`repro.compilejit.exec.
-apply_op`).  A lock-step batch runs the plan's packed-row ops instead
-(:meth:`CompiledPlan.packed`), built on its first batched run.
+Continuous runs and lock-step batches run the plan's packed-row ops
+(:meth:`CompiledPlan.packed`), built on the plan's first such run.
+The fused intermittent loop applies its ops one at a time to one
+machine: every op has a NumPy form, and a single-tile gate or a preset
+set whose active set holds at most :data:`CELL_COLUMNS` columns also
+has a *per-cell* form: the sorted active columns as one tuple shared
+by every op on that set, the flat byte offsets of its rows, and the
+gate kernel's ladders as Python tuples shared per kernel, so the loop
+applies it one cell at a time with Python ints (see
+:func:`repro.compilejit.exec.apply_op`).
 
 Plan construction is **gated by the linter**: a program that lints
 with errors raises :class:`PlanUnsupported` and the engines silently
@@ -29,7 +30,6 @@ and fault hooks are likewise unsupported by construction.
 
 from __future__ import annotations
 
-from array import array
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -81,8 +81,8 @@ K_LN = 7  # logic, broadcast across several tiles
 #: only up to 7 columns.
 CELL_COLUMNS = 7
 
-# Packed-row op codes: the lock-step batch executor's table
-# (:meth:`CompiledPlan.packed`).  A batch holds each tile row as one
+# Packed-row op codes: the table of continuous runs and lock-step
+# batches (:meth:`CompiledPlan.packed`).  A batch holds each tile row as one
 # Python int whose bit ``b * cols + c`` is sample ``b``'s column ``c``.
 # ``mask`` indexes ``PackedPlan.row_masks``, the one-row masks of the
 # plan's active sets, which the executor spreads over the batch.  A
@@ -143,22 +143,23 @@ class PackedPlan(NamedTuple):
 
     Every gate appends its input rows, as read, to the executor's log:
     op after op, gate after gate, input after input.  ``groups`` gather
-    those entries back for the logic energies, one group per kernel,
-    address term and active set: ``(energy, aterm, sel, width,
-    n_inputs, positions, members)``, where ``energy`` is the kernel's
-    per-count energy table, ``sel`` picks the active columns of a row
-    (None for all), ``width`` counts them, ``positions`` are the log
-    entries of the members' inputs, member after member, and
-    ``members`` number the members' logic ops in pc order.  A group of
-    the gates of broadcast ops has no ``aterm`` or ``members``: ``ln``
-    combines them per op as ``(logic op, aterm, ((group, member),
-    ...))``.  ``logic_at`` is each logic op's position in the plan's
+    those entries back for the logic energies, one group per kernel and
+    active set: ``(energy, sel, width, n_inputs, positions, members)``,
+    where ``energy`` is the kernel's per-count energy table, ``sel``
+    picks the active columns of a row (None for all), ``width`` counts
+    them, ``positions`` are the log entries of the members' inputs,
+    member after member, and ``members`` number the members' logic ops
+    in pc order.  The gates of broadcast ops form groups of their own
+    with no ``members``: ``ln`` combines them per op as ``(logic op,
+    ((group, member), ...))``.  ``aterms`` and ``logic_at`` are each
+    logic op's address term and its position in the plan's
     compute-energy chain (``chg_vals[ce_idx]``), in pc order."""
 
     ops: list
     row_masks: tuple
     groups: tuple
     ln: tuple
+    aterms: np.ndarray
     logic_at: np.ndarray
 
 
@@ -546,7 +547,7 @@ class CompiledPlan:
         return np.flatnonzero(pc_mask[self.chg_pc])
 
     # ------------------------------------------------------------------
-    # Packed-row tables (built on first batched run)
+    # Packed-row tables (built on the first continuous or batched run)
     # ------------------------------------------------------------------
 
     def packed(self) -> PackedPlan:
@@ -566,6 +567,7 @@ class CompiledPlan:
         active_sets: dict[int, tuple] = {}
         groups: dict[tuple, tuple] = {}
         shared: dict[tuple, tuple] = {}
+        aterms: list[float] = []
         logic_at: list[int] = []
         ln = []
         ops: list[tuple] = []
@@ -590,24 +592,25 @@ class CompiledPlan:
                 )
             return entry
 
-        def member(gate, ins, aterm, logic) -> tuple[int, int]:
+        def member(gate, ins, logic) -> tuple[int, int]:
             """Add a gate's logged inputs to its energy group (one per
-            kernel, address term and active set, which its row mask
-            names whatever the selector's form); returns ``(group,
+            kernel and active set, which its row mask names whatever
+            the selector's form, and apart for the gates of broadcast
+            ops, whose ``logic`` is None); returns ``(group,
             member)``."""
             nonlocal logged
             kern = gate[7]
             mask, _, width, sel = active(gate[6])
-            key = (id(kern), aterm, mask)
+            key = (id(kern), logic is None, mask)
             entry = groups.get(key)
             if entry is None:
                 entry = groups[key] = (
-                    len(groups), kern[1], aterm, sel, width, len(ins), [], []
+                    len(groups), kern[1], sel, width, len(ins), [], []
                 )
-            entry[6].extend(range(logged, logged + len(ins)))
-            entry[7].append(logic)
+            entry[5].extend(range(logged, logged + len(ins)))
+            entry[6].append(logic)
             logged += len(ins)
-            return entry[0], len(entry[7]) - 1
+            return entry[0], len(entry[6]) - 1
 
         def add(op: tuple) -> None:
             """Append a packed op, sharing one tuple per distinct op."""
@@ -623,7 +626,8 @@ class CompiledPlan:
                     add((P_PRESET, sets, op[3]))
             elif k == K_L1S or k == K_L1P:
                 ins = _inputs(op)
-                member(op, ins, op[2], len(logic_at))
+                member(op, ins, len(logic_at))
+                aterms.append(op[2])
                 logic_at.append(int(chain_at[op[1]]))
                 tile, orow, kern = op[3], op[5], op[7]
                 m = active(op[6])[1]
@@ -636,10 +640,9 @@ class CompiledPlan:
                 else:
                     add((P_G2, tile, *ins, orow, m, t == 2, target))
             elif k == K_LN:
-                parts = tuple(
-                    member(gate, _inputs(gate), None, None) for gate in op[3]
-                )
-                ln.append((len(logic_at), op[2], parts))
+                parts = tuple(member(gate, _inputs(gate), None) for gate in op[3])
+                ln.append((len(logic_at), parts))
+                aterms.append(op[2])
                 logic_at.append(int(chain_at[op[1]]))
                 add((P_GATES, tuple(
                     (tile, ins, orow, mask_ids[mask], counts, target)
@@ -657,12 +660,12 @@ class CompiledPlan:
             ops=ops,
             row_masks=tuple(mask_ids),
             groups=tuple(
-                (energy, aterm, sel, width, k, array("q", positions),
-                 None if aterm is None else np.asarray(members, dtype=np.intp))
-                for _, energy, aterm, sel, width, k, positions, members
-                in groups.values()
+                (energy, sel, width, k, np.asarray(positions, dtype=np.intp),
+                 None if members[0] is None else np.asarray(members, dtype=np.intp))
+                for _, energy, sel, width, k, positions, members in groups.values()
             ),
             ln=tuple(ln),
+            aterms=np.asarray(aterms, dtype=np.float64),
             logic_at=np.asarray(logic_at, dtype=np.intp),
         )
 

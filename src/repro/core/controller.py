@@ -450,7 +450,7 @@ class MemoryController:
                     tile.activate_columns(instr.columns)
             self.ledger.charge(
                 Category.RESTORE,
-                self.cost.restore_energy(instr.column_count),
+                self.cost.prices.restore[instr.column_count],
                 self.cost.restore_latency(),
             )
 

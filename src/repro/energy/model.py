@@ -157,10 +157,11 @@ class CostMemo:
     count (``memo.row_write[cols] == model.row_write_energy(cols)``).
 
     The static cost pass, :func:`repro.harden.overhead_summary`,
-    :class:`repro.compilejit.plan.CompiledPlan` and
-    :class:`repro.harvest.intermittent.ProfileRun` read it; the
-    interpreter-side charge sites call the methods (see
-    ``docs/PERFORMANCE.md``).
+    :class:`repro.compilejit.plan.CompiledPlan`,
+    :class:`repro.harvest.intermittent.ProfileRun` and the restore
+    charge of :meth:`repro.core.controller.MemoryController.power_on`
+    read it; the other interpreter-side charge sites call the methods
+    (see ``docs/PERFORMANCE.md``).
     """
 
     __slots__ = (

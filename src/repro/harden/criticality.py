@@ -32,7 +32,7 @@ transform used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from repro.core.program import Program
 from repro.isa.instruction import LogicInstruction, MemoryInstruction
@@ -40,9 +40,9 @@ from repro.lint.config import LintConfig
 from repro.lint.passes import _masked_column_count, iter_with_masks
 
 
-@dataclass(frozen=True)
-class GateRecord:
-    """Static criticality facts for one logic instruction."""
+class GateRecord(NamedTuple):
+    """Static criticality facts for one logic instruction (a tuple, so
+    :func:`analyse` builds one per gate at a tuple's cost)."""
 
     #: Pc of the logic instruction in the analysed program.
     index: int

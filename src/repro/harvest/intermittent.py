@@ -42,7 +42,12 @@ from repro.harvest.capacitor import (
     EnergyBuffer,
     buffer_for,
 )
-from repro.harvest.source import ConstantPowerSource, PowerSource, trace_position_of
+from repro.harvest.source import (
+    ConstantPowerSource,
+    PowerSource,
+    is_constant,
+    trace_position_of,
+)
 
 #: Degraded-mode taxonomy keys (see :class:`repro.env.DegradedMode`):
 #: ``skipped_checkpoint`` — the adaptive cadence stretched the simulated
@@ -627,16 +632,13 @@ class ProfileRun:
         watts = None  # a constant source's level: harvest = watts * d
         energy = energy_ahead = source.energy
         time_to_harvest = source.time_to_harvest
-        if type(source) is ConstantPowerSource:
+        if is_constant(source):
             watts = source.watts
         else:
             from repro.env.trace import TraceSource
 
-            if type(source) is TraceSource:
-                if source.constant_watts is not None:
-                    watts = source.constant_watts
-                elif t >= 0.0:
-                    energy, energy_ahead, time_to_harvest = source.stepper(t)
+            if type(source) is TraceSource and t >= 0.0:
+                energy, energy_ahead, time_to_harvest = source.stepper(t)
         # With a constant source and a fixed cadence the net drain per
         # instruction is fixed per segment.
         fixed_net = watts is not None and adaptive is None

@@ -36,6 +36,18 @@ def trace_position_of(source, time: float):
     return None
 
 
+def is_constant(source) -> bool:
+    """Whether ``source`` harvests at one constant level, its ``watts``:
+    a :class:`ConstantPowerSource`, or a :class:`repro.env.TraceSource`
+    of a constant trace, whose ``energy`` is then ``watts * duration``
+    whenever it starts."""
+    if type(source) is ConstantPowerSource:
+        return True
+    from repro.env.trace import TraceSource
+
+    return type(source) is TraceSource and source.constant_watts is not None
+
+
 @dataclass(frozen=True)
 class ConstantPowerSource:
     """The paper's harvester model: a constant power level."""

@@ -8,7 +8,9 @@ one-column and all-columns activations, READ/WRITE row moves, and
 accepts runs on all three technologies through each compiled executor
 and is compared with its referee:
 
-* ``Mouse.run()`` against ``Mouse.run(compiled=False)``;
+* ``Mouse.run()`` against ``Mouse.run(compiled=False)``, on the whole
+  machine a checkpoint would capture, half of the runs starting from
+  a non-empty transfer buffer;
 * ``BatchedMouse`` of 4 samples and of 1 against the per-sample serial
   interpreter, and of 2 and 65 samples on a bank of more than 128
   columns, where the logic energies sum past NumPy's pairwise blocks;
@@ -24,9 +26,9 @@ are ranges of 7 or 8 columns or sets of 5 with a gap (an ACTIVATE
 names at most 5 columns), so gates and presets sit on both sides of
 the per-cell limit (``plan.CELL_COLUMNS``).  Spies on the
 executor's gate and preset helpers show which form ran where: per cell
-in the continuous and fused intermittent executors, NumPy on sets of 8
-or more columns and in broadcast gates, and neither in a batch, whose
-ops all run on packed rows.
+in the fused intermittent executor, NumPy there on sets of 8 or more
+columns and in broadcast gates, and neither in a continuous run or a
+batch, whose ops all run on packed rows.
 
 Breakdowns are compared with float ``==`` and tile states with array
 equality, never a tolerance.
@@ -34,6 +36,7 @@ equality, never a tolerance.
 
 from __future__ import annotations
 
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -59,6 +62,7 @@ from repro.core.program import Program
 from repro.devices import ALL_TECHNOLOGIES
 from repro.durability import Checkpointer, CheckpointPolicy, NVImageStore
 from repro.durability.image import encode_image
+from repro.durability.state import capture_machine
 from repro.energy.model import InstructionCostModel
 from repro.env import AdaptiveCheckpointer, AdaptivePolicy
 from repro.env.trace import TraceSource, rf_burst
@@ -281,12 +285,14 @@ def _draw(seed: int, count: int, cols: int, activate, samples=BATCH) -> tuple:
     return tuple(accepted)
 
 
-def _mouse(tech, program: Program, states: np.ndarray) -> Mouse:
+def _mouse(tech, program: Program, states: np.ndarray, buffer=None) -> Mouse:
     mouse = Mouse(
         tech, n_data_tiles=N_TILES, rows=ROWS, cols=states.shape[-1]
     )
     for tile, state in zip(mouse.bank.data_tiles, states):
         tile.state[...] = state
+    if buffer is not None:
+        mouse.controller.buffer[...] = buffer
     mouse.load(program)
     return mouse
 
@@ -304,23 +310,29 @@ def _assert_tiles_equal(mice, key) -> None:
 
 
 def _continuous_matches(key0, tech, entries) -> None:
-    """``Mouse.run()`` of each program equals ``run(compiled=False)``."""
+    """``Mouse.run()`` of each program leaves the machine
+    ``run(compiled=False)`` leaves: the whole :func:`capture_machine`
+    payload (tile states and latches, both copies, the parity and the
+    staged flag of every register, the transfer buffer, the
+    controller's flags and the ledger) and the halted word.  Every
+    other run starts with a transfer buffer of seeded random bits, so a
+    WRITE before any READ stores them."""
     for index, (program, _, states) in enumerate(entries):
         key = key0 + (index,)
+        buffer = None
+        if index % 2:
+            rng = np.random.default_rng(index)
+            buffer = rng.integers(0, 2, size=states.shape[-1]).astype(bool)
         before = compilejit.stats_snapshot()["compiled_runs"]
-        fast = _mouse(tech, program, states[0])
+        fast = _mouse(tech, program, states[0], buffer)
         fast.run()
         assert compilejit.stats_snapshot()["compiled_runs"] == before + 1, key
-        ref = _mouse(tech, program, states[0])
+        ref = _mouse(tech, program, states[0], buffer)
         ref.run(compiled=False)
-        assert fast.ledger.breakdown == ref.ledger.breakdown, key
+        assert capture_machine(fast) == capture_machine(ref), key
         _assert_tiles_equal((fast, ref), key)
-        assert np.array_equal(fast.controller.buffer, ref.controller.buffer), key
-        assert fast.controller.pc._values == ref.controller.pc._values, key
-        assert (
-            fast.controller.activate_register.read()
-            == ref.controller.activate_register.read()
-        ), key
+        assert fast.controller._word == ref.controller._word, key
+        assert fast.controller._instr == ref.controller._instr, key
 
 
 def _batched_matches(key0, tech, entries, batch: int) -> None:
@@ -421,6 +433,36 @@ def test_packed_batches_in_one_charge_steps_match_interpreter(monkeypatch):
     tech = ALL_TECHNOLOGIES[0]
     _batched_matches((tech.name, "steps"), tech, _programs(0), BATCH)
     _batched_matches((tech.name, "steps"), tech, _widest_programs(), 2)
+
+
+@pytest.mark.parametrize("step_bytes", (exec_module._STEP_BYTES, 64))
+@pytest.mark.parametrize("batch", (1, 2, 3, 64))
+def test_compute_fold_adds_one_charge_at_a_time(batch, step_bytes, monkeypatch):
+    """Each sample's compute-energy fold equals the serial ledger's
+    ``+=`` chain.  ``np.add.reduce`` over the first axis of a block of 2
+    or more samples adds it row by row; over one sample it would sum
+    pairwise, which these values, spread over 25 orders of magnitude,
+    tell apart, so a batch of one folds on its own.  A NumPy that
+    changes either order fails here."""
+    monkeypatch.setattr(exec_module, "_STEP_BYTES", step_bytes)
+    rng = np.random.default_rng(batch)
+    n = 3000
+    chain = rng.random(n) * 10.0 ** rng.integers(-20, 5, n)
+    logic_at = np.sort(rng.choice(n, size=n // 3, replace=False))
+    energies = rng.random((logic_at.size, batch))
+    energies *= 10.0 ** rng.integers(-20, 5, energies.shape)
+    starts = rng.random(batch)
+    got = exec_module._fold_compute(starts, chain, logic_at, energies)
+    pairwise = 0
+    for sample in range(batch):
+        charges = chain.copy()
+        charges[logic_at] = energies[:, sample]
+        total = float(starts[sample])
+        for value in charges.tolist():
+            total += value
+        assert got[sample] == total, sample
+        pairwise += float(np.concatenate(([starts[sample]], charges)).sum()) != total
+    assert pairwise > 0
 
 
 def _source(kind: str, watts: float, charge_time: float, seed: int):
@@ -543,9 +585,13 @@ def _fused_matches_scalar(key, *args, **axes):
     assert r1.degraded == r2.degraded, key
     _assert_tiles_equal((m1, m2), key)
     c1, c2 = m1.controller, m2.controller
-    assert c1.pc._values == c2.pc._values, key
+    # Both PC copies, the parity bit and the staged flag.
+    assert dataclasses.asdict(c1.pc) == dataclasses.asdict(c2.pc), key
     assert c1.halted == c2.halted and c1.phase == c2.phase, key
+    assert c1.powered == c2.powered, key
+    assert c1._word == c2._word and c1._instr == c2._instr, key
     assert c1._dead_replay == c2._dead_replay, key
+    assert c1._executed_uncommitted == c2._executed_uncommitted, key
     if k1 is not None:
         assert k1.store.images == k2.store.images, key
         assert k1.commits == k2.commits, key
@@ -738,10 +784,11 @@ def _ids(ops) -> list:
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_forms_per_executor(seed, monkeypatch):
-    """Per cell in the continuous and fused intermittent executors;
-    NumPy on single-tile sets of more than CELL_COLUMNS columns and in
-    broadcast gates; in batches of 1 and 4, no ``apply_op`` form at
-    all: one pass of the packed loop over every op."""
+    """Per cell in the fused intermittent executor, and NumPy there on
+    single-tile sets of more than CELL_COLUMNS columns and in broadcast
+    gates; in continuous runs and in batches of 1 and 4, no
+    ``apply_op`` form at all: one pass of the packed loop over every
+    op."""
     tech = ALL_TECHNOLOGIES[0]
     spy = _FormSpy(monkeypatch)
     wide_numpy = 0
@@ -758,9 +805,8 @@ def test_forms_per_executor(seed, monkeypatch):
 
             spy.clear()
             _mouse(tech, program, states[0]).run()
-            assert _ids(spy.cell) == _ids(cell)
-            assert _ids(spy.numpy) == _ids(numpy_)
-            assert spy.presets == presets
+            assert spy.cell == [] and spy.numpy == [] and spy.presets == []
+            assert spy.packed == [len(plan.ops)]
 
             for batch in (1, BATCH):
                 spy.clear()
@@ -791,9 +837,9 @@ def test_forms_per_executor(seed, monkeypatch):
 
 
 def test_flat_views_are_released_when_a_run_returns_or_raises(monkeypatch):
-    """The executors' flat views never outlive a continuous or fused
-    run, whether it returns or raises; a state that is not C-contiguous
-    gets none."""
+    """The fused loop's flat views never outlive its run, whether it
+    returns or raises, and a continuous run, on packed rows, makes none;
+    a state that is not C-contiguous gets none."""
     tech = ALL_TECHNOLOGIES[0]
     made = []
     real_views = exec_module.flat_views
@@ -817,27 +863,27 @@ def test_flat_views_are_released_when_a_run_returns_or_raises(monkeypatch):
         return bool(made)
 
     per_instruction = _per_instruction(tech, program, states[0])
-    runs = (
-        lambda: _mouse(tech, program, states[0]).run(),
-        lambda: _intermittent(
+
+    def run():
+        _intermittent(
             tech, program, states[0], per_instruction,
             WINDOW_INSTRUCTIONS[-1], "constant", 0,
-        ),
-    )
-    for run in runs:
-        made.clear()
-        run()
-        assert released()
+        )
+
+    made.clear()
+    _mouse(tech, program, states[0]).run()
+    assert made == []
+    run()
+    assert released()
 
     def broken(op, mv):
         raise RuntimeError("gate failed")
 
     monkeypatch.setattr(exec_module, "_cell_gate", broken)
-    for run in runs:
-        made.clear()
-        with pytest.raises(RuntimeError, match="gate failed"):
-            run()
-        assert released()
+    made.clear()
+    with pytest.raises(RuntimeError, match="gate failed"):
+        run()
+    assert released()
     assert real_views([np.zeros((ROWS, 2 * COLS), dtype=bool)[:, ::2]]) is None
 
 

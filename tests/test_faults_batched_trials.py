@@ -342,13 +342,19 @@ def test_hooks_work_on_packed_rows(monkeypatch):
     """Each ``run_batched`` of a campaign packs and unpacks each tile
     once, however many hooks lay flips, re-read and re-issue verified
     gates, stop aborted trials and flip array cells: the hooks read
-    and write the packed rows themselves."""
-    runs = []  # per run: [packs, unpacks, tiles, hooks]
+    and write the packed rows themselves.  The golden run packs too,
+    as a batch of one: each tile once, and its transfer buffer."""
+    runs = []  # per run: [packs, unpacks, rows packed, hooks or None]
     real_run = exec_module.run_batched
+    real_golden = exec_module._run_continuous
 
     def run(machine, plan, hooks=None):
         runs.append([0, 0, len(machine.tiles), len(hooks or ())])
         return real_run(machine, plan, hooks)
+
+    def golden(mouse, plan, prof):
+        runs.append([0, 0, len(mouse.bank.data_tiles) + 1, None])
+        return real_golden(mouse, plan, prof)
 
     def counting(real, slot):
         def spy(*args):
@@ -358,6 +364,7 @@ def test_hooks_work_on_packed_rows(monkeypatch):
         return spy
 
     monkeypatch.setattr(exec_module, "run_batched", run)
+    monkeypatch.setattr(exec_module, "_run_continuous", golden)
     monkeypatch.setattr(exec_module, "pack_rows", counting(exec_module.pack_rows, 0))
     monkeypatch.setattr(
         exec_module, "unpack_rows", counting(exec_module.unpack_rows, 1)
@@ -393,10 +400,13 @@ def test_hooks_work_on_packed_rows(monkeypatch):
         totals["retries"] += fast.totals["retries"]
         totals["aborted"] += fast.outcomes["detected_aborted"]
     assert all(totals.values()), totals
-    assert len(runs) == len(campaigns)
-    assert {tiles for _, _, tiles, _ in runs} == {1, 2}
+    # Each campaign: its golden run, then its trials' batch.
+    assert [hooks is None for _, _, _, hooks in runs] == [True, False] * len(
+        campaigns
+    )
+    assert {tiles for _, _, tiles, hooks in runs if hooks} == {1, 2}
     for packs, unpacks, tiles, hooks in runs:
-        assert hooks > 0
+        assert hooks is None or hooks > 0
         assert packs == unpacks == tiles
 
 

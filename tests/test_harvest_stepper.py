@@ -10,8 +10,11 @@ policy (one closed-form wait for an ideal buffer, bounded retries for a
 lossy one) is pinned through the buffer's own ``charge``.
 
 Whatever stops an ``IntermittentRun`` — a bad harvest, a raising
-source, a raising checkpointer hook — the fused loop must leave the
-run, ledger, buffer and controller where the scalar loop leaves them.
+source, a raising checkpointer hook, a stall — the fused loop must
+leave the run, ledger, buffer and controller where the scalar loop
+leaves them, the PC register's copies, parity bit and staged flag
+included, also when an outage lands between staging and committing
+the PC.
 """
 
 import dataclasses
@@ -23,6 +26,7 @@ from repro import compilejit
 from repro.compile import arith
 from repro.compile.builder import ProgramBuilder
 from repro.core.accelerator import Mouse
+from repro.core.controller import Phase
 from repro.devices.parameters import MODERN_STT
 from repro.energy.model import InstructionCostModel
 from repro.harvest import (
@@ -32,6 +36,7 @@ from repro.harvest import (
     EnergyDomainError,
     HarvestingConfig,
     IntermittentRun,
+    NonTerminationError,
     ProfileRun,
     buffer_for,
 )
@@ -125,6 +130,28 @@ class RaisingCheckpointer:
         self._call("on_outage")
 
 
+@dataclasses.dataclass
+class CuttingBuffer(EnergyBuffer):
+    """A buffer emptied by its draws numbered in ``cuts`` (counted from
+    1 per stepper), so an outage lands in a chosen microstep: the fused
+    and the scalar loop make the same draws in the same order."""
+
+    cuts: tuple = ()
+
+    def stepper(self):
+        steps = super().stepper()
+        real = steps.draw
+        count = 0
+
+        def draw(v: float, energy: float, duration: float = 0.0) -> float:
+            nonlocal count
+            count += 1
+            v = real(v, energy, duration)
+            return 0.0 if count in self.cuts else v
+
+        return steps._replace(draw=draw)
+
+
 #: The adder's 102 instructions (the last is HALT) take about 30
 #: outages on this buffer.
 SMALL_BUFFER = dict(capacitance=2e-10, v_off=0.30, v_on=0.34)
@@ -149,6 +176,18 @@ STOPPERS = {
     "outage_hook": lambda: (
         ConstantPowerSource(5e-9), EnergyBuffer(**SMALL_BUFFER, leakage_amps=1e-9),
         RaisingCheckpointer("on_outage", 3), _Stop,
+    ),
+    # The first instruction's PC_STAGE draw (its 4th) empties the
+    # buffer: power goes off with pc + 1 staged, not committed.
+    "staged_outage": lambda: (
+        ConstantPowerSource(5e-9), CuttingBuffer(**SMALL_BUFFER, cuts=(4,)),
+        RaisingCheckpointer("on_outage", 1), _Stop,
+    ),
+    # The first FETCH draw of two windows in a row empties the buffer:
+    # the stall check raises in DECODE, before power_off.
+    "stalled_fetch": lambda: (
+        ConstantPowerSource(5e-9), CuttingBuffer(**SMALL_BUFFER, cuts=(1, 2)),
+        None, NonTerminationError,
     ),
 }
 
@@ -183,7 +222,8 @@ def _stopped_state(stopper: str, compiled: bool) -> tuple:
         controller.powered,
         controller._executed_uncommitted,
         controller._dead_replay,
-        controller.pc._values,
+        # Both copies, the parity bit and the staged flag.
+        dataclasses.asdict(controller.pc),
         checkpointer and checkpointer.calls,
     )
 
@@ -192,13 +232,15 @@ def _stopped_state(stopper: str, compiled: bool) -> tuple:
 def test_a_raise_leaves_the_scalar_loops_state(stopper):
     fused = _stopped_state(stopper, compiled=True)
     assert fused == _stopped_state(stopper, compiled=False)
-    executed, breakdown, voltage, halted, powered = (
-        fused[i] for i in (0, 5, 6, 10, 11)
+    executed, breakdown, voltage, phase, halted, powered, pc = (
+        fused[i] for i in (0, 5, 6, 7, 10, 11, 14)
     )
-    # Each stopper struck where it was aimed: HALT's commit, or just
-    # after a power_off.
+    # Each stopper struck where it was aimed: HALT's commit, just after
+    # a power_off, or in a stalled window's DECODE.
     assert halted == (stopper == "halt_hook")
-    assert powered == (stopper != "outage_hook")
+    assert powered == (stopper not in ("outage_hook", "staged_outage"))
+    assert pc["_staged"] == (stopper == "staged_outage")
+    assert (phase is Phase.DECODE) == (stopper == "stalled_fetch")
     if stopper == "bad_harvest":
         # The first commit's harvest raised: one instruction is on the
         # ledger, and the buffer holds its fetch and execute draws.
