@@ -2,15 +2,13 @@
 
 ``repro.compilejit`` compiles a linted :class:`~repro.core.program.
 Program` into a fused plan — per-instruction kernel tables,
-precomputed column-index gathers, and closed-form energy terms — and
-executes whole runs without the interpreter's microstep machine.  A
-continuous run or a lock-step batch holds each tile row as one Python
-int, one bit per (sample, column), so every op is a few bitwise ops
-whatever the batch size; a continuous run is a batch of one.  The
-fused intermittent loop applies one op at a time to one machine: every
-op has a NumPy form, and a gate or preset on at most
-``plan.CELL_COLUMNS`` columns also has a per-cell form, applied one
-cell at a time with Python ints.
+active-column selectors, and closed-form energy terms — and
+executes whole runs without the interpreter's microstep machine.
+Every executor holds each tile row as one Python int, one bit per
+(sample, column), so every op is a few bitwise ops whatever the batch
+size; a continuous run is a batch of one.  The fused intermittent loop
+prices its logic ops with one such pass when it starts and applies the
+ops to the live tiles only where something reads them.
 
 The scalar :class:`~repro.core.controller.MemoryController` microstep
 machine is kept verbatim as the referee: every compiled path reproduces
@@ -33,11 +31,11 @@ Execution tiers (see docs/PERFORMANCE.md):
    (program, technology, bank geometry), cached on the Program, drives
    continuous ``Mouse`` runs, the fused intermittent window loop and
    lock-step ``BatchedMouse`` batches (fault campaign trials
-   included).  Continuous runs and batches run the plan's packed-row
-   ops (:meth:`CompiledPlan.packed`) in one pass
-   (:func:`repro.compilejit.exec.run_batched`); the fused loop applies
-   its ops through :func:`repro.compilejit.exec.apply_op` on
-   ``(rows, cols)`` tile states, per cell where the op has that form.
+   included).  All three run the plan's one op table, its packed-row
+   ops (:meth:`CompiledPlan.packed`): continuous runs and batches in
+   one pass (:func:`repro.compilejit.exec.run_batched`), the fused loop
+   in one pricing pass and the catch-ups its readers ask for
+   (:func:`repro.compilejit.exec.run_intermittent_fused`).
 
 Harvest profiles (:class:`~repro.harvest.intermittent.ProfileRun`) are
 not CRAM programs and have one engine of their own: the switch and the

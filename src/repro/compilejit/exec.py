@@ -1,13 +1,15 @@
 """Compiled-plan executors: continuous power, intermittent windows and
 lock-step batches.
 
-A continuous ``Mouse`` run and a lock-step batch run the plan's
-packed-row ops (:meth:`~repro.compilejit.plan.CompiledPlan.packed`)
-in one pass, a continuous run as a batch of one; the fused
-intermittent loop, which needs each op's energy before its next draw,
-applies the plan's ops one at a time through :func:`apply_op`.  All
-three reproduce the scalar interpreters' ledger arithmetic bit for
-bit.  The key identity: for IEEE-754 doubles,
+Every executor runs the plan's packed-row ops
+(:meth:`~repro.compilejit.plan.CompiledPlan.packed`): a continuous
+``Mouse`` run and a lock-step batch apply them in one pass, a
+continuous run as a batch of one, and the fused intermittent loop
+prices its logic ops with one such pass at its start and applies them
+to the live tiles only where something reads them
+(:func:`run_intermittent_fused`).  All three reproduce the scalar
+interpreters' ledger arithmetic bit for bit.  The key identity: for
+IEEE-754 doubles,
 
     np.add.accumulate(np.concatenate(([c0], vals)))[-1]
 
@@ -18,16 +20,8 @@ latency) term is zero can be dropped from the chains without changing
 a single bit.  Static energies in the chains were computed through the
 very same cost-model methods the interpreter calls; dynamic logic
 energies are produced by the same kernel-table gathers `Tile.logic_op`
-performs, in the same dtype and reduction order.
-
-The fused intermittent loop also hands :func:`apply_op` one flat byte
-``memoryview`` per tile state, and ops with a per-cell form (see
-:mod:`repro.compilejit.plan`) then run one cell at a time with Python
-ints.  A per-cell energy is summed left to right from 0.0 in column
-order over at most ``CELL_COLUMNS`` columns, which is how NumPy sums
-that many float64 values, so both forms give the same bits.  The
-views write straight into the NumPy states and are released when the
-run returns or raises.
+performs, in the same dtype and reduction order
+(:func:`_logic_energies`).
 """
 
 from __future__ import annotations
@@ -40,12 +34,6 @@ import numpy as np
 from repro.compilejit.plan import (
     K_ACT,
     K_HALT,
-    K_L1P,
-    K_L1S,
-    K_LN,
-    K_PRESET,
-    K_READ,
-    K_WRITE,
     P_ACT,
     P_CLR,
     P_G1,
@@ -81,160 +69,6 @@ def _cycle_chain(plan: CompiledPlan, n: int) -> np.ndarray:
     if arr is None:
         arr = cache[n] = np.full(n, plan.cycle, dtype=np.float64)
     return arr
-
-
-# ----------------------------------------------------------------------
-# The op switch
-# ----------------------------------------------------------------------
-
-
-def _slice_gate(op, states, views):
-    """A K_L1S gate over a contiguous active range; returns its array
-    energy.
-
-    Row-slice views need no index mesh.  ``out[mask] = tgt`` without the
-    interpreter's ``!= tgt`` pre-filter writes the same final state (the
-    store is idempotent on cells already at the target), and the energy
-    gather never depends on which cells switched.
-    """
-    ti, rows_t, orow, sl, kern = op[3], op[4], op[5], op[6], op[7]
-    ws, en, tgt = kern[0], kern[1], kern[2]
-    vu = views[ti]
-    if len(rows_t) == 1:
-        n1 = vu[rows_t[0], sl]
-    else:
-        n1 = vu[rows_t[0], sl] + vu[rows_t[1], sl]
-        for r in rows_t[2:]:
-            n1 += vu[r, sl]
-    states[ti][orow, sl][ws.take(n1)] = tgt
-    return en.take(n1).sum()
-
-
-def _index_gate(op, states):
-    """A K_L1P gate over a non-contiguous active set; returns its array
-    energy."""
-    ti, mesh, orow, aidx, kern = op[3], op[4], op[5], op[6], op[7]
-    ws, en, tgt = kern[0], kern[1], kern[2]
-    st = states[ti]
-    n1 = st[mesh].sum(axis=0)
-    out = st[orow]
-    cells = out[aidx]
-    cells[ws.take(n1)] = tgt
-    out[aidx] = cells
-    return en.take(n1).sum()
-
-
-def _cell_gate(op, mv):
-    """The per-cell form of a single-tile gate on one machine's flat
-    tile view ``mv``; returns its array energy as a Python float, summed
-    in column order as NumPy sums at most ``CELL_COLUMNS`` values."""
-    kern, cols, bases, o = op[7], op[8], op[9], op[10]
-    ws, en, tgt = kern[3], kern[4], kern[2]
-    e = 0.0
-    if len(bases) == 2:
-        a, b = bases
-        for c in cols:
-            n = mv[a + c] + mv[b + c]
-            if ws[n]:
-                mv[o + c] = tgt
-            e += en[n]
-    elif len(bases) == 1:
-        (a,) = bases
-        for c in cols:
-            n = mv[a + c]
-            if ws[n]:
-                mv[o + c] = tgt
-            e += en[n]
-    else:
-        for c in cols:
-            n = 0
-            for a in bases:
-                n += mv[a + c]
-            if ws[n]:
-                mv[o + c] = tgt
-            e += en[n]
-    return e
-
-
-def _cell_preset(mv, base, cols, value) -> None:
-    """The per-cell form of one tile's preset on one machine's flat tile
-    view ``mv``."""
-    for c in cols:
-        mv[base + c] = value
-
-
-def apply_op(op, states, views, tiles, cbuf, actreg, share, oms, flat=None):
-    """Apply one plan op to one machine and return its EXECUTE energy:
-    the fused intermittent loop's op switch.
-
-    ``states`` / ``views`` are the data tiles' ``(rows, cols)`` bool
-    arrays and their uint8 views; ``cbuf`` is the ``(cols,)`` transfer
-    buffer and ``actreg`` the activate register.  ``flat`` is None
-    (a state is not C-contiguous) or one flat byte memoryview per tile
-    state (:func:`flat_views`): a single-tile gate or a preset set with
-    a per-cell form then runs one cell at a time through it, and every
-    other op keeps its NumPy form.  A logic op's energy is a NumPy
-    scalar, or a Python float from the per-cell form; every other op
-    returns the plan's constant.  ``share`` / ``oms`` are the plan's
-    inlined peripheral-share terms.
-    """
-    k = op[0]
-    if k == K_L1S or k == K_L1P:
-        if flat is not None and op[8] is not None:
-            arr = _cell_gate(op, flat[op[3]])
-        elif k == K_L1S:
-            arr = _slice_gate(op, states, views)
-        else:
-            arr = _index_gate(op, states)
-    elif k == K_PRESET:
-        value = op[3]
-        for ti, row, sel, cols, base in op[2]:
-            if flat is not None and cols is not None:
-                _cell_preset(flat[ti], base, cols, value)
-            else:
-                states[ti][row, sel] = value
-        return op[1]
-    elif k == K_READ:
-        cbuf[...] = states[op[2]][op[3]]
-        return op[1]
-    elif k == K_WRITE:
-        for ti in op[2]:
-            states[ti][op[3]] = cbuf
-        return op[1]
-    elif k == K_ACT:
-        for ti, bulk, cols_t in op[3]:
-            if bulk:
-                tiles[ti].activate_column_range(*cols_t)
-            else:
-                tiles[ti].activate_columns(cols_t)
-        actreg.stage(op[2])
-        actreg.commit()
-        return op[1]
-    elif k == K_LN:
-        arr = 0.0
-        for gate in op[3]:
-            if gate[0] == K_L1S:
-                arr = arr + _slice_gate(gate, states, views)
-            else:
-                arr = arr + _index_gate(gate, states)
-    else:  # K_HALT: no array work
-        return op[1]
-    return arr + (arr * share / oms + op[2])
-
-
-def flat_views(states) -> Optional[list]:
-    """One flat byte memoryview per tile state, for :func:`apply_op`'s
-    per-cell forms; None when a state is not C-contiguous.  The caller
-    releases them (:func:`release_views`) when its run returns or
-    raises, so no view outlives the run."""
-    if not all(st.flags.c_contiguous for st in states):
-        return None
-    return [memoryview(st).cast("B") for st in states]
-
-
-def release_views(flat: Optional[list]) -> None:
-    for mv in flat or ():
-        mv.release()
 
 
 # ----------------------------------------------------------------------
@@ -442,11 +276,32 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
     commit ends in).  The locals are written back onto the run,
     ledger, buffer, PC register and controller before every hook and
     interpreter call and on every exit, a raise included; the fetched
-    word and its decode are built only then.  One instruction is
-    applied at a time: speculating across an outage boundary is
-    unsound (the ``repro.verify`` re-execution analysis refuted
-    window-level replay for programs with WAR hazards, and energy
-    arrival decides where the window ends).
+    word and its decode are built only then.
+
+    The loop does no array work per op.  Before it starts, one packed
+    pass runs the plan's ops from the start pc on a copy of the tiles'
+    packed rows and the transfer buffer, and prices every logic op from
+    its logged inputs (:func:`_logic_energies`); each pc's EXECUTE draw
+    reads that table.  A replay is idempotent, so this holds across
+    outages: no gate writes one of its own input rows, a re-executed
+    WRITE copies the non-volatile transfer buffer again, and a
+    replay-stable plan's re-issued ACTIVATE restores every active set
+    an op uses.  An op re-executed after a power cut therefore reads
+    what its first execution read, and the run's per-op energies and
+    array effects are the continuous run's from the same state.  This
+    is not window-level replay, which the ``repro.verify`` re-execution
+    analysis refutes for programs with WAR hazards: power is still cut
+    at microstep granularity, and only the last instruction repeats.
+    ACTIVATE latches the live tiles and stages the register in the
+    loop, since ``power_off`` and ``power_on`` read them.
+
+    The tile states and the transfer buffer catch up only where
+    something reads them: the packed ops executed since the last
+    catch-up are applied to the live rows and the rows they wrote are
+    unpacked.  That happens on any raise and whenever a hook calls
+    :meth:`~repro.harvest.intermittent.IntermittentRun.settle`, as
+    :func:`~repro.durability.checkpoint.capture_intermittent` does; at
+    HALT the pass's final rows are unpacked once.
     """
     from repro import compilejit
     from repro.harvest.intermittent import charge_until_ready
@@ -459,11 +314,7 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
     buffer = run.config.buffer
     source = run.config.source
     checkpointer = run.checkpointer
-    bank = mouse.bank
-    tiles = bank.data_tiles
-    states = [t.state for t in tiles]
-    views = [st.view(np.uint8) for st in states]
-    cbuf = controller.buffer
+    tiles = mouse.bank.data_tiles
     pcreg = controller.pc
     actreg = controller.activate_register
 
@@ -473,8 +324,6 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
     fetch_e = plan.fetch_e
     backup_e = plan.backup_e
     act_backup_e = plan.act_backup_e
-    share = plan.share
-    oms = plan.oms
     steps = buffer.stepper()
     add, draw, leak, off_at = steps.add, steps.draw, steps.leak, steps.off_at
     source_energy = source.energy
@@ -505,6 +354,7 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
     par = pcreg.parity.value
     staged = pcreg._staged
     pc = pcreg.read()
+
     # `phase` and `eu` are the controller's phase and
     # executed-uncommitted flag after the last microstep the locals
     # hold, so a raise anywhere leaves the scalar loop's machine state.
@@ -518,6 +368,29 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
     # False while the power path owns the state: the locals are stale
     # until outage() reloads them.
     live = True
+
+    # The pricing pass, on a copy of the rows the arrays catch up from.
+    packed = plan.packed()
+    pops = packed.ops
+    cols = plan.cols
+    masks, nmasks = _spread_masks(packed, 1, cols)
+    states = [tile.state for tile in tiles]
+    buf = controller.buffer[None, None]
+    rows = [pack_rows(st[None]) for st in states]
+    row_buf = pack_rows(buf)[0]
+    final = [list(tile_rows) for tile_rows in rows]
+    log = [0] * int(packed.log_at[pc])  # the ops before pc log nothing
+    final_buf = _run_packed(
+        pops[pc:], final, masks, nmasks, None, row_buf, log.append
+    )
+    execute = packed.execute.copy()
+    execute[packed.logic_pcs] = _logic_energies(
+        packed, log, 1, cols, plan.share, plan.oms
+    )[:, 0]
+    exec_e = execute.tolist()
+    # The arrays hold the ops before `settled`; those before `done`
+    # have executed.
+    settled = done = pc
 
     def flush() -> None:
         b.compute_energy = ce
@@ -582,7 +455,20 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
         phase, eu = FETCH, False
         live = True
 
-    flat = flat_views(states)
+    def settle() -> None:
+        """Apply the ops executed since the last catch-up to the live
+        rows, then unpack the rows they wrote and the transfer buffer."""
+        nonlocal settled, row_buf
+        if done <= settled:
+            return
+        row_buf = _run_packed(
+            pops[settled:done], rows, masks, nmasks, None, row_buf, [].append
+        )
+        _write_back(states, rows, packed.writes[settled:done], cols)
+        unpack_rows([row_buf], buf)
+        settled = done
+
+    run._settle = settle
     try:
         while True:
             if executed >= max_instructions:
@@ -640,16 +526,21 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
                 v = draw(v, 0.0, cycle)
                 break
 
-            e_exec = float(
-                apply_op(op, states, views, tiles, cbuf, actreg, share, oms, flat)
-            )
             te = tot
-            if dead:
-                de += e_exec
-            else:
-                ce += e_exec
             if k == K_ACT:
+                for ti, bulk, cols_t in op[3]:
+                    if bulk:
+                        tiles[ti].activate_column_range(*cols_t)
+                    else:
+                        tiles[ti].activate_columns(cols_t)
+                actreg.stage(op[2])
+                actreg.commit()
                 be += act_backup_e
+            if dead:
+                de += exec_e[pc]
+            else:
+                ce += exec_e[pc]
+            done = pc + 1
             tot = ce + be + de + re_
             consumed = tot - te
             phase, eu = PC_STAGE, True
@@ -703,16 +594,33 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
 
         # HALT: final state.
         flush()
+        for st, tile_rows in zip(states, final):
+            unpack_rows(tile_rows, st[None])
+        unpack_rows([final_buf], buf)
+        settled = plan.n_instructions
         if checkpointer is not None:
             checkpointer.on_commit(run)
     except BaseException:
         if live:
             flush()
+        settle()
         raise
     finally:
-        release_views(flat)
+        run._settle = None
     compilejit.STATS["compiled_runs"] += 1
     return b
+
+
+def _write_back(states, rows, writes, cols: int) -> None:
+    """Unpack each packed row that ``writes`` names into its tile's
+    ``(rows, cols)`` state."""
+    touched: dict[int, set] = {}
+    for pairs in writes:
+        for t, r in pairs:
+            touched.setdefault(t, set()).add(r)
+    for t, written in touched.items():
+        written = sorted(written)
+        states[t][written] = _bits([rows[t][r] for r in written], cols)
 
 
 # ----------------------------------------------------------------------
@@ -826,11 +734,21 @@ def _gate(r: list, ins, orow: int, mask: int, counts, target: bool, log) -> None
         r[orow] &= ~cells
 
 
+def _spread_masks(packed, batch: int, cols: int) -> tuple[list, list]:
+    """The plan's one-row masks spread over ``batch`` samples, and their
+    complements."""
+    # Σ_b 2^(b·cols): a one-row mask times this covers every sample.
+    spread = ((1 << (batch * cols)) - 1) // ((1 << cols) - 1)
+    masks = [mask * spread for mask in packed.row_masks]
+    return masks, [~mask for mask in masks]
+
+
 def _run_packed(ops, rows, masks, nmasks, tiles, cbuf, log):
     """Apply packed ops to a batch's packed ``rows``; returns the
     transfer buffer.  ``masks`` / ``nmasks`` are the plan's row masks
-    spread over the batch and their complements; ``log`` appends each
-    gate input row as read."""
+    spread over the batch and their complements; ``tiles`` latch each
+    ACTIVATE's columns, or are None when the caller latches them;
+    ``log`` appends each gate input row as read."""
     for op in ops:
         k = op[0]
         if k == P_SET:
@@ -874,7 +792,7 @@ def _run_packed(ops, rows, masks, nmasks, tiles, cbuf, log):
                     rows[t][row] |= masks[m]
                 else:
                     rows[t][row] &= nmasks[m]
-        elif k == P_ACT:
+        elif k == P_ACT and tiles is not None:
             for t, bulk, cols_t in op[1]:
                 if bulk:
                     tiles[t].activate_column_range(*cols_t)
@@ -892,10 +810,7 @@ def _packed_pass(plan, tiles, states, batch, cbuf, hooks=None):
     the buffer when it ends.  ``hooks`` are :func:`run_batched`'s."""
     packed = plan.packed()
     cols = plan.cols
-    # Σ_b 2^(b·cols): a one-row mask times this covers every sample.
-    spread = ((1 << (batch * cols)) - 1) // ((1 << cols) - 1)
-    masks = [mask * spread for mask in packed.row_masks]
-    nmasks = [~mask for mask in masks]
+    masks, nmasks = _spread_masks(packed, batch, cols)
     ops = packed.ops
     log: list[int] = []
     rows = [pack_rows(st) for st in states]
@@ -976,7 +891,7 @@ def _logic_energies(packed, log, batch, cols, share, oms) -> np.ndarray:
     over the active columns: one contiguous row of ``width`` values per
     (op, sample), so each sum is NumPy's over the 1-D gather
     ``Tile.logic_op`` sums.  A broadcast op adds its gates' energies
-    from 0.0 in gate order, as the NumPy form did.  Each op's array
+    from 0.0 in tile order, as the controller does.  Each op's array
     energy ``arr`` then becomes ``arr + (arr * share / oms + aterm)``
     in one elementwise pass over every op (IEEE addition commutes).  A
     log that fits in ``_STEP_BYTES`` unpacked is unpacked once, and

@@ -2,25 +2,19 @@
 
 A :class:`CompiledPlan` freezes everything about a straight-line CRAM
 program that does not depend on array *data*: per-instruction kernel
-tables, precomputed active-column gathers (``np.ix_`` meshes), static
-energy terms evaluated through the same cost-model code paths the
-interpreter uses, and a flat **charge table** mirroring the exact
-per-microstep ledger charges the scalar controller would make.  The
-executors in :mod:`repro.compilejit.exec` then replay a whole commit
-window op by op and reduce the charge table with
+tables, each active set's column selector, static energy terms
+evaluated through the same cost-model code paths the interpreter uses,
+and a flat **charge table** mirroring the exact per-microstep ledger
+charges the scalar controller would make.  The executors in
+:mod:`repro.compilejit.exec` reduce the charge table with
 ``np.add.accumulate`` — which is bit-identical to the interpreter's
 sequential ``+=`` chain, so `Breakdown`s match to the last ulp.
 
-Continuous runs and lock-step batches run the plan's packed-row ops
-(:meth:`CompiledPlan.packed`), built on the plan's first such run.
-The fused intermittent loop applies its ops one at a time to one
-machine: every op has a NumPy form, and a single-tile gate or a preset
-set whose active set holds at most :data:`CELL_COLUMNS` columns also
-has a *per-cell* form: the sorted active columns as one tuple shared
-by every op on that set, the flat byte offsets of its rows, and the
-gate kernel's ladders as Python tuples shared per kernel, so the loop
-applies it one cell at a time with Python ints (see
-:func:`repro.compilejit.exec.apply_op`).
+Every executor runs the plan's packed-row ops
+(:meth:`CompiledPlan.packed`), built on the plan's first run: a
+continuous run or a lock-step batch applies them in one pass, and the
+fused intermittent loop prices its logic ops with one such pass and
+applies them to the live tiles only where something reads them.
 
 Plan construction is **gated by the linter**: a program that lints
 with errors raises :class:`PlanUnsupported` and the engines silently
@@ -48,38 +42,26 @@ from repro.isa.instruction import (
 )
 from repro.perf.kernels import electrical_kernel
 
-# Fast-op codes (first element of every op tuple).  Logic kinds that
-# carry a run-time energy slot come last (``k >= K_L1S``).
+# Plan op codes (first element of every op tuple).  Logic kinds carry
+# a run-time energy slot and come last (``k >= K_L1``).
 K_HALT = 0
 K_ACT = 1
 K_PRESET = 2
 K_READ = 3
 K_WRITE = 4
-K_L1S = 5  # logic, single tile, contiguous active range (slice views)
-K_L1P = 6  # logic, single tile, non-contiguous active set (index mesh)
-K_LN = 7  # logic, broadcast across several tiles
+K_L1 = 5  # logic on one tile
+K_LN = 6  # logic broadcast across several tiles, one gate per tile
 
 # Op layouts:
 #   (K_HALT, 0.0)
 #   (K_ACT, energy, word, ((tile, bulk, columns), ...))
-#   (K_PRESET, energy, ((tile, row, sel, cells, base), ...), value)
+#   (K_PRESET, energy, ((tile, row, sel), ...), value)
 #   (K_READ, energy, tile, row)
 #   (K_WRITE, energy, tiles, row)
-#   (K_L1S, slot, aterm, tile, rows, orow, slice, kern, cells, bases, obase)
-#   (K_L1P, slot, aterm, tile, mesh, orow, aidx, kern, cells, bases, obase)
-#   (K_LN, slot, aterm, (gate, ...))  # K_L1S / K_L1P gates, slot None
-# ``kern`` is :func:`gate_kernel`'s record.  ``cells`` is the per-cell
-# form's sorted active-column tuple and ``base`` / ``bases`` / ``obase``
-# the flat offsets of the rows it touches.  ``cells`` is None when the
-# set is wider than CELL_COLUMNS or the gate is one of a K_LN's, and a
-# gate's ``bases`` and ``obase`` are then None too.
-
-#: Widest active set with a per-cell form.  NumPy sums fewer than 8
-#: float64 values left to right from 0.0 and pairwise from 8 on, so a
-#: per-cell energy sum in column order equals the NumPy form's
-#: ``en.take(n1).sum()`` (and ``Tile.logic_op``'s) bit for bit
-#: only up to 7 columns.
-CELL_COLUMNS = 7
+#   (K_L1 / K_LN, slot, aterm, ((tile, rows, orow, sel, kern), ...))
+# ``sel`` selects a tile's active columns (see :func:`_spec_sel`),
+# ``rows`` is a gate's tuple of input rows and ``kern`` is
+# :func:`gate_kernel`'s record.
 
 # Packed-row op codes: the table of continuous runs and lock-step
 # batches (:meth:`CompiledPlan.packed`).  A batch holds each tile row as one
@@ -118,18 +100,14 @@ _CAT_BE = 1  # Category.BACKUP energy (pc checkpoint, activate register)
 
 @lru_cache(maxsize=None)
 def gate_kernel(params, spec) -> tuple:
-    """``(will_switch, energy, target, will_switch_t, energy_t,
-    counts)`` of one technology/gate pair: the electrical kernel's
-    ladders as arrays for the NumPy form and as Python tuples for the
-    per-cell form, and the counts of 1 inputs that switch a cell for
-    the packed form, built once per pair and shared by every plan."""
+    """``(energy, target, counts)`` of one technology/gate pair: the
+    electrical kernel's per-count energy table, the state a switching
+    cell takes, and the counts of 1 inputs that switch a cell, built
+    once per pair and shared by every plan."""
     kern = electrical_kernel(params, spec)
     return (
-        kern.will_switch,
         kern.energy,
         kern.target,
-        tuple(bool(x) for x in kern.will_switch),
-        tuple(float(x) for x in kern.energy),
         tuple(n for n, switch in enumerate(kern.will_switch) if switch),
     )
 
@@ -142,18 +120,22 @@ class PackedPlan(NamedTuple):
     """The packed-row tables of a plan (:meth:`CompiledPlan.packed`).
 
     Every gate appends its input rows, as read, to the executor's log:
-    op after op, gate after gate, input after input.  ``groups`` gather
-    those entries back for the logic energies, one group per kernel and
-    active set: ``(energy, sel, width, n_inputs, positions, members)``,
-    where ``energy`` is the kernel's per-count energy table, ``sel``
-    picks the active columns of a row (None for all), ``width`` counts
-    them, ``positions`` are the log entries of the members' inputs,
-    member after member, and ``members`` number the members' logic ops
-    in pc order.  The gates of broadcast ops form groups of their own
-    with no ``members``: ``ln`` combines them per op as ``(logic op,
-    ((group, member), ...))``.  ``aterms`` and ``logic_at`` are each
-    logic op's address term and its position in the plan's
-    compute-energy chain (``chg_vals[ce_idx]``), in pc order."""
+    op after op, gate after gate, input after input; ``log_at`` holds
+    each pc's offset in that log.  ``groups`` gather the entries back
+    for the logic energies, one group per kernel and active set:
+    ``(energy, sel, width, n_inputs, positions, members)``, where
+    ``energy`` is the kernel's per-count energy table, ``sel`` picks the
+    active columns of a row (None for all), ``width`` counts them,
+    ``positions`` are the log entries of the members' inputs, member
+    after member, and ``members`` number the members' logic ops in pc
+    order.  The gates of broadcast ops form groups of their own with no
+    ``members``: ``ln`` combines them per op as ``(logic op, ((group,
+    member), ...))``.  ``aterms``, ``logic_at`` and ``logic_pcs`` are
+    each logic op's address term, its position in the plan's
+    compute-energy chain (``chg_vals[ce_idx]``) and its pc, in pc
+    order.  ``execute`` is each pc's EXECUTE energy, 0.0 for HALT and
+    for the logic ops, whose energies depend on the data, and
+    ``writes`` the ``(tile, row)`` pairs each pc's op writes."""
 
     ops: list
     row_masks: tuple
@@ -161,6 +143,10 @@ class PackedPlan(NamedTuple):
     ln: tuple
     aterms: np.ndarray
     logic_at: np.ndarray
+    logic_pcs: np.ndarray
+    execute: np.ndarray
+    log_at: np.ndarray
+    writes: tuple
 
 
 def _row_mask(sel) -> int:
@@ -179,21 +165,9 @@ def packed_gates(op) -> tuple:
     an active cell to ``target`` when its count of 1 inputs is one of
     ``counts``."""
     return tuple(
-        (
-            gate[3],
-            _inputs(gate),
-            gate[5],
-            _row_mask(gate[6]),
-            gate[7][5],
-            bool(gate[7][2]),
-        )
-        for gate in (op[3] if op[0] == K_LN else (op,))
+        (tile, rows, orow, _row_mask(sel), kern[2], bool(kern[1]))
+        for tile, rows, orow, sel, kern in op[3]
     )
-
-
-def _inputs(gate) -> tuple:
-    """A single-tile gate's input rows."""
-    return gate[4] if gate[0] == K_L1S else tuple(gate[4][0].ravel().tolist())
 
 
 def _act_spec(instr: ActivateColumnsInstruction):
@@ -204,44 +178,22 @@ def _act_spec(instr: ActivateColumnsInstruction):
     return ("set", tuple(sorted(set(int(c) for c in instr.columns))))
 
 
-def _spec_index(spec) -> np.ndarray:
-    """Active-column index array, identical to Tile._refresh_active_index.
-
-    Both `Tile.activate_columns` (bool mask + flatnonzero) and
-    `Tile.activate_column_range` yield a sorted, deduplicated intp
-    array; we rebuild the same thing from the canonical spec.
-    """
-    if spec[0] == "range":
-        return np.arange(spec[1], spec[2] + 1, dtype=np.intp)
-    return np.asarray(spec[1], dtype=np.intp)
-
-
 def _spec_count(spec) -> int:
     if spec[0] == "range":
         return spec[2] - spec[1] + 1
     return len(spec[1])
 
 
-def _spec_slice(spec) -> Optional[slice]:
-    """``slice(c0, c1+1)`` when the active set is contiguous, else None.
-
-    Basic (slice) indexing selects exactly the same cells as the sorted
-    fancy index but returns *views*, so the executors can gather input
-    rows and mask-store the output row without allocating index meshes.
-    """
+def _spec_sel(spec):
+    """Column selector for an active set: ``slice(c0, c1 + 1)`` when it
+    is contiguous, else the sorted index array ``Tile`` keeps; both
+    select the same cells, the slice as a view."""
     if spec[0] == "range":
         return slice(spec[1], spec[2] + 1)
     cols = spec[1]
     if cols and cols[-1] - cols[0] + 1 == len(cols):
         return slice(cols[0], cols[-1] + 1)
-    return None
-
-
-def _spec_sel(spec):
-    """Column selector for an active set: a slice when contiguous, else
-    the sorted index array."""
-    sl = _spec_slice(spec)
-    return sl if sl is not None else _spec_index(spec)
+    return np.asarray(cols, dtype=np.intp)
 
 
 class CompiledPlan:
@@ -328,42 +280,15 @@ class CompiledPlan:
         # `replay_stable` goes False (continuous runs stay fine).
         full: list = [None] * self.n_data_tiles
         last_only: list = [None] * self.n_data_tiles
-        # One selector / index mesh / column tuple / row-offset object
-        # per distinct active set (and input rows), shared by every op
-        # that uses it.
+        # One selector per distinct active set, shared by every op that
+        # uses it.
         sel_cache: dict = {}
-        mesh_cache: dict = {}
-        cells_cache: dict = {}
-        offset_cache: dict = {}
 
         def selector(spec):
             sel = sel_cache.get(spec)
             if sel is None:
                 sel = sel_cache[spec] = _spec_sel(spec)
             return sel
-
-        def cells(spec) -> Optional[tuple[int, ...]]:
-            """The per-cell form's sorted active columns, or None when
-            the set is wider than CELL_COLUMNS."""
-            if spec not in cells_cache:
-                cells_cache[spec] = (
-                    tuple(int(c) for c in _spec_index(spec))
-                    if _spec_count(spec) <= CELL_COLUMNS
-                    else None
-                )
-            return cells_cache[spec]
-
-        def offset(rows):
-            """The flat offset in a C-ordered ``(rows, cols)`` state of
-            a row (an int), or of each row of a tuple."""
-            off = offset_cache.get(rows)
-            if off is None:
-                off = offset_cache[rows] = (
-                    rows * cols
-                    if isinstance(rows, int)
-                    else tuple(r * cols for r in rows)
-                )
-            return off
 
         def resolve_tiles(tile: int) -> tuple[int, ...]:
             if tile == BROADCAST_TILE:
@@ -433,11 +358,7 @@ class CompiledPlan:
                     check_use(tiles, pc)
                     n_columns = sum(_spec_count(full[t]) for t in tiles)
                     e = prices.preset[max(n_columns, 1)]
-                    sets = tuple(
-                        (t, instr.row, selector(full[t]), cells(full[t]),
-                         offset(instr.row))
-                        for t in tiles
-                    )
+                    sets = tuple((t, instr.row, selector(full[t])) for t in tiles)
                     self.ops.append((K_PRESET, e, sets, op == "PRESET1"))
                 charge(_CAT_CE, e, pc)
                 charge(_CAT_BE, self.backup_e, pc)
@@ -455,38 +376,13 @@ class CompiledPlan:
                     * cost.peripheral.address_energy
                     * _write_energy(cost.params)
                 )
-                # One gate per target tile, laid out as a single-tile op
-                # whose slot and address term stay None until the op is
-                # known to be single-tile.  A contiguous set (one column
-                # and all columns included) gathers through row-slice
-                # views, any other set through an ``np.ix_`` mesh.  Only
-                # a single-tile gate gets a per-cell form.
-                single = len(tiles) == 1
-                gates = []
-                for t in tiles:
-                    sel = selector(full[t])
-                    col_t = cells(full[t]) if single else None
-                    if col_t is None:
-                        tail = (kern, None, None, None)
-                    else:
-                        tail = (kern, col_t, offset(rows_t), offset(orow))
-                    if isinstance(sel, slice):
-                        gates.append(
-                            (K_L1S, None, None, t, rows_t, orow, sel) + tail
-                        )
-                        continue
-                    key = (rows_t, full[t])
-                    mesh = mesh_cache.get(key)
-                    if mesh is None:
-                        mesh = mesh_cache[key] = np.ix_(rows_t, sel)
-                    gates.append((K_L1P, None, None, t, mesh, orow, sel) + tail)
+                gates = tuple(
+                    (t, rows_t, orow, selector(full[t]), kern) for t in tiles
+                )
                 self.n_logic_dynamic += 1
                 slot = charge(_CAT_CE, 0.0, pc)
-                if len(gates) == 1:
-                    gate = gates[0]
-                    self.ops.append((gate[0], slot, aterm) + gate[3:])
-                else:
-                    self.ops.append((K_LN, slot, aterm, tuple(gates)))
+                kind = K_L1 if len(gates) == 1 else K_LN
+                self.ops.append((kind, slot, aterm, gates))
                 charge(_CAT_BE, self.backup_e, pc)
                 continue
 
@@ -569,6 +465,10 @@ class CompiledPlan:
         shared: dict[tuple, tuple] = {}
         aterms: list[float] = []
         logic_at: list[int] = []
+        logic_pcs: list[int] = []
+        execute = np.zeros(self.n_instructions, dtype=np.float64)
+        log_at: list[int] = []
+        writes: list[tuple] = []
         ln = []
         ops: list[tuple] = []
         logged = 0
@@ -592,20 +492,20 @@ class CompiledPlan:
                 )
             return entry
 
-        def member(gate, ins, logic) -> tuple[int, int]:
+        def member(gate, logic) -> tuple[int, int]:
             """Add a gate's logged inputs to its energy group (one per
             kernel and active set, which its row mask names whatever
             the selector's form, and apart for the gates of broadcast
             ops, whose ``logic`` is None); returns ``(group,
             member)``."""
             nonlocal logged
-            kern = gate[7]
-            mask, _, width, sel = active(gate[6])
+            _, ins, _, sel, kern = gate
+            mask, _, width, esel = active(sel)
             key = (id(kern), logic is None, mask)
             entry = groups.get(key)
             if entry is None:
                 entry = groups[key] = (
-                    len(groups), kern[1], sel, width, len(ins), [], []
+                    len(groups), kern[0], esel, width, len(ins), [], []
                 )
             entry[5].extend(range(logged, logged + len(ins)))
             entry[6].append(logic)
@@ -616,46 +516,55 @@ class CompiledPlan:
             """Append a packed op, sharing one tuple per distinct op."""
             ops.append(shared.setdefault(op, op))
 
-        for op in self.ops:
+        for pc, op in enumerate(self.ops):
             k = op[0]
+            log_at.append(logged)
+            written: tuple = ()  # the (tile, row) pairs the op writes
+            if k < K_L1:
+                execute[pc] = op[1]
             if k == K_PRESET:
-                sets = tuple((t, row, active(sel)[1]) for t, row, sel, _, _ in op[2])
+                sets = tuple((t, row, active(sel)[1]) for t, row, sel in op[2])
+                written = tuple((t, row) for t, row, _ in sets)
                 if len(sets) == 1:
                     add((P_SET if op[3] else P_CLR,) + sets[0])
                 else:
                     add((P_PRESET, sets, op[3]))
-            elif k == K_L1S or k == K_L1P:
-                ins = _inputs(op)
-                member(op, ins, len(logic_at))
+            elif k >= K_L1:
+                logic = len(logic_at)
                 aterms.append(op[2])
                 logic_at.append(int(chain_at[op[1]]))
-                tile, orow, kern = op[3], op[5], op[7]
-                m = active(op[6])[1]
-                counts, target = kern[5], bool(kern[2])
-                t = len(counts)
-                if counts != tuple(range(t)) or not 0 < t <= len(ins) <= 2:
-                    add((P_GATES, ((tile, ins, orow, m, counts, target),)))
-                elif len(ins) == 1:
-                    add((P_G1, tile, ins[0], orow, m, target))
+                logic_pcs.append(pc)
+                written = tuple((gate[0], gate[2]) for gate in op[3])
+                if k == K_LN:
+                    parts = tuple(member(gate, None) for gate in op[3])
+                    ln.append((logic, parts))
+                    add((P_GATES, tuple(
+                        (tile, ins, orow, mask_ids[mask], counts, target)
+                        for tile, ins, orow, mask, counts, target in packed_gates(op)
+                    )))
                 else:
-                    add((P_G2, tile, *ins, orow, m, t == 2, target))
-            elif k == K_LN:
-                parts = tuple(member(gate, _inputs(gate), None) for gate in op[3])
-                ln.append((len(logic_at), parts))
-                aterms.append(op[2])
-                logic_at.append(int(chain_at[op[1]]))
-                add((P_GATES, tuple(
-                    (tile, ins, orow, mask_ids[mask], counts, target)
-                    for tile, ins, orow, mask, counts, target in packed_gates(op)
-                )))
+                    (gate,) = op[3]
+                    member(gate, logic)
+                    tile, ins, orow, sel, kern = gate
+                    m = active(sel)[1]
+                    counts, target = kern[2], bool(kern[1])
+                    t = len(counts)
+                    if counts != tuple(range(t)) or not 0 < t <= len(ins) <= 2:
+                        add((P_GATES, ((tile, ins, orow, m, counts, target),)))
+                    elif len(ins) == 1:
+                        add((P_G1, tile, ins[0], orow, m, target))
+                    else:
+                        add((P_G2, tile, *ins, orow, m, t == 2, target))
             elif k == K_READ:
                 add((P_READ, op[2], op[3]))
             elif k == K_WRITE:
+                written = tuple((t, op[3]) for t in op[2])
                 add((P_WRITE, op[2], op[3]))
             elif k == K_ACT:
                 add((P_ACT, op[3]))
             else:
                 add((P_HALT,))
+            writes.append(shared.setdefault(written, written))
         return PackedPlan(
             ops=ops,
             row_masks=tuple(mask_ids),
@@ -667,6 +576,10 @@ class CompiledPlan:
             ln=tuple(ln),
             aterms=np.asarray(aterms, dtype=np.float64),
             logic_at=np.asarray(logic_at, dtype=np.intp),
+            logic_pcs=np.asarray(logic_pcs, dtype=np.intp),
+            execute=execute,
+            log_at=np.asarray(log_at, dtype=np.intp),
+            writes=tuple(writes),
         )
 
     # ------------------------------------------------------------------
@@ -677,13 +590,11 @@ class CompiledPlan:
         """``(tile, output row, active columns)`` of each gate the logic
         op at ``pc`` fires, in target-tile order: the cells a gate-output
         flip can hit, in the order the fault hook draws them."""
-        op = self.ops[pc]
         out = []
-        for gate in op[3] if op[0] == K_LN else (op,):
-            sel = gate[6]
-            if gate[0] == K_L1S:
+        for tile, _, orow, sel, _ in self.ops[pc][3]:
+            if isinstance(sel, slice):
                 sel = np.arange(sel.start, sel.stop)
-            out.append((gate[3], gate[5], sel))
+            out.append((tile, orow, sel))
         return tuple(out)
 
     def stats(self) -> dict:

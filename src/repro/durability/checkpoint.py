@@ -150,10 +150,12 @@ def capture_intermittent(run: IntermittentRun, phase: str) -> dict[str, Any]:
     """Full resumable state of a cycle-accurate run.
 
     ``phase`` is ``"powered"`` (instruction boundary, machine live) or
-    ``"outage"`` (machine off, capacitor below the restart bound).
+    ``"outage"`` (machine off, capacitor below the restart bound).  The
+    run's arrays are settled first (:meth:`IntermittentRun.settle`).
     """
     if phase not in ("powered", "outage"):
         raise ValueError(f"unknown resume phase {phase!r}")
+    run.settle()
     return {
         "kind": "intermittent",
         "phase": phase,

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import math
 import weakref
 from typing import Any, get_type_hints
 
 import numpy as np
 
 from repro.core.accelerator import Mouse
-from repro.core.controller import MemoryController, Phase
+from repro.core.controller import _NONE, MemoryController, Phase
 from repro.core.program import Program
 from repro.core.registers import DualRegister
 from repro.devices.parameters import CellKind, DeviceParameters
@@ -39,7 +40,7 @@ from repro.harvest.intermittent import (
     Segment,
 )
 from repro.harvest.source import ConstantPowerSource, SolarProfileSource
-from repro.isa.instruction import decode_cached
+from repro.isa.instruction import ActivateColumnsInstruction, decode_cached
 
 
 class StateCaptureError(RuntimeError):
@@ -61,11 +62,38 @@ def encode_bool_array(array: np.ndarray) -> dict:
     }
 
 
-def decode_bool_array(obj: dict) -> np.ndarray:
-    shape = tuple(int(s) for s in obj["shape"])
-    count = int(np.prod(shape)) if shape else 1
-    packed = np.frombuffer(base64.b64decode(obj["bits"]), dtype=np.uint8)
-    return np.unpackbits(packed, count=count).astype(bool).reshape(shape)
+def decode_bool_array(
+    obj: dict, shape=None, where: str = "bit array"
+) -> np.ndarray:
+    """Inverse of :func:`encode_bool_array`, of the encoded shape or,
+    when given, of ``shape``; :class:`StateCaptureError` for anything
+    the encoder cannot write (another shape, bits that are not the
+    canonical base64 of exactly that many cells, a set padding bit)."""
+    _fields(obj, ("shape", "bits"), where)
+    encoded = obj["shape"]
+    if not (
+        isinstance(encoded, list)
+        and all(type(n) is int and n >= 0 for n in encoded)
+        and (shape is None or encoded == list(shape))
+    ):
+        wanted = "" if shape is None else f", not {list(shape)}"
+        raise StateCaptureError(f"{where} has shape {encoded!r}{wanted}")
+    count = math.prod(encoded)
+    bits = obj["bits"]
+    try:
+        packed = base64.b64decode(bits, validate=True)
+    except (TypeError, ValueError):
+        packed = None
+    if (
+        packed is None
+        or len(packed) != (count + 7) // 8
+        or base64.b64encode(packed).decode("ascii") != bits
+    ):
+        raise StateCaptureError(f"{where} bits do not encode {count} cells")
+    cells = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
+    if cells[count:].any():
+        raise StateCaptureError(f"{where} bits set past its last cell")
+    return cells[:count].astype(bool).reshape(encoded)
 
 
 def encode_params(params: DeviceParameters) -> dict:
@@ -75,9 +103,28 @@ def encode_params(params: DeviceParameters) -> dict:
 
 
 def decode_params(obj: dict) -> DeviceParameters:
-    fields = dict(obj)
-    fields["cell_kind"] = CellKind(fields["cell_kind"])
+    """Inverse of :func:`encode_params`; :class:`StateCaptureError` for
+    a missing or extra field, a name that is not a string, an unknown
+    cell kind or a quantity that is not a finite number (positive where
+    the model divides by it)."""
+    names = [f.name for f in dataclasses.fields(DeviceParameters)]
+    fields = dict(_fields(obj, names, "device parameters"))
+    if type(fields["name"]) is not str:
+        raise StateCaptureError("device parameters' name is not a string")
+    try:
+        fields["cell_kind"] = CellKind(fields["cell_kind"])
+    except (TypeError, ValueError):
+        raise StateCaptureError(
+            f"unknown cell kind {fields['cell_kind']!r}"
+        ) from None
+    for name in names:
+        if name not in ("name", "cell_kind"):
+            _real(fields, name, "device parameters", positive=name in _DIVISORS)
     return DeviceParameters(**fields)
+
+
+#: The device quantities the energy model divides by.
+_DIVISORS = frozenset({"r_p", "clock_hz"})
 
 
 def encode_register(register: DualRegister) -> dict:
@@ -90,11 +137,22 @@ def encode_register(register: DualRegister) -> dict:
 
 
 def decode_register(register: DualRegister, obj: dict) -> None:
-    register._values = [
-        None if v is None else int(v) for v in obj["values"]
-    ]
-    register.parity.set(bool(obj["parity"]))
-    register._staged = bool(obj["staged"])
+    """Inverse of :func:`encode_register`: ``obj`` must name
+    ``register`` and hold two copies, each None or a word."""
+    where = f"register {register.name!r}"
+    _fields(obj, ("name", "values", "parity", "staged"), where)
+    if obj["name"] != register.name:
+        raise StateCaptureError(f"{where} is captured as {obj['name']!r}")
+    values = obj["values"]
+    if not isinstance(values, list) or len(values) != 2 or not all(
+        v is None or (type(v) is int and v >= 0) for v in values
+    ):
+        raise StateCaptureError(
+            f"{where} must hold two copies, each null or an integer >= 0"
+        )
+    register._values = list(values)
+    register.parity.set(_flag(obj, "parity", where))
+    register._staged = _flag(obj, "staged", where)
 
 
 def encode_breakdown(breakdown: Breakdown) -> dict:
@@ -102,7 +160,63 @@ def encode_breakdown(breakdown: Breakdown) -> dict:
 
 
 def decode_breakdown(obj: dict) -> Breakdown:
+    """Inverse of :func:`encode_breakdown`; :class:`StateCaptureError`
+    unless ``obj`` holds every ledger field and no other, the counts as
+    non-negative integers and the energies and latencies as finite
+    non-negative numbers."""
+    hints = get_type_hints(Breakdown)
+    names = [f.name for f in dataclasses.fields(Breakdown)]
+    _fields(obj, names, "ledger")
+    for name in names:
+        if hints[name] is int:
+            _count(obj, name, "ledger", low=0)
+        else:
+            _real(obj, name, "ledger", low=0.0)
     return Breakdown(**obj)
+
+
+def _fields(obj, names, where: str) -> dict:
+    """``obj`` if it is an object with exactly the fields ``names``."""
+    if not isinstance(obj, dict) or set(obj) != set(names):
+        got = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+        raise StateCaptureError(
+            f"{where} must hold the fields {sorted(names)}, got {got}"
+        )
+    return obj
+
+
+def _flag(obj: dict, name: str, where: str) -> bool:
+    value = obj[name]
+    if type(value) is not bool:
+        raise StateCaptureError(f"{where} field {name!r} is not a boolean")
+    return value
+
+
+def _count(obj: dict, name: str, where: str, low: int) -> int:
+    value = obj[name]
+    if type(value) is not int or value < low:
+        raise StateCaptureError(
+            f"{where} field {name!r} is not an integer >= {low}"
+        )
+    return value
+
+
+def _real(
+    obj: dict, name: str, where: str, low: float = -math.inf,
+    positive: bool = False,
+) -> float:
+    value = obj[name]
+    if (
+        type(value) not in (int, float)
+        or not math.isfinite(value)
+        or value < low
+        or (positive and value <= 0)
+    ):
+        bound = " > 0" if positive else (f" >= {low}" if low > -math.inf else "")
+        raise StateCaptureError(
+            f"{where} field {name!r} is not a finite number{bound}"
+        )
+    return value
 
 
 def encode_buffer(buffer: EnergyBuffer) -> dict:
@@ -308,42 +422,115 @@ def capture_machine(mouse: Mouse) -> dict[str, Any]:
     }
 
 
+#: The fields of a captured machine and of its parts.
+_MACHINE_FIELDS = (
+    "params", "geometry", "program", "data_tiles", "sensor", "registers",
+    "controller", "ledger",
+)
+_GEOMETRY_FIELDS = ("n_data_tiles", "n_instruction_tiles", "rows", "cols")
+_CONTROLLER_FIELDS = (
+    "buffer", "powered", "halted", "phase", "dead_replay", "lost_work",
+    "executed_uncommitted",
+)
+
+
 def restore_machine(payload: dict[str, Any]) -> Mouse:
-    """Rebuild a machine from :func:`capture_machine` output, bit-exact."""
-    geometry = payload["geometry"]
-    mouse = Mouse(
-        decode_params(payload["params"]),
-        n_data_tiles=geometry["n_data_tiles"],
-        n_instruction_tiles=geometry["n_instruction_tiles"],
-        rows=geometry["rows"],
-        cols=geometry["cols"],
-    )
+    """Rebuild a machine from :func:`capture_machine` output, bit-exact.
+
+    Accepts only what capture writes: every field and no other, each of
+    the type capture gives it, one entry per data tile, every bit array
+    in the shape of the array it fills, each register under its own
+    name, and a program that decodes and validates on the captured
+    geometry.  Anything else raises :class:`StateCaptureError`.
+    """
+    _fields(payload, _MACHINE_FIELDS, "captured machine")
+    geometry = _fields(payload["geometry"], _GEOMETRY_FIELDS, "geometry")
+    sizes = {name: _count(geometry, name, "geometry", low=1) for name in geometry}
+    params = decode_params(payload["params"])
+    try:
+        mouse = Mouse(params, **sizes)
+    except ValueError as exc:
+        raise StateCaptureError(f"captured geometry is invalid: {exc}") from exc
     _restore_program(mouse, payload["program"])
 
-    for tile, saved in zip(mouse.bank.data_tiles, payload["data_tiles"]):
-        tile.state[:] = decode_bool_array(saved["state"])
-        tile.active_columns[:] = decode_bool_array(saved["active_columns"])
+    tiles = mouse.bank.data_tiles
+    saved_tiles = payload["data_tiles"]
+    if not isinstance(saved_tiles, list) or len(saved_tiles) != len(tiles):
+        raise StateCaptureError(
+            f"captured machine must hold {len(tiles)} data tiles"
+        )
+    for index, (tile, saved) in enumerate(zip(tiles, saved_tiles)):
+        where = f"data tile {index}"
+        _fields(saved, ("state", "active_columns"), where)
+        tile.state[...] = decode_bool_array(
+            saved["state"], tile.state.shape, f"{where} state"
+        )
+        tile.active_columns[...] = decode_bool_array(
+            saved["active_columns"], tile.active_columns.shape, f"{where} latches"
+        )
         tile._refresh_active_index()
-    mouse.bank.sensor.data[:] = decode_bool_array(payload["sensor"]["data"])
-    mouse.bank.sensor.valid = bool(payload["sensor"]["valid"])
+    sensor = _fields(payload["sensor"], ("valid", "data"), "sensor")
+    data = mouse.bank.sensor.data
+    data[...] = decode_bool_array(sensor["data"], data.shape, "sensor data")
+    mouse.bank.sensor.valid = _flag(sensor, "valid", "sensor")
 
     controller: MemoryController = mouse.controller
-    registers = payload["registers"]
+    registers = _fields(
+        payload["registers"], ("pc", "act", "sensor_pc"), "registers"
+    )
     decode_register(controller.pc, registers["pc"])
     decode_register(controller.activate_register, registers["act"])
     decode_register(controller.sensor_pc, registers["sensor_pc"])
+    _check_register_words(mouse)
 
-    saved = payload["controller"]
-    controller.buffer[:] = decode_bool_array(saved["buffer"])
-    controller.powered = bool(saved["powered"])
-    controller.halted = bool(saved["halted"])
-    controller.phase = Phase(saved["phase"])
-    controller._dead_replay = bool(saved["dead_replay"])
-    controller._lost_work = bool(saved["lost_work"])
-    controller._executed_uncommitted = bool(saved["executed_uncommitted"])
+    saved = _fields(payload["controller"], _CONTROLLER_FIELDS, "controller")
+    controller.buffer[...] = decode_bool_array(
+        saved["buffer"], controller.buffer.shape, "transfer buffer"
+    )
+    controller.powered = _flag(saved, "powered", "controller")
+    controller.halted = _flag(saved, "halted", "controller")
+    try:
+        controller.phase = Phase(saved["phase"])
+    except (TypeError, ValueError):
+        raise StateCaptureError(f"unknown phase {saved['phase']!r}") from None
+    controller._dead_replay = _flag(saved, "dead_replay", "controller")
+    controller._lost_work = _flag(saved, "lost_work", "controller")
+    controller._executed_uncommitted = _flag(
+        saved, "executed_uncommitted", "controller"
+    )
 
     mouse.ledger.breakdown = decode_breakdown(payload["ledger"])
     return mouse
+
+
+def _check_register_words(mouse: Mouse) -> None:
+    """Reject register copies no run leaves: a PC or sensor PC past the
+    program, or an ACTIVATE register word that ``power_on`` cannot
+    re-issue on this bank."""
+    controller, bank = mouse.controller, mouse.bank
+    n = len(mouse.program)
+    for register in (controller.pc, controller.sensor_pc):
+        for value in register._values:
+            if value is not None and value != _NONE and value >= n:
+                raise StateCaptureError(
+                    f"register {register.name!r} holds {value}, past the "
+                    f"program's {n} instructions"
+                )
+    for value in controller.activate_register._values:
+        if value is None or value == _NONE:
+            continue
+        try:
+            instr = decode_cached(value)
+            if not isinstance(instr, ActivateColumnsInstruction):
+                raise ValueError(f"{instr} is not an ACTIVATE")
+            Program._validate_one(
+                instr, len(bank.data_tiles), bank.rows, bank.cols
+            )
+        except (ValueError, IndexError) as exc:
+            raise StateCaptureError(
+                f"register 'ACT' holds {value}, which power_on cannot "
+                f"re-issue: {exc}"
+            ) from None
 
 
 #: Restored programs by their words.  A restored :class:`Program`

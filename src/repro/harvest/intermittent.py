@@ -241,6 +241,8 @@ class IntermittentRun:
         #: boundary mid-window; "outage" = resumed at an outage
         #: boundary (machine off, capacitor below the restart bound).
         self._resume_phase: Optional[str] = None
+        # The fused plan loop's catch-up while it runs (see settle()).
+        self._settle: Optional[Callable[[], None]] = None
 
     def run(self, max_instructions: int = 10_000_000) -> Breakdown:
         controller = self.mouse.controller
@@ -357,6 +359,17 @@ class IntermittentRun:
         if obs is not None:
             vcap.set(buffer.voltage, ts=self.time)
         return ledger.breakdown
+
+    def settle(self) -> None:
+        """Bring the machine's tile states and transfer buffer up to the
+        instructions the run has executed.  The fused plan loop applies
+        its ops to them only where something reads them
+        (:func:`repro.compilejit.exec.run_intermittent_fused`), so a hook
+        that reads them mid-run calls this first; hooks never write
+        them.  On the scalar loop, and outside ``run()``, they are
+        always current and this does nothing."""
+        if self._settle is not None:
+            self._settle()
 
     def _check_progress(self) -> None:
         """Non-termination guard, run at every outage.

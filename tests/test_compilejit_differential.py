@@ -23,12 +23,14 @@ and is compared with its referee:
 
 A second generator draws programs for a wider bank whose active sets
 are ranges of 7 or 8 columns or sets of 5 with a gap (an ACTIVATE
-names at most 5 columns), so gates and presets sit on both sides of
-the per-cell limit (``plan.CELL_COLUMNS``).  Spies on the
-executor's gate and preset helpers show which form ran where: per cell
-in the fused intermittent executor, NumPy there on sets of 8 or more
-columns and in broadcast gates, and neither in a continuous run or a
-batch, whose ops all run on packed rows.
+names at most 5 columns), so gate energies are summed on both sides
+of NumPy's 8-value pairwise block.  A spy on the packed-row loop shows
+that every executor runs the plan's ops in passes, never per op: one
+pass in a continuous run, a batch and a fused run without a
+checkpointer, and a checkpointed fused run applies each op to the live
+tiles at most once more, when a hook settles them.  Hooks that settle
+and snapshot the arrays at every commit and outage see the scalar
+loop's arrays, on fresh runs and on runs resumed from an image.
 
 Breakdowns are compared with float ``==`` and tile states with array
 equality, never a tolerance.
@@ -47,11 +49,8 @@ from repro.array.bank import BROADCAST_TILE
 from repro.compilejit import exec as exec_module
 from repro.compilejit import plan as plan_module
 from repro.compilejit.plan import (
-    CELL_COLUMNS,
-    K_L1P,
-    K_L1S,
+    K_L1,
     K_LN,
-    K_PRESET,
     K_READ,
     K_WRITE,
     PlanUnsupported,
@@ -61,7 +60,8 @@ from repro.core.accelerator import Mouse
 from repro.core.program import Program
 from repro.devices import ALL_TECHNOLOGIES
 from repro.durability import Checkpointer, CheckpointPolicy, NVImageStore
-from repro.durability.image import encode_image
+from repro.durability.checkpoint import capture_intermittent, resume_intermittent
+from repro.durability.image import decode_image, encode_image
 from repro.durability.state import capture_machine
 from repro.energy.model import InstructionCostModel
 from repro.env import AdaptiveCheckpointer, AdaptivePolicy
@@ -85,8 +85,11 @@ from repro.logic.library import GATE_LIBRARY
 from repro.perf.batched import BatchedMouse
 
 ROWS, COLS, N_TILES = 16, 8, 2
+#: The longest sum NumPy adds left to right: it sums fewer than 8
+#: float64 values from 0.0 in order and 8 or more pairwise.
+SHORT_SUM = 7
 #: The bank of the boundary programs: wide enough to place ranges of
-#: CELL_COLUMNS and CELL_COLUMNS + 1 columns at several offsets.
+#: SHORT_SUM and SHORT_SUM + 1 columns at several offsets.
 WIDE_COLS = 12
 #: Boundary programs drawn per seed.
 WIDE_PROGRAMS_PER_SEED = 8
@@ -187,14 +190,14 @@ def _gate(rng, tile: int) -> list:
 
 
 def _boundary_activate(rng, tile: int) -> ActivateColumnsInstruction:
-    """An activation on the wide bank: a bulk range of CELL_COLUMNS or
-    CELL_COLUMNS + 1 columns, or a set of MAX_ACTIVATE_COLUMNS columns
+    """An activation on the wide bank: a bulk range of SHORT_SUM or
+    SHORT_SUM + 1 columns, or a set of MAX_ACTIVATE_COLUMNS columns
     with a gap.  An ACTIVATE names at most MAX_ACTIVATE_COLUMNS
-    addresses, fewer than CELL_COLUMNS, so every non-contiguous set has
-    a per-cell form and only ranges reach the limit."""
+    addresses, fewer than SHORT_SUM, so only ranges reach the pairwise
+    block."""
     shape = int(rng.integers(3))
     if shape < 2:
-        n = CELL_COLUMNS + shape
+        n = SHORT_SUM + shape
         first = int(rng.integers(WIDE_COLS - n + 1))
         return ActivateColumnsInstruction(tile, (first, first + n - 1), bulk=True)
     n = MAX_ACTIVATE_COLUMNS
@@ -301,6 +304,7 @@ def _assert_tiles_equal(mice, key) -> None:
     fast, ref = mice
     for t1, t2 in zip(fast.bank.data_tiles, ref.bank.data_tiles):
         assert np.array_equal(t1.state, t2.state), key
+        assert np.array_equal(t1.active_columns, t2.active_columns), key
         assert np.array_equal(t1._active_idx, t2._active_idx), key
 
 
@@ -380,8 +384,8 @@ def test_batch_of_one_matches_serial_interpreter(seed, tech):
 @pytest.mark.parametrize("tech", ALL_TECHNOLOGIES, ids=TECH_IDS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_boundary_programs_match_interpreter(seed, tech):
-    """Active sets of CELL_COLUMNS and CELL_COLUMNS + 1 columns,
-    contiguous or not, continuous and in batches of 1 and 4."""
+    """Active sets of SHORT_SUM and SHORT_SUM + 1 columns, contiguous
+    or not, continuous and in batches of 1 and 4."""
     key0 = (seed, tech.name, "wide")
     entries = _wide_programs(seed)
     _continuous_matches(key0, tech, entries)
@@ -419,7 +423,8 @@ def test_a_range_and_a_set_with_the_same_ends_gather_their_own_columns(tech):
     ])
     cost = InstructionCostModel(tech)
     plan = compile_program(program, cost, N_TILES, ROWS, COLS)
-    assert [op[0] for op in plan.ops if op[0] >= K_L1S] == [K_L1S, K_L1P]
+    sels = [op[3][0][3] for op in plan.ops if op[0] == K_L1]
+    assert isinstance(sels[0], slice) and sels[1].tolist() == [3, 5]
     assert len(plan.packed().groups) == 2
     rng = np.random.default_rng(7)
     states = rng.integers(0, 2, size=(BATCH, N_TILES, ROWS, COLS)).astype(bool)
@@ -516,11 +521,14 @@ class _ImageLog(NVImageStore):
 
 def _checkpointer(kind):
     """No checkpointer (None), a ``plain`` one imaging every
-    ``CHECKPOINT_PERIOD`` commits and at every outage, or an
-    ``adaptive`` one, which reads the buffer's headroom at every commit
-    to stretch a period of 1 up to 8 or defer a due image."""
+    ``CHECKPOINT_PERIOD`` commits and at every outage, an ``adaptive``
+    one, which reads the buffer's headroom at every commit to stretch a
+    period of 1 up to 8 or defer a due image, or ``snapshots``
+    (:class:`_Snapshots`)."""
     if kind is None:
         return None
+    if kind == "snapshots":
+        return _Snapshots()
     if kind == "plain":
         return Checkpointer(_ImageLog(), CheckpointPolicy(period=CHECKPOINT_PERIOD))
     return AdaptiveCheckpointer(
@@ -576,7 +584,13 @@ def _fused_matches_scalar(key, *args, **axes):
     assert after["compiled_runs"] == before["compiled_runs"] + (
         fast[3] is None
     ), key
-    ref = _intermittent(*args, compiled=False, **axes)
+    _assert_runs_equal(key, fast, _intermittent(*args, compiled=False, **axes))
+    return fast
+
+
+def _assert_runs_equal(key, fast, ref) -> None:
+    """Two :func:`_intermittent` results leave the same run, ledger,
+    buffer, machine and hook records behind."""
     (m1, r1, b1, e1, k1), (m2, r2, b2, e2, k2) = fast, ref
     assert e1 == e2, key
     assert b1 == b2, key
@@ -585,17 +599,24 @@ def _fused_matches_scalar(key, *args, **axes):
     assert r1.degraded == r2.degraded, key
     _assert_tiles_equal((m1, m2), key)
     c1, c2 = m1.controller, m2.controller
-    # Both PC copies, the parity bit and the staged flag.
+    assert np.array_equal(c1.buffer, c2.buffer), key
+    # Both copies, the parity bit and the staged flag of the PC and of
+    # the ACTIVATE register.
     assert dataclasses.asdict(c1.pc) == dataclasses.asdict(c2.pc), key
+    assert dataclasses.asdict(c1.activate_register) == dataclasses.asdict(
+        c2.activate_register
+    ), key
     assert c1.halted == c2.halted and c1.phase == c2.phase, key
     assert c1.powered == c2.powered, key
     assert c1._word == c2._word and c1._instr == c2._instr, key
     assert c1._dead_replay == c2._dead_replay, key
     assert c1._executed_uncommitted == c2._executed_uncommitted, key
-    if k1 is not None:
+    if isinstance(k1, _Snapshots):
+        assert k1.snapshots == k2.snapshots, key
+        assert k1.images == k2.images, key
+    elif k1 is not None:
         assert k1.store.images == k2.store.images, key
         assert k1.commits == k2.commits, key
-    return fast
 
 
 @pytest.mark.parametrize("tech", ALL_TECHNOLOGIES, ids=TECH_IDS)
@@ -666,275 +687,216 @@ def test_boundary_fused_intermittent_matches_scalar_run(seed, tech):
 
 
 # ----------------------------------------------------------------------
-# Per-cell and NumPy forms
+# Passes, settling hooks and resumed runs
 # ----------------------------------------------------------------------
 
 
-def test_numpy_sums_fewer_than_eight_float64_left_to_right():
-    """A per-cell gate energy equals the NumPy form's (and
-    ``Tile.logic_op``'s) only while NumPy sums up to CELL_COLUMNS
-    float64 values left to right from 0.0; from 8 values on it sums
-    pairwise.  A NumPy that changes either order fails here, naming
-    the cause."""
-    rng = np.random.default_rng(0)
-    for n in range(1, CELL_COLUMNS + 1):
-        for _ in range(2000):
-            vals = rng.random(n) * 10.0 ** rng.integers(-20, 5, n)
-            total = 0.0
-            for v in vals.tolist():
-                total += v
-            assert float(vals.sum(axis=-1)) == total, (n, vals.tolist())
-    wide = np.array([1.0] + [1e-16] * CELL_COLUMNS)
-    total = 0.0
-    for v in wide.tolist():
-        total += v
-    assert total == 1.0
-    assert float(wide.sum(axis=-1)) != total
-
-
 def _width(gate) -> int:
-    sel = gate[6]
-    return sel.stop - sel.start if gate[0] == K_L1S else len(sel)
+    sel = gate[3]
+    return sel.stop - sel.start if isinstance(sel, slice) else len(sel)
 
 
 def _all_gates(plan) -> list:
     """Every gate ``plan`` applies, in order: single-tile ops and the
     gates of each broadcast op."""
-    gates = []
-    for op in plan.ops:
-        if op[0] in (K_L1S, K_L1P):
-            gates.append(op)
-        elif op[0] == K_LN:
-            gates.extend(op[3])
-    return gates
+    return [gate for op in plan.ops if op[0] >= K_L1 for gate in op[3]]
 
 
-def _gates(plan):
-    """``(per-cell, NumPy)`` gates one single-sample pass of ``plan``
-    applies, in order: single-tile gates with a per-cell form, and the
-    others with every gate of a broadcast op."""
-    gates = _all_gates(plan)
-    return (
-        [op for op in gates if op[8] is not None],
-        [op for op in gates if op[8] is None],
-    )
-
-
-def _preset_sets(plan) -> list:
-    """The column tuples of the preset sets with a per-cell form."""
-    return [
-        cols
-        for op in plan.ops
-        if op[0] == K_PRESET
-        for _, _, _, cols, _ in op[2]
-        if cols is not None
-    ]
-
-
-class _FormSpy:
-    """Records every gate and preset set the executors apply, by form:
-    the ops given to ``_cell_gate`` and to the NumPy ``_slice_gate`` /
-    ``_index_gate``, the columns given to ``_cell_preset``, and the
-    number of ops each call of the packed loop ``_run_packed`` got."""
+class _PassSpy:
+    """Records how many ops each call of the packed-row loop
+    ``_run_packed`` got."""
 
     def __init__(self, monkeypatch) -> None:
-        self.cell: list = []
-        self.numpy: list = []
-        self.presets: list = []
-        self.packed: list = []
-        for name, log in (
-            ("_cell_gate", self.cell),
-            ("_slice_gate", self.numpy),
-            ("_index_gate", self.numpy),
-        ):
-            real = getattr(exec_module, name)
+        self.calls: list[int] = []
+        real = exec_module._run_packed
 
-            def spy(op, *args, _real=real, _log=log):
-                _log.append(op)
-                return _real(op, *args)
+        def spy(ops, *args):
+            self.calls.append(len(ops))
+            return real(ops, *args)
 
-            monkeypatch.setattr(exec_module, name, spy)
-        real_preset = exec_module._cell_preset
-
-        def preset(mv, base, cols, value):
-            self.presets.append(cols)
-            return real_preset(mv, base, cols, value)
-
-        monkeypatch.setattr(exec_module, "_cell_preset", preset)
-        real_packed = exec_module._run_packed
-
-        def packed(ops, *args):
-            self.packed.append(len(ops))
-            return real_packed(ops, *args)
-
-        monkeypatch.setattr(exec_module, "_run_packed", packed)
-
-    def clear(self) -> None:
-        self.cell.clear()
-        self.numpy.clear()
-        self.presets.clear()
-        self.packed.clear()
-
-
-def _ids(ops) -> list:
-    """Each gate as ``(kind, slot, tile, output row)``: equal across the
-    plans one program compiles to, one per cost model."""
-    return [(op[0], op[1], op[3], op[5]) for op in ops]
+        monkeypatch.setattr(exec_module, "_run_packed", spy)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_forms_per_executor(seed, monkeypatch):
-    """Per cell in the fused intermittent executor, and NumPy there on
-    single-tile sets of more than CELL_COLUMNS columns and in broadcast
-    gates; in continuous runs and in batches of 1 and 4, no
-    ``apply_op`` form at all: one pass of the packed loop over every
-    op."""
+def test_every_executor_runs_its_ops_in_passes(seed, monkeypatch):
+    """A continuous run, a batch of 1 or 4 and a fused intermittent run
+    without a checkpointer each call the packed-row loop once, on every
+    op, and never per op, however often power fails.  A checkpointed
+    fused run (or one that raises) adds only the catch-ups the run asks
+    for, which apply each op but HALT to the live tiles at most once."""
     tech = ALL_TECHNOLOGIES[0]
-    spy = _FormSpy(monkeypatch)
-    wide_numpy = 0
-    for entries in (_programs(seed), _wide_programs(seed)):
-        for program, plan, states in entries:
-            cell, numpy_ = _gates(plan)
-            presets = _preset_sets(plan)
-            assert all(_width(op) <= CELL_COLUMNS for op in cell)
-            assert all(
-                op[1] is None or _width(op) > CELL_COLUMNS for op in numpy_
+    spy = _PassSpy(monkeypatch)
+    restarts = catch_ups = 0
+    for program, plan, states in _programs(seed) + _wide_programs(seed):
+        n = len(plan.ops)
+        spy.calls.clear()
+        _mouse(tech, program, states[0]).run()
+        assert spy.calls == [n]
+        for batch in (1, BATCH):
+            machine = BatchedMouse(
+                tech, batch=batch, n_data_tiles=N_TILES, rows=ROWS,
+                cols=states.shape[-1],
             )
-            assert all(len(cols) <= CELL_COLUMNS for cols in presets)
-            wide_numpy += sum(op[1] is not None for op in numpy_)
-
-            spy.clear()
-            _mouse(tech, program, states[0]).run()
-            assert spy.cell == [] and spy.numpy == [] and spy.presets == []
-            assert spy.packed == [len(plan.ops)]
-
-            for batch in (1, BATCH):
-                spy.clear()
-                machine = BatchedMouse(
-                    tech, batch=batch, n_data_tiles=N_TILES, rows=ROWS,
-                    cols=states.shape[-1],
-                )
-                for t, tile in enumerate(machine.tiles):
-                    tile.state[...] = states[:batch, t]
-                machine.load(program)
-                machine.run()
-                assert spy.cell == [] and spy.numpy == [] and spy.presets == []
-                assert spy.packed == [len(plan.ops)]
-
-            if not plan.replay_stable:
-                continue
-            per_instruction = _per_instruction(tech, program, states[0])
-            spy.clear()
-            _, run, b, err, _ = _intermittent(
+            for t, tile in enumerate(machine.tiles):
+                tile.state[...] = states[:batch, t]
+            machine.load(program)
+            spy.calls.clear()
+            machine.run()
+            assert spy.calls == [n]
+        if not plan.replay_stable:
+            continue
+        per_instruction = _per_instruction(tech, program, states[0])
+        for checkpointer in (None, "plain"):
+            spy.calls.clear()
+            _, _, b, err, _ = _intermittent(
                 tech, program, states[0], per_instruction,
                 WINDOW_INSTRUCTIONS[-1], "constant", seed,
+                checkpointer=checkpointer,
             )
-            # Replays after an outage apply an op again, in its form.
-            assert set(_ids(spy.cell)) == set(_ids(cell)), err
-            assert set(_ids(spy.numpy)) == set(_ids(numpy_)), err
-            assert set(spy.presets) == set(presets), err
-    assert wide_numpy > 0
+            assert spy.calls[0] == n, err
+            assert sum(spy.calls[1:]) <= n - 1, spy.calls
+            if checkpointer is None and err is None:
+                assert spy.calls == [n]
+                restarts += b.restarts
+            catch_ups += len(spy.calls) - 1
+    assert restarts > 0 and catch_ups > 0
 
 
-def test_flat_views_are_released_when_a_run_returns_or_raises(monkeypatch):
-    """The fused loop's flat views never outlive its run, whether it
-    returns or raises, and a continuous run, on packed rows, makes none;
-    a state that is not C-contiguous gets none."""
-    tech = ALL_TECHNOLOGIES[0]
-    made = []
-    real_views = exec_module.flat_views
+class _Snapshots:
+    """A hook that settles the run, then snapshots its tiles' states and
+    latches, its transfer buffer and the controller's lost-work flag at
+    every commit and outage, and keeps the image a checkpointer would
+    write there."""
 
-    def views(states):
-        flat = real_views(states)
-        made.append(flat)
-        return flat
+    def __init__(self) -> None:
+        self.snapshots: list[tuple] = []
+        self.images: list[dict] = []
 
-    monkeypatch.setattr(exec_module, "flat_views", views)
-    program, plan, states = next(
-        entry for entry in _programs(0)
-        if entry[1].replay_stable and _gates(entry[1])[0]
-    )
+    def _snap(self, run, phase: str) -> None:
+        run.settle()
+        mouse = run.mouse
+        tiles = mouse.bank.data_tiles
+        self.snapshots.append((
+            phase,
+            run.executed,
+            tuple(tile.state.tobytes() for tile in tiles),
+            tuple(tile.active_columns.tobytes() for tile in tiles),
+            mouse.controller.buffer.tobytes(),
+            mouse.controller._lost_work,
+        ))
+        payload = capture_intermittent(run, phase)
+        self.images.append(decode_image(encode_image(payload, 1))[0])
 
-    def released() -> bool:
-        for flat in made:
-            for mv in flat:
-                with pytest.raises(ValueError):
-                    mv.tobytes()
-        return bool(made)
+    def on_commit(self, run) -> None:
+        self._snap(run, "powered")
 
-    per_instruction = _per_instruction(tech, program, states[0])
+    def on_outage(self, run) -> None:
+        self._snap(run, "outage")
 
-    def run():
-        _intermittent(
-            tech, program, states[0], per_instruction,
-            WINDOW_INSTRUCTIONS[-1], "constant", 0,
-        )
 
-    made.clear()
-    _mouse(tech, program, states[0]).run()
-    assert made == []
-    run()
-    assert released()
+class _OneImage(NVImageStore):
+    """A store that holds one image payload."""
 
-    def broken(op, mv):
-        raise RuntimeError("gate failed")
+    def __init__(self, payload: dict) -> None:
+        self.payload = payload
+        self.fallbacks = 0
 
-    monkeypatch.setattr(exec_module, "_cell_gate", broken)
-    made.clear()
-    with pytest.raises(RuntimeError, match="gate failed"):
-        run()
-    assert released()
-    assert real_views([np.zeros((ROWS, 2 * COLS), dtype=bool)[:, ::2]]) is None
+    def load(self) -> tuple[dict, int]:
+        return self.payload, 1
+
+
+def _resumed(payload: dict, compiled: bool):
+    """The run ``payload`` resumes, run to its end under
+    :class:`_Snapshots`, fused or on the scalar loop; the same tuple as
+    :func:`_intermittent`."""
+    hook = _Snapshots()
+    run = resume_intermittent(_OneImage(payload), checkpointer=hook)
+    compilejit.set_enabled(compiled)
+    try:
+        run.run()
+        err = None
+    except (NonTerminationError, ChargeWindowFailure) as exc:
+        err = (type(exc), str(exc), vars(exc))
+    finally:
+        compilejit.set_enabled(True)
+    return run.mouse, run, run.mouse.ledger.breakdown, err, hook
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_settling_hooks_see_the_scalar_loops_arrays(seed):
+    """A hook that settles the run and snapshots its arrays at every
+    commit and outage sees, on the fused loop, what it sees on the
+    scalar loop: on fresh runs, and on runs resumed from the image of a
+    commit in mid-program and of an outage that cut an executed but
+    uncommitted instruction (so the resumed run starts with a dead
+    replay)."""
+    tech = ALL_TECHNOLOGIES[seed % len(ALL_TECHNOLOGIES)]
+    resumed = {"powered": 0, "outage": 0}
+    entries = [
+        entry for entry in _programs(seed) + _wide_programs(seed)
+        if entry[1].replay_stable
+    ]
+    for index, (program, _, states) in enumerate(entries):
+        per_instruction = _per_instruction(tech, program, states[0])
+        key = (seed, tech.name, index)
+        for kind in ("constant", "rf_burst"):
+            hook = _fused_matches_scalar(
+                key + (kind,), tech, program, states[0], per_instruction,
+                WINDOW_INSTRUCTIONS[-1], kind, seed, checkpointer="snapshots",
+            )[4]
+            assert hook.snapshots
+            powered = [
+                i for i, (snap, image) in enumerate(zip(hook.snapshots, hook.images))
+                if snap[0] == "powered" and not image["machine"]["controller"]["halted"]
+            ]
+            dead = [
+                i for i, snap in enumerate(hook.snapshots)
+                if snap[0] == "outage" and snap[5]
+            ]
+            picks = powered[len(powered) // 2:][:1] + dead[:1]
+            for i in picks:
+                payload = hook.images[i]
+                before = compilejit.stats_snapshot()["fallback_runs"]
+                fast = _resumed(payload, True)
+                assert compilejit.stats_snapshot()["fallback_runs"] == before
+                _assert_runs_equal(
+                    key + (kind, i), fast, _resumed(payload, False)
+                )
+                resumed[payload["phase"]] += 1
+    assert all(resumed.values()), resumed
 
 
 # ----------------------------------------------------------------------
 # Coverage
 # ----------------------------------------------------------------------
 
-#: Every (op kind, form) pair a plan can hold; a preset counts once per
-#: tile set.  A single-tile K_L1P always has a per-cell form: its set is
-#: non-contiguous, and an ACTIVATE names at most MAX_ACTIVATE_COLUMNS
-#: columns.
-ALL_FORMS = {(kind, "numpy") for kind in ALL_KINDS - {K_L1P}} | {
-    (K_L1S, "cell"),
-    (K_L1P, "cell"),
-    (K_PRESET, "cell"),
-}
-
-
-def _forms(plan) -> set:
-    forms = set()
-    for op in plan.ops:
-        if op[0] in (K_L1S, K_L1P):
-            forms.add((op[0], "numpy" if op[8] is None else "cell"))
-        elif op[0] == K_PRESET:
-            forms |= {
-                (K_PRESET, "numpy" if cols is None else "cell")
-                for _, _, _, cols, _ in op[2]
-            }
-        else:
-            forms.add((op[0], "numpy"))
-    return forms
-
 
 def test_every_plan_op_kind_is_exercised():
-    """Every op kind, in each form it has, reaches the continuous and
-    batched executors (every accepted program) and the fused
-    intermittent executor (the replay-stable ones)."""
-    assert MAX_ACTIVATE_COLUMNS < CELL_COLUMNS
+    """Every plan op kind and every packed-row op code reaches the
+    continuous and batched executors (every accepted program) and the
+    fused intermittent executor (the replay-stable ones), all three of
+    which run the packed-row ops."""
+    codes = {
+        value for name, value in vars(plan_module).items() if name.startswith("P_")
+    }
+    expected = {("plan", kind) for kind in ALL_KINDS} | {
+        ("packed", code) for code in codes
+    }
     every, stable = set(), set()
     n_stable = 0
     for seed in SEEDS:
         programs = _programs(seed)
         assert len(programs) == PROGRAMS_PER_SEED
         for _, plan, _ in programs + _wide_programs(seed):
-            every |= _forms(plan)
+            kinds = {("plan", op[0]) for op in plan.ops} | {
+                ("packed", op[0]) for op in plan.packed().ops
+            }
+            every |= kinds
             if plan.replay_stable:
                 n_stable += 1
-                stable |= _forms(plan)
-    assert every == ALL_FORMS, sorted(ALL_FORMS ^ every)
-    assert stable == ALL_FORMS, sorted(ALL_FORMS ^ stable)
-    assert {kind for kind, _ in every} == ALL_KINDS
+                stable |= kinds
+    assert every == expected, sorted(expected ^ every)
+    assert stable == expected, sorted(expected ^ stable)
     assert n_stable >= N_SEEDS, n_stable
 
 

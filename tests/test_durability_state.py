@@ -189,3 +189,213 @@ class TestRestoreRejectsMalformedProgram:
         )
         with pytest.raises(StateCaptureError, match="tile 5 out of range"):
             restore_machine(payload)
+
+
+def _two_tile_payload() -> dict:
+    """A small two-tile machine with seeded tile contents and transfer
+    buffer, loaded and not yet run."""
+    from repro.core.program import Program
+    from repro.isa.instruction import (
+        ActivateColumnsInstruction,
+        HaltInstruction,
+        LogicInstruction,
+        MemoryInstruction,
+    )
+
+    rng = np.random.default_rng(11)
+    mouse = Mouse(MODERN_STT, n_data_tiles=2, rows=16, cols=8)
+    for tile in mouse.bank.data_tiles:
+        tile.state[...] = rng.integers(0, 2, size=tile.state.shape)
+    mouse.controller.buffer[...] = rng.integers(0, 2, size=8)
+    mouse.load(Program([
+        ActivateColumnsInstruction(1, (0, 7), bulk=True),
+        MemoryInstruction("PRESET0", 1, 3),
+        LogicInstruction("NAND", 1, (0, 2), 3),
+        MemoryInstruction("WRITE", 0, 5),
+        HaltInstruction(),
+    ]))
+    return capture_machine(mouse)
+
+
+class TestRestoreRejectsMalformedMachine:
+    """Everything but the program: a field missing, a list short, a
+    bit array of another shape or a register under another name is
+    something capture never writes, and restore refuses it rather than
+    truncate, broadcast or raise a bare ``KeyError``."""
+
+    def test_unmodified_payload_restores(self):
+        payload = _two_tile_payload()
+        assert capture_machine(restore_machine(payload)) == payload
+
+    def test_short_tile_list_rejected(self):
+        payload = _two_tile_payload()
+        payload["data_tiles"] = payload["data_tiles"][:1]
+        with pytest.raises(StateCaptureError, match="must hold 2 data tiles"):
+            restore_machine(payload)
+
+    def test_one_row_tile_state_rejected(self):
+        payload = _two_tile_payload()
+        state = decode_bool_array(payload["data_tiles"][1]["state"])
+        payload["data_tiles"][1]["state"] = encode_bool_array(state[:1])
+        with pytest.raises(StateCaptureError, match="data tile 1 state has shape"):
+            restore_machine(payload)
+
+    def test_one_cell_buffer_rejected(self):
+        payload = _two_tile_payload()
+        buffer = decode_bool_array(payload["controller"]["buffer"])
+        payload["controller"]["buffer"] = encode_bool_array(buffer[:1])
+        with pytest.raises(StateCaptureError, match="transfer buffer has shape"):
+            restore_machine(payload)
+
+    def test_short_bits_rejected(self):
+        payload = _two_tile_payload()
+        payload["data_tiles"][0]["active_columns"]["bits"] = ""
+        with pytest.raises(StateCaptureError, match="do not encode 8 cells"):
+            restore_machine(payload)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("ledger",),
+            ("ledger", "restarts"),
+            ("controller", "phase"),
+            ("registers", "act"),
+            ("registers", "pc", "staged"),
+            ("sensor", "valid"),
+            ("geometry", "cols"),
+            ("params", "clock_hz"),
+        ],
+    )
+    def test_missing_field_rejected(self, path):
+        payload = _two_tile_payload()
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        with pytest.raises(StateCaptureError, match=repr(path[-1])):
+            restore_machine(payload)
+
+    def test_activate_register_holding_a_gate_rejected(self):
+        # power_on would otherwise fail its ACTIVATE assertion on resume.
+        from repro.isa.instruction import LogicInstruction, encode
+
+        payload = _two_tile_payload()
+        word = encode(LogicInstruction("NOT", 0, (0,), 1))
+        payload["registers"]["act"]["values"] = [word, word]
+        with pytest.raises(StateCaptureError, match="not an ACTIVATE"):
+            restore_machine(payload)
+
+    def test_pc_past_the_program_rejected(self):
+        payload = _two_tile_payload()
+        payload["registers"]["pc"]["values"][1] = len(payload["program"])
+        with pytest.raises(StateCaptureError, match="past the program's 5"):
+            restore_machine(payload)
+
+    def test_register_under_another_name_rejected(self):
+        payload = _two_tile_payload()
+        payload["registers"]["pc"], payload["registers"]["act"] = (
+            payload["registers"]["act"], payload["registers"]["pc"],
+        )
+        with pytest.raises(StateCaptureError, match="captured as 'ACT'"):
+            restore_machine(payload)
+
+
+#: Seeds of the restore fuzzer, and mutations per seed and base.
+RESTORE_FUZZ_SEEDS = 8
+RESTORE_FUZZ_CASES = 40
+#: Values a mutation puts where a field was.
+_RETYPES = (
+    None, 0, 5, -1, 1.5, "x", "", [], [1], {}, {"a": 1}, True, False,
+    float("nan"), float("inf"),
+)
+
+
+def _fuzz_bases() -> list:
+    workload = adder_workload(MODERN_STT)
+    halted = workload.build()
+    halted.run()
+    return [capture_machine(halted), _two_tile_payload()]
+
+
+def _paths(obj, prefix=()):
+    """Every path to a value inside a JSON tree."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return []
+    out = []
+    for key, value in items:
+        out.append(prefix + (key,))
+        out.extend(_paths(value, prefix + (key,)))
+    return out
+
+
+def _mutated(rng, payload: dict) -> dict:
+    """``payload`` with one field deleted, retyped or cut short, or one
+    bit array re-encoded as its first row or cell."""
+    import copy
+
+    payload = copy.deepcopy(payload)
+    paths = _paths(payload)
+    path = paths[rng.randrange(len(paths))]
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    value = parent[path[-1]]
+    choice = rng.randrange(4)
+    if choice == 0:
+        del parent[path[-1]]
+    elif choice == 1:
+        parent[path[-1]] = _RETYPES[rng.randrange(len(_RETYPES))]
+    elif choice == 2 and isinstance(value, (list, str)) and value:
+        parent[path[-1]] = value[: rng.randrange(len(value))]
+    else:
+        arrays = [p for p in paths if p[-1] == "bits"]
+        parent = payload
+        for key in arrays[rng.randrange(len(arrays))][:-1]:
+            parent = parent[key]
+        cells = decode_bool_array(parent)
+        parent.update(encode_bool_array(cells[:1]))
+    return payload
+
+
+def _restore_or_refuse(payload) -> bool:
+    """True if ``payload`` restores, to a machine that captures back to
+    it exactly; False if restore refuses it with StateCaptureError."""
+    import json
+
+    try:
+        mouse = restore_machine(payload)
+    except StateCaptureError:
+        return False
+    text = json.dumps(payload, sort_keys=True)
+    assert json.dumps(capture_machine(mouse), sort_keys=True) == text
+    return True
+
+
+@pytest.mark.parametrize("seed", range(RESTORE_FUZZ_SEEDS))
+def test_fuzzed_machines_restore_exactly_or_refuse(seed):
+    """A mutated capture either restores to a machine whose capture is
+    the mutated payload, byte for byte in JSON, or is refused with
+    StateCaptureError: no other exception, and nothing truncated,
+    broadcast or coerced on the way.  Mutated JSON text is fed the same
+    way when it still parses."""
+    import json
+    import random
+
+    rng = random.Random(seed)
+    refused = 0
+    for base in _fuzz_bases():
+        for _ in range(RESTORE_FUZZ_CASES):
+            refused += not _restore_or_refuse(_mutated(rng, base))
+            data = bytearray(json.dumps(base).encode())
+            for _ in range(rng.randint(1, 4)):
+                data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+            try:
+                payload = json.loads(data)
+            except ValueError:
+                continue
+            refused += not _restore_or_refuse(payload)
+    assert refused > RESTORE_FUZZ_CASES  # the mutations reach the refusals

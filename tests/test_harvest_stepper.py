@@ -11,10 +11,10 @@ lossy one) is pinned through the buffer's own ``charge``.
 
 Whatever stops an ``IntermittentRun`` — a bad harvest, a raising
 source, a raising checkpointer hook, a stall — the fused loop must
-leave the run, ledger, buffer and controller where the scalar loop
-leaves them, the PC register's copies, parity bit and staged flag
-included, also when an outage lands between staging and committing
-the PC.
+leave the run, ledger, buffer, controller, tile states and transfer
+buffer where the scalar loop leaves them, the PC register's copies,
+parity bit and staged flag included, also when an outage lands between
+staging and committing the PC.
 """
 
 import dataclasses
@@ -225,6 +225,9 @@ def _stopped_state(stopper: str, compiled: bool) -> tuple:
         # Both copies, the parity bit and the staged flag.
         dataclasses.asdict(controller.pc),
         checkpointer and checkpointer.calls,
+        # The arrays, which the fused loop settles on a raise.
+        tuple(tile.state.tobytes() for tile in run.mouse.bank.data_tiles),
+        controller.buffer.tobytes(),
     )
 
 
