@@ -1,8 +1,8 @@
 """Ahead-of-time compiled execution plans for CRAM programs.
 
 ``repro.compilejit`` compiles a linted :class:`~repro.core.program.
-Program` into a fused plan — per-instruction kernel tables,
-active-column selectors, and closed-form energy terms — and
+Program` into a fused plan — one packed-row op per instruction, the
+logic ops' energy groups, and closed-form energy terms — and
 executes whole runs without the interpreter's microstep machine.
 Every executor holds each tile row as one Python int, one bit per
 (sample, column), so every op is a few bitwise ops whatever the batch
@@ -28,13 +28,14 @@ Execution tiers (see docs/PERFORMANCE.md):
 1. scalar microstep interpreter (referee, always correct),
 2. cached kernels + the scalar lock-step batch loop,
 3. compiled plans (this package).  One :class:`CompiledPlan` per
-   (program, technology, bank geometry), cached on the Program, drives
-   continuous ``Mouse`` runs, the fused intermittent window loop and
-   lock-step ``BatchedMouse`` batches (fault campaign trials
-   included).  All three run the plan's one op table, its packed-row
-   ops (:meth:`CompiledPlan.packed`): continuous runs and batches in
-   one pass (:func:`repro.compilejit.exec.run_batched`), the fused loop
-   in one pricing pass and the catch-ups its readers ask for
+   (program, technology, bank geometry), built in one walk of the
+   program, cached on the Program and read-only, drives continuous
+   ``Mouse`` runs, the fused intermittent window loop and lock-step
+   ``BatchedMouse`` batches (fault campaign trials included).  All
+   three run its one op table (:attr:`CompiledPlan.ops`): continuous
+   runs and batches in one pass
+   (:func:`repro.compilejit.exec.run_batched`), the fused loop in one
+   pricing pass and the catch-ups its readers ask for
    (:func:`repro.compilejit.exec.run_intermittent_fused`).
 
 Harvest profiles (:class:`~repro.harvest.intermittent.ProfileRun`) are

@@ -2,12 +2,13 @@
 lock-step batches.
 
 Every executor runs the plan's packed-row ops
-(:meth:`~repro.compilejit.plan.CompiledPlan.packed`): a continuous
+(:attr:`~repro.compilejit.plan.CompiledPlan.ops`): a continuous
 ``Mouse`` run and a lock-step batch apply them in one pass, a
 continuous run as a batch of one, and the fused intermittent loop
 prices its logic ops with one such pass at its start and applies them
 to the live tiles only where something reads them
-(:func:`run_intermittent_fused`).  All three reproduce the scalar
+(:func:`run_intermittent_fused`).  None of them writes the plan: a
+run's logic energies stay in the run.  All three reproduce the scalar
 interpreters' ledger arithmetic bit for bit.  The key identity: for
 IEEE-754 doubles,
 
@@ -26,39 +27,30 @@ performs, in the same dtype and reduction order
 
 from __future__ import annotations
 
+import math
 from array import array
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from repro.compilejit.plan import (
-    K_ACT,
-    K_HALT,
     P_ACT,
     P_CLR,
     P_G1,
     P_G2,
     P_GATES,
+    P_HALT,
     P_PRESET,
     P_READ,
     P_SET,
     P_WRITE,
     CompiledPlan,
-    packed_gates,
+    _acc,
     plan_for,
 )
 from repro.core.controller import InstructionBudgetExceeded, Phase, _NONE
 from repro.isa.instruction import decode_cached
-
-
-def _acc(start: float, vals: np.ndarray) -> float:
-    """Bit-exact equivalent of ``c = start; for v in vals: c += v``."""
-    if vals.size == 0:
-        return start
-    arr = np.empty(vals.size + 1, dtype=np.float64)
-    arr[0] = start
-    arr[1:] = vals
-    return float(np.add.accumulate(arr)[-1])
 
 
 def _cycle_chain(plan: CompiledPlan, n: int) -> np.ndarray:
@@ -68,7 +60,27 @@ def _cycle_chain(plan: CompiledPlan, n: int) -> np.ndarray:
     arr = cache.get(n)
     if arr is None:
         arr = cache[n] = np.full(n, plan.cycle, dtype=np.float64)
+        arr.flags.writeable = False
     return arr
+
+
+def _zero(start: float) -> bool:
+    """Whether ``start`` is 0.0 (not -0.0), as every fresh ledger."""
+    return start == 0.0 and math.copysign(1.0, start) > 0.0
+
+
+def _backup_total(plan: CompiledPlan, start: float) -> float:
+    """``start`` plus the plan's backup chain, one charge at a time."""
+    if _zero(start):
+        return plan.backup_total
+    return _acc(start, plan.chg_vals[plan.be_idx])
+
+
+def _latency_total(plan: CompiledPlan, start: float) -> float:
+    """``start`` plus one cycle per instruction, one at a time."""
+    if _zero(start):
+        return plan.latency_total
+    return _acc(start, _cycle_chain(plan, plan.n_instructions))
 
 
 # ----------------------------------------------------------------------
@@ -131,11 +143,10 @@ def mouse_plan(mouse) -> Optional[CompiledPlan]:
 
 def _run_continuous(mouse, plan: CompiledPlan, prof) -> None:
     """One machine's run as a batch of one: the packed pass from the
-    transfer buffer's bits, the logic energies written into the plan's
-    charge table, then the scalar chains folded over it."""
+    transfer buffer's bits, then the compute chain folded with the
+    logic energies in its slots (:func:`_fold_compute`)."""
     controller = mouse.controller
     tiles = mouse.bank.data_tiles
-    packed = plan.packed()
     buf = controller.buffer[None, None]
 
     # --- semantic pass: array effects, gate log, transfer buffer ------
@@ -147,23 +158,24 @@ def _run_continuous(mouse, plan: CompiledPlan, prof) -> None:
     for _, word in plan.activates:
         actreg.stage(word)
         actreg.commit()
-    vals = plan.chg_vals
-    vals[plan.ce_idx[packed.logic_at]] = _logic_energies(
-        packed, log, 1, plan.cols, plan.share, plan.oms
-    ).ravel()
+    energies = _logic_energies(plan, log, 1)
 
     # --- accounting: reduce the charge table -------------------------
-    n = plan.n_instructions
     b = mouse.ledger.breakdown
-    b.compute_energy = _acc(b.compute_energy, vals[plan.ce_idx])
-    b.compute_latency = _acc(b.compute_latency, _cycle_chain(plan, n))
-    b.backup_energy = _acc(b.backup_energy, vals[plan.be_idx])
-    b.instructions += n
+    b.compute_energy = float(_fold_compute(
+        np.array([b.compute_energy]), plan.chg_vals[plan.ce_idx],
+        plan.logic_at, energies,
+    )[0])
+    b.compute_latency = _latency_total(plan, b.compute_latency)
+    b.backup_energy = _backup_total(plan, b.backup_energy)
+    b.instructions += plan.n_instructions
     if prof is not None:
+        vals = plan.chg_vals.copy()
+        vals[plan.ce_idx[plan.logic_at]] = energies[:, 0]
         _apply_prof(plan, prof, vals)
 
     # --- final architectural state ------------------------------------
-    k = plan.n_commits
+    k = plan.n_instructions - 1  # the commits before HALT
     pc = controller.pc
     if k:
         if k & 1:
@@ -175,13 +187,15 @@ def _run_continuous(mouse, plan: CompiledPlan, prof) -> None:
         pc._staged = False
     controller.halted = True
     controller.phase = Phase.FETCH
-    controller._word = plan.halt_word
-    controller._instr = decode_cached(plan.halt_word)
+    controller._word = plan.words[-1]
+    controller._instr = decode_cached(plan.words[-1])
     controller._executed_uncommitted = False
 
 
 def _apply_prof(plan: CompiledPlan, prof, vals: np.ndarray) -> None:
-    """Replay the run's charge stream into the profiler tree.
+    """Replay the run's charge stream ``vals`` (the plan's charge table
+    with the run's logic energies in their slots) into the profiler
+    tree.
 
     Ancestor nodes above the program's base frame see every charge;
     within the program, each scope node sees exactly the charges whose
@@ -370,23 +384,19 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
     live = True
 
     # The pricing pass, on a copy of the rows the arrays catch up from.
-    packed = plan.packed()
-    pops = packed.ops
     cols = plan.cols
-    masks, nmasks = _spread_masks(packed, 1, cols)
+    masks, nmasks = _spread_masks(plan, 1)
     states = [tile.state for tile in tiles]
     buf = controller.buffer[None, None]
     rows = [pack_rows(st[None]) for st in states]
     row_buf = pack_rows(buf)[0]
     final = [list(tile_rows) for tile_rows in rows]
-    log = [0] * int(packed.log_at[pc])  # the ops before pc log nothing
+    log = [0] * int(plan.log_at[pc])  # the ops before pc log nothing
     final_buf = _run_packed(
-        pops[pc:], final, masks, nmasks, None, row_buf, log.append
+        ops[pc:], final, masks, nmasks, None, row_buf, log.append
     )
-    execute = packed.execute.copy()
-    execute[packed.logic_pcs] = _logic_energies(
-        packed, log, 1, cols, plan.share, plan.oms
-    )[:, 0]
+    execute = plan.execute.copy()
+    execute[plan.logic_pcs] = _logic_energies(plan, log, 1)[:, 0]
     exec_e = execute.tolist()
     # The arrays hold the ops before `settled`; those before `done`
     # have executed.
@@ -462,9 +472,9 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
         if done <= settled:
             return
         row_buf = _run_packed(
-            pops[settled:done], rows, masks, nmasks, None, row_buf, [].append
+            ops[settled:done], rows, masks, nmasks, None, row_buf, [].append
         )
-        _write_back(states, rows, packed.writes[settled:done], cols)
+        _write_back(states, rows, plan.writes[settled:done], cols)
         unpack_rows([row_buf], buf)
         settled = done
 
@@ -507,7 +517,7 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
                 continue
 
             # ---- EXECUTE ----
-            if k == K_HALT:
+            if k == P_HALT:
                 if dead:
                     dl += cycle
                 else:
@@ -527,13 +537,13 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
                 break
 
             te = tot
-            if k == K_ACT:
-                for ti, bulk, cols_t in op[3]:
+            if k == P_ACT:
+                for ti, bulk, cols_t in op[1]:
                     if bulk:
                         tiles[ti].activate_column_range(*cols_t)
                     else:
                         tiles[ti].activate_columns(cols_t)
-                actreg.stage(op[2])
+                actreg.stage(words[pc])
                 actreg.commit()
                 be += act_backup_e
             if dead:
@@ -734,12 +744,13 @@ def _gate(r: list, ins, orow: int, mask: int, counts, target: bool, log) -> None
         r[orow] &= ~cells
 
 
-def _spread_masks(packed, batch: int, cols: int) -> tuple[list, list]:
+def _spread_masks(plan: CompiledPlan, batch: int) -> tuple[list, list]:
     """The plan's one-row masks spread over ``batch`` samples, and their
     complements."""
+    cols = plan.cols
     # Σ_b 2^(b·cols): a one-row mask times this covers every sample.
     spread = ((1 << (batch * cols)) - 1) // ((1 << cols) - 1)
-    masks = [mask * spread for mask in packed.row_masks]
+    masks = [mask * spread for mask in plan.row_masks]
     return masks, [~mask for mask in masks]
 
 
@@ -808,10 +819,9 @@ def _packed_pass(plan, tiles, states, batch, cbuf, hooks=None):
     once when the pass returns or raises.  ``cbuf`` is the transfer
     buffer's packed row when the pass starts; returns the gate log and
     the buffer when it ends.  ``hooks`` are :func:`run_batched`'s."""
-    packed = plan.packed()
     cols = plan.cols
-    masks, nmasks = _spread_masks(packed, batch, cols)
-    ops = packed.ops
+    masks, nmasks = _spread_masks(plan, batch)
+    ops = plan.ops
     log: list[int] = []
     rows = [pack_rows(st) for st in states]
     try:
@@ -820,8 +830,8 @@ def _packed_pass(plan, tiles, states, batch, cbuf, hooks=None):
             cbuf = _run_packed(
                 ops[lo:pc + 1], rows, masks, nmasks, tiles, cbuf, log.append
             )
-            hooks[pc](rows, lambda samples, op=plan.ops[pc]: _reissue(
-                op, rows, samples, cols
+            hooks[pc](rows, lambda samples, pc=pc: _reissue(
+                plan.gates(pc), rows, samples, cols
             ))
             lo = pc + 1
         cbuf = _run_packed(
@@ -840,12 +850,13 @@ def run_batched(machine, plan: CompiledPlan, hooks=None) -> None:
     Each data tile is packed once, one Python int per row
     (:func:`pack_rows`), and unpacked once when the run returns or
     raises; in between every op is a few bitwise ops on those ints
-    (:meth:`CompiledPlan.packed`), whatever the batch size.  The gates
+    (:attr:`CompiledPlan.ops`), whatever the batch size.  The gates
     log their input rows, and the logic energies are computed from the
     log after the pass (:func:`_logic_energies`).  Only the
     compute-energy chain differs between samples (each logic op's slot
     holds that sample's energy), so it alone is built per sample; the
-    backup and latency chains are the plan's constants.
+    backup and latency chains are the plan's constants, and so are
+    their totals from 0.0.
 
     ``hooks`` maps a pc to a callable run right after that pc's op is
     applied to every sample: ``hook(rows, redo)`` receives the packed
@@ -856,33 +867,34 @@ def run_batched(machine, plan: CompiledPlan, hooks=None) -> None:
     the samples whose re-read fails (:mod:`repro.faults.campaign`); a
     re-issue is not charged to the ledgers.  The ops between two hooked
     pcs run with no per-op check."""
-    packed = plan.packed()
     ledger = machine.ledger
     tiles = machine.tiles
-    batch, cols = machine.batch, machine.cols
-    log, _ = _packed_pass(plan, tiles, [t.state for t in tiles], batch, 0, hooks)
-    energies = _logic_energies(packed, log, batch, cols, plan.share, plan.oms)
-    vals = plan.chg_vals
-    n = plan.n_instructions
+    log, _ = _packed_pass(
+        plan, tiles, [t.state for t in tiles], machine.batch, 0, hooks
+    )
+    energies = _logic_energies(plan, log, machine.batch)
     ledger.compute_energy = _fold_compute(
-        ledger.compute_energy, vals[plan.ce_idx], packed.logic_at, energies
+        ledger.compute_energy, plan.chg_vals[plan.ce_idx], plan.logic_at,
+        energies,
     )
     ledger.compute_latency = _acc_each(
-        ledger.compute_latency, _cycle_chain(plan, n)
+        ledger.compute_latency, partial(_latency_total, plan)
     )
-    ledger.backup_energy = _acc_each(ledger.backup_energy, vals[plan.be_idx])
-    ledger.instructions += n
+    ledger.backup_energy = _acc_each(
+        ledger.backup_energy, partial(_backup_total, plan)
+    )
+    ledger.instructions += plan.n_instructions
 
 
-def _reissue(op, rows, samples, cols: int) -> None:
-    """Apply the gates of logic op ``op`` once more to each of
+def _reissue(gates, rows, samples, cols: int) -> None:
+    """Apply ``gates`` (:meth:`CompiledPlan.gates`) once more to each of
     ``samples``' active cells, unlogged."""
-    for tile, ins, orow, mask, counts, target in packed_gates(op):
+    for tile, ins, orow, mask, counts, target in gates:
         for s in samples:
             _gate(rows[tile], ins, orow, mask << (s * cols), counts, target, None)
 
 
-def _logic_energies(packed, log, batch, cols, share, oms) -> np.ndarray:
+def _logic_energies(plan: CompiledPlan, log, batch: int) -> np.ndarray:
     """Each logic op's EXECUTE energy per sample, ``(logic ops, batch)``
     in pc order, from the gates' logged input rows.
 
@@ -897,12 +909,13 @@ def _logic_energies(packed, log, batch, cols, share, oms) -> np.ndarray:
     log that fits in ``_STEP_BYTES`` unpacked is unpacked once, and
     each group gathers its rows from it; a longer one is unpacked a
     group's step at a time."""
+    cols = plan.cols
     nbits = batch * cols
     whole = _bits(log, nbits) if log and len(log) * nbits <= _STEP_BYTES else None
     get = log.__getitem__
-    arrs = np.empty((packed.logic_at.size, batch), dtype=np.float64)
+    arrs = np.empty((plan.logic_at.size, batch), dtype=np.float64)
     gates = {}  # group -> its broadcast gates' energies
-    for g, (energy, sel, width, k, positions, members) in enumerate(packed.groups):
+    for g, (energy, sel, width, k, positions, members) in enumerate(plan.groups):
         n = len(positions) // k
         if members is None:
             gates[g] = np.empty((n, batch), dtype=np.float64)
@@ -928,14 +941,14 @@ def _logic_energies(packed, log, batch, cols, share, oms) -> np.ndarray:
                 gates[g][lo:hi] = arr
             else:
                 arrs[members[lo:hi]] = arr
-    for j, parts in packed.ln:
+    for j, parts in plan.ln:
         arr = 0.0
         for g, i in parts:
             arr = arr + gates[g][i]
         arrs[j] = arr
-    out = arrs * share
-    out /= oms
-    out += packed.aterms[:, None]
+    out = arrs * plan.share
+    out /= plan.oms
+    out += plan.aterms[:, None]
     out += arrs
     return out
 
@@ -969,8 +982,9 @@ def _fold_compute(starts, chain, logic_at, energies) -> np.ndarray:
     return carry
 
 
-def _acc_each(starts: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """:func:`_acc` per sample of a chain every sample shares: one fold
-    per distinct starting value."""
+def _acc_each(starts: np.ndarray, fold) -> np.ndarray:
+    """``fold(start)`` per sample of a chain every sample shares
+    (:func:`_backup_total`, :func:`_latency_total`): one fold per
+    distinct starting value."""
     uniq, inverse = np.unique(starts, return_inverse=True)
-    return np.array([_acc(float(s), vals) for s in uniq])[inverse]
+    return np.array([fold(float(s)) for s in uniq])[inverse]

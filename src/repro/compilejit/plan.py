@@ -1,20 +1,24 @@
 """AOT compilation of a linted Program into a fused execution plan.
 
 A :class:`CompiledPlan` freezes everything about a straight-line CRAM
-program that does not depend on array *data*: per-instruction kernel
-tables, each active set's column selector, static energy terms
-evaluated through the same cost-model code paths the interpreter uses,
-and a flat **charge table** mirroring the exact per-microstep ledger
-charges the scalar controller would make.  The executors in
+program that does not depend on array *data*, in one walk of its
+instructions: each pc's packed-row op, EXECUTE energy, written rows and
+gate-log offset; each logic op's energy group, address term and
+position in the compute chain; and a flat **charge table** mirroring
+the exact per-microstep ledger charges the scalar controller would
+make.  Static energies are evaluated through the same cost-model code
+paths the interpreter uses.  The executors in
 :mod:`repro.compilejit.exec` reduce the charge table with
 ``np.add.accumulate`` — which is bit-identical to the interpreter's
 sequential ``+=`` chain, so `Breakdown`s match to the last ulp.
 
-Every executor runs the plan's packed-row ops
-(:meth:`CompiledPlan.packed`), built on the plan's first run: a
-continuous run or a lock-step batch applies them in one pass, and the
-fused intermittent loop prices its logic ops with one such pass and
-applies them to the live tiles only where something reads them.
+Every executor runs the plan's one op table: a continuous run or a
+lock-step batch applies it in one pass, and the fused intermittent loop
+prices its logic ops with one such pass and applies them to the live
+tiles only where something reads them.  One plan serves every machine
+of its technology and bank shape, so it is read-only once built: its
+arrays cannot be written, and each run keeps its logic energies to
+itself.
 
 Plan construction is **gated by the linter**: a program that lints
 with errors raises :class:`PlanUnsupported` and the engines silently
@@ -24,8 +28,9 @@ and fault hooks are likewise unsupported by construction.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -37,36 +42,12 @@ from repro.isa.instruction import (
     HaltInstruction,
     LogicInstruction,
     MemoryInstruction,
-    decode,
-    encode,
 )
 from repro.perf.kernels import electrical_kernel
 
-# Plan op codes (first element of every op tuple).  Logic kinds carry
-# a run-time energy slot and come last (``k >= K_L1``).
-K_HALT = 0
-K_ACT = 1
-K_PRESET = 2
-K_READ = 3
-K_WRITE = 4
-K_L1 = 5  # logic on one tile
-K_LN = 6  # logic broadcast across several tiles, one gate per tile
-
-# Op layouts:
-#   (K_HALT, 0.0)
-#   (K_ACT, energy, word, ((tile, bulk, columns), ...))
-#   (K_PRESET, energy, ((tile, row, sel), ...), value)
-#   (K_READ, energy, tile, row)
-#   (K_WRITE, energy, tiles, row)
-#   (K_L1 / K_LN, slot, aterm, ((tile, rows, orow, sel, kern), ...))
-# ``sel`` selects a tile's active columns (see :func:`_spec_sel`),
-# ``rows`` is a gate's tuple of input rows and ``kern`` is
-# :func:`gate_kernel`'s record.
-
-# Packed-row op codes: the table of continuous runs and lock-step
-# batches (:meth:`CompiledPlan.packed`).  A batch holds each tile row as one
-# Python int whose bit ``b * cols + c`` is sample ``b``'s column ``c``.
-# ``mask`` indexes ``PackedPlan.row_masks``, the one-row masks of the
+# Packed-row op codes.  An executor holds each tile row as one Python
+# int whose bit ``b * cols + c`` is sample ``b``'s column ``c``.
+# ``mask`` indexes ``CompiledPlan.row_masks``, the one-row masks of the
 # plan's active sets, which the executor spreads over the batch.  A
 # gate switches an active cell when its count of 1 inputs is one of
 # ``counts``; a single-tile gate of one or two inputs that switches
@@ -116,58 +97,26 @@ class PlanUnsupported(Exception):
     """The program cannot be compiled; run it on the interpreter."""
 
 
-class PackedPlan(NamedTuple):
-    """The packed-row tables of a plan (:meth:`CompiledPlan.packed`).
-
-    Every gate appends its input rows, as read, to the executor's log:
-    op after op, gate after gate, input after input; ``log_at`` holds
-    each pc's offset in that log.  ``groups`` gather the entries back
-    for the logic energies, one group per kernel and active set:
-    ``(energy, sel, width, n_inputs, positions, members)``, where
-    ``energy`` is the kernel's per-count energy table, ``sel`` picks the
-    active columns of a row (None for all), ``width`` counts them,
-    ``positions`` are the log entries of the members' inputs, member
-    after member, and ``members`` number the members' logic ops in pc
-    order.  The gates of broadcast ops form groups of their own with no
-    ``members``: ``ln`` combines them per op as ``(logic op, ((group,
-    member), ...))``.  ``aterms``, ``logic_at`` and ``logic_pcs`` are
-    each logic op's address term, its position in the plan's
-    compute-energy chain (``chg_vals[ce_idx]``) and its pc, in pc
-    order.  ``execute`` is each pc's EXECUTE energy, 0.0 for HALT and
-    for the logic ops, whose energies depend on the data, and
-    ``writes`` the ``(tile, row)`` pairs each pc's op writes."""
-
-    ops: list
-    row_masks: tuple
-    groups: tuple
-    ln: tuple
-    aterms: np.ndarray
-    logic_at: np.ndarray
-    logic_pcs: np.ndarray
-    execute: np.ndarray
-    log_at: np.ndarray
-    writes: tuple
+def _acc(start: float, vals: np.ndarray) -> float:
+    """Bit-exact equivalent of ``c = start; for v in vals: c += v``."""
+    if vals.size == 0:
+        return start
+    arr = np.empty(vals.size + 1, dtype=np.float64)
+    arr[0] = start
+    arr[1:] = vals
+    return float(np.add.accumulate(arr)[-1])
 
 
-def _row_mask(sel) -> int:
-    """The one-row mask of an active-column selector."""
-    if isinstance(sel, slice):
-        return ((1 << (sel.stop - sel.start)) - 1) << sel.start
-    mask = 0
-    for c in sel.tolist():
-        mask |= 1 << c
-    return mask
+def _frozen(values, dtype=None) -> np.ndarray:
+    """``values`` as an array that cannot be written."""
+    arr = np.asarray(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
 
 
-def packed_gates(op) -> tuple:
-    """``(tile, input rows, output row, one-row mask, counts, target)``
-    of each gate the logic op ``op`` fires, in order: a gate switches
-    an active cell to ``target`` when its count of 1 inputs is one of
-    ``counts``."""
-    return tuple(
-        (tile, rows, orow, _row_mask(sel), kern[2], bool(kern[1]))
-        for tile, rows, orow, sel, kern in op[3]
-    )
+def _columns(mask: int) -> list[int]:
+    """The columns a one-row mask sets, in ascending order."""
+    return [c for c in range(mask.bit_length()) if mask >> c & 1]
 
 
 def _act_spec(instr: ActivateColumnsInstruction):
@@ -178,22 +127,25 @@ def _act_spec(instr: ActivateColumnsInstruction):
     return ("set", tuple(sorted(set(int(c) for c in instr.columns))))
 
 
-def _spec_count(spec) -> int:
+def _spec_mask(spec) -> int:
+    """The one-row mask of an active set."""
     if spec[0] == "range":
-        return spec[2] - spec[1] + 1
-    return len(spec[1])
+        return ((1 << (spec[2] - spec[1] + 1)) - 1) << spec[1]
+    return sum(1 << c for c in spec[1])
 
 
-def _spec_sel(spec):
-    """Column selector for an active set: ``slice(c0, c1 + 1)`` when it
-    is contiguous, else the sorted index array ``Tile`` keeps; both
-    select the same cells, the slice as a view."""
-    if spec[0] == "range":
-        return slice(spec[1], spec[2] + 1)
-    cols = spec[1]
-    if cols and cols[-1] - cols[0] + 1 == len(cols):
-        return slice(cols[0], cols[-1] + 1)
-    return np.asarray(cols, dtype=np.intp)
+def _energy_sel(mask: int, cols: int):
+    """``(width, sel)`` of an active set's one-row mask: how many
+    columns it sets, and what picks them out of a row for the logic
+    energies — None for all ``cols``, a slice when they are contiguous,
+    else their index array."""
+    columns = _columns(mask)
+    width = len(columns)
+    if width == cols:
+        return width, None
+    if columns[-1] - columns[0] + 1 == width:
+        return width, slice(columns[0], columns[-1] + 1)
+    return width, _frozen(columns, np.intp)
 
 
 class CompiledPlan:
@@ -202,7 +154,39 @@ class CompiledPlan:
     The plan is tied to a (cost model, bank geometry) pair; bind-free by
     design — executors resolve the live tile ``state`` arrays at run
     start, so one plan serves any number of Mouse and BatchedMouse
-    instances with the same technology and shape.
+    instances with the same technology and shape.  It is read-only
+    once built.
+
+    Per pc: ``ops`` holds the packed-row op, ``words`` the encoded
+    word, ``execute`` the EXECUTE energy (0.0 for HALT and for the
+    logic ops, whose energies depend on the data), ``writes`` the
+    ``(tile, row)`` pairs the op writes, and ``log_at`` its offset in
+    the gate log: every gate appends its input rows, as read, to the
+    executor's log, op after op, gate after gate, input after input.
+    ``row_masks`` are the one-row masks the ops index, and
+    ``activates`` each ACTIVATE's ``(pc, word)``.  ``groups`` gather the entries back for the logic energies, one
+    group per kernel and active set: ``(energy, sel, width, n_inputs,
+    positions, members)``, where ``energy`` is the kernel's per-count
+    energy table, ``sel`` picks the active columns of a row (None for
+    all), ``width`` counts them, ``positions`` are the log entries of
+    the members' inputs, member after member, and ``members`` number
+    the members' logic ops in pc order.  The gates of broadcast ops
+    form groups of their own with no ``members``: ``ln`` combines them
+    per op as ``(logic op, ((group, member), ...))``.  ``aterms``,
+    ``logic_at`` and ``logic_pcs`` are each logic op's address term,
+    its position in the compute-energy chain (``chg_vals[ce_idx]``)
+    and its pc, in pc order.
+
+    The charge table holds one entry per ledger energy charge the
+    scalar controller would make, in its order per pc: fetch (compute),
+    execute (compute; 0.0 in a logic op's slot), the activate register
+    (backup) and the pc checkpoint (backup); HALT charges only its
+    fetch.  ``chg_vals`` and ``chg_pc`` are each charge's energy and
+    pc, and ``ce_idx`` / ``be_idx`` index its compute and backup
+    entries.
+    Latency is one cycle per pc.  ``backup_total`` and
+    ``latency_total`` are the backup and latency chains folded from
+    0.0, where every fresh ledger starts.
     """
 
     def __init__(
@@ -212,14 +196,12 @@ class CompiledPlan:
         n_data_tiles: int,
         rows: int,
         cols: int,
-        lint_warnings: int = 0,
     ) -> None:
         self.program = program
         self.cost = cost
         self.n_data_tiles = n_data_tiles
         self.rows = rows
         self.cols = cols
-        self.lint_warnings = lint_warnings
 
         prices = cost.prices
         self.cycle = cost.cycle_time
@@ -232,44 +214,34 @@ class CompiledPlan:
         self.share = cost.peripheral.energy_share
         self.oms = 1.0 - self.share
 
-        self.ops: list[tuple] = []
         self.n_instructions = len(program)
-        self.n_commits = max(self.n_instructions - 1, 0)
-        self.n_activates = 0
-        self.n_logic_dynamic = 0
         self.replay_stable = True
 
         self._build()
         self._prof_tables: Optional[dict] = None
-        self._packed: Optional[PackedPlan] = None
 
     # ------------------------------------------------------------------
-    # Construction
+    # Construction: one walk of the instructions
     # ------------------------------------------------------------------
 
     def _build(self) -> None:
-        program, cost = self.program, self.cost
+        program, cost, cols = self.program, self.cost, self.cols
         prices = cost.prices
         if not program.halts:
             raise PlanUnsupported("program does not end in HALT")
         n = self.n_instructions
-        cols = self.cols
+        words = program.words()
+        address_e = cost.peripheral.address_energy
+        write_e = _write_energy(cost.params)
 
-        # Charge table: one row per ledger energy charge the scalar
-        # controller would make, in exact interpreter order per pc:
-        # fetch(CE) -> exec(CE) -> [activate backup(BE)] -> backup(BE).
-        # HALT contributes only its fetch.  Latency is regular (exactly
-        # one cycle per pc, at EXECUTE/COMMIT) and handled separately.
         chg_vals: list[float] = []
         chg_pc: list[int] = []
         chg_cat: list[int] = []
 
-        def charge(cat: int, value: float, pc: int) -> int:
-            idx = len(chg_vals)
+        def charge(cat: int, value: float, pc: int) -> None:
             chg_vals.append(value)
             chg_pc.append(pc)
             chg_cat.append(cat)
-            return idx
 
         # Rolling activation state.  `full` applies every ACTIVATE in
         # order (continuous-power truth); `last_only` models the state
@@ -280,15 +252,20 @@ class CompiledPlan:
         # `replay_stable` goes False (continuous runs stay fine).
         full: list = [None] * self.n_data_tiles
         last_only: list = [None] * self.n_data_tiles
-        # One selector per distinct active set, shared by every op that
-        # uses it.
-        sel_cache: dict = {}
-
-        def selector(spec):
-            sel = sel_cache.get(spec)
-            if sel is None:
-                sel = sel_cache[spec] = _spec_sel(spec)
-            return sel
+        mask_ids: dict[int, int] = {}  # one-row mask -> its row_masks index
+        spec_masks: dict[tuple, tuple] = {}  # active set -> active()
+        groups: dict[tuple, tuple] = {}
+        shared: dict[tuple, tuple] = {}  # one tuple per distinct op / write set
+        ops: list[tuple] = []
+        writes: list[tuple] = []
+        execute: list[float] = []
+        log_at: list[int] = []
+        aterms: list[float] = []
+        slots: list[int] = []  # each logic op's charge-table entry
+        logic_pcs: list[int] = []
+        ln: list[tuple] = []
+        activates: list[tuple[int, int]] = []
+        logged = 0
 
         def resolve_tiles(tile: int) -> tuple[int, ...]:
             if tile == BROADCAST_TILE:
@@ -310,17 +287,49 @@ class CompiledPlan:
                 if full[t] != last_only[t]:
                     self.replay_stable = False
 
-        self.activates: list[tuple[int, int]] = []
+        def active(t: int) -> tuple[int, int, int]:
+            """``(one-row mask, row_masks index, width)`` of tile
+            ``t``'s active set."""
+            spec = full[t]
+            entry = spec_masks.get(spec)
+            if entry is None:
+                mask = _spec_mask(spec)
+                entry = spec_masks[spec] = (
+                    mask, mask_ids.setdefault(mask, len(mask_ids)),
+                    bin(mask).count("1"),
+                )
+            return entry
+
+        def member(kern, ins, mask: int, logic) -> tuple[int, int]:
+            """Add a gate's logged inputs to its energy group (one per
+            kernel and active set, and apart for the gates of broadcast
+            ops, whose ``logic`` is None); returns ``(group,
+            member)``."""
+            nonlocal logged
+            key = (id(kern), logic is None, mask)
+            entry = groups.get(key)
+            if entry is None:
+                width, sel = _energy_sel(mask, cols)
+                entry = groups[key] = (
+                    len(groups), kern[0], sel, width, len(ins), [], []
+                )
+            entry[5].extend(range(logged, logged + len(ins)))
+            entry[6].append(logic)
+            logged += len(ins)
+            return entry[0], len(entry[6]) - 1
+
         for pc, instr in enumerate(program.instructions):
             charge(_CAT_CE, self.fetch_e, pc)
+            log_at.append(logged)
+            e = 0.0
+            written: tuple = ()
 
             if isinstance(instr, HaltInstruction):
                 if pc != n - 1:
                     raise PlanUnsupported("HALT before the final pc")
-                self.ops.append((K_HALT, 0.0))
-                continue
+                op: tuple = (P_HALT,)
 
-            if isinstance(instr, ActivateColumnsInstruction):
+            elif isinstance(instr, ActivateColumnsInstruction):
                 tiles = resolve_tiles(instr.tile)
                 spec = _act_spec(instr)
                 for t in tiles:
@@ -328,75 +337,100 @@ class CompiledPlan:
                 last_only = [None] * self.n_data_tiles
                 for t in tiles:
                     last_only[t] = spec
-                word = encode(instr)
                 e = prices.activate[instr.column_count]
-                acts = tuple(
-                    (t, instr.bulk, tuple(int(c) for c in instr.columns))
-                    for t in tiles
-                )
-                self.ops.append((K_ACT, e, word, acts))
-                self.activates.append((pc, word))
-                self.n_activates += 1
+                columns = tuple(int(c) for c in instr.columns)
+                op = (P_ACT, tuple((t, instr.bulk, columns) for t in tiles))
+                activates.append((pc, words[pc]))
                 charge(_CAT_CE, e, pc)
                 charge(_CAT_BE, self.act_backup_e, pc)
-                charge(_CAT_BE, self.backup_e, pc)
-                continue
 
-            if isinstance(instr, MemoryInstruction):
-                op = instr.op.upper()
-                if op == "READ":
+            elif isinstance(instr, MemoryInstruction):
+                kind = instr.op.upper()
+                row = instr.row
+                if kind == "READ":
                     if instr.tile == SENSOR_TILE:
                         raise PlanUnsupported("sensor reads are run-time data")
                     e = prices.row_read[cols]
-                    self.ops.append((K_READ, e, instr.tile, instr.row))
-                elif op == "WRITE":
+                    op = (P_READ, instr.tile, row)
+                else:
                     tiles = resolve_tiles(instr.tile)
-                    e = prices.row_write[cols] * len(tiles)
-                    self.ops.append((K_WRITE, e, tiles, instr.row))
-                else:  # PRESET0 / PRESET1
-                    tiles = resolve_tiles(instr.tile)
-                    check_use(tiles, pc)
-                    n_columns = sum(_spec_count(full[t]) for t in tiles)
-                    e = prices.preset[max(n_columns, 1)]
-                    sets = tuple((t, instr.row, selector(full[t])) for t in tiles)
-                    self.ops.append((K_PRESET, e, sets, op == "PRESET1"))
+                    written = tuple((t, row) for t in tiles)
+                    if kind == "WRITE":
+                        e = prices.row_write[cols] * len(tiles)
+                        op = (P_WRITE, tiles, row)
+                    else:  # PRESET0 / PRESET1
+                        check_use(tiles, pc)
+                        n_columns = sum(active(t)[2] for t in tiles)
+                        e = prices.preset[max(n_columns, 1)]
+                        sets = tuple((t, row, active(t)[1]) for t in tiles)
+                        value = kind == "PRESET1"
+                        if len(sets) == 1:
+                            op = (P_SET if value else P_CLR,) + sets[0]
+                        else:
+                            op = (P_PRESET, sets, value)
                 charge(_CAT_CE, e, pc)
-                charge(_CAT_BE, self.backup_e, pc)
-                continue
 
-            if isinstance(instr, LogicInstruction):
+            elif isinstance(instr, LogicInstruction):
                 tiles = resolve_tiles(instr.tile)
                 check_use(tiles, pc)
                 spec = instr.spec
-                rows_t = tuple(instr.input_rows)
+                ins = tuple(instr.input_rows)
                 orow = instr.output_row
                 kern = gate_kernel(cost.params, spec)
-                aterm = (
-                    (spec.n_inputs + 1)
-                    * cost.peripheral.address_energy
-                    * _write_energy(cost.params)
+                counts, target = kern[2], bool(kern[1])
+                logic = len(logic_pcs)
+                aterms.append((spec.n_inputs + 1) * address_e * write_e)
+                logic_pcs.append(pc)
+                slots.append(len(chg_vals))
+                charge(_CAT_CE, 0.0, pc)
+                written = tuple((t, orow) for t in tiles)
+                if len(tiles) == 1:
+                    mask, m, _ = active(tiles[0])
+                    member(kern, ins, mask, logic)
+                    op = _gate_op(tiles[0], ins, orow, m, counts, target)
+                else:
+                    ln.append((logic, tuple(
+                        member(kern, ins, active(t)[0], None) for t in tiles
+                    )))
+                    op = (P_GATES, tuple(
+                        (t, ins, orow, active(t)[1], counts, target) for t in tiles
+                    ))
+
+            else:
+                raise PlanUnsupported(
+                    f"unknown instruction type {type(instr).__name__}"
                 )
-                gates = tuple(
-                    (t, rows_t, orow, selector(full[t]), kern) for t in tiles
-                )
-                self.n_logic_dynamic += 1
-                slot = charge(_CAT_CE, 0.0, pc)
-                kind = K_L1 if len(gates) == 1 else K_LN
-                self.ops.append((kind, slot, aterm, gates))
+
+            if op[0] != P_HALT:
                 charge(_CAT_BE, self.backup_e, pc)
-                continue
+            ops.append(shared.setdefault(op, op))
+            writes.append(shared.setdefault(written, written))
+            execute.append(e)
 
-            raise PlanUnsupported(
-                f"unknown instruction type {type(instr).__name__}"
-            )
+        self.ops = tuple(ops)
+        self.words = tuple(words)
+        self.execute = _frozen(execute, np.float64)
+        self.writes = tuple(writes)
+        self.log_at = _frozen(log_at, np.intp)
+        self.activates = tuple(activates)
+        self.row_masks = tuple(mask_ids)
+        self.groups = tuple(
+            (energy, sel, width, k, _frozen(positions, np.intp),
+             None if members[0] is None else _frozen(members, np.intp))
+            for _, energy, sel, width, k, positions, members in groups.values()
+        )
+        self.ln = tuple(ln)
+        self.aterms = _frozen(aterms, np.float64)
+        self.logic_pcs = _frozen(logic_pcs, np.intp)
 
-        self.chg_vals = np.asarray(chg_vals, dtype=np.float64)
-        self.chg_pc = np.asarray(chg_pc, dtype=np.intp)
-        self.chg_cat = np.asarray(chg_cat, dtype=np.int8)
-        self.ce_idx = np.flatnonzero(self.chg_cat == _CAT_CE)
-        self.be_idx = np.flatnonzero(self.chg_cat == _CAT_BE)
-        self.words = program.words()
-        self.halt_word = self.words[-1]
+        self.chg_vals = _frozen(chg_vals, np.float64)
+        self.chg_pc = _frozen(chg_pc, np.intp)
+        cat = np.asarray(chg_cat, dtype=np.int8)
+        self.ce_idx = _frozen(np.flatnonzero(cat == _CAT_CE))
+        self.be_idx = _frozen(np.flatnonzero(cat == _CAT_BE))
+        self.logic_at = _frozen(np.searchsorted(self.ce_idx, slots), np.intp)
+        self.backup_total = _acc(0.0, self.chg_vals[self.be_idx])
+        self.latency_total = _acc(0.0, np.full(n, self.cycle))
 
     # ------------------------------------------------------------------
     # Profiler attribution tables (built on first profiled run)
@@ -407,8 +441,8 @@ class CompiledPlan:
 
         For each scope id: the CE / BE charge indices whose pc lies in
         that scope's subtree, the pc count (latency + instruction
-        counts), and the charge indices / pc count of the pcs whose
-        *leaf* scope it is (self-energy / self-latency).
+        counts), and the charge indices (in table order) / pc count of
+        the pcs whose *leaf* scope it is (self-energy / self-latency).
         """
         if self._prof_tables is not None:
             return self._prof_tables
@@ -429,223 +463,95 @@ class CompiledPlan:
             mask = member[sid]
             leaf_mask = leaf_of_pc == sid
             per_sid[sid] = (
-                self.ce_idx[mask[ce_pc]],
-                self.be_idx[mask[be_pc]],
+                _frozen(self.ce_idx[mask[ce_pc]]),
+                _frozen(self.be_idx[mask[be_pc]]),
                 int(mask.sum()),
-                self.chg_pc_sorted_idx(leaf_mask),
+                _frozen(np.flatnonzero(leaf_mask[self.chg_pc])),
                 int(leaf_mask.sum()),
             )
         self._prof_tables = per_sid
         return per_sid
 
-    def chg_pc_sorted_idx(self, pc_mask: np.ndarray) -> np.ndarray:
-        """Charge indices (in table order) whose pc satisfies the mask."""
-        return np.flatnonzero(pc_mask[self.chg_pc])
-
-    # ------------------------------------------------------------------
-    # Packed-row tables (built on the first continuous or batched run)
-    # ------------------------------------------------------------------
-
-    def packed(self) -> PackedPlan:
-        """The plan's ops on packed rows and its logic-energy groups
-        (:class:`PackedPlan`); nothing in them depends on the batch
-        size."""
-        if self._packed is None:
-            self._packed = self._build_packed()
-        return self._packed
-
-    def _build_packed(self) -> PackedPlan:
-        cols = self.cols
-        # Position of each charge slot in the compute-energy chain.
-        chain_at = np.zeros(self.chg_vals.size, dtype=np.intp)
-        chain_at[self.ce_idx] = np.arange(self.ce_idx.size)
-        mask_ids: dict[int, int] = {}
-        active_sets: dict[int, tuple] = {}
-        groups: dict[tuple, tuple] = {}
-        shared: dict[tuple, tuple] = {}
-        aterms: list[float] = []
-        logic_at: list[int] = []
-        logic_pcs: list[int] = []
-        execute = np.zeros(self.n_instructions, dtype=np.float64)
-        log_at: list[int] = []
-        writes: list[tuple] = []
-        ln = []
-        ops: list[tuple] = []
-        logged = 0
-
-        def active(sel) -> tuple:
-            """``(row mask, mask id, width, energy selector)`` of an
-            active-column selector; the plan shares one selector object
-            per active set, so each is worked out once."""
-            entry = active_sets.get(id(sel))
-            if entry is None:
-                mask = _row_mask(sel)
-                if isinstance(sel, slice):
-                    width = sel.stop - sel.start
-                else:
-                    width = len(sel)
-                entry = active_sets[id(sel)] = (
-                    mask,
-                    mask_ids.setdefault(mask, len(mask_ids)),
-                    width,
-                    None if width == cols else sel,
-                )
-            return entry
-
-        def member(gate, logic) -> tuple[int, int]:
-            """Add a gate's logged inputs to its energy group (one per
-            kernel and active set, which its row mask names whatever
-            the selector's form, and apart for the gates of broadcast
-            ops, whose ``logic`` is None); returns ``(group,
-            member)``."""
-            nonlocal logged
-            _, ins, _, sel, kern = gate
-            mask, _, width, esel = active(sel)
-            key = (id(kern), logic is None, mask)
-            entry = groups.get(key)
-            if entry is None:
-                entry = groups[key] = (
-                    len(groups), kern[0], esel, width, len(ins), [], []
-                )
-            entry[5].extend(range(logged, logged + len(ins)))
-            entry[6].append(logic)
-            logged += len(ins)
-            return entry[0], len(entry[6]) - 1
-
-        def add(op: tuple) -> None:
-            """Append a packed op, sharing one tuple per distinct op."""
-            ops.append(shared.setdefault(op, op))
-
-        for pc, op in enumerate(self.ops):
-            k = op[0]
-            log_at.append(logged)
-            written: tuple = ()  # the (tile, row) pairs the op writes
-            if k < K_L1:
-                execute[pc] = op[1]
-            if k == K_PRESET:
-                sets = tuple((t, row, active(sel)[1]) for t, row, sel in op[2])
-                written = tuple((t, row) for t, row, _ in sets)
-                if len(sets) == 1:
-                    add((P_SET if op[3] else P_CLR,) + sets[0])
-                else:
-                    add((P_PRESET, sets, op[3]))
-            elif k >= K_L1:
-                logic = len(logic_at)
-                aterms.append(op[2])
-                logic_at.append(int(chain_at[op[1]]))
-                logic_pcs.append(pc)
-                written = tuple((gate[0], gate[2]) for gate in op[3])
-                if k == K_LN:
-                    parts = tuple(member(gate, None) for gate in op[3])
-                    ln.append((logic, parts))
-                    add((P_GATES, tuple(
-                        (tile, ins, orow, mask_ids[mask], counts, target)
-                        for tile, ins, orow, mask, counts, target in packed_gates(op)
-                    )))
-                else:
-                    (gate,) = op[3]
-                    member(gate, logic)
-                    tile, ins, orow, sel, kern = gate
-                    m = active(sel)[1]
-                    counts, target = kern[2], bool(kern[1])
-                    t = len(counts)
-                    if counts != tuple(range(t)) or not 0 < t <= len(ins) <= 2:
-                        add((P_GATES, ((tile, ins, orow, m, counts, target),)))
-                    elif len(ins) == 1:
-                        add((P_G1, tile, ins[0], orow, m, target))
-                    else:
-                        add((P_G2, tile, *ins, orow, m, t == 2, target))
-            elif k == K_READ:
-                add((P_READ, op[2], op[3]))
-            elif k == K_WRITE:
-                written = tuple((t, op[3]) for t in op[2])
-                add((P_WRITE, op[2], op[3]))
-            elif k == K_ACT:
-                add((P_ACT, op[3]))
-            else:
-                add((P_HALT,))
-            writes.append(shared.setdefault(written, written))
-        return PackedPlan(
-            ops=ops,
-            row_masks=tuple(mask_ids),
-            groups=tuple(
-                (energy, sel, width, k, np.asarray(positions, dtype=np.intp),
-                 None if members[0] is None else np.asarray(members, dtype=np.intp))
-                for _, energy, sel, width, k, positions, members in groups.values()
-            ),
-            ln=tuple(ln),
-            aterms=np.asarray(aterms, dtype=np.float64),
-            logic_at=np.asarray(logic_at, dtype=np.intp),
-            logic_pcs=np.asarray(logic_pcs, dtype=np.intp),
-            execute=execute,
-            log_at=np.asarray(log_at, dtype=np.intp),
-            writes=tuple(writes),
-        )
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+
+    def gates(self, pc: int) -> tuple:
+        """``(tile, input rows, output row, one-row mask, counts,
+        target)`` of each gate the logic op at ``pc`` fires, in order: a
+        gate switches an active cell to ``target`` when its count of 1
+        inputs is one of ``counts``."""
+        op = self.ops[pc]
+        masks = self.row_masks
+        if op[0] == P_G1:
+            _, tile, i0, orow, m, target = op
+            return ((tile, (i0,), orow, masks[m], (0,), target),)
+        if op[0] == P_G2:
+            _, tile, i0, i1, orow, m, both, target = op
+            counts = (0, 1) if both else (0,)
+            return ((tile, (i0, i1), orow, masks[m], counts, target),)
+        if op[0] != P_GATES:
+            raise ValueError(f"pc {pc} is not a logic op")
+        return tuple(
+            (tile, ins, orow, masks[m], counts, target)
+            for tile, ins, orow, m, counts, target in op[1]
+        )
 
     def flip_targets(self, pc: int) -> tuple[tuple[int, int, np.ndarray], ...]:
         """``(tile, output row, active columns)`` of each gate the logic
         op at ``pc`` fires, in target-tile order: the cells a gate-output
         flip can hit, in the order the fault hook draws them."""
-        out = []
-        for tile, _, orow, sel, _ in self.ops[pc][3]:
-            if isinstance(sel, slice):
-                sel = np.arange(sel.start, sel.stop)
-            out.append((tile, orow, sel))
-        return tuple(out)
-
-    def stats(self) -> dict:
-        return {
-            "instructions": self.n_instructions,
-            "charges": int(self.chg_vals.size),
-            "logic_dynamic": self.n_logic_dynamic,
-            "activates": self.n_activates,
-            "replay_stable": bool(self.replay_stable),
-            "lint_warnings": self.lint_warnings,
-        }
+        return tuple(
+            (tile, orow, np.asarray(_columns(mask), dtype=np.intp))
+            for tile, _, orow, mask, _, _ in self.gates(pc)
+        )
 
     def to_program(self) -> Program:
-        """Reconstruct a Program from the plan's internal records.
+        """Reconstruct a Program from the plan's op table.
 
-        Used as translation validation: the PR 8 `EquivalencePass`
+        Each op's tile and rows come from the op; the gate name, and
+        the tile of a broadcast op, from the source instruction.  Used
+        as translation validation: the ``repro.verify`` `EquivalencePass`
         proves the reconstruction symbolically equivalent to the source
         program, so the plan demonstrably captured the instruction
         stream it claims to execute.
         """
         instrs = []
-        for pc, op in enumerate(self.ops):
+        for pc, (op, src) in enumerate(zip(self.ops, self.program.instructions)):
             k = op[0]
-            src = self.program.instructions[pc]
-            if k == K_HALT:
-                instrs.append(HaltInstruction())
-            elif k == K_ACT:
-                instrs.append(decode(op[2]))
-            elif k == K_READ:
-                instrs.append(MemoryInstruction("READ", op[2], op[3]))
-            elif k == K_WRITE:
-                assert isinstance(src, MemoryInstruction)
-                instrs.append(MemoryInstruction("WRITE", src.tile, op[3]))
-            elif k == K_PRESET:
-                assert isinstance(src, MemoryInstruction)
-                instrs.append(
-                    MemoryInstruction(
-                        "PRESET1" if op[3] else "PRESET0",
-                        src.tile,
-                        op[2][0][1] if op[2] else src.row,
-                    )
-                )
-            else:  # logic kinds
-                assert isinstance(src, LogicInstruction)
-                instrs.append(
-                    LogicInstruction(
-                        src.gate, src.tile,
-                        tuple(src.input_rows), src.output_row,
-                    )
-                )
+            if k == P_HALT:
+                instr = HaltInstruction()
+            elif k == P_ACT:
+                tile, bulk, columns = op[1][0]
+                instr = ActivateColumnsInstruction(tile, columns, bulk=bulk)
+            elif k == P_READ:
+                instr = MemoryInstruction("READ", op[1], op[2])
+            elif k == P_WRITE:
+                instr = MemoryInstruction("WRITE", op[1][0], op[2])
+            elif k == P_PRESET:
+                tile, row, _ = op[1][0]
+                instr = MemoryInstruction("PRESET1" if op[2] else "PRESET0", tile, row)
+            elif k in (P_SET, P_CLR):
+                value = "PRESET1" if k == P_SET else "PRESET0"
+                instr = MemoryInstruction(value, op[1], op[2])
+            else:  # logic
+                tile, ins, orow = self.gates(pc)[0][:3]
+                instr = LogicInstruction(src.gate, tile, ins, orow)
+            if getattr(src, "tile", None) == BROADCAST_TILE:
+                instr = replace(instr, tile=BROADCAST_TILE)
+            instrs.append(instr)
         return Program(instrs, name=f"{self.program.name}.plan")
+
+
+def _gate_op(tile: int, ins: tuple, orow: int, m: int, counts, target) -> tuple:
+    """The packed-row op of a single-tile gate: unrolled when it has one
+    or two inputs and switches when fewer than ``t`` of them are 1."""
+    t = len(counts)
+    if counts != tuple(range(t)) or not 0 < t <= len(ins) <= 2:
+        return (P_GATES, ((tile, ins, orow, m, counts, target),))
+    if len(ins) == 1:
+        return (P_G1, tile, ins[0], orow, m, target)
+    return (P_G2, tile, *ins, orow, m, t == 2, target)
 
 
 def _write_energy(params) -> float:
@@ -675,10 +581,7 @@ def compile_program(
     )
     if report.n_errors:
         raise PlanUnsupported(f"program lints with {report.n_errors} error(s)")
-    lint_warnings = len(report.diagnostics) - report.n_errors
-    return CompiledPlan(
-        program, cost, n_data_tiles, rows, cols, lint_warnings=lint_warnings
-    )
+    return CompiledPlan(program, cost, n_data_tiles, rows, cols)
 
 
 _UNSUPPORTED = "unsupported"

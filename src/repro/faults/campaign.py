@@ -541,7 +541,6 @@ class FaultCampaign:
         finished sample is read out on.
         """
         from repro.compilejit.exec import run_batched, sample_state, switch_cells
-        from repro.compilejit.plan import packed_gates
         from repro.perf.batched import BatchedMouse
 
         program = golden.program
@@ -572,9 +571,7 @@ class FaultCampaign:
                 and isinstance(instr, LogicInstruction)
                 and (plan.verify_retry or pc in marked)
             }
-        gates = {
-            pc: packed_gates(compiled.ops[pc]) for pc in flips_at.keys() | checks
-        }
+        gates = {pc: compiled.gates(pc) for pc in flips_at.keys() | checks}
         # The cell a flip mask's entries name, target after target.
         cells_of = {
             pc: [

@@ -30,7 +30,11 @@ pass in a continuous run, a batch and a fused run without a
 checkpointer, and a checkpointed fused run applies each op to the live
 tiles at most once more, when a hook settles them.  Hooks that settle
 and snapshot the arrays at every commit and outage see the scalar
-loop's arrays, on fresh runs and on runs resumed from an image.
+loop's arrays, on fresh runs and on runs resumed from an image.  The
+plan table itself is checked too: each logic op's decoded gates against
+the source instruction and the interpreter's latches at its pc, the
+backup and latency totals against the serial chains, and every array
+of one plan unchanged and non-writeable after every executor ran it.
 
 Breakdowns are compared with float ``==`` and tile states with array
 equality, never a tolerance.
@@ -39,6 +43,7 @@ equality, never a tolerance.
 from __future__ import annotations
 
 import dataclasses
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -49,10 +54,10 @@ from repro.array.bank import BROADCAST_TILE
 from repro.compilejit import exec as exec_module
 from repro.compilejit import plan as plan_module
 from repro.compilejit.plan import (
-    K_L1,
-    K_LN,
-    K_READ,
-    K_WRITE,
+    P_GATES,
+    P_READ,
+    P_WRITE,
+    CompiledPlan,
     PlanUnsupported,
     compile_program,
 )
@@ -62,10 +67,12 @@ from repro.devices import ALL_TECHNOLOGIES
 from repro.durability import Checkpointer, CheckpointPolicy, NVImageStore
 from repro.durability.checkpoint import capture_intermittent, resume_intermittent
 from repro.durability.image import decode_image, encode_image
-from repro.durability.state import capture_machine
+from repro.durability.state import capture_machine, restore_machine
 from repro.energy.model import InstructionCostModel
 from repro.env import AdaptiveCheckpointer, AdaptivePolicy
 from repro.env.trace import TraceSource, rf_burst
+from repro.faults import FaultCampaign, FaultPlan, WORKLOADS
+from repro.faults.campaign import Workload
 from repro.harvest.capacitor import ChargeWindowFailure, EnergyBuffer, buffer_for
 from repro.harvest.intermittent import (
     HarvestingConfig,
@@ -82,7 +89,9 @@ from repro.isa.instruction import (
 from repro.isa.encoding import MAX_ACTIVATE_COLUMNS
 from repro.isa.opcodes import Opcode
 from repro.logic.library import GATE_LIBRARY
+from repro.obs.prof import EnergyProfiler
 from repro.perf.batched import BatchedMouse
+from repro.perf.kernels import electrical_kernel
 
 ROWS, COLS, N_TILES = 16, 8, 2
 #: The longest sum NumPy adds left to right: it sums fewer than 8
@@ -135,9 +144,9 @@ GATES_BY_ARITY = {
     arity: sorted(op.name for op in Opcode if op.is_logic and op.gate_arity == arity)
     for arity in (1, 2, 3)
 }
-#: Every op kind the plan builder defines.
-ALL_KINDS = {
-    value for name, value in vars(plan_module).items() if name.startswith("K_")
+#: Every packed-row op code the plan builder defines.
+ALL_CODES = {
+    value for name, value in vars(plan_module).items() if name.startswith("P_")
 }
 
 TECH_IDS = [tech.name for tech in ALL_TECHNOLOGIES]
@@ -401,7 +410,11 @@ def test_packed_batches_past_128_columns_match_interpreter(tech):
     129 and 130 columns as ``Tile.logic_op`` sums them."""
     entries = _widest_programs()
     kinds = {op[0] for _, plan, _ in entries for op in plan.ops}
-    assert {K_LN, K_READ, K_WRITE} <= kinds, kinds
+    assert {P_READ, P_WRITE} <= kinds, kinds
+    assert any(
+        op[0] == P_GATES and len(op[1]) > 1
+        for _, plan, _ in entries for op in plan.ops
+    )
     widths = {_width(gate) for _, plan, _ in entries for gate in _all_gates(plan)}
     assert {8, 128, 129, WIDEST_COLS} <= widths, widths
     for batch in PACKED_BATCHES:
@@ -423,9 +436,10 @@ def test_a_range_and_a_set_with_the_same_ends_gather_their_own_columns(tech):
     ])
     cost = InstructionCostModel(tech)
     plan = compile_program(program, cost, N_TILES, ROWS, COLS)
-    sels = [op[3][0][3] for op in plan.ops if op[0] == K_L1]
-    assert isinstance(sels[0], slice) and sels[1].tolist() == [3, 5]
-    assert len(plan.packed().groups) == 2
+    masks = [gate[3] for pc in plan.logic_pcs for gate in plan.gates(pc)]
+    assert masks == [0b11000, 0b101000]
+    sels = [group[1] for group in plan.groups]
+    assert sels[0] == slice(3, 5) and sels[1].tolist() == [3, 5]
     rng = np.random.default_rng(7)
     states = rng.integers(0, 2, size=(BATCH, N_TILES, ROWS, COLS)).astype(bool)
     _batched_matches((tech.name, "range-and-set"), tech, [(program, plan, states)], BATCH)
@@ -692,14 +706,14 @@ def test_boundary_fused_intermittent_matches_scalar_run(seed, tech):
 
 
 def _width(gate) -> int:
-    sel = gate[3]
-    return sel.stop - sel.start if isinstance(sel, slice) else len(sel)
+    """How many active columns a :meth:`CompiledPlan.gates` entry has."""
+    return bin(gate[3]).count("1")
 
 
 def _all_gates(plan) -> list:
     """Every gate ``plan`` applies, in order: single-tile ops and the
     gates of each broadcast op."""
-    return [gate for op in plan.ops if op[0] >= K_L1 for gate in op[3]]
+    return [gate for pc in plan.logic_pcs for gate in plan.gates(pc)]
 
 
 class _PassSpy:
@@ -867,55 +881,257 @@ def test_settling_hooks_see_the_scalar_loops_arrays(seed):
 
 
 # ----------------------------------------------------------------------
+# The plan table: gates, chain totals and read-only arrays
+# ----------------------------------------------------------------------
+
+
+def _row_mask(active: np.ndarray) -> int:
+    """The one-row mask of a tile's ``active_columns``."""
+    return sum(1 << int(c) for c in np.flatnonzero(active))
+
+
+@pytest.mark.parametrize("tech", ALL_TECHNOLOGIES, ids=TECH_IDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_gates_decode_the_source_program(seed, tech):
+    """``CompiledPlan.gates(pc)`` of every logic pc names what the
+    source instruction and the interpreter's tiles at that pc name: the
+    target tiles, broadcast resolved; the input rows and the output
+    row; the active set's one-row mask; and ``electrical_kernel``'s
+    switching counts and target.  ``flip_targets`` names the same
+    columns, and ``to_program`` rebuilds the source."""
+    cost = InstructionCostModel(tech)
+    n_gates = 0
+    for program, _, states in _programs(seed) + _wide_programs(seed):
+        plan = compile_program(program, cost, N_TILES, ROWS, states.shape[-1])
+        mouse = _mouse(tech, program, states[0])
+        tiles = mouse.bank.data_tiles
+        logic_pcs = []
+        for pc, instr in enumerate(program.instructions):
+            if isinstance(instr, LogicInstruction):
+                kern = electrical_kernel(cost.params, instr.spec)
+                counts = tuple(n for n, on in enumerate(kern.will_switch) if on)
+                want = tuple(
+                    (
+                        t, tuple(instr.input_rows), instr.output_row,
+                        _row_mask(tiles[t].active_columns), counts, kern.target,
+                    )
+                    for t in _covered(instr.tile)
+                )
+                key = (seed, tech.name, pc)
+                assert plan.gates(pc) == want, key
+                assert [
+                    (t, orow, columns.tolist())
+                    for t, orow, columns in plan.flip_targets(pc)
+                ] == [
+                    (t, orow, np.flatnonzero(tiles[t].active_columns).tolist())
+                    for t, _, orow, _, _, _ in want
+                ], key
+                logic_pcs.append(pc)
+                n_gates += len(want)
+            mouse.controller.step_instruction()
+        assert plan.logic_pcs.tolist() == logic_pcs
+        assert plan.to_program().instructions == program.instructions
+    assert n_gates > 0
+
+
+def _serial(start: float, values) -> float:
+    total = start
+    for value in values:
+        total += value
+    return total
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_backup_and_latency_totals_add_one_charge_at_a_time(seed):
+    """A run's backup energy and latency are the serial ledger's ``+=``
+    chains over the plan's charges: from 0.0, where they are the plan's
+    ``backup_total`` and ``latency_total``, and from a non-zero start,
+    continuous and per sample of a batch of 4, bit for bit with the
+    interpreter.  Adding the start to the total from 0.0 would round
+    differently."""
+    tech = ALL_TECHNOLOGIES[seed % len(ALL_TECHNOLOGIES)]
+    rng = np.random.default_rng(seed)
+    shortcut = 0
+    for program, _, states in _programs(seed):
+        fresh = _mouse(tech, program, states[0])
+        plan = exec_module.mouse_plan(fresh)
+        backup = plan.chg_vals[plan.be_idx].tolist()
+        cycles = [plan.cycle] * plan.n_instructions
+        assert plan.backup_total == _serial(0.0, backup)
+        assert plan.latency_total == _serial(0.0, cycles)
+        nonzero = rng.random(2) * 10.0 ** rng.integers(-14, -8, 2)
+        for b0, l0 in ((0.0, 0.0), tuple(nonzero.tolist())):
+            fast = fresh if b0 == 0.0 else _mouse(tech, program, states[0])
+            ref = _mouse(tech, program, states[0])
+            for mouse in (fast, ref):
+                mouse.ledger.breakdown.backup_energy = b0
+                mouse.ledger.breakdown.compute_latency = l0
+            fast.run()
+            ref.run(compiled=False)
+            b = fast.ledger.breakdown
+            assert b == ref.ledger.breakdown
+            assert b.backup_energy == _serial(b0, backup)
+            assert b.compute_latency == _serial(l0, cycles)
+            shortcut += b0 + plan.backup_total != b.backup_energy
+            shortcut += l0 + plan.latency_total != b.compute_latency
+        machine = BatchedMouse(
+            tech, batch=BATCH, n_data_tiles=N_TILES, rows=ROWS, cols=COLS
+        )
+        for t, tile in enumerate(machine.tiles):
+            tile.state[...] = states[:, t]
+        machine.load(program)
+        starts = np.array([0.0, nonzero[0], 0.0, nonzero[1]])
+        machine.ledger.backup_energy[:] = starts
+        machine.ledger.compute_latency[:] = starts[::-1]
+        machine.run()
+        for sample, (b0, l0) in enumerate(zip(starts, starts[::-1])):
+            assert machine.ledger.backup_energy[sample] == _serial(b0, backup)
+            assert machine.ledger.compute_latency[sample] == _serial(l0, cycles)
+    assert shortcut > 0
+
+
+def test_a_negative_zero_start_is_not_a_fresh_ledger():
+    """A program of one HALT charges no backup energy, so a ledger that
+    starts at -0.0 keeps -0.0 on the interpreter; the plan's total from
+    0.0 is +0.0 and must not stand in for it."""
+    for compiled in (True, False):
+        mouse = Mouse(ALL_TECHNOLOGIES[0], n_data_tiles=N_TILES, rows=ROWS, cols=COLS)
+        mouse.load(Program([HaltInstruction()]))
+        mouse.ledger.breakdown.backup_energy = -0.0
+        before = compilejit.stats_snapshot()["compiled_runs"]
+        mouse.run(compiled=compiled)
+        after = compilejit.stats_snapshot()["compiled_runs"]
+        assert after - before == compiled
+        assert math.copysign(1.0, mouse.ledger.breakdown.backup_energy) == -1.0
+
+
+def _arrays(value, path: str = "plan"):
+    """``(path, array)`` of every NumPy array a plan holds, through its
+    attributes and the tuples, lists and dicts in them."""
+    if isinstance(value, np.ndarray):
+        yield path, value
+    elif isinstance(value, (tuple, list)):
+        for i, item in enumerate(value):
+            yield from _arrays(item, f"{path}[{i}]")
+    elif isinstance(value, dict):
+        for k, item in value.items():
+            yield from _arrays(item, f"{path}[{k!r}]")
+    elif isinstance(value, CompiledPlan):
+        for name, item in vars(value).items():
+            yield from _arrays(item, f"{path}.{name}")
+
+
+def test_plans_are_read_only():
+    """One plan serves every machine of its technology and shape, so no
+    run writes it.  Continuous runs with and without a profiler,
+    batches of 1 and 4, a fused run fresh and resumed from one of its
+    images, and a campaign batch that re-issues verified gates all run
+    one plan; afterwards every array it holds has its bytes from before
+    and cannot be written."""
+    tech = ALL_TECHNOLOGIES[0]
+    workload = WORKLOADS["adder"](tech)
+
+    def build() -> Mouse:
+        # Restored from a fresh build: every machine below, the resumed
+        # one included, loads the one Program equal words restore to.
+        return restore_machine(capture_machine(workload.build()))
+
+    first = build()
+    program = first.program
+    plan = exec_module.mouse_plan(first)
+    before = {path: (arr.dtype, arr.shape, arr.tobytes()) for path, arr in _arrays(plan)}
+    assert {"plan.chg_vals", "plan.execute", "plan.log_at", "plan.aterms"} <= set(before)
+    stats = compilejit.stats_snapshot()
+
+    build().run()
+    profiled = build()
+    profiled.attach_profiler(EnergyProfiler())
+    profiled.run()
+    bank = first.bank
+    for batch in (1, BATCH):
+        machine = BatchedMouse(tech, batch=batch, rows=bank.rows, cols=bank.cols)
+        for tile, state in zip(machine.tiles, bank.data_tiles):
+            tile.state[...] = state.state
+        machine.load(program)
+        machine.run()
+    ckpt = Checkpointer(_ImageLog(), CheckpointPolicy(period=CHECKPOINT_PERIOD))
+    run = IntermittentRun(build(), HarvestingConfig(
+        ConstantPowerSource(5e-6),
+        EnergyBuffer(capacitance=1e-9, v_off=0.30, v_on=0.34),
+    ), checkpointer=ckpt)
+    run.run()
+    assert run.mouse.ledger.breakdown.restarts > 0
+    images = ckpt.store.images
+    resumed = resume_intermittent(_OneImage(decode_image(images[len(images) // 2])[0]))
+    assert exec_module.mouse_plan(resumed.mouse) is plan
+    resumed.run()
+    flips = {
+        instr.spec.name: 0.2 for instr in program.instructions
+        if isinstance(instr, LogicInstruction)
+    }
+    report = FaultCampaign(
+        Workload(workload.name, build, workload.readout, workload.reference),
+        FaultPlan(gate_flip_rates=flips, verify_retry=True, retry_budget=2),
+        trials=4, seed=5,
+    ).run(jobs=1)
+    assert report.totals["retries"] > 0
+    after = compilejit.stats_snapshot()
+    assert after["fallback_runs"] == stats["fallback_runs"]
+    assert after["plans_compiled"] == stats["plans_compiled"]
+
+    arrays = dict(_arrays(plan))
+    assert set(before) <= set(arrays)
+    for path, arr in arrays.items():
+        assert not arr.flags.writeable, path
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+    for path, (dtype, shape, data) in before.items():
+        arr = arrays[path]
+        assert (arr.dtype, arr.shape, arr.tobytes()) == (dtype, shape, data), path
+
+
+# ----------------------------------------------------------------------
 # Coverage
 # ----------------------------------------------------------------------
 
 
 def test_every_plan_op_kind_is_exercised():
-    """Every plan op kind and every packed-row op code reaches the
-    continuous and batched executors (every accepted program) and the
-    fused intermittent executor (the replay-stable ones), all three of
-    which run the packed-row ops."""
-    codes = {
-        value for name, value in vars(plan_module).items() if name.startswith("P_")
-    }
-    expected = {("plan", kind) for kind in ALL_KINDS} | {
-        ("packed", code) for code in codes
-    }
+    """Every packed-row op code, and a gate broadcast across several
+    tiles, reach the continuous and batched executors (every accepted
+    program) and the fused intermittent executor (the replay-stable
+    ones), all three of which run the plan's one op table."""
+    expected = ALL_CODES | {"broadcast"}
     every, stable = set(), set()
     n_stable = 0
     for seed in SEEDS:
         programs = _programs(seed)
         assert len(programs) == PROGRAMS_PER_SEED
         for _, plan, _ in programs + _wide_programs(seed):
-            kinds = {("plan", op[0]) for op in plan.ops} | {
-                ("packed", op[0]) for op in plan.packed().ops
-            }
+            kinds = {op[0] for op in plan.ops}
+            if any(len(plan.gates(pc)) > 1 for pc in plan.logic_pcs):
+                kinds.add("broadcast")
             every |= kinds
             if plan.replay_stable:
                 n_stable += 1
                 stable |= kinds
-    assert every == expected, sorted(expected ^ every)
-    assert stable == expected, sorted(expected ^ stable)
+    assert every == expected, sorted(expected ^ every, key=str)
+    assert stable == expected, sorted(expected ^ stable, key=str)
     assert n_stable >= N_SEEDS, n_stable
 
 
 def test_every_packed_op_code_is_exercised():
     """Every packed-row op code, and both targets and thresholds of the
     unrolled gates, reach the batched executor."""
-    codes = {
-        value for name, value in vars(plan_module).items() if name.startswith("P_")
-    }
     seen, unrolled = set(), set()
     for seed in SEEDS:
         for _, plan, _ in _programs(seed) + _wide_programs(seed):
-            for op in plan.packed().ops:
+            for op in plan.ops:
                 seen.add(op[0])
                 if op[0] == plan_module.P_G1:
                     unrolled.add((1, op[-1]))
                 elif op[0] == plan_module.P_G2:
                     unrolled.add((2, op[-2], op[-1]))
-    assert seen == codes, sorted(codes - seen)
+    assert seen == ALL_CODES, sorted(ALL_CODES - seen)
     assert unrolled == {(1, False), (1, True)} | {
         (2, both, target) for both in (False, True) for target in (False, True)
     }

@@ -33,7 +33,7 @@ import pytest
 
 from repro import compilejit
 from repro.compilejit import exec as exec_module
-from repro.compilejit.plan import K_LN, CompiledPlan
+from repro.compilejit.plan import CompiledPlan
 from repro.core.accelerator import Mouse
 from repro.core.controller import InstructionBudgetExceeded, Phase
 from repro.core.program import Program
@@ -116,7 +116,7 @@ def _generated(tech, name: str, pick) -> Workload:
 
 
 def _is_broadcast(plan) -> bool:
-    return any(op[0] == K_LN for op in plan.ops)
+    return any(len(plan.gates(pc)) > 1 for pc in plan.logic_pcs)
 
 
 @lru_cache(maxsize=None)
