@@ -12,13 +12,13 @@ ops to the live tiles only where something reads them.
 
 The scalar :class:`~repro.core.controller.MemoryController` microstep
 machine is kept verbatim as the referee: every compiled path reproduces
-its :class:`~repro.energy.metrics.Breakdown` (and, where supported, its
-:class:`~repro.obs.prof.EnergyProfiler` attribution) **bit for bit**,
-enforced by the translation-validation and byte-identity tests.
-Anything a plan cannot model exactly — sensors, fault hooks, telemetry
-sinks, lint-rejected programs — falls back to the interpreter; a host
-checkpointer rides the fused intermittent loop, which calls its hooks
-where the scalar loop does.  A fault campaign that does not mix gate
+its :class:`~repro.energy.metrics.Breakdown` **bit for bit**, enforced
+by the translation-validation and byte-identity tests.  Anything a plan
+does not model — sensors, lint-rejected programs, and runs observed per
+microstep by a fault hook, a telemetry sink or an
+:class:`~repro.obs.prof.EnergyProfiler` — falls back to the
+interpreter; a host checkpointer rides the fused intermittent loop,
+which calls its hooks where the scalar loop does.  A fault campaign that does not mix gate
 flips with other faults keeps its trials on the plan: they run as the
 samples of one batch, with each trial's faults laid over its bits of
 the packed rows after each op (:mod:`repro.faults.campaign`).

@@ -8,7 +8,9 @@ continuous run as a batch of one, and the fused intermittent loop
 prices its logic ops with one such pass at its start and applies them
 to the live tiles only where something reads them
 (:func:`run_intermittent_fused`).  None of them writes the plan: a
-run's logic energies stay in the run.  All three reproduce the scalar
+run's logic energies stay in the run.  A run that a profiler,
+telemetry or a fault hook observes takes none of them
+(:func:`_unobserved_at_fetch`).  All three reproduce the scalar
 interpreters' ledger arithmetic bit for bit.  The key identity: for
 IEEE-754 doubles,
 
@@ -53,17 +55,6 @@ from repro.core.controller import InstructionBudgetExceeded, Phase, _NONE
 from repro.isa.instruction import decode_cached
 
 
-def _cycle_chain(plan: CompiledPlan, n: int) -> np.ndarray:
-    cache = getattr(plan, "_cyc_cache", None)
-    if cache is None:
-        cache = plan._cyc_cache = {}
-    arr = cache.get(n)
-    if arr is None:
-        arr = cache[n] = np.full(n, plan.cycle, dtype=np.float64)
-        arr.flags.writeable = False
-    return arr
-
-
 def _zero(start: float) -> bool:
     """Whether ``start`` is 0.0 (not -0.0), as every fresh ledger."""
     return start == 0.0 and math.copysign(1.0, start) > 0.0
@@ -73,14 +64,14 @@ def _backup_total(plan: CompiledPlan, start: float) -> float:
     """``start`` plus the plan's backup chain, one charge at a time."""
     if _zero(start):
         return plan.backup_total
-    return _acc(start, plan.chg_vals[plan.be_idx])
+    return _acc(start, plan.backup_chain())
 
 
 def _latency_total(plan: CompiledPlan, start: float) -> float:
     """``start`` plus one cycle per instruction, one at a time."""
     if _zero(start):
         return plan.latency_total
-    return _acc(start, _cycle_chain(plan, plan.n_instructions))
+    return _acc(start, np.full(plan.n_instructions, plan.cycle))
 
 
 # ----------------------------------------------------------------------
@@ -88,25 +79,38 @@ def _latency_total(plan: CompiledPlan, start: float) -> float:
 # ----------------------------------------------------------------------
 
 
-def start_plan(mouse) -> Optional[CompiledPlan]:
-    """The plan a compiled run of ``mouse`` starts, or None when the
-    machine is not where every plan run begins — powered at pc 0 in
-    FETCH with default register parity, nothing staged, no dead replay
-    or sensor transfer pending, no fault hook or telemetry attached —
-    or its program does not compile."""
+def _unobserved_at_fetch(mouse) -> bool:
+    """Whether a plan run may take ``mouse`` where it stands: no
+    telemetry, profiler or fault hook on its controller or ledger, and
+    powered, not halted, at FETCH and outside a sensor transfer."""
     controller = mouse.controller
-    if (
-        not controller.powered
+    ledger = mouse.ledger
+    return not (
+        controller._obs is not None
+        or controller._prof is not None
+        or controller._faults is not None
+        or ledger.obs is not None
+        or ledger.prof is not None
+        or not controller.powered
         or controller.halted
         or controller.phase is not Phase.FETCH
-        or controller._dead_replay
-        or controller._faults is not None
-        or controller._obs is not None
-        or mouse.ledger.obs is not None
-        or controller.pc.read() != 0
-        or controller.pc.parity.value
-        or controller.pc._staged
         or controller.sensor_pc.read() != _NONE
+    )
+
+
+def start_plan(mouse) -> Optional[CompiledPlan]:
+    """The plan a compiled run of ``mouse`` starts, or None when
+    something observes the machine or it is not where every plan run
+    begins (:func:`_unobserved_at_fetch`, and at pc 0 with default
+    register parity, nothing staged and no dead replay pending), or
+    its program does not compile."""
+    pc = mouse.controller.pc
+    if (
+        not _unobserved_at_fetch(mouse)
+        or mouse.controller._dead_replay
+        or pc.read() != 0
+        or pc.parity.value
+        or pc._staged
     ):
         return None
     return mouse_plan(mouse)
@@ -116,16 +120,12 @@ def try_run_continuous(mouse, max_instructions: int) -> bool:
     """Run the loaded program via its compiled plan if eligible.
 
     Returns False (without touching any state) when the machine or the
-    program needs the scalar interpreter (see :func:`start_plan`), or
-    when a profiler is attached to only one of controller and ledger.
+    program needs the scalar interpreter (see :func:`start_plan`).
     """
-    prof = mouse.controller._prof
-    if mouse.ledger.prof is not prof:
-        return False
     plan = start_plan(mouse)
     if plan is None or plan.n_instructions > max_instructions:
         return False
-    _run_continuous(mouse, plan, prof)
+    _run_continuous(mouse, plan)
     from repro import compilejit
 
     compilejit.STATS["compiled_runs"] += 1
@@ -141,10 +141,10 @@ def mouse_plan(mouse) -> Optional[CompiledPlan]:
     )
 
 
-def _run_continuous(mouse, plan: CompiledPlan, prof) -> None:
+def _run_continuous(mouse, plan: CompiledPlan) -> None:
     """One machine's run as a batch of one: the packed pass from the
     transfer buffer's bits, then the compute chain folded with the
-    logic energies in its slots (:func:`_fold_compute`)."""
+    run's logic energies (:func:`_run_execute`)."""
     controller = mouse.controller
     tiles = mouse.bank.data_tiles
     buf = controller.buffer[None, None]
@@ -158,21 +158,15 @@ def _run_continuous(mouse, plan: CompiledPlan, prof) -> None:
     for _, word in plan.activates:
         actreg.stage(word)
         actreg.commit()
-    energies = _logic_energies(plan, log, 1)
 
-    # --- accounting: reduce the charge table -------------------------
+    # --- accounting: fold the chains ----------------------------------
     b = mouse.ledger.breakdown
-    b.compute_energy = float(_fold_compute(
-        np.array([b.compute_energy]), plan.chg_vals[plan.ce_idx],
-        plan.logic_at, energies,
-    )[0])
+    b.compute_energy = _acc(
+        b.compute_energy, plan.compute_chain(_run_execute(plan, log))
+    )
     b.compute_latency = _latency_total(plan, b.compute_latency)
     b.backup_energy = _backup_total(plan, b.backup_energy)
     b.instructions += plan.n_instructions
-    if prof is not None:
-        vals = plan.chg_vals.copy()
-        vals[plan.ce_idx[plan.logic_at]] = energies[:, 0]
-        _apply_prof(plan, prof, vals)
 
     # --- final architectural state ------------------------------------
     k = plan.n_instructions - 1  # the commits before HALT
@@ -192,45 +186,6 @@ def _run_continuous(mouse, plan: CompiledPlan, prof) -> None:
     controller._executed_uncommitted = False
 
 
-def _apply_prof(plan: CompiledPlan, prof, vals: np.ndarray) -> None:
-    """Replay the run's charge stream ``vals`` (the plan's charge table
-    with the run's logic energies in their slots) into the profiler
-    tree.
-
-    Ancestor nodes above the program's base frame see every charge;
-    within the program, each scope node sees exactly the charges whose
-    pc lies in its subtree, in pc order — the same order the scalar
-    controller's per-FETCH ``set_scope`` walk produces.
-    """
-    program = plan.program
-    table = prof.index_program(program, prefix=(program.name,))
-    per_sid = plan.prof_tables()
-    n = plan.n_instructions
-    stats = prof._stats
-    base = table[0]
-    for nid in prof._chains[base][:-1]:
-        st = stats[nid]
-        st.compute_energy = _acc(st.compute_energy, vals[plan.ce_idx])
-        st.compute_latency = _acc(st.compute_latency, _cycle_chain(plan, n))
-        st.backup_energy = _acc(st.backup_energy, vals[plan.be_idx])
-        st.instructions += n
-    for sid, (ce_ix, be_ix, n_pcs, leaf_ix, n_leaf) in per_sid.items():
-        if n_pcs == 0:
-            continue
-        nid = table[sid]
-        st = stats[nid]
-        st.compute_energy = _acc(st.compute_energy, vals[ce_ix])
-        st.compute_latency = _acc(st.compute_latency, _cycle_chain(plan, n_pcs))
-        st.backup_energy = _acc(st.backup_energy, vals[be_ix])
-        st.instructions += n_pcs
-        if n_leaf:
-            prof._self_energy[nid] = _acc(prof._self_energy[nid], vals[leaf_ix])
-            prof._self_latency[nid] = _acc(
-                prof._self_latency[nid], _cycle_chain(plan, n_leaf)
-            )
-    prof.set_scope(table[program.scope_ids[n - 1]])
-
-
 # ----------------------------------------------------------------------
 # Intermittent power (fused window loop)
 # ----------------------------------------------------------------------
@@ -239,31 +194,19 @@ def _apply_prof(plan: CompiledPlan, prof, vals: np.ndarray) -> None:
 def intermittent_eligible(run, obs) -> Optional[CompiledPlan]:
     """The plan to use for a fused intermittent run, or None.
 
-    None when something observes the run per microstep (telemetry, a
-    profiler, a fault hook), when the machine is not where a plan run
+    None when the run's telemetry ``obs`` or something on the machine
+    observes it per microstep, when the machine is not where a plan run
     starts (unpowered, halted, mid-instruction, or inside a sensor
-    transfer), or when the program has no replay-stable plan.  Any
-    source, buffer and checkpointer fuses.
+    transfer; see :func:`_unobserved_at_fetch`), or when the program
+    has no replay-stable plan.  Any source, buffer and checkpointer
+    fuses.
     """
-    controller = run.mouse.controller
-    ledger = run.mouse.ledger
-    if (
-        obs is not None
-        or controller._obs is not None
-        or controller._prof is not None
-        or controller._faults is not None
-        or ledger.obs is not None
-        or ledger.prof is not None
-        or not controller.powered
-        or controller.halted
-        or controller.phase is not Phase.FETCH
-        or controller.sensor_pc.read() != _NONE
-    ):
+    if obs is not None or not _unobserved_at_fetch(run.mouse):
         return None
     plan = mouse_plan(run.mouse)
     if plan is None or not plan.replay_stable:
         return None
-    pc = controller.pc.read()
+    pc = run.mouse.controller.pc.read()
     if pc is None or not 0 <= pc < plan.n_instructions:
         return None
     return plan
@@ -395,9 +338,7 @@ def run_intermittent_fused(run, plan: CompiledPlan, max_instructions: int):
     final_buf = _run_packed(
         ops[pc:], final, masks, nmasks, None, row_buf, log.append
     )
-    execute = plan.execute.copy()
-    execute[plan.logic_pcs] = _logic_energies(plan, log, 1)[:, 0]
-    exec_e = execute.tolist()
+    exec_e = _run_execute(plan, log).tolist()
     # The arrays hold the ops before `settled`; those before `done`
     # have executed.
     settled = done = pc
@@ -872,10 +813,9 @@ def run_batched(machine, plan: CompiledPlan, hooks=None) -> None:
     log, _ = _packed_pass(
         plan, tiles, [t.state for t in tiles], machine.batch, 0, hooks
     )
-    energies = _logic_energies(plan, log, machine.batch)
     ledger.compute_energy = _fold_compute(
-        ledger.compute_energy, plan.chg_vals[plan.ce_idx], plan.logic_at,
-        energies,
+        ledger.compute_energy, plan.compute_chain(plan.execute),
+        2 * plan.logic_pcs + 1, _logic_energies(plan, log, machine.batch),
     )
     ledger.compute_latency = _acc_each(
         ledger.compute_latency, partial(_latency_total, plan)
@@ -913,7 +853,7 @@ def _logic_energies(plan: CompiledPlan, log, batch: int) -> np.ndarray:
     nbits = batch * cols
     whole = _bits(log, nbits) if log and len(log) * nbits <= _STEP_BYTES else None
     get = log.__getitem__
-    arrs = np.empty((plan.logic_at.size, batch), dtype=np.float64)
+    arrs = np.empty((plan.logic_pcs.size, batch), dtype=np.float64)
     gates = {}  # group -> its broadcast gates' energies
     for g, (energy, sel, width, k, positions, members) in enumerate(plan.groups):
         n = len(positions) // k
@@ -953,11 +893,20 @@ def _logic_energies(plan: CompiledPlan, log, batch: int) -> np.ndarray:
     return out
 
 
-def _fold_compute(starts, chain, logic_at, energies) -> np.ndarray:
+def _run_execute(plan: CompiledPlan, log) -> np.ndarray:
+    """Each pc's EXECUTE energy in a run of one machine whose gates
+    logged ``log``: the plan's, with the run's logic energies
+    (:func:`_logic_energies`) in the logic ops' places."""
+    execute = plan.execute.copy()
+    execute[plan.logic_pcs] = _logic_energies(plan, log, 1)[:, 0]
+    return execute
+
+
+def _fold_compute(starts, chain, at, energies) -> np.ndarray:
     """Each sample's compute-energy total: ``starts`` plus the plan's
-    compute ``chain``, whose logic slots (at ``logic_at``) hold the
-    sample's ``energies``, added one charge at a time as the serial
-    ledger adds them.  The chains are folded in steps of a bounded
+    compute ``chain``, whose logic slots (at ``at``) hold the sample's
+    ``energies``, added one charge at a time as the serial ledger adds
+    them.  The chains are folded in steps of a bounded
     number of charges as ``(charges, batch)`` blocks carrying their sum
     into the next; ``np.add.reduce`` over the first axis of a block of 2
     or more columns adds it row by row.  Over one column it sums
@@ -965,7 +914,7 @@ def _fold_compute(starts, chain, logic_at, energies) -> np.ndarray:
     batch = starts.size
     if batch == 1:
         chain = chain.copy()
-        chain[logic_at] = energies[:, 0]
+        chain[at] = energies[:, 0]
         return np.array([_acc(float(starts[0]), chain)])
     step = max(1, _STEP_BYTES // (8 * batch))
     carry = starts
@@ -975,8 +924,8 @@ def _fold_compute(starts, chain, logic_at, energies) -> np.ndarray:
         block = np.empty((hi - lo + 1, batch), dtype=np.float64)
         block[0] = carry
         block[1:] = chain[lo:hi, None]
-        k = j + int(np.searchsorted(logic_at[j:], hi))
-        block[logic_at[j:k] - lo + 1] = energies[j:k]
+        k = j + int(np.searchsorted(at[j:], hi))
+        block[at[j:k] - lo + 1] = energies[j:k]
         j = k
         carry = np.add.reduce(block, axis=0)
     return carry

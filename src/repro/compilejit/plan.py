@@ -3,13 +3,14 @@
 A :class:`CompiledPlan` freezes everything about a straight-line CRAM
 program that does not depend on array *data*, in one walk of its
 instructions: each pc's packed-row op, EXECUTE energy, written rows and
-gate-log offset; each logic op's energy group, address term and
-position in the compute chain; and a flat **charge table** mirroring
-the exact per-microstep ledger charges the scalar controller would
-make.  Static energies are evaluated through the same cost-model code
-paths the interpreter uses.  The executors in
-:mod:`repro.compilejit.exec` reduce the charge table with
-``np.add.accumulate`` — which is bit-identical to the interpreter's
+gate-log offset, and each logic op's energy group and address term.
+Static energies are evaluated through the same cost-model code paths
+the interpreter uses.  A run's compute and backup charges follow from
+each pc's EXECUTE energy and three prices, in the fixed order the
+scalar controller charges every instruction
+(:meth:`CompiledPlan.compute_chain`, :meth:`CompiledPlan.backup_chain`);
+the executors in :mod:`repro.compilejit.exec` fold them with
+``np.add.accumulate``, which is bit-identical to the interpreter's
 sequential ``+=`` chain, so `Breakdown`s match to the last ulp.
 
 Every executor runs the plan's one op table: a continuous run or a
@@ -23,7 +24,9 @@ itself.
 Plan construction is **gated by the linter**: a program that lints
 with errors raises :class:`PlanUnsupported` and the engines silently
 stay on the scalar interpreter.  Sensor reads (run-time data arrival)
-and fault hooks are likewise unsupported by construction.
+are likewise unsupported by construction, and runs that something
+observes per microstep (telemetry, a profiler, a fault hook) stay on
+the interpreter.
 """
 
 from __future__ import annotations
@@ -73,10 +76,6 @@ P_READ = 6
 P_WRITE = 7
 P_ACT = 8
 P_HALT = 9
-
-# Charge-table categories (matching EnergyLedger routing).
-_CAT_CE = 0  # Category.COMPUTE energy (fetch + execute)
-_CAT_BE = 1  # Category.BACKUP energy (pc checkpoint, activate register)
 
 
 @lru_cache(maxsize=None)
@@ -164,29 +163,27 @@ class CompiledPlan:
     the gate log: every gate appends its input rows, as read, to the
     executor's log, op after op, gate after gate, input after input.
     ``row_masks`` are the one-row masks the ops index, and
-    ``activates`` each ACTIVATE's ``(pc, word)``.  ``groups`` gather the entries back for the logic energies, one
-    group per kernel and active set: ``(energy, sel, width, n_inputs,
-    positions, members)``, where ``energy`` is the kernel's per-count
-    energy table, ``sel`` picks the active columns of a row (None for
-    all), ``width`` counts them, ``positions`` are the log entries of
-    the members' inputs, member after member, and ``members`` number
-    the members' logic ops in pc order.  The gates of broadcast ops
-    form groups of their own with no ``members``: ``ln`` combines them
-    per op as ``(logic op, ((group, member), ...))``.  ``aterms``,
-    ``logic_at`` and ``logic_pcs`` are each logic op's address term,
-    its position in the compute-energy chain (``chg_vals[ce_idx]``)
-    and its pc, in pc order.
+    ``activates`` each ACTIVATE's ``(pc, word)``.  ``groups`` gather
+    the entries back for the logic energies, one group per kernel and
+    active set: ``(energy, sel, width, n_inputs, positions, members)``,
+    where ``energy`` is the kernel's per-count energy table, ``sel``
+    picks the active columns of a row (None for all), ``width`` counts
+    them, ``positions`` are the log entries of the members' inputs,
+    member after member, and ``members`` number the members' logic ops
+    in pc order.  The gates of broadcast ops form groups of their own
+    with no ``members``: ``ln`` combines them per op as ``(logic op,
+    ((group, member), ...))``.  ``aterms`` and ``logic_pcs`` are each
+    logic op's address term and pc, in pc order.
 
-    The charge table holds one entry per ledger energy charge the
-    scalar controller would make, in its order per pc: fetch (compute),
-    execute (compute; 0.0 in a logic op's slot), the activate register
-    (backup) and the pc checkpoint (backup); HALT charges only its
-    fetch.  ``chg_vals`` and ``chg_pc`` are each charge's energy and
-    pc, and ``ce_idx`` / ``be_idx`` index its compute and backup
-    entries.
-    Latency is one cycle per pc.  ``backup_total`` and
-    ``latency_total`` are the backup and latency chains folded from
-    0.0, where every fresh ledger starts.
+    Every pc charges one fixed sequence: its fetch and its EXECUTE
+    energy (compute), then on an ACTIVATE the register's backup, and
+    the PC checkpoint (backup); HALT, the last pc, charges only its
+    fetch.  So ``execute`` and the prices ``fetch_e``, ``backup_e`` and
+    ``act_backup_e`` define both energy chains
+    (:meth:`compute_chain`, :meth:`backup_chain`).  Latency is one
+    cycle per pc.  ``backup_total`` and ``latency_total`` are the
+    backup and latency chains folded from 0.0, where every fresh ledger
+    starts.
     """
 
     def __init__(
@@ -218,7 +215,6 @@ class CompiledPlan:
         self.replay_stable = True
 
         self._build()
-        self._prof_tables: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # Construction: one walk of the instructions
@@ -233,15 +229,6 @@ class CompiledPlan:
         words = program.words()
         address_e = cost.peripheral.address_energy
         write_e = _write_energy(cost.params)
-
-        chg_vals: list[float] = []
-        chg_pc: list[int] = []
-        chg_cat: list[int] = []
-
-        def charge(cat: int, value: float, pc: int) -> None:
-            chg_vals.append(value)
-            chg_pc.append(pc)
-            chg_cat.append(cat)
 
         # Rolling activation state.  `full` applies every ACTIVATE in
         # order (continuous-power truth); `last_only` models the state
@@ -261,7 +248,6 @@ class CompiledPlan:
         execute: list[float] = []
         log_at: list[int] = []
         aterms: list[float] = []
-        slots: list[int] = []  # each logic op's charge-table entry
         logic_pcs: list[int] = []
         ln: list[tuple] = []
         activates: list[tuple[int, int]] = []
@@ -319,7 +305,6 @@ class CompiledPlan:
             return entry[0], len(entry[6]) - 1
 
         for pc, instr in enumerate(program.instructions):
-            charge(_CAT_CE, self.fetch_e, pc)
             log_at.append(logged)
             e = 0.0
             written: tuple = ()
@@ -341,8 +326,6 @@ class CompiledPlan:
                 columns = tuple(int(c) for c in instr.columns)
                 op = (P_ACT, tuple((t, instr.bulk, columns) for t in tiles))
                 activates.append((pc, words[pc]))
-                charge(_CAT_CE, e, pc)
-                charge(_CAT_BE, self.act_backup_e, pc)
 
             elif isinstance(instr, MemoryInstruction):
                 kind = instr.op.upper()
@@ -368,7 +351,6 @@ class CompiledPlan:
                             op = (P_SET if value else P_CLR,) + sets[0]
                         else:
                             op = (P_PRESET, sets, value)
-                charge(_CAT_CE, e, pc)
 
             elif isinstance(instr, LogicInstruction):
                 tiles = resolve_tiles(instr.tile)
@@ -381,8 +363,6 @@ class CompiledPlan:
                 logic = len(logic_pcs)
                 aterms.append((spec.n_inputs + 1) * address_e * write_e)
                 logic_pcs.append(pc)
-                slots.append(len(chg_vals))
-                charge(_CAT_CE, 0.0, pc)
                 written = tuple((t, orow) for t in tiles)
                 if len(tiles) == 1:
                     mask, m, _ = active(tiles[0])
@@ -401,8 +381,6 @@ class CompiledPlan:
                     f"unknown instruction type {type(instr).__name__}"
                 )
 
-            if op[0] != P_HALT:
-                charge(_CAT_BE, self.backup_e, pc)
             ops.append(shared.setdefault(op, op))
             writes.append(shared.setdefault(written, written))
             execute.append(e)
@@ -422,55 +400,36 @@ class CompiledPlan:
         self.ln = tuple(ln)
         self.aterms = _frozen(aterms, np.float64)
         self.logic_pcs = _frozen(logic_pcs, np.intp)
-
-        self.chg_vals = _frozen(chg_vals, np.float64)
-        self.chg_pc = _frozen(chg_pc, np.intp)
-        cat = np.asarray(chg_cat, dtype=np.int8)
-        self.ce_idx = _frozen(np.flatnonzero(cat == _CAT_CE))
-        self.be_idx = _frozen(np.flatnonzero(cat == _CAT_BE))
-        self.logic_at = _frozen(np.searchsorted(self.ce_idx, slots), np.intp)
-        self.backup_total = _acc(0.0, self.chg_vals[self.be_idx])
+        self.backup_total = _acc(0.0, self.backup_chain())
         self.latency_total = _acc(0.0, np.full(n, self.cycle))
 
     # ------------------------------------------------------------------
-    # Profiler attribution tables (built on first profiled run)
+    # Energy chains
     # ------------------------------------------------------------------
 
-    def prof_tables(self) -> dict:
-        """Per-scope gather indices into the charge table.
+    def compute_chain(self, execute: np.ndarray) -> np.ndarray:
+        """A run's compute-energy charges in ledger order, given each
+        pc's EXECUTE energy: each pc's fetch, then its EXECUTE energy;
+        HALT, the last pc, charges only its fetch.  The logic op at
+        ``pc`` is the charge at ``2 * pc + 1``."""
+        chain = np.empty(2 * self.n_instructions - 1, dtype=np.float64)
+        chain[0::2] = self.fetch_e
+        chain[1::2] = execute[:-1]
+        return chain
 
-        For each scope id: the CE / BE charge indices whose pc lies in
-        that scope's subtree, the pc count (latency + instruction
-        counts), and the charge indices (in table order) / pc count of
-        the pcs whose *leaf* scope it is (self-energy / self-latency).
-        """
-        if self._prof_tables is not None:
-            return self._prof_tables
-        table = self.program.scope_table
-        scope_ids = self.program.scope_ids
-        n_sids = len(table)
-        member = np.zeros((n_sids, self.n_instructions), dtype=bool)
-        for pc, sid in enumerate(scope_ids):
-            s = sid
-            while s >= 0:
-                member[s, pc] = True
-                s = table.parents[s]
-        leaf_of_pc = np.asarray(scope_ids, dtype=np.intp)
-        ce_pc = self.chg_pc[self.ce_idx]
-        be_pc = self.chg_pc[self.be_idx]
-        per_sid = {}
-        for sid in range(n_sids):
-            mask = member[sid]
-            leaf_mask = leaf_of_pc == sid
-            per_sid[sid] = (
-                _frozen(self.ce_idx[mask[ce_pc]]),
-                _frozen(self.be_idx[mask[be_pc]]),
-                int(mask.sum()),
-                _frozen(np.flatnonzero(leaf_mask[self.chg_pc])),
-                int(leaf_mask.sum()),
-            )
-        self._prof_tables = per_sid
-        return per_sid
+    def backup_chain(self) -> np.ndarray:
+        """A run's backup-energy charges in ledger order: each
+        ACTIVATE's register backup followed by its checkpoint, and one
+        checkpoint for every other pc except HALT."""
+        chain = np.full(
+            self.n_instructions - 1 + len(self.activates), self.backup_e
+        )
+        # An ACTIVATE's backup follows one checkpoint per earlier pc and
+        # one register backup per earlier ACTIVATE.
+        chain[[pc + i for i, (pc, _) in enumerate(self.activates)]] = (
+            self.act_backup_e
+        )
+        return chain
 
     # ------------------------------------------------------------------
     # Introspection

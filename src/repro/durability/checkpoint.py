@@ -27,6 +27,10 @@ from typing import Any, Optional, Union
 
 from repro.durability.image import NVImageStore, encode_image
 from repro.durability.state import (
+    StateCaptureError,
+    _count,
+    _fields,
+    _real,
     capture_machine,
     decode_breakdown,
     decode_config,
@@ -212,6 +216,24 @@ def _load(store: Union[NVImageStore, str, Path], telemetry) -> tuple[dict, int, 
     return payload, seq, store
 
 
+def _kind(payload, kind: str) -> None:
+    """Refuse an image that does not hold a ``kind`` run."""
+    held = payload.get("kind") if isinstance(payload, dict) else None
+    if held != kind:
+        article = "an" if kind == "intermittent" else "a"
+        raise StateCaptureError(
+            f"image holds a {held!r} run, not {article} {kind} one"
+        )
+
+
+#: The fields of an intermittent image.
+_INTERMITTENT_FIELDS = (
+    "kind", "phase", "machine", "config", "time", "executed",
+    "commits_in_window", "drawn_in_window", "stalled_pc",
+    "vcap_sample_period",
+)
+
+
 def resume_intermittent(
     store: Union[NVImageStore, str, Path],
     telemetry=None,
@@ -221,32 +243,59 @@ def resume_intermittent(
 
     Calling ``run()`` on the result continues the run exactly where the
     image was taken; the returned breakdown is byte-identical to the
-    uninterrupted run's.
+    uninterrupted run's.  An image holding anything
+    :func:`capture_intermittent` cannot write — a missing or extra
+    field, a count that is not an integer in range, a time that is not
+    a finite number, a phase the machine is not in — raises
+    :class:`StateCaptureError` naming the field.
     """
     payload, _seq, _store = _load(store, telemetry)
-    if payload.get("kind") != "intermittent":
-        raise ValueError(
-            f"image holds a {payload.get('kind')!r} run, not an "
-            "intermittent one"
-        )
+    _kind(payload, "intermittent")
+    where = "intermittent image"
+    _fields(payload, _INTERMITTENT_FIELDS, where)
     mouse = restore_machine(payload["machine"])
+    phase = payload["phase"]
+    if phase not in ("powered", "outage"):
+        raise StateCaptureError(f"unknown resume phase {phase!r}")
+    if mouse.controller.powered != (phase == "powered"):
+        raise StateCaptureError(
+            f"{where} has phase {phase!r} on a machine that is "
+            + ("powered" if mouse.controller.powered else "off")
+        )
+    stalled = payload["stalled_pc"]
+    if stalled is not None and not (
+        type(stalled) is int and 0 <= stalled < len(mouse.program)
+    ):
+        raise StateCaptureError(
+            f"{where} field 'stalled_pc' is neither null nor a pc of the "
+            "program"
+        )
     run = IntermittentRun(
         mouse,
         decode_config(payload["config"]),
         telemetry=telemetry,
-        vcap_sample_period=int(payload["vcap_sample_period"]),
+        vcap_sample_period=_count(payload, "vcap_sample_period", where, low=1),
         checkpointer=checkpointer,
     )
-    run.time = payload["time"]
-    run.executed = int(payload["executed"])
-    run._commits_in_window = int(payload["commits_in_window"])
-    run._drawn_in_window = payload["drawn_in_window"]
-    stalled = payload["stalled_pc"]
-    run._stalled_pc = None if stalled is None else int(stalled)
-    run._resume_phase = payload["phase"]
+    run.time = _real(payload, "time", where, low=0.0)
+    run.executed = _count(payload, "executed", where, low=0)
+    run._commits_in_window = _count(payload, "commits_in_window", where, low=0)
+    run._drawn_in_window = _real(payload, "drawn_in_window", where, low=0.0)
+    run._stalled_pc = stalled
+    run._resume_phase = phase
     if checkpointer is not None:
         checkpointer._last_count = run.executed
     return run
+
+
+#: The fields of a profile image; an image written before the cadence
+#: policy and the degraded-mode tallies were stored has neither of the
+#: last two.
+_PROFILE_FIELDS = (
+    "kind", "profile", "params", "config", "dead_fraction",
+    "checkpoint_period", "time", "seg_index", "remaining", "ledger",
+)
+_PROFILE_LATER_FIELDS = ("adaptive", "degraded")
 
 
 def resume_profile(
@@ -257,30 +306,57 @@ def resume_profile(
     """Rebuild a :class:`ProfileRun` from the newest valid image.
 
     An image written before the cadence policy and the degraded-mode
-    tallies were stored resumes at the fixed cadence with zero tallies.
+    tallies were stored (it holds neither) resumes at the fixed cadence
+    with zero tallies.  An image holding anything :func:`capture_profile`
+    cannot write — a missing or extra field, a count that is not an
+    integer in range, a cursor outside the profile, a number that is
+    not finite — raises :class:`StateCaptureError` naming the field.
     """
     payload, _seq, _store = _load(store, telemetry)
-    if payload.get("kind") != "profile":
-        raise ValueError(
-            f"image holds a {payload.get('kind')!r} run, not a profile one"
+    _kind(payload, "profile")
+    where = "profile image"
+    later = any(name in payload for name in _PROFILE_LATER_FIELDS)
+    _fields(
+        payload, _PROFILE_FIELDS + (_PROFILE_LATER_FIELDS if later else ()),
+        where,
+    )
+    profile = decode_profile(payload["profile"])
+    dead_fraction = _real(payload, "dead_fraction", where, low=0.0)
+    if dead_fraction > 1.0:
+        raise StateCaptureError(f"{where} field 'dead_fraction' is above 1")
+    n_segments = len(profile.segments)
+    seg_index = _count(payload, "seg_index", where, low=0)
+    if seg_index > n_segments:
+        raise StateCaptureError(
+            f"{where} field 'seg_index' is past the profile's "
+            f"{n_segments} segments"
+        )
+    remaining = payload["remaining"]
+    if remaining is not None and not (
+        seg_index < n_segments
+        and type(remaining) is int
+        and 0 <= remaining <= profile.segments[seg_index].count
+    ):
+        raise StateCaptureError(
+            f"{where} field 'remaining' is neither null nor an integer "
+            "within its segment's count"
         )
     params = decode_params(payload["params"])
     run = ProfileRun(
-        decode_profile(payload["profile"]),
+        profile,
         InstructionCostModel(params),
         decode_config(payload["config"]),
-        dead_fraction=payload["dead_fraction"],
-        checkpoint_period=int(payload["checkpoint_period"]),
+        dead_fraction=dead_fraction,
+        checkpoint_period=_count(payload, "checkpoint_period", where, low=1),
         telemetry=telemetry,
         checkpointer=checkpointer,
         adaptive=decode_policy(payload.get("adaptive")),
     )
-    if "degraded" in payload:
+    if later:
         run.degraded = decode_degraded(payload["degraded"])
-    run.time = payload["time"]
-    run.seg_index = int(payload["seg_index"])
-    remaining = payload["remaining"]
-    run.remaining = None if remaining is None else int(remaining)
+    run.time = _real(payload, "time", where, low=0.0)
+    run.seg_index = seg_index
+    run.remaining = remaining
     run.ledger = EnergyLedger(breakdown=decode_breakdown(payload["ledger"]))
     run._resumed = True
     if checkpointer is not None:

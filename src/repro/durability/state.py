@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import json
 import math
 import weakref
 from typing import Any, get_type_hints
@@ -40,12 +41,17 @@ from repro.harvest.intermittent import (
     Segment,
 )
 from repro.harvest.source import ConstantPowerSource, SolarProfileSource
-from repro.isa.instruction import ActivateColumnsInstruction, decode_cached
+from repro.isa.instruction import (
+    ActivateColumnsInstruction,
+    decode_cached,
+    encode,
+)
 
 
-class StateCaptureError(RuntimeError):
+class StateCaptureError(RuntimeError, ValueError):
     """The object is not in a capturable state (e.g. mid-instruction),
-    or a captured payload holds something capture cannot produce."""
+    or a captured payload holds something capture cannot produce (a
+    bad value, so also a ``ValueError``)."""
 
 
 # ----------------------------------------------------------------------
@@ -192,6 +198,13 @@ def _flag(obj: dict, name: str, where: str) -> bool:
     return value
 
 
+def _string(obj: dict, name: str, where: str) -> str:
+    value = obj[name]
+    if type(value) is not str:
+        raise StateCaptureError(f"{where} field {name!r} is not a string")
+    return value
+
+
 def _count(obj: dict, name: str, where: str, low: int) -> int:
     value = obj[name]
     if type(value) is not int or value < low:
@@ -235,8 +248,32 @@ def encode_buffer(buffer: EnergyBuffer) -> dict:
     return out
 
 
+#: The fields of a captured buffer, and the non-ideality knobs it holds
+#: only when they are set.
+_BUFFER_FIELDS = ("capacitance", "v_off", "v_on", "voltage")
+_BUFFER_KNOBS = ("leakage_amps", "esr_ohms")
+
+
 def decode_buffer(obj: dict) -> EnergyBuffer:
-    return EnergyBuffer(**obj)
+    """Inverse of :func:`encode_buffer`; :class:`StateCaptureError`
+    unless ``obj`` holds the four fields, and a knob only when it is
+    positive, as finite numbers that make a valid buffer."""
+    knobs = tuple(k for k in _BUFFER_KNOBS if isinstance(obj, dict) and k in obj)
+    _fields(obj, _BUFFER_FIELDS + knobs, "buffer")
+    for name in _BUFFER_FIELDS:
+        _real(obj, name, "buffer", low=0.0)
+    for name in knobs:
+        _real(obj, name, "buffer", positive=True)
+    return _valid("buffer", EnergyBuffer, **obj)
+
+
+def _valid(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with its ``ValueError`` raised as a
+    :class:`StateCaptureError` naming ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise StateCaptureError(f"{where} is invalid: {exc}") from None
 
 
 def encode_source(source) -> dict:
@@ -260,19 +297,36 @@ def encode_source(source) -> dict:
     )
 
 
+#: The fields of each captured power source, by its ``type``.
+_SOURCE_FIELDS = {
+    "constant": ("type", "watts"),
+    "solar": ("type", "mean_watts", "depth", "period"),
+    "trace": ("type", "trace"),
+}
+
+
 def decode_source(obj: dict):
-    kind = obj.get("type")
-    if kind == "constant":
-        return ConstantPowerSource(obj["watts"])
-    if kind == "solar":
-        return SolarProfileSource(
-            obj["mean_watts"], depth=obj["depth"], period=obj["period"]
-        )
+    """Inverse of :func:`encode_source`; :class:`StateCaptureError` for
+    an unknown type, a missing or extra field, or a value that makes
+    no source."""
+    kind = obj.get("type") if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in _SOURCE_FIELDS:
+        raise StateCaptureError(f"unknown power-source type {kind!r}")
+    where = f"{kind} source"
+    _fields(obj, _SOURCE_FIELDS[kind], where)
     if kind == "trace":
         from repro.env.trace import HarvestTrace, TraceSource
 
-        return TraceSource(HarvestTrace.from_json_obj(obj["trace"]))
-    raise ValueError(f"unknown power-source type {kind!r}")
+        trace = _valid(where, HarvestTrace.from_json_obj, obj["trace"])
+        # The trace reader fills in defaults; an image holds them all.
+        if json.dumps(trace.to_json_obj(), sort_keys=True) != json.dumps(
+            obj["trace"], sort_keys=True
+        ):
+            raise StateCaptureError(f"{where} holds a trace capture cannot write")
+        return TraceSource(trace)
+    args = [_real(obj, name, where) for name in _SOURCE_FIELDS[kind][1:]]
+    make = ConstantPowerSource if kind == "constant" else SolarProfileSource
+    return _valid(where, make, *args)
 
 
 def encode_config(config: HarvestingConfig) -> dict:
@@ -283,6 +337,9 @@ def encode_config(config: HarvestingConfig) -> dict:
 
 
 def decode_config(obj: dict) -> HarvestingConfig:
+    """Inverse of :func:`encode_config` (see :func:`decode_source` and
+    :func:`decode_buffer`)."""
+    _fields(obj, ("source", "buffer"), "harvesting config")
     return HarvestingConfig(
         source=decode_source(obj["source"]),
         buffer=decode_buffer(obj["buffer"]),
@@ -296,50 +353,42 @@ def encode_policy(policy) -> dict | None:
 
 
 def decode_policy(obj):
-    """Inverse of :func:`encode_policy`; ``ValueError`` names what is
-    wrong with a malformed policy."""
+    """Inverse of :func:`encode_policy`; :class:`StateCaptureError`
+    names what is wrong with a malformed policy."""
     if obj is None:
         return None
     from repro.env.adaptive import AdaptivePolicy
 
-    hints = get_type_hints(AdaptivePolicy)
-    kinds = {f.name: hints[f.name] for f in dataclasses.fields(AdaptivePolicy)}
-    if not isinstance(obj, dict) or set(obj) != set(kinds):
-        raise ValueError(
-            f"adaptive policy must be null or an object with the fields "
-            f"{sorted(kinds)}, got {obj!r}"
-        )
-    for name, kind in kinds.items():
-        value = obj[name]
-        ok = (int, float) if kind is float else kind
-        if isinstance(value, bool) or not isinstance(value, ok):
-            raise ValueError(
-                f"adaptive policy field {name!r} must be a {kind.__name__}, "
-                f"got {value!r}"
-            )
-    return AdaptivePolicy(**obj)
+    where = "adaptive policy"
+    _typed_fields(obj, AdaptivePolicy, where)
+    return _valid(where, AdaptivePolicy, **obj)
+
+
+def _typed_fields(obj, cls, where: str) -> None:
+    """Check that ``obj`` holds exactly the fields of the dataclass
+    ``cls``, each of its declared type: an integer >= 0 for an ``int``,
+    a finite number for a ``float``, a string for a ``str``."""
+    hints = get_type_hints(cls)
+    _fields(obj, [f.name for f in dataclasses.fields(cls)], where)
+    for name in obj:
+        if hints[name] is int:
+            _count(obj, name, where, low=0)
+        elif hints[name] is float:
+            _real(obj, name, where)
+        elif hints[name] is str:
+            _string(obj, name, where)
 
 
 def decode_degraded(obj) -> dict[str, int]:
     """Degraded-mode tallies from an image (see
-    :data:`repro.harvest.intermittent.DEGRADED_MODES`); ``ValueError``
-    for anything but non-negative integer counts of known modes."""
+    :data:`repro.harvest.intermittent.DEGRADED_MODES`);
+    :class:`StateCaptureError` for anything but a non-negative integer
+    count of every mode."""
     from repro.harvest.intermittent import DEGRADED_MODES
 
-    if not isinstance(obj, dict) or not set(obj) <= set(DEGRADED_MODES):
-        raise ValueError(
-            f"degraded tallies must be an object over {DEGRADED_MODES}, "
-            f"got {obj!r}"
-        )
-    tallies = {mode: 0 for mode in DEGRADED_MODES}
-    for mode, count in obj.items():
-        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-            raise ValueError(
-                f"degraded tally {mode!r} must be a non-negative integer, "
-                f"got {count!r}"
-            )
-        tallies[mode] = count
-    return tallies
+    where = "degraded tallies"
+    _fields(obj, DEGRADED_MODES, where)
+    return {mode: _count(obj, mode, where, low=0) for mode in DEGRADED_MODES}
 
 
 def encode_profile(profile: InstructionProfile) -> dict:
@@ -351,8 +400,23 @@ def encode_profile(profile: InstructionProfile) -> dict:
 
 
 def decode_profile(obj: dict) -> InstructionProfile:
+    """Inverse of :func:`encode_profile`; :class:`StateCaptureError`
+    unless ``obj`` holds a name, ``active_columns`` as an integer >= 1
+    (as the mappings write it) and a list of segments, each with every
+    :class:`~repro.harvest.intermittent.Segment` field and of its
+    type."""
+    _fields(obj, ("name", "active_columns", "segments"), "profile")
+    _string(obj, "name", "profile")
+    _count(obj, "active_columns", "profile", low=1)
+    if not isinstance(obj["segments"], list):
+        raise StateCaptureError("profile field 'segments' is not a list")
+    segments = []
+    for index, saved in enumerate(obj["segments"]):
+        where = f"profile segment {index}"
+        _typed_fields(saved, Segment, where)
+        segments.append(_valid(where, Segment, **saved))
     return InstructionProfile(
-        segments=[Segment(**s) for s in obj["segments"]],
+        segments=segments,
         name=obj["name"],
         active_columns=obj["active_columns"],
     )
@@ -447,27 +511,28 @@ def restore_machine(payload: dict[str, Any]) -> Mouse:
     geometry = _fields(payload["geometry"], _GEOMETRY_FIELDS, "geometry")
     sizes = {name: _count(geometry, name, "geometry", low=1) for name in geometry}
     params = decode_params(payload["params"])
+    # The tiles decode before the bank is built: their bits, which the
+    # payload holds, bound the rows and columns the geometry asks for.
+    saved_tiles = payload["data_tiles"]
+    n_tiles, cols = sizes["n_data_tiles"], sizes["cols"]
+    if not isinstance(saved_tiles, list) or len(saved_tiles) != n_tiles:
+        raise StateCaptureError(f"captured machine must hold {n_tiles} data tiles")
+    tiles = []
+    for index, saved in enumerate(saved_tiles):
+        where = f"data tile {index}"
+        _fields(saved, ("state", "active_columns"), where)
+        tiles.append((
+            decode_bool_array(saved["state"], (sizes["rows"], cols), f"{where} state"),
+            decode_bool_array(saved["active_columns"], (cols,), f"{where} latches"),
+        ))
     try:
         mouse = Mouse(params, **sizes)
     except ValueError as exc:
         raise StateCaptureError(f"captured geometry is invalid: {exc}") from exc
     _restore_program(mouse, payload["program"])
-
-    tiles = mouse.bank.data_tiles
-    saved_tiles = payload["data_tiles"]
-    if not isinstance(saved_tiles, list) or len(saved_tiles) != len(tiles):
-        raise StateCaptureError(
-            f"captured machine must hold {len(tiles)} data tiles"
-        )
-    for index, (tile, saved) in enumerate(zip(tiles, saved_tiles)):
-        where = f"data tile {index}"
-        _fields(saved, ("state", "active_columns"), where)
-        tile.state[...] = decode_bool_array(
-            saved["state"], tile.state.shape, f"{where} state"
-        )
-        tile.active_columns[...] = decode_bool_array(
-            saved["active_columns"], tile.active_columns.shape, f"{where} latches"
-        )
+    for tile, (state, latches) in zip(mouse.bank.data_tiles, tiles):
+        tile.state[...] = state
+        tile.active_columns[...] = latches
         tile._refresh_active_index()
     sensor = _fields(payload["sensor"], ("valid", "data"), "sensor")
     data = mouse.bank.sensor.data
@@ -546,7 +611,8 @@ def _restore_program(mouse: Mouse, words: Any) -> None:
     """Load a captured program back into a freshly built machine.
 
     Rejects what capture never writes: words that are not JSON integers
-    (floats, strings, booleans), words that do not decode, and programs
+    (floats, strings, booleans), words that do not decode or set bits
+    their instruction does not use, and programs
     that fail :meth:`Program.validate` against the machine's geometry
     (a missing HALT included) or overflow its instruction tiles.  Equal
     words restore to one shared :class:`Program` while any machine
@@ -561,11 +627,16 @@ def _restore_program(mouse: Mouse, words: Any) -> None:
                 f"program word {index} is a {type(word).__name__}, not an int"
             )
         try:
-            instructions.append(decode_cached(word))
+            instr = decode_cached(word)
         except ValueError as exc:
             raise StateCaptureError(
                 f"program word {index} does not decode: {exc}"
             ) from exc
+        if encode(instr) != word:
+            raise StateCaptureError(
+                f"program word {index} sets bits its instruction does not use"
+            )
+        instructions.append(instr)
     key = tuple(words)
     program = _RESTORED.get(key)
     if program is None:

@@ -438,6 +438,8 @@ class Segment:
     def __post_init__(self) -> None:
         if self.count < 0:
             raise ValueError("segment count cannot be negative")
+        if not (math.isfinite(self.energy) and math.isfinite(self.backup)):
+            raise ValueError("segment energies must be finite")
         if self.energy < 0 or self.backup < 0:
             raise ValueError("segment energies cannot be negative")
         if not 0 <= self.addresses <= 5:

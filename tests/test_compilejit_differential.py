@@ -68,6 +68,7 @@ from repro.durability import Checkpointer, CheckpointPolicy, NVImageStore
 from repro.durability.checkpoint import capture_intermittent, resume_intermittent
 from repro.durability.image import decode_image, encode_image
 from repro.durability.state import capture_machine, restore_machine
+from repro.energy.metrics import Category
 from repro.energy.model import InstructionCostModel
 from repro.env import AdaptiveCheckpointer, AdaptivePolicy
 from repro.env.trace import TraceSource, rf_burst
@@ -941,10 +942,29 @@ def _serial(start: float, values) -> float:
     return total
 
 
+def _ledger_charges(mouse: Mouse) -> dict:
+    """Run ``mouse`` on the interpreter and return its ledger's
+    ``charge`` calls, ``{category: ([energy, ...], [latency, ...])}``,
+    in the order it made them."""
+    charges: dict = {}
+    real = mouse.ledger.charge
+
+    def charge(category, energy, latency=0.0):
+        energies, latencies = charges.setdefault(category, ([], []))
+        energies.append(energy)
+        latencies.append(latency)
+        real(category, energy, latency)
+
+    mouse.ledger.charge = charge
+    mouse.run(compiled=False)
+    return charges
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_backup_and_latency_totals_add_one_charge_at_a_time(seed):
-    """A run's backup energy and latency are the serial ledger's ``+=``
-    chains over the plan's charges: from 0.0, where they are the plan's
+    """A run's compute and backup energy and its latency are the serial
+    ledger's ``+=`` chains over the charges a plans-off run makes: from
+    0.0, where the backup and latency chains are the plan's
     ``backup_total`` and ``latency_total``, and from a non-zero start,
     continuous and per sample of a batch of 4, bit for bit with the
     interpreter.  Adding the start to the total from 0.0 would round
@@ -953,23 +973,28 @@ def test_backup_and_latency_totals_add_one_charge_at_a_time(seed):
     rng = np.random.default_rng(seed)
     shortcut = 0
     for program, _, states in _programs(seed):
+        charges = _ledger_charges(_mouse(tech, program, states[0]))
+        assert set(charges) == {Category.COMPUTE, Category.BACKUP}
+        compute, cycles = charges[Category.COMPUTE]
+        backup = charges[Category.BACKUP][0]
+        assert not any(charges[Category.BACKUP][1])
         fresh = _mouse(tech, program, states[0])
         plan = exec_module.mouse_plan(fresh)
-        backup = plan.chg_vals[plan.be_idx].tolist()
-        cycles = [plan.cycle] * plan.n_instructions
         assert plan.backup_total == _serial(0.0, backup)
         assert plan.latency_total == _serial(0.0, cycles)
-        nonzero = rng.random(2) * 10.0 ** rng.integers(-14, -8, 2)
-        for b0, l0 in ((0.0, 0.0), tuple(nonzero.tolist())):
+        nonzero = rng.random(3) * 10.0 ** rng.integers(-14, -8, 3)
+        for c0, b0, l0 in ((0.0, 0.0, 0.0), tuple(nonzero.tolist())):
             fast = fresh if b0 == 0.0 else _mouse(tech, program, states[0])
             ref = _mouse(tech, program, states[0])
             for mouse in (fast, ref):
+                mouse.ledger.breakdown.compute_energy = c0
                 mouse.ledger.breakdown.backup_energy = b0
                 mouse.ledger.breakdown.compute_latency = l0
             fast.run()
             ref.run(compiled=False)
             b = fast.ledger.breakdown
             assert b == ref.ledger.breakdown
+            assert b.compute_energy == _serial(c0, compute)
             assert b.backup_energy == _serial(b0, backup)
             assert b.compute_latency == _serial(l0, cycles)
             shortcut += b0 + plan.backup_total != b.backup_energy
@@ -1023,11 +1048,11 @@ def _arrays(value, path: str = "plan"):
 
 def test_plans_are_read_only():
     """One plan serves every machine of its technology and shape, so no
-    run writes it.  Continuous runs with and without a profiler,
-    batches of 1 and 4, a fused run fresh and resumed from one of its
-    images, and a campaign batch that re-issues verified gates all run
-    one plan; afterwards every array it holds has its bytes from before
-    and cannot be written."""
+    run writes it.  A continuous run, batches of 1 and 4, a fused run
+    fresh and resumed from one of its images, and a campaign batch that
+    re-issues verified gates all run one plan (a profiled run falls
+    back to the interpreter); afterwards every array it holds has its
+    bytes from before and cannot be written."""
     tech = ALL_TECHNOLOGIES[0]
     workload = WORKLOADS["adder"](tech)
 
@@ -1040,13 +1065,14 @@ def test_plans_are_read_only():
     program = first.program
     plan = exec_module.mouse_plan(first)
     before = {path: (arr.dtype, arr.shape, arr.tobytes()) for path, arr in _arrays(plan)}
-    assert {"plan.chg_vals", "plan.execute", "plan.log_at", "plan.aterms"} <= set(before)
+    assert {"plan.execute", "plan.log_at", "plan.aterms"} <= set(before)
     stats = compilejit.stats_snapshot()
 
     build().run()
     profiled = build()
     profiled.attach_profiler(EnergyProfiler())
     profiled.run()
+    assert compilejit.stats_snapshot()["fallback_runs"] == stats["fallback_runs"] + 1
     bank = first.bank
     for batch in (1, BATCH):
         machine = BatchedMouse(tech, batch=batch, rows=bank.rows, cols=bank.cols)
@@ -1076,7 +1102,7 @@ def test_plans_are_read_only():
     ).run(jobs=1)
     assert report.totals["retries"] > 0
     after = compilejit.stats_snapshot()
-    assert after["fallback_runs"] == stats["fallback_runs"]
+    assert after["fallback_runs"] == stats["fallback_runs"] + 1
     assert after["plans_compiled"] == stats["plans_compiled"]
 
     arrays = dict(_arrays(plan))

@@ -22,6 +22,8 @@ from repro.devices import ALL_TECHNOLOGIES
 from repro.devices.parameters import MODERN_STT
 from repro.energy.model import InstructionCostModel
 from repro.faults.campaign import WORKLOADS
+from repro.faults.injectors import ControllerFaultHook
+from repro.faults.plan import FaultPlan
 from repro.harvest.capacitor import EnergyBuffer, buffer_for
 from repro.harvest.intermittent import (
     HarvestingConfig,
@@ -32,6 +34,8 @@ from repro.harvest.intermittent import (
 from repro.harvest.source import ConstantPowerSource
 from repro.ml.benchmarks import ALL_WORKLOADS
 from repro.obs.prof import EnergyProfiler
+from repro.obs.sinks import InMemorySink
+from repro.obs.telemetry import Telemetry
 from repro.verify.targets import VERIFY_TARGETS
 
 BREAKDOWN_FIELDS = (
@@ -75,19 +79,14 @@ def profiler_state(prof):
     )
 
 
-def _run_pair(workload, profiler=False):
+def _run_pair(workload):
     """One compiled and one interpreted continuous run of a workload."""
-    profs = []
     mice = []
     for compiled in (None, False):
         mouse = workload.build()
-        if profiler:
-            prof = EnergyProfiler()
-            mouse.attach_profiler(prof)
-            profs.append(prof)
         mouse.run(compiled=compiled)
         mice.append(mouse)
-    return mice, profs
+    return mice
 
 
 @pytest.mark.parametrize("tech", ALL_TECHNOLOGIES, ids=lambda t: t.name)
@@ -96,7 +95,7 @@ def test_continuous_byte_identity(wname, tech):
     compilejit.set_enabled(True)
     workload = WORKLOADS[wname](tech)
     before = compilejit.stats_snapshot()["compiled_runs"]
-    (fast, ref), _ = _run_pair(workload)
+    fast, ref = _run_pair(workload)
     # The fast run took the plan executor, not a silent fallback.
     assert compilejit.stats_snapshot()["compiled_runs"] == before + 1
     assert_breakdowns_equal(fast.ledger.breakdown, ref.ledger.breakdown)
@@ -110,15 +109,6 @@ def test_continuous_byte_identity(wname, tech):
     assert c1.halted == c2.halted and c1.phase == c2.phase
     assert workload.readout(fast) == workload.readout(ref)
     assert workload.readout(fast) == workload.reference
-
-
-@pytest.mark.parametrize("wname", sorted(WORKLOADS))
-def test_continuous_profiler_attribution_identical(wname):
-    """The per-scope energy/latency tree is bit-equal under the plan."""
-    compilejit.set_enabled(True)
-    workload = WORKLOADS[wname](MODERN_STT)
-    _, (fast_prof, ref_prof) = _run_pair(workload, profiler=True)
-    assert profiler_state(fast_prof) == profiler_state(ref_prof)
 
 
 def _intermittent_pair(wname, tech, cap_scale, watts):
@@ -432,6 +422,58 @@ def test_compiled_paths_actually_ran():
     WORKLOADS["adder"](MODERN_STT).build().run()
     after = compilejit.stats_snapshot()["compiled_runs"]
     assert after - before == 1
+
+
+def _observed_run(wname, engine, observer, compiled):
+    """One run of a workload with one per-microstep ``observer``
+    attached: ``(breakdown, profiler or None)``.  The fault hook
+    injects nothing; the intermittent run's buffer cuts power.  (Its
+    traced runs decode the campaign words, so the tests using it come
+    after :func:`test_disasm_cache_is_exercised`, which needs them new
+    to the cache.)"""
+    compilejit.set_enabled(compiled)
+    mouse = WORKLOADS[wname](MODERN_STT).build()
+    prof = hub = None
+    if observer == "profiler":
+        prof = EnergyProfiler()
+        mouse.attach_profiler(prof)
+    elif observer == "telemetry":
+        hub = Telemetry(InMemorySink())
+        mouse.attach_telemetry(hub)
+    else:
+        mouse.controller.attach_faults(
+            ControllerFaultHook(FaultPlan(), np.random.default_rng(0))
+        )
+    if engine == "continuous":
+        return mouse.run().breakdown, prof
+    buffer = EnergyBuffer(capacitance=1e-9, v_off=0.30, v_on=0.34)
+    run = IntermittentRun(
+        mouse, HarvestingConfig(ConstantPowerSource(5e-6), buffer),
+        telemetry=hub,
+    )
+    return run.run(), prof
+
+
+@pytest.mark.parametrize("observer", ("profiler", "telemetry", "fault_hook"))
+@pytest.mark.parametrize("engine", ("continuous", "intermittent"))
+@pytest.mark.parametrize("wname", sorted(WORKLOADS))
+def test_observed_runs_take_the_interpreter(wname, engine, observer):
+    """A run that a profiler, a telemetry hub or a fault hook observes
+    takes no plan executor: it counts one fallback run and no compiled
+    run, and its breakdown (and profiler tree) is the plans-off run's.
+    A profiler's root is the run's breakdown."""
+    before = compilejit.stats_snapshot()
+    fast, fast_prof = _observed_run(wname, engine, observer, compiled=True)
+    after = compilejit.stats_snapshot()
+    assert after["fallback_runs"] == before["fallback_runs"] + 1
+    assert after["compiled_runs"] == before["compiled_runs"]
+    ref, ref_prof = _observed_run(wname, engine, observer, compiled=False)
+    assert_breakdowns_equal(fast, ref, (wname, engine, observer))
+    if engine == "intermittent":
+        assert fast.restarts > 0
+    if observer == "profiler":
+        assert profiler_state(fast_prof) == profiler_state(ref_prof)
+        assert fast_prof.root == fast
 
 
 @pytest.mark.parametrize("name", sorted(VERIFY_TARGETS))

@@ -352,9 +352,9 @@ def test_hooks_work_on_packed_rows(monkeypatch):
         runs.append([0, 0, len(machine.tiles), len(hooks or ())])
         return real_run(machine, plan, hooks)
 
-    def golden(mouse, plan, prof):
+    def golden(mouse, plan):
         runs.append([0, 0, len(mouse.bank.data_tiles) + 1, None])
-        return real_golden(mouse, plan, prof)
+        return real_golden(mouse, plan)
 
     def counting(real, slot):
         def spy(*args):
