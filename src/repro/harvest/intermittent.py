@@ -30,6 +30,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from repro.core.accelerator import Mouse
 from repro.core.controller import InstructionBudgetExceeded
 from repro.devices.parameters import DeviceParameters
@@ -496,7 +498,9 @@ class ProfileRun:
     paper's worst case is the full instruction, the best case nothing;
     ``dead_fraction`` sets the expectation, default 1.0 = conservative
     worst case, matching "the maximum penalty is repeating the last
-    instruction").
+    instruction").  Under a constant source the bursts of a long
+    segment soon repeat a cycle bit for bit, and the engine adds the
+    cycle's whole repeats in one step.
     """
 
     def __init__(
@@ -585,11 +589,17 @@ class ProfileRun:
         transfers), and the source's and the ledger's expressions are
         evaluated as their own methods evaluate them — the method-call
         loop, kept as :func:`repro.perf.baseline.profile_run_reference`,
-        is its referee.  The harvest over ``[t, t + d]`` is
-        ``watts * d`` for a constant source (:class:`ConstantPowerSource`
-        or a constant trace); a fluctuating :class:`repro.env.TraceSource`
-        is walked with its :meth:`~repro.env.TraceSource.stepper`; any
-        other source is called through its own methods.  Telemetry, the
+        is its referee.  The closed-form loop (a constant source into
+        an ideal buffer at a fixed cadence, with no hook) folds a
+        segment's repeating restart cycles: counts advance by
+        multiplication and every float total takes the cycle's
+        increments in the loop's order (:func:`_fold_cycles`), so the
+        results are the unfolded loop's bits.  The harvest over
+        ``[t, t + d]`` is ``watts * d`` for a constant source
+        (:class:`ConstantPowerSource` or a constant trace); a
+        fluctuating :class:`repro.env.TraceSource` is walked with its
+        :meth:`~repro.env.TraceSource.stepper`; any other source is
+        called through its own methods.  Telemetry, the
         profiler and a host checkpointer get the referee's hook calls in
         the referee's order; the locals are flushed onto the run, ledger
         and buffer before a checkpointer hook and before any exception.
@@ -707,6 +717,11 @@ class ProfileRun:
             if hooked:
                 note(Category.CHARGING, 0.0, wait)
 
+        # The closed-form loop watches at most once per segment
+        # (``armed_at``) for repeating cycles to fold, and never for a
+        # host checkpointer, whose hook sees every burst boundary.
+        fold_drain = _FOLD_WINDOWS * window if checkpointer is None else inf
+        armed_at = -1
         seg_index = self.seg_index
         remaining = self.remaining
         segments = profile.segments
@@ -751,7 +766,55 @@ class ProfileRun:
                         # slower (median of per-process minimum times
                         # 0.433 -> 0.550 s, 12 alternating processes,
                         # seed 11, shared 2-core VM).
+                        #
+                        # A burst's length, outage and wait depend only
+                        # on its loop-top voltage while the segment has
+                        # work past it, and every outage's wait lands
+                        # the buffer near v_on, so loop-top voltages
+                        # soon repeat bit for bit.  From the first
+                        # outage of a segment whose drain left covers
+                        # many windows, ``tops`` maps each loop-top
+                        # voltage to its burst's index in ``seen``
+                        # (length, and wait or None); the first repeat
+                        # folds the cycle's whole repeats at once.
+                        tops = None
                         while remaining > 0:
+                            if tops is not None:
+                                if tops:
+                                    seen.append(
+                                        (burst, wait if nrestart != mark else None)
+                                    )
+                                mark = nrestart
+                                j = tops.get(v)
+                                if j is not None:
+                                    # Only repeats that leave work behind,
+                                    # as every burst of the cycle did when
+                                    # it was seen.
+                                    loop = seen[j:]
+                                    size = sum(n for n, _ in loop)
+                                    k = (remaining - 1) // size
+                                    if k * len(loop) >= _FOLD_BURSTS:
+                                        rows = _cycle_rows(
+                                            loop, cycle, seg_e, backup_per,
+                                            restore_e, restore_l,
+                                            dead_e, dead_l, dead_be,
+                                        )
+                                        ce, cl, be, de, dl, re_, rl, chl, t = (
+                                            _fold_cycles(
+                                                (ce, cl, be, de, dl, re_, rl, chl, t),
+                                                rows, k,
+                                            )
+                                        )
+                                        ninstr += k * size
+                                        remaining -= k * size
+                                        nrestart += k * sum(
+                                            w is not None for _, w in loop
+                                        )
+                                    tops = None
+                                elif len(seen) >= _FOLD_WATCH:
+                                    tops = None
+                                else:
+                                    tops[v] = len(seen)
                             if net <= 0.0:
                                 # Source outruns consumption: the rest
                                 # of the segment is one burst.
@@ -805,6 +868,10 @@ class ProfileRun:
                                 de += dead_e
                                 dl += dead_l
                                 be += dead_be
+                                if armed_at != seg_index:
+                                    armed_at = seg_index
+                                    if remaining * net >= fold_drain:
+                                        tops, seen = {}, []
                             if checkpointer is not None:
                                 flush(seg_index, remaining)
                                 checkpointer.on_profile_point(self)
@@ -987,6 +1054,65 @@ class ProfileRun:
         return b
 
 
+#: A segment watches for repeating loop-top voltages only when its drain
+#: covers this many buffer windows, gives up after this many bursts
+#: without a repeat, and folds only when the whole cycles left hold at
+#: least this many bursts (fewer do not pay for the NumPy work).
+_FOLD_WINDOWS = 64
+_FOLD_WATCH = 32
+_FOLD_BURSTS = 48
+#: Rows per block of :func:`_fold_cycles`.
+_FOLD_ROWS = 2048
+
+
+def _cycle_rows(
+    loop, cycle, seg_e, backup_per, restore_e, restore_l, dead_e, dead_l, dead_be
+) -> list:
+    """What one pass of ``loop`` (``(burst, wait or None)`` per burst)
+    adds to the closed-form burst loop's totals ``(ce, cl, be, de, dl,
+    re_, rl, chl, t)``, one row per addition to ``t``: the burst's
+    latency, then for an outage the wait, Restore and the dead replay,
+    with the replay's Backup the second addition to ``be``.  Every
+    value is the product the loop forms."""
+    rows = []
+    for n, wait in loop:
+        bc = n * cycle
+        if wait is None:
+            rows.append((n * seg_e, bc, n * backup_per, 0.0, 0.0, 0.0, 0.0, 0.0, bc))
+        else:
+            rows += (
+                (n * seg_e, bc, n * backup_per, dead_e, dead_l,
+                 restore_e, restore_l, wait, bc),
+                (0.0, 0.0, dead_be, 0.0, 0.0, 0.0, 0.0, 0.0, wait),
+                (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, restore_l),
+                (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, dead_l),
+            )
+    return rows
+
+
+def _fold_cycles(totals, rows, k: int) -> list:
+    """``totals`` after ``k`` repeats of ``rows`` are added to them one
+    row at a time, each column its own ``+=`` chain in row order.
+
+    The repeats are stacked as ``(rows, len(totals))`` blocks of about
+    ``_FOLD_ROWS`` rows at most, each block's first row carrying the
+    totals so far.  ``np.add.reduce`` over the first axis of a block of
+    2 or more columns adds it row by row, the order
+    :func:`repro.compilejit.exec._fold_compute` relies on too; a zero
+    pads what a row does not add to, and ``x + 0.0 == x``."""
+    cycle = np.array(rows, dtype=np.float64)
+    per_block = min(k, max(1, _FOLD_ROWS // len(rows)))
+    block = np.empty((1 + per_block * len(rows), len(totals)))
+    block[1:] = np.tile(cycle, (per_block, 1))
+    carry = np.array(totals, dtype=np.float64)
+    while k > 0:
+        n = min(k, per_block)
+        block[0] = carry
+        carry = np.add.reduce(block[: 1 + n * len(rows)], axis=0)
+        k -= n
+    return carry.tolist()
+
+
 def _segment_table(
     profile: InstructionProfile, period: int, dead_fraction: float
 ) -> list:
@@ -997,8 +1123,11 @@ def _segment_table(
 
     Each entry holds the exact values the loop would otherwise derive
     per visit, so caching changes no float.  The cache is keyed by the
-    period, the dead fraction and the segment count, so appending to a
-    profile after a run builds a fresh table.
+    period and the dead fraction, and each table is kept beside the
+    segments it was built from: a profile whose segments were appended
+    to or replaced since gets a fresh table.  (:class:`Segment` is
+    frozen, so comparing the unchanged segments is one identity test
+    each.)
     """
     tables = getattr(profile, "_segment_tables", None)
     if tables is None:
@@ -1007,12 +1136,13 @@ def _segment_table(
             profile._segment_tables = tables
         except AttributeError:
             pass
-    key = (period, dead_fraction, len(profile.segments))
-    table = tables.get(key)
-    if table is None:
+    segments = profile.segments
+    key = (period, dead_fraction)
+    built = tables.get(key)
+    if built is None or built[0] != segments:
         replayed = dead_fraction * ((period - 1) / 2.0 + 1.0)
         table = []
-        for segment in profile.segments:
+        for segment in segments:
             backup_per = segment.backup / period
             per_instr = segment.energy + backup_per
             table.append(
@@ -1027,5 +1157,5 @@ def _segment_table(
                     backup_per * replayed,
                 )
             )
-        tables[key] = table
-    return table
+        built = tables[key] = (list(segments), table)
+    return built[1]

@@ -16,9 +16,11 @@ scraped (or just curl'd) while it runs:
   speedscope.
 * ``GET /healthz``  — liveness.
 
-Everything here is stdlib-only and opt-in: nothing imports this module
-on the hot path, and no server exists unless the CLI was passed
-``--serve-metrics``.
+Everything here is stdlib-only and opt-in: no server exists unless the
+CLI was passed ``--serve-metrics``.  ``repro.obs`` imports this module,
+so the server's own stdlib modules (``http.server``, which loads
+``ssl`` and ``email``, and ``urllib.parse``) are imported only when a
+:class:`MetricsServer` is built.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ import dataclasses
 import json
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
-from urllib.parse import parse_qs, urlparse
 
 _NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _NAME_BAD_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
@@ -182,6 +182,9 @@ class MetricsServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+        from urllib.parse import parse_qs, urlparse
+
         self.telemetry = telemetry
         self.aggregator = aggregator
         self.profiler = profiler

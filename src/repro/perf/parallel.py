@@ -30,7 +30,6 @@ one.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from typing import Callable, Optional, Sequence, TypeVar
 
@@ -133,6 +132,8 @@ def parallel_tasks(
         # Nested fan-out (a parallel task spawning parallel tasks):
         # run the inner level serially rather than oversubscribing.
         return [t() for t in thunks]
+
+    import multiprocessing
 
     try:
         context = multiprocessing.get_context("fork")

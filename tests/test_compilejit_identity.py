@@ -404,6 +404,8 @@ def test_disasm_cache_is_exercised():
     from repro.obs.sinks import InMemorySink
     from repro.obs.telemetry import Telemetry
 
+    # An earlier traced run in this process may have decoded these words.
+    disassemble_word.cache_clear()
     before = disassemble_word.cache_info()
     workload = WORKLOADS["adder"](MODERN_STT)
     mouse = workload.build()
@@ -427,10 +429,7 @@ def test_compiled_paths_actually_ran():
 def _observed_run(wname, engine, observer, compiled):
     """One run of a workload with one per-microstep ``observer``
     attached: ``(breakdown, profiler or None)``.  The fault hook
-    injects nothing; the intermittent run's buffer cuts power.  (Its
-    traced runs decode the campaign words, so the tests using it come
-    after :func:`test_disasm_cache_is_exercised`, which needs them new
-    to the cache.)"""
+    injects nothing; the intermittent run's buffer cuts power."""
     compilejit.set_enabled(compiled)
     mouse = WORKLOADS[wname](MODERN_STT).build()
     prof = hub = None

@@ -251,6 +251,22 @@ class TestProfileRun:
         stored = config.buffer.energy
         assert harvested == pytest.approx(b.total_energy + stored, rel=1e-6)
 
+    def test_replaced_segment_is_priced_anew(self):
+        """A segment replaced in place after a run (same segment count)
+        prices the new segment, as a fresh profile does: the per-profile
+        segment table is kept beside the segments it was built from."""
+
+        def run(profile):
+            config = HarvestingConfig.paper(MODERN_STT, 100e-6)
+            return ProfileRun(profile, self.cost(), config).run()
+
+        profile = InstructionProfile([Segment(1000, 1e-12, 1e-13)])
+        assert run(profile).compute_energy == 1000 * 1e-12
+        profile.segments[0] = Segment(1000, 5e-12, 1e-13)
+        fresh = run(InstructionProfile([Segment(1000, 5e-12, 1e-13)]))
+        assert run(profile) == fresh
+        assert fresh.compute_energy == 1000 * 5e-12
+
 
 class TestInstructionProfile:
     def test_add_skips_empty_segments(self):

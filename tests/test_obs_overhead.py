@@ -98,3 +98,26 @@ class TestDisabledHotPath:
         finally:
             tracemalloc.stop()
         assert obs_allocations(snapshot), "filter failed to see obs allocations"
+
+
+class TestImportFootprint:
+    def test_importing_repro_loads_no_server_or_pool(self):
+        """The HTTP exporter and the process pool load their stdlib
+        modules only when a server or a pool is built, so importing the
+        package costs neither (about 3 MB of RSS)."""
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys, repro, repro.obs, repro.perf.parallel\n"
+            "print(sorted(m for m in ('ssl', 'http.server', 'multiprocessing')"
+            " if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.stdout.strip() == "[]"
