@@ -39,7 +39,9 @@ Execution tiers (see docs/PERFORMANCE.md):
    (:func:`repro.compilejit.exec.run_intermittent_fused`).
 
 Harvest profiles (:class:`~repro.harvest.intermittent.ProfileRun`) are
-not CRAM programs and have one engine of their own: the switch and the
+not CRAM programs: an unobserved run takes their hoisted burst loop and
+an observed one its frozen method-call referee,
+:func:`repro.perf.baseline.profile_run_reference`.  The switch and the
 :data:`STATS` counters cover plan runs only.
 """
 

@@ -4,9 +4,9 @@ Two engines share a common configuration and metric ledger:
 
 * :class:`IntermittentRun` wraps a functional :class:`repro.core.Mouse`
   and executes it instruction by instruction against the capacitor.
-  Outages arise naturally from energy depletion (and, optionally, from
-  an injected outage schedule so property tests can cut power at
-  arbitrary microsteps).  Used for correctness work and small programs.
+  Outages arise from energy depletion (adversarial power cuts at
+  chosen microsteps are :func:`repro.faults.outages.run_with_outages`).
+  Used for correctness work and small programs.
 
 * :class:`ProfileRun` executes an :class:`InstructionProfile` — run-
   length-encoded (count, energy/instruction) segments produced by the
@@ -106,19 +106,6 @@ class NonTerminationError(RuntimeError):
         self.trace_position = trace_position
 
 
-def _fail_stop(degraded: dict, obs, time: float, voltage: float) -> None:
-    # A ChargeWindowFailure is the degraded taxonomy's fail-stop.
-    degraded["fail_stop"] += 1
-    if obs is not None:
-        obs.counter("env.degraded.fail_stop").inc()
-        obs.emit("env.degraded", time, mode="fail_stop", voltage=voltage)
-
-
-def _emit_charge(obs, start: float, waited: float, initial: bool) -> None:
-    obs.histogram("harvest.off_time").observe(waited)
-    obs.emit("harvest.charge", start, dur=waited, initial=initial)
-
-
 def charge_until_ready(run, ledger: EnergyLedger, obs, initial: bool = False) -> None:
     """Charge ``run``'s buffer to the restart threshold.
 
@@ -126,7 +113,8 @@ def charge_until_ready(run, ledger: EnergyLedger, obs, initial: bool = False) ->
     buffer's :meth:`~repro.harvest.capacitor.EnergyBuffer.charge`
     advances its ``time``, and each attempt's wait lands on ``ledger``
     as CHARGING latency.  A :class:`ChargeWindowFailure` — the
-    threshold is unreachable — is tallied in ``run.degraded``.
+    threshold is unreachable — is tallied in ``run.degraded`` as the
+    degraded taxonomy's fail-stop.
     """
     start = run.time
     try:
@@ -138,10 +126,17 @@ def charge_until_ready(run, ledger: EnergyLedger, obs, initial: bool = False) ->
             run.charge_backoff,
         )
     except ChargeWindowFailure as failure:
-        _fail_stop(run.degraded, obs, run.time, failure.voltage)
+        run.degraded["fail_stop"] += 1
+        if obs is not None:
+            obs.counter("env.degraded.fail_stop").inc()
+            obs.emit(
+                "env.degraded", run.time, mode="fail_stop",
+                voltage=failure.voltage,
+            )
         raise
     if obs is not None:
-        _emit_charge(obs, start, waited, initial)
+        obs.histogram("harvest.off_time").observe(waited)
+        obs.emit("harvest.charge", start, dur=waited, initial=initial)
 
 
 @dataclass
@@ -581,44 +576,41 @@ class ProfileRun:
         :func:`repro.durability.resume_profile`, the rest of it) and
         return the run's :class:`Breakdown`.
 
-        One loop serves every source, buffer, cadence and hook.  The
-        cursor, the buffer voltage and the breakdown live in locals.
-        Every voltage update and charge window goes through the
+        An observed run — one with a telemetry hub (its own or the
+        ambient one), a profiler or a host checkpointer — is the
+        method-call loop itself,
+        :func:`repro.perf.baseline.profile_run_reference`, which makes
+        every hook call.  Every other run takes one hoisted loop for
+        every source, buffer and cadence, with the referee's results:
+        the cursor, the buffer voltage and the breakdown live in
+        locals, every voltage update and charge window goes through the
         buffer's :meth:`~repro.harvest.capacitor.EnergyBuffer.stepper`
         closures (the closed-form burst loop alone inlines its ideal
         transfers), and the source's and the ledger's expressions are
-        evaluated as their own methods evaluate them — the method-call
-        loop, kept as :func:`repro.perf.baseline.profile_run_reference`,
-        is its referee.  The closed-form loop (a constant source into
-        an ideal buffer at a fixed cadence, with no hook) folds a
-        segment's repeating restart cycles: counts advance by
-        multiplication and every float total takes the cycle's
-        increments in the loop's order (:func:`_fold_cycles`), so the
-        results are the unfolded loop's bits.  The harvest over
+        evaluated as their own methods evaluate them.  The closed-form
+        loop (a constant source into an ideal buffer at a fixed
+        cadence) folds a segment's repeating restart cycles: counts
+        advance by multiplication and every float total takes the
+        cycle's increments in the loop's order (:func:`_fold_cycles`),
+        so the results are the unfolded loop's bits.  The harvest over
         ``[t, t + d]`` is ``watts * d`` for a constant source
         (:class:`ConstantPowerSource` or a constant trace); a
         fluctuating :class:`repro.env.TraceSource` is walked with its
         :meth:`~repro.env.TraceSource.stepper`; any other source is
-        called through its own methods.  Telemetry, the
-        profiler and a host checkpointer get the referee's hook calls in
-        the referee's order; the locals are flushed onto the run, ledger
-        and buffer before a checkpointer hook and before any exception.
+        called through its own methods.  The locals are flushed onto
+        the run, ledger and buffer at the end and before any exception.
         """
-        obs = _obs_active(self.telemetry)
+        if (
+            _obs_active(self.telemetry) is not None
+            or self.profiler is not None
+            or self.checkpointer is not None
+        ):
+            from repro.perf.baseline import profile_run_reference
+
+            return profile_run_reference(self)
         if self.ledger is None:
             self.ledger = EnergyLedger()
-        ledger = self.ledger
-        ledger.obs = obs
         profile = self.profile
-        prof = self.profiler
-        if prof is not None:
-            ledger.prof = prof
-            # Charging/restore before the first segment lands on the
-            # profile's own frame.
-            prof.set_scope(prof.scope_id((profile.name,)))
-        hooked = obs is not None or prof is not None
-        vcap = obs.gauge("harvest.vcap") if obs is not None else None
-        checkpointer = self.checkpointer
         degraded = self.degraded
         adaptive = self.adaptive
         base_period = period = self.checkpoint_period
@@ -645,7 +637,7 @@ class ProfileRun:
 
         t = self.time
         v = buffer.voltage
-        b = ledger.breakdown
+        b = self.ledger.breakdown
         ce, cl, be = b.compute_energy, b.compute_latency, b.backup_energy
         de, dl = b.dead_energy, b.dead_latency
         re_, rl = b.restore_energy, b.restore_latency
@@ -669,16 +661,15 @@ class ProfileRun:
         fixed_net = watts is not None and adaptive is None
         h_cycle = watts * cycle if watts is not None else 0.0
         # A finite constant source into an ideal buffer at a fixed
-        # cadence, with no hook to feed, runs each segment in the
-        # closed-form burst loop below: every harvest and draw there is
-        # a finite non-negative product, so the buffer's domain checks
-        # cannot fire.  Anything else steps through the stepper's add,
-        # draw and leak, which keep every check.
+        # cadence runs each segment in the closed-form burst loop below:
+        # every harvest and draw there is a finite non-negative product,
+        # so the buffer's domain checks cannot fire.  Anything else
+        # steps through the stepper's add, draw and leak, which keep
+        # every check.
         simple = (
             fixed_net
             and 0.0 < watts < inf
             and buffer.is_ideal
-            and not hooked
             and restore_e >= 0.0
         )
 
@@ -695,46 +686,25 @@ class ProfileRun:
             self.remaining = remaining
             degraded["skipped_checkpoint"] = skipped
 
-        def note(category, energy, latency=0.0) -> None:
-            # What ledger.charge does beyond the accumulate.
-            if obs is not None:
-                obs.emit(
-                    "energy",
-                    cl + dl + rl + chl,
-                    category=category.value,
-                    energy=energy,
-                    latency=latency,
-                )
-            if prof is not None:
-                prof.record(category, energy, latency)
-
         def account_wait(wait) -> None:
             # ledger.charge(CHARGING, 0.0, wait), once per charge attempt.
             nonlocal chl
             if wait < 0:
                 raise ValueError("energy and latency must be non-negative")
             chl += wait
-            if hooked:
-                note(Category.CHARGING, 0.0, wait)
 
         # The closed-form loop watches at most once per segment
-        # (``armed_at``) for repeating cycles to fold, and never for a
-        # host checkpointer, whose hook sees every burst boundary.
-        fold_drain = _FOLD_WINDOWS * window if checkpointer is None else inf
+        # (``armed_at``) for repeating cycles to fold.
         armed_at = -1
         seg_index = self.seg_index
         remaining = self.remaining
-        segments = profile.segments
         try:
             if not self._resumed:
                 # Initial charge (capacitor starts discharged).
-                start = t
-                v, t, waited, _ = charge(
+                v, t, _, _ = charge(
                     v, t, source, energy, time_to_harvest, account_wait,
                     retries, backoff,
                 )
-                if obs is not None:
-                    _emit_charge(obs, start, waited, True)
                 seg_index = 0
                 remaining = None
             self._resumed = False
@@ -746,10 +716,6 @@ class ProfileRun:
                     count, seg_e, backup, backup_per, per_instr,
                     dead, dead_e, dead_be,
                 ) = table[seg_index]
-                if prof is not None:
-                    segment = segments[seg_index]
-                    label = segment.label or segment.kind or f"segment{seg_index}"
-                    prof.set_scope(prof.scope_id((profile.name, label)))
                 if remaining is None:
                     remaining = count
                 if fixed_net:
@@ -870,11 +836,8 @@ class ProfileRun:
                                 be += dead_be
                                 if armed_at != seg_index:
                                     armed_at = seg_index
-                                    if remaining * net >= fold_drain:
+                                    if remaining * net >= _FOLD_WINDOWS * window:
                                         tops, seen = {}, []
-                            if checkpointer is not None:
-                                flush(seg_index, remaining)
-                                checkpointer.on_profile_point(self)
                         seg_index += 1
                         remaining = None
                         continue
@@ -953,10 +916,6 @@ class ProfileRun:
                         stretched = burst // base_period - burst // period
                         if burst > 0 and stretched > 0:
                             skipped += stretched
-                            if obs is not None:
-                                obs.counter(
-                                    "env.degraded.skipped_checkpoint"
-                                ).inc(stretched)
                     consumed = burst * per_instr
                     bc = burst * cycle
                     ce += burst * seg_e
@@ -964,51 +923,21 @@ class ProfileRun:
                     be += burst * backup_per
                     ninstr += burst
                     remaining -= burst
-                    burst_start = t
                     harvested = watts * bc if watts is not None else energy(t, bc)
                     v = leak(draw(add(v, harvested), consumed, bc), bc)
                     t += bc
-                    if hooked:
-                        note(Category.COMPUTE, burst * seg_e, bc)
-                        note(Category.BACKUP, burst * backup_per)
-                        if prof is not None:
-                            prof.count_instructions(burst)
-                        if obs is not None:
-                            obs.emit(
-                                "profile.burst",
-                                burst_start,
-                                label=segments[seg_index].label or profile.name,
-                                count=burst,
-                                energy=burst * seg_e,
-                            )
-                            vcap.set(v, ts=t)
                     if v <= off_at and remaining > 0:
                         # Outage: recharge, restore, then re-perform the
                         # work since the last checkpoint (Dead): at most
                         # one instruction at period 1, (N-1)/2 + 1
                         # expected at period N.
-                        if obs is not None:
-                            obs.counter("harvest.outages").inc()
-                            obs.emit(
-                                "harvest.outage",
-                                t,
-                                voltage=v,
-                                instructions=ninstr,
-                            )
-                        start = t
-                        v, t, waited, _ = charge(
+                        v, t, _, _ = charge(
                             v, t, source, energy, time_to_harvest,
                             account_wait, retries, backoff,
                         )
-                        if obs is not None:
-                            _emit_charge(obs, start, waited, False)
                         nrestart += 1
                         re_ += restore_e
                         rl += restore_l
-                        if hooked:
-                            if prof is not None:
-                                prof.count_restart()
-                            note(Category.RESTORE, restore_e, restore_l)
                         harvested = (
                             watts * restore_l if watts is not None
                             else energy(t, restore_l)
@@ -1016,8 +945,6 @@ class ProfileRun:
                         v = add(v, harvested)
                         v = leak(draw(v, restore_e, restore_l), restore_l)
                         t += restore_l
-                        if obs is not None:
-                            obs.emit("harvest.restore", t, voltage=v)
                         if period == base_period:
                             r_draw, r_e, r_be, r_l = dead, dead_e, dead_be, dead_l
                         else:
@@ -1032,22 +959,14 @@ class ProfileRun:
                         de += r_e
                         dl += r_l
                         be += r_be
-                        if hooked:
-                            note(Category.DEAD, r_e, r_l)
-                            note(Category.BACKUP, r_be)
-                    if checkpointer is not None:
-                        # Burst boundary: the cursor (seg_index,
-                        # remaining, time, ledger, buffer voltage) fully
-                        # determines the rest of the run.
-                        flush(seg_index, remaining)
-                        checkpointer.on_profile_point(self)
                 seg_index += 1
                 remaining = None
         except ChargeWindowFailure as failure:
             # The failed attempts stay on the buffer and the ledger; the
-            # clock stays where the charge began.
+            # clock stays where the charge began.  A ChargeWindowFailure
+            # is the degraded taxonomy's fail-stop.
             v = failure.voltage
-            _fail_stop(degraded, obs, t, v)
+            degraded["fail_stop"] += 1
             flush(seg_index, remaining)
             raise
         flush(seg_index, None)

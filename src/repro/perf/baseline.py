@@ -12,7 +12,10 @@ the accelerated paths match them bit-for-bit, and the bench harness
 times them in the same run to report honest speedups — the "serial
 baseline measured in the same run" of ``BENCH_PR9.json``.
 
-Nothing in the simulator proper calls into this module.
+Both stay frozen.  The simulator proper calls one of them:
+``ProfileRun.run`` hands an observed run (telemetry, a profiler or a
+host checkpointer) to :func:`profile_run_reference`, so the hook calls
+of a profile run are written only here.
 """
 
 from __future__ import annotations

@@ -9,10 +9,15 @@ constant traces; leaky and ESR buffers starting at any voltage;
 ``AdaptivePolicy`` knobs, checkpoint periods 1-8 and dead fractions;
 the profiler and telemetry on and off; start times inside the trace;
 and runs resumed from a mid-run image.  The same spec is built twice
-and run once through each loop.  Every comparison is exact: float
-``==`` on the ``Breakdown``, time, voltage, cursor and degraded
-tallies, and for ``NonTerminationError`` / ``ChargeWindowFailure`` the
-type, message and attributes.
+and run once through each loop.  ``ProfileRun.run`` hands an observed
+run (telemetry, a profiler or a host checkpointer) to the referee, so
+its side is built without the profiler and telemetry and runs the
+hoisted loop, while the referee's side keeps them: the hooks must not
+move a number.  Every comparison is exact: float ``==`` on the
+``Breakdown``, time, voltage, cursor and degraded tallies, and for
+``NonTerminationError`` / ``ChargeWindowFailure`` the type, message
+and attributes.  ``test_observed_runs_take_the_referee`` checks which
+runs take the referee.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from repro.env import (
     rf_burst,
     solar_diurnal,
 )
-from repro.harvest.capacitor import EnergyBuffer
+from repro.harvest.capacitor import EnergyBuffer, buffer_for
 from repro.harvest.intermittent import (
     ChargeWindowFailure,
     HarvestingConfig,
@@ -45,8 +50,9 @@ from repro.harvest.intermittent import (
     Segment,
 )
 from repro.harvest.source import ConstantPowerSource, SolarProfileSource
-from repro.obs import InMemorySink, Telemetry
+from repro.obs import InMemorySink, Telemetry, use
 from repro.obs.prof import EnergyProfiler
+from repro.perf import baseline
 from repro.perf.baseline import profile_run_reference
 
 SEEDS = range(10)
@@ -185,7 +191,9 @@ def _source(spec: dict):
     return TraceSource(trace)
 
 
-def build(spec: dict, checkpointer=None) -> ProfileRun:
+def build(spec: dict, checkpointer=None, hooked: bool = True) -> ProfileRun:
+    """The run ``spec`` draws; with ``hooked`` False, without its
+    profiler and telemetry."""
     source = _source(spec)
     span = getattr(getattr(source, "trace", None), "span", 0.0) or 1e-3
     cost = InstructionCostModel(ALL_TECHNOLOGIES[spec["tech"]])
@@ -200,8 +208,10 @@ def build(spec: dict, checkpointer=None) -> ProfileRun:
         HarvestingConfig(source, EnergyBuffer(**spec["buffer"])),
         dead_fraction=spec["dead_fraction"],
         checkpoint_period=spec["checkpoint_period"],
-        profiler=EnergyProfiler() if spec["profiler"] else None,
-        telemetry=Telemetry(InMemorySink()) if spec["telemetry"] else None,
+        profiler=EnergyProfiler() if hooked and spec["profiler"] else None,
+        telemetry=(
+            Telemetry(InMemorySink()) if hooked and spec["telemetry"] else None
+        ),
         checkpointer=checkpointer,
         adaptive=(
             AdaptivePolicy(**spec["adaptive"]) if spec["adaptive"] else None
@@ -225,7 +235,6 @@ def outcome(run: ProfileRun, execute) -> dict:
         execute(run)
     except (NonTerminationError, ChargeWindowFailure) as exc:
         error = _error(exc)
-    prof = run.profiler
     return {
         "breakdown": dataclasses.asdict(run.ledger.breakdown),
         "time": run.time,
@@ -233,21 +242,14 @@ def outcome(run: ProfileRun, execute) -> dict:
         "cursor": (run.seg_index, run.remaining),
         "degraded": dict(run.degraded),
         "error": error,
-        "profiler": None if prof is None else (
-            [dataclasses.astuple(s) for s in prof._stats],
-            list(prof._self_energy),
-            list(prof._self_latency),
-        ),
-        "events": None if run.telemetry is None else [
-            (e.kind, e.ts, dict(e.data)) for e in run.telemetry._sink.events
-        ],
     }
 
 
 def _resumed_pair(spec: dict, directory):
     """Both loops resumed from the newest image the referee wrote
-    before it was stopped after ``resume_after`` burst boundaries; None
-    when the run ended first."""
+    before it was stopped after ``resume_after`` burst boundaries, the
+    referee's side with the spec's hooks; None when the run ended
+    first."""
     checkpointer = Checkpointer(directory, CheckpointPolicy(period=1))
     commit_point = checkpointer.on_profile_point
     points = []
@@ -267,14 +269,11 @@ def _resumed_pair(spec: dict, directory):
     except _Killed:
         pass
 
-    def resumed():
-        run = resume_profile(directory)
-        run.profiler = EnergyProfiler() if spec["profiler"] else None
-        if spec["telemetry"]:
-            run.telemetry = Telemetry(InMemorySink())
-        return run
-
-    return resumed(), resumed()
+    hooked = resume_profile(directory)
+    hooked.profiler = EnergyProfiler() if spec["profiler"] else None
+    if spec["telemetry"]:
+        hooked.telemetry = Telemetry(InMemorySink())
+    return resume_profile(directory), hooked
 
 
 @pytest.fixture(scope="module")
@@ -291,7 +290,7 @@ def outcomes(tmp_path_factory) -> dict:
                 )
             if runs is None:
                 spec["resume_after"] = None
-                runs = build(spec), build(spec)
+                runs = build(spec, hooked=False), build(spec)
             results[(seed, case)] = (
                 spec,
                 outcome(runs[0], ProfileRun.run),
@@ -322,3 +321,76 @@ def test_draws_reach_every_path(outcomes):
         "NonTerminationError", "ChargeWindowFailure", "retries_exhausted",
     ):
         assert seen[key] >= 3, (key, seen)
+
+
+def _small_run(**hooks) -> ProfileRun:
+    """Two segments on the Modern STT paper buffer under a constant
+    source that refills half the first one's drain: 23 restarts."""
+    tech = ALL_TECHNOLOGIES[0]
+    buffer = buffer_for(tech)
+    drain = buffer.window_energy / 40
+    profile = InstructionProfile(name="small")
+    profile.add(800, drain, drain / 10, "a")
+    profile.add(300, 2 * drain, 0.0, "b")
+    source = ConstantPowerSource(0.5 * drain / tech.cycle_time)
+    return ProfileRun(
+        profile,
+        InstructionCostModel(tech),
+        HarvestingConfig(source, buffer),
+        **hooks,
+    )
+
+
+def test_observed_runs_take_the_referee(monkeypatch, tmp_path):
+    """``ProfileRun.run`` hands a run with telemetry (its own or the
+    ambient hub's), a profiler or a host checkpointer to
+    ``profile_run_reference``, once, and runs every other run in its
+    hoisted loop, a run resumed without a checkpointer included.  All
+    of them end on the unobserved run's ``Breakdown``."""
+    calls = []
+
+    def spy(run):
+        calls.append(run)
+        return profile_run_reference(run)
+
+    monkeypatch.setattr(baseline, "profile_run_reference", spy)
+    want = _small_run().run()
+    assert calls == [] and want.restarts == 23
+
+    def ambient():
+        with use(Telemetry(InMemorySink())):
+            return _small_run().run()
+
+    observed = {
+        "telemetry": lambda: _small_run(
+            telemetry=Telemetry(InMemorySink())
+        ).run(),
+        "ambient telemetry": ambient,
+        "profiler": lambda: _small_run(profiler=EnergyProfiler()).run(),
+        "checkpointer": lambda: _small_run(
+            checkpointer=Checkpointer(
+                tmp_path / "full", CheckpointPolicy(period=1)
+            )
+        ).run(),
+    }
+    for name, execute in observed.items():
+        calls.clear()
+        assert execute() == want, name
+        assert len(calls) == 1, name
+
+    checkpointer = Checkpointer(tmp_path / "killed", CheckpointPolicy(period=1))
+    commit_point = checkpointer.on_profile_point
+
+    def stopping(run):
+        commit_point(run)
+        if run.ledger.breakdown.restarts >= 5:
+            raise _Killed
+
+    checkpointer.on_profile_point = stopping
+    with pytest.raises(_Killed):
+        _small_run(checkpointer=checkpointer).run()
+    resumed = resume_profile(tmp_path / "killed")
+    assert resumed.checkpointer is None and resumed.remaining
+    calls.clear()
+    assert resumed.run() == want
+    assert calls == []
